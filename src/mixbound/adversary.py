@@ -565,12 +565,14 @@ def milestone_escape_estimates(P: TransitionMatrix, params: StaircaseParams,
 # ---------------------------------------------------------------------------
 
 def _bool_power(support: np.ndarray, t: int) -> np.ndarray:
+    # The products count paths, up to n per entry: uint8 wraps them to 0
+    # at n = 256, while float64 holds them exactly (and multiplies via BLAS).
     result = np.eye(support.shape[0], dtype=bool)
     base = support.copy()
     while t:
         if t & 1:
-            result = (result.astype(np.uint8) @ base.astype(np.uint8)) > 0
-        base = (base.astype(np.uint8) @ base.astype(np.uint8)) > 0
+            result = (result.astype(float) @ base.astype(float)) > 0
+        base = (base.astype(float) @ base.astype(float)) > 0
         t >>= 1
     return result
 

@@ -10,7 +10,7 @@ validated and frozen at construction and safe to share between threads.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -39,6 +39,12 @@ class TransitionMatrix:
 
     Immutable; the ndarray buffers are marked read-only. Compared by
     identity: two chains are "the same" only if they are the same object.
+
+    ``vertex_transitive`` marks a chain that every automorphism of a
+    vertex-transitive graph preserves, so the distance to stationarity
+    after t steps is the same from every start. Only `lazy_simple_walk`
+    and `max_degree_walk` set it, from the graph's own flag; `make_chain`
+    cannot know what a caller's matrix is and leaves it unset.
     """
 
     n: int
@@ -47,6 +53,7 @@ class TransitionMatrix:
     pi: np.ndarray | None = field(repr=False)
     flags: ChainFlags
     kind: str = "custom"
+    vertex_transitive: bool = field(default=False, repr=False)
 
     def prob(self, u: int, v: int) -> float:
         _check_vertex(self.graph, u)
@@ -65,15 +72,40 @@ class TransitionMatrix:
 
     @property
     def cumulative_rows(self) -> np.ndarray:
-        """Row-wise cumulative sums, cached for walk sampling. The last
-        column is pinned to 1 so inverse-CDF lookups never fall off the
-        end of a row."""
+        """Row-wise cumulative sums, cached for walk sampling. Every column
+        from a row's last positive entry onward is pinned to 1, so an
+        inverse-CDF lookup of a uniform in [0, 1) always lands on a
+        positive transition, even when the sum falls short of 1 by
+        rounding."""
         cached = self.__dict__.get("_cumrows")
         if cached is None:
             cached = np.cumsum(self.matrix, axis=1)
-            cached[:, -1] = 1.0
+            last = self.n - 1 - np.argmax(self.matrix[:, ::-1] > 0.0, axis=1)
+            cached[np.arange(self.n)[None, :] >= last[:, None]] = 1.0
             cached.setflags(write=False)
             self.__dict__["_cumrows"] = cached
+        return cached
+
+    @property
+    def in_neighbours(self) -> tuple[np.ndarray, np.ndarray]:
+        """Padded in-neighbour table (index, weight), cached, each of shape
+        n x (largest in-degree, self-loop included). Row v lists the u with
+        P[u, v] > 0 in increasing order and their weights P[u, v]; padding
+        has index 0 and weight 0. One step of a distribution x is
+        ``(x[index] * weight).sum(axis=1)``."""
+        cached = self.__dict__.get("_in_nbrs")
+        if cached is None:
+            dst, src = np.nonzero(self.matrix.T > 0.0)  # sorted by dst, then src
+            counts = np.bincount(dst, minlength=self.n)
+            slot = np.arange(dst.size) - np.repeat(np.cumsum(counts) - counts, counts)
+            index = np.zeros((self.n, counts.max()), dtype=np.intp)
+            weight = np.zeros(index.shape)
+            index[dst, slot] = src
+            weight[dst, slot] = self.matrix[src, dst]
+            index.setflags(write=False)
+            weight.setflags(write=False)
+            cached = (index, weight)
+            self.__dict__["_in_nbrs"] = cached
         return cached
 
 
@@ -139,13 +171,14 @@ def make_chain(graph: Graph, matrix, pi=None, kind: str = "custom") -> Transitio
         raise InputError(
             f"row {bad + 1} sums to {row_sums[bad]:.15g}, not 1 within {ROW_SUM_TOL}")
     m /= row_sums[:, None]
-    for u in range(n):
-        for v in range(n):
-            if u != v and m[u, v] > 0.0 and not graph.has_edge(u + 1, v + 1):
-                raise InputError(
-                    f"positive entry ({u + 1},{v + 1}) is not on a graph edge")
+    allowed = np.eye(n, dtype=bool)
+    ends = np.array(list(graph.edges)) - 1
+    allowed[ends[:, 0], ends[:, 1]] = allowed[ends[:, 1], ends[:, 0]] = True
+    off_edge = np.flatnonzero((m > 0.0) & ~allowed)
+    if off_edge.size:
+        u, v = divmod(int(off_edge[0]), n)
+        raise InputError(f"positive entry ({u + 1},{v + 1}) is not on a graph edge")
 
-    lazy = bool(np.all(np.diag(m) >= 0.5 - ROW_SUM_TOL))
     irreducible = _strongly_connected(m)
 
     if pi is not None:
@@ -161,16 +194,21 @@ def make_chain(graph: Graph, matrix, pi=None, kind: str = "custom") -> Transitio
     else:
         p = None
 
-    reversible = p is not None and bool(
-        np.max(np.abs(p[:, None] * m - p[None, :] * m.T)) <= DETAILED_BALANCE_TOL)
-
     m.setflags(write=False)
     if p is not None:
         p.setflags(write=False)
-    return TransitionMatrix(
-        n=n, matrix=m, graph=graph, pi=p,
-        flags=ChainFlags(lazy=lazy, irreducible=irreducible, reversible=reversible),
-        kind=kind)
+    return TransitionMatrix(n=n, matrix=m, graph=graph, pi=p,
+                            flags=_flags(m, p, irreducible), kind=kind)
+
+
+def _flags(m: np.ndarray, pi: np.ndarray | None, irreducible: bool) -> ChainFlags:
+    """(lazy, irreducible, reversible) of matrix m with stationary vector
+    pi, None for a reducible chain. Irreducibility is passed in because
+    make_chain needs it before it has pi."""
+    lazy = bool(np.all(np.diag(m) >= 0.5 - ROW_SUM_TOL))
+    reversible = pi is not None and bool(
+        np.max(np.abs(pi[:, None] * m - pi[None, :] * m.T)) <= DETAILED_BALANCE_TOL)
+    return ChainFlags(lazy=lazy, irreducible=irreducible, reversible=reversible)
 
 
 def _strongly_connected(m: np.ndarray) -> bool:
@@ -216,7 +254,8 @@ def lazy_simple_walk(g: Graph) -> TransitionMatrix:
             m[u - 1, v - 1] = 0.5 / len(nbrs)
     degrees = np.array([g.degree(v) for v in range(1, n + 1)], dtype=float)
     pi = degrees / (2 * len(g.edges))
-    return make_chain(g, m, pi=pi, kind="lazy-simple")
+    return replace(make_chain(g, m, pi=pi, kind="lazy-simple"),
+                   vertex_transitive=g.vertex_transitive)
 
 
 def max_degree_walk(g: Graph) -> TransitionMatrix:
@@ -229,7 +268,8 @@ def max_degree_walk(g: Graph) -> TransitionMatrix:
         for v in g.neighbors(u):
             m[u - 1, v - 1] = 0.5 / d_max
         m[u - 1, u - 1] = 1.0 - degrees[u - 1] / (2 * d_max)
-    return make_chain(g, m, pi=np.full(n, 1.0 / n), kind="max-degree")
+    return replace(make_chain(g, m, pi=np.full(n, 1.0 / n), kind="max-degree"),
+                   vertex_transitive=g.vertex_transitive)
 
 
 def metropolis_walk(g: Graph, target) -> TransitionMatrix:
@@ -262,15 +302,7 @@ def metropolis_walk(g: Graph, target) -> TransitionMatrix:
 
 def check_properties(P: TransitionMatrix) -> ChainFlags:
     """Recompute (lazy, irreducible, reversible) from the matrix."""
-    m = P.matrix
-    lazy = bool(np.all(np.diag(m) >= 0.5 - ROW_SUM_TOL))
-    irreducible = _strongly_connected(m)
-    reversible = False
-    if P.pi is not None:
-        p = P.pi
-        reversible = bool(
-            np.max(np.abs(p[:, None] * m - p[None, :] * m.T)) <= DETAILED_BALANCE_TOL)
-    return ChainFlags(lazy=lazy, irreducible=irreducible, reversible=reversible)
+    return _flags(P.matrix, P.pi, _strongly_connected(P.matrix))
 
 
 def stationary(P: TransitionMatrix) -> np.ndarray:
@@ -305,8 +337,18 @@ def mixing_time(P: TransitionMatrix, eps: float, cap: int = MIXING_STEP_CAP,
 
     The worst-case TV distance is nonincreasing in t, so the default finds
     the threshold by doubling then binary search on matrix powers. The
-    "linear" method scans t = 0, 1, 2, ... and exists as an independent
-    cross-check.
+    "linear" method scans t = 0, 1, 2, ... on the full matrix and exists
+    as an independent cross-check.
+
+    For a chain marked `vertex_transitive` (the lazy simple and max-degree
+    walks on cycle, complete, hypercube and torus graphs) the default
+    instead propagates the single row of vertex 1 through the sparse
+    `in_neighbours` table, O(nnz) per step, and stops at the first t with
+    TV <= eps. That is exact, not an approximation: an automorphism
+    mapping u to w and preserving the chain carries the t-step law from u
+    onto the one from w and fixes the stationary distribution, so every
+    start is at the same TV distance (Levin, Peres and Wilmer, Markov
+    Chains and Mixing Times, ch. 4).
     """
     if not 0 < eps < 0.5:
         raise InputError(f"eps must lie in (0, 1/2), got {eps}")
@@ -322,6 +364,8 @@ def mixing_time(P: TransitionMatrix, eps: float, cap: int = MIXING_STEP_CAP,
         raise CapabilityError(f"mixing time exceeds cap {cap} at eps={eps}")
     if method != "doubling":
         raise InputError(f"unknown mixing time method {method!r}")
+    if P.vertex_transitive:
+        return _single_start_mixing_time(P, pi, eps, cap)
 
     if _tv_from_pi(np.eye(P.n), pi) <= eps:
         return 0
@@ -341,6 +385,18 @@ def mixing_time(P: TransitionMatrix, eps: float, cap: int = MIXING_STEP_CAP,
         else:
             lo = mid
     return hi
+
+
+def _single_start_mixing_time(P: TransitionMatrix, pi: np.ndarray, eps: float,
+                              cap: int) -> int:
+    index, weight = P.in_neighbours
+    row = np.zeros(P.n)
+    row[0] = 1.0
+    for t in range(cap + 1):
+        if 0.5 * np.abs(row - pi).sum() <= eps:
+            return t
+        row = (row[index] * weight).sum(axis=1)
+    raise CapabilityError(f"mixing time exceeds cap {cap} at eps={eps}")
 
 
 def _matrix_power(squares: list[np.ndarray], t: int) -> np.ndarray:

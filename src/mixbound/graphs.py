@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -23,11 +23,18 @@ RANDOM_REGULAR_RETRY_CAP = 1000
 
 @dataclass(frozen=True)
 class Graph:
-    """Connected simple undirected graph on vertices 1..n."""
+    """Connected simple undirected graph on vertices 1..n.
+
+    ``vertex_transitive`` is set only by the generators of families whose
+    automorphism group moves any vertex to any other (cycle, complete,
+    hypercube, torus). It takes no part in equality and is not written to
+    JSON, so a parsed graph is never marked.
+    """
 
     n: int
     edges: frozenset[tuple[int, int]]
     adjacency: tuple[tuple[int, ...], ...] = field(repr=False)
+    vertex_transitive: bool = field(default=False, repr=False, compare=False)
 
     def degree(self, v: int) -> int:
         _check_vertex(self, v)
@@ -133,10 +140,14 @@ def _min_cut_set(g: Graph) -> tuple[float, set[int]]:
 # Generators
 # ---------------------------------------------------------------------------
 
+def _transitive(g: Graph) -> Graph:
+    return replace(g, vertex_transitive=True)
+
+
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise InputError(f"cycle needs n >= 3, got {n}")
-    return make_graph(n, [(i, i % n + 1) for i in range(1, n + 1)])
+    return _transitive(make_graph(n, [(i, i % n + 1) for i in range(1, n + 1)]))
 
 
 def path_graph(n: int) -> Graph:
@@ -148,7 +159,7 @@ def path_graph(n: int) -> Graph:
 def complete_graph(n: int) -> Graph:
     if n < 2:
         raise InputError(f"complete graph needs n >= 2, got {n}")
-    return make_graph(n, itertools.combinations(range(1, n + 1), 2))
+    return _transitive(make_graph(n, itertools.combinations(range(1, n + 1), 2)))
 
 
 def hypercube_graph(d: int) -> Graph:
@@ -163,7 +174,7 @@ def hypercube_graph(d: int) -> Graph:
             w = v ^ (1 << bit)
             if v < w:
                 edges.append((v + 1, w + 1))
-    return make_graph(n, edges)
+    return _transitive(make_graph(n, edges))
 
 
 def torus_graph(rows: int, cols: int) -> Graph:
@@ -178,7 +189,7 @@ def torus_graph(rows: int, cols: int) -> Graph:
             down = ((i + 1) % rows) * cols + j + 1
             edges.add((min(v, right), max(v, right)))
             edges.add((min(v, down), max(v, down)))
-    return make_graph(rows * cols, edges)
+    return _transitive(make_graph(rows * cols, edges))
 
 
 def barbell_graph(n: int) -> Graph:

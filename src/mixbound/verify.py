@@ -379,13 +379,20 @@ def check_b2_expansion_bound(ctx: _Context) -> CheckResult:
 
 def check_b_spectral_mixing(ctx: _Context) -> CheckResult:
     """t_mix(eps) <= ln(1/(eps min pi)) / (1 - lambda2) at eps in
-    {1/8, 1/(2n)}."""
+    {1/8, 1/(2n)}, and the default mixing time (single-start on
+    vertex-transitive chains) equals the full-matrix linear scan."""
     name = "B_spectral_mixing"
     for gname, kind, P in ctx.test_chains():
         pi = ch.stationary(P)
         _, gap = ch.spectral_gap(P)
         for eps in (0.125, 1.0 / (2 * P.n)):
             t = ch.mixing_time(P, eps, cap=ctx.caps.mixing_cap)
+            t_linear = ch.mixing_time(P, eps, cap=ctx.caps.mixing_cap, method="linear")
+            if t != t_linear:
+                return _fail(name, "mixing time differs from the linear scan",
+                             {"graph": gname, "chain": kind, "eps": eps,
+                              "t_mix": t, "t_linear": t_linear,
+                              "vertex_transitive": P.vertex_transitive})
             limit = math.log(1.0 / (eps * pi.min())) / gap
             if t > limit:
                 return _fail(name, "mixing time exceeds spectral bound",

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import mixbound as mb
-from mixbound.adversary import _system, ratio_floor
+from mixbound.adversary import _bool_power, _system, ratio_floor
 from mixbound.errors import CapabilityError, InputError
 from mixbound.staircase import StaircaseParams
 
@@ -243,6 +243,13 @@ def test_witness_pair_positive_q():
     assert mb.relation_weight(x, y) == pytest.approx(expected_r, rel=1e-12)
     assert expected_r > 0
     assert mb.distinguishing_mass(pair).q > 0
+
+
+def test_witness_pair_reach_k256():
+    P = mb.lazy_simple_walk(mb.complete_graph(256))
+    assert _bool_power(P.matrix > 0.0, 2).all()
+    pair = mb.witness_pair(P, mb.custom_params(P, 2, 32))
+    assert len(pair.instances) == 2
 
 
 def test_witness_pair_requires_room():

@@ -148,6 +148,10 @@ def test_make_chain_rejects_bad_rows():
     off_support[0, 1], off_support[0, 2] = 0.25, 0.25  # 1-3 is not an edge
     with pytest.raises(InputError, match="not on a graph edge"):
         mb.make_chain(g, off_support)
+    off_support[2, 1], off_support[2, 0] = 0.25, 0.25  # nor 3-1
+    with pytest.raises(InputError,
+                       match=r"^positive entry \(1,3\) is not on a graph edge$"):
+        mb.make_chain(g, off_support)
 
 
 def test_reducible_chain():
@@ -202,6 +206,51 @@ def test_mixing_time_methods_agree(eps):
               mb.max_degree_walk(mb.path_graph(6)),
               mb.lazy_simple_walk(mb.torus_graph(3, 3))):
         assert mb.mixing_time(P, eps) == mb.mixing_time(P, eps, method="linear")
+
+
+@pytest.mark.parametrize("spec", ["cycle:15", "complete:20", "hypercube:6", "torus2d:5x7"])
+@pytest.mark.parametrize("build", [mb.lazy_simple_walk, mb.max_degree_walk])
+def test_mixing_time_single_start_matches_linear(spec, build):
+    P = build(mb.graph_from_spec(spec))
+    assert P.vertex_transitive
+    for eps in (0.25, 1 / (2 * P.n)):
+        assert mb.mixing_time(P, eps) == mb.mixing_time(P, eps, method="linear")
+
+
+def test_in_neighbours_step_matches_dense_product():
+    biased = mb.make_chain(mb.cycle_graph(3),
+                           [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
+    for P in (biased, mb.metropolis_walk(mb.path_graph(4), [0.4, 0.3, 0.2, 0.1]),
+              mb.lazy_simple_walk(mb.barbell_graph(8))):
+        index, weight = P.in_neighbours
+        x = np.random.default_rng(P.n).dirichlet(np.ones(P.n))
+        assert np.allclose((x[index] * weight).sum(axis=1), x @ P.matrix,
+                           rtol=0.0, atol=1e-15)
+
+
+def test_mixing_time_non_invariant_chains_on_transitive_graph():
+    g = mb.hypercube_graph(4)
+    rng = np.random.default_rng(3)
+    target = rng.uniform(1.0, 4.0, g.n)
+    metropolis = mb.metropolis_walk(g, target / target.sum())
+    weights = mb.lazy_simple_walk(g).matrix * rng.uniform(0.5, 1.5, (g.n, g.n))
+    off = weights - np.diag(np.diag(weights))
+    custom = off / (2 * off.sum(axis=1, keepdims=True)) + 0.5 * np.eye(g.n)
+    relabelled = mb.make_chain(g, custom, kind="lazy-simple")
+    for P in (metropolis, relabelled):
+        assert not P.vertex_transitive
+        for eps in (0.25, 1 / (2 * g.n)):
+            assert mb.mixing_time(P, eps) == mb.mixing_time(P, eps, method="linear")
+
+
+def test_chain_flag_only_from_invariant_constructions():
+    g = mb.cycle_graph(6)
+    assert mb.lazy_simple_walk(g).vertex_transitive
+    assert mb.max_degree_walk(g).vertex_transitive
+    assert not mb.metropolis_walk(g, np.full(6, 1 / 6)).vertex_transitive
+    assert not mb.chain_from_json(mb.chain_to_json(mb.lazy_simple_walk(g)),
+                                  graph=g).vertex_transitive
+    assert not mb.lazy_simple_walk(mb.path_graph(6)).vertex_transitive
 
 
 def test_mixing_time_cap():
@@ -378,6 +427,17 @@ def test_sample_walk_deterministic(k3_chain):
     b = mb.sample_walk(k3_chain, 1, 50, seed=5)
     assert a.vertices == b.vertices
     assert a.probability() > 0.0
+
+
+def test_cumulative_rows_pin_last_positive_column():
+    from mixbound.verify import VerifyCaps, _Context
+    u = np.nextafter(1.0, 0.0)
+    for _, _, P in _Context(VerifyCaps(), seed=0).test_chains():
+        cum = P.cumulative_rows
+        assert np.all(np.diff(cum, axis=1) >= 0.0)
+        for r in range(P.n):
+            col = int(np.searchsorted(cum[r], u, side="right"))
+            assert P.matrix[r, col] > 0.0
 
 
 def test_walk_probability(k3_chain, path3_chain):

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -140,6 +141,21 @@ def test_graph_json_roundtrip():
     doc = mb.graph_to_json(g)
     back = mb.graph_from_json(doc)
     assert back.n == g.n and back.edges == g.edges
+
+
+def test_vertex_transitive_flag():
+    for g in (mb.cycle_graph(5), mb.complete_graph(4), mb.hypercube_graph(3),
+              mb.torus_graph(3, 4)):
+        assert g.vertex_transitive
+        doc = mb.graph_to_json(g)
+        back = mb.graph_from_json(doc)
+        assert not back.vertex_transitive
+        assert back == g and hash(back) == hash(g)
+        assert json.dumps(mb.graph_to_json(back)) == json.dumps(doc)
+        assert "vertex_transitive" not in doc
+    for g in (mb.path_graph(5), mb.barbell_graph(6),
+              mb.random_regular_graph(8, 3, seed=0)):
+        assert not g.vertex_transitive
 
 
 def test_graph_from_spec():

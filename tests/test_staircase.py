@@ -30,6 +30,11 @@ def test_default_params_k16():
     assert params.L == 4 * params.T
 
 
+def test_default_params_hypercube8():
+    params = mb.default_params(mb.lazy_simple_walk(mb.hypercube_graph(8)))
+    assert params.T == 48
+
+
 def test_custom_params_flagged(k3_chain):
     params = mb.custom_params(k3_chain, T=1, L=2)
     assert not params.is_default
