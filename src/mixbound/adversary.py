@@ -426,16 +426,17 @@ def ratio_property_check(P: TransitionMatrix, params: StaircaseParams,
 def _sample_tails(P: TransitionMatrix, starts: np.ndarray, steps: int,
                   rng: np.random.Generator) -> np.ndarray:
     """Batch-sample trajectories: row i continues from starts[i] for the
-    given number of steps. Returns an array (len(starts), steps + 1)."""
-    cum = P.cumulative_rows
+    given number of steps. Returns an array (len(starts), steps + 1).
+    Each step is one inverse-CDF lookup in the chain's `sampling_table`,
+    O(largest degree) per walker."""
+    index, cum = P.sampling_table
     count = starts.shape[0]
     out = np.empty((count, steps + 1), dtype=np.int64)
     out[:, 0] = starts
     cur = starts - 1
     for s in range(steps):
         draws = rng.random(count)
-        nxt = (cum[cur] > draws[:, None]).argmax(axis=1)
-        cur = nxt
+        cur = index[cur, (cum[cur] > draws[:, None]).argmax(axis=1)]
         out[:, s + 1] = cur + 1
     return out
 
@@ -444,6 +445,50 @@ def _good_rows(walks: np.ndarray, T: int) -> np.ndarray:
     stones = walks[:, ::T]
     ordered = np.sort(stones, axis=1)
     return np.all(np.diff(ordered, axis=1) > 0, axis=1)
+
+
+def _redraw(P: TransitionMatrix, xs: np.ndarray, j: int, T: int,
+            rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Redraw every row of xs from its j-th milestone onward. Returns the
+    redraws zs and the mask of rows where z is good and differs from x in
+    segment j, the event that credits x's pair with z."""
+    tails = _sample_tails(P, xs[:, j * T], xs.shape[1] - 1 - j * T, rng)
+    zs = np.concatenate([xs[:, :j * T], tails], axis=1)
+    block = slice(j * T + 1, (j + 1) * T + 1)
+    return zs, _good_rows(zs, T) & np.any(zs[:, block] != xs[:, block], axis=1)
+
+
+def _last_occurrence(walks: np.ndarray, n: int) -> np.ndarray:
+    """(rows, n) array of the last position of vertex v + 1 in each row,
+    -1 where absent. maximum.at is order-independent under repeated
+    indices, which a fancy-index assignment is not."""
+    count, width = walks.shape
+    last = np.full(count * n, -1, dtype=np.int64)
+    keys = walks - 1 + (np.arange(count) * n)[:, None]
+    np.maximum.at(last, keys.ravel(), np.tile(np.arange(width), count))
+    return last.reshape(count, n)
+
+
+# Rows of last-occurrence arrays built at once are capped so that a chunk
+# holds about this many cells, whatever the sample count.
+_DIFF_CHUNK_CELLS = 1 << 18
+
+
+def _count_differences(counts: np.ndarray, rows: np.ndarray, xs: np.ndarray,
+                       zs: np.ndarray) -> None:
+    """Add 1 to counts[i, v - 1] for every row i in rows and every vertex v
+    where the decision functions of x_i and z_i disagree: the vertices
+    whose last occurrence differs, plus both walk ends. Works in chunks of
+    rows, so memory stays O(_DIFF_CHUNK_CELLS)."""
+    n = counts.shape[1]
+    chunk = max(1, _DIFF_CHUNK_CELLS // max(n, xs.shape[1]))
+    for lo in range(0, rows.size, chunk):
+        part = rows[lo:lo + chunk]
+        diff = _last_occurrence(xs[part], n) != _last_occurrence(zs[part], n)
+        # Two distinct ends already differ in last occurrence (one walk
+        # sits there at step L, the other does not); a shared end does not.
+        diff[np.arange(part.size), xs[part, -1] - 1] = True
+        counts[part] += diff
 
 
 def estimate_lower_bound(P: TransitionMatrix, params: StaircaseParams,
@@ -456,7 +501,9 @@ def estimate_lower_bound(P: TransitionMatrix, params: StaircaseParams,
     walk is resampled from x's j-th milestone onward, and the indicator of
     "second walk good and diverging exactly at segment j" estimates x's
     contribution to M. The same draws estimate the per-vertex masses; q is
-    reported as the maximum over the vertices seen, hence a lower estimate.
+    reported as the largest of them. Each per-vertex estimate is unbiased,
+    but the largest of several noisy estimates overshoots on average, so
+    q is biased upward (E[q] >= the largest true per-vertex mass).
     """
     if samples < 1:
         raise InputError("need at least one sample")
@@ -468,37 +515,16 @@ def estimate_lower_bound(P: TransitionMatrix, params: StaircaseParams,
     x_good = _good_rows(xs, T)
 
     y_totals = np.zeros(samples)
-    vertex_sum: dict[int, float] = {}
-    vertex_sumsq: dict[int, float] = {}
-
-    # Conditional redraws share x's head through milestone j.
-    events: list[list[tuple[int, np.ndarray]]] = [[] for _ in range(samples)]
+    # counts[i, v - 1]: redraws of sample i whose pair with x_i is told
+    # apart at vertex v.
+    counts = np.zeros((samples, P.n), dtype=np.int32)
     for j in range(m):
-        tails = _sample_tails(P, xs[:, j * T].copy(), L - j * T, rng)
-        zs = np.concatenate([xs[:, :j * T], tails], axis=1)
-        z_good = _good_rows(zs, T)
-        block_differs = np.any(
-            zs[:, j * T + 1:(j + 1) * T + 1] != xs[:, j * T + 1:(j + 1) * T + 1], axis=1)
-        hit = x_good & z_good & block_differs
+        zs, ok = _redraw(P, xs, j, T, rng)
+        hit = x_good & ok
         y_totals += hit.astype(float)
-        for i in np.flatnonzero(hit):
-            events[int(i)].append((j, zs[int(i)]))
-
-    for i in range(samples):
-        if not events[i]:
-            continue
-        x_verts = xs[i]
-        last_x = {int(v): idx for idx, v in enumerate(x_verts)}
-        end_x = int(x_verts[-1])
-        counts: dict[int, int] = {}
-        for _, z_verts in events[i]:
-            last_z = {int(v): idx for idx, v in enumerate(z_verts)}
-            diff = _difference_vertices(last_x, last_z, end_x, int(z_verts[-1]))
-            for v in diff:
-                counts[v] = counts.get(v, 0) + 1
-        for v, c in counts.items():
-            vertex_sum[v] = vertex_sum.get(v, 0.0) + c
-            vertex_sumsq[v] = vertex_sumsq.get(v, 0.0) + c * c
+        _count_differences(counts, np.flatnonzero(hit), xs, zs)
+    vertex_sum = counts.sum(axis=0)
+    vertex_sumsq = (counts * counts).sum(axis=0)
 
     if not np.any(x_good):
         raise CapabilityError(
@@ -508,29 +534,23 @@ def estimate_lower_bound(P: TransitionMatrix, params: StaircaseParams,
     m_hat = 2.0 * float(y_totals.mean())
     m_se = 2.0 * float(y_totals.std(ddof=1)) / math.sqrt(samples) if samples > 1 else math.inf
 
-    if not vertex_sum:
+    if not vertex_sum.any():
         raise CapabilityError(
             "zero effective samples: no distinguishing event observed")
-    q_hat = -1.0
-    q_se = math.inf
-    argmax = -1
-    for v in sorted(vertex_sum):
-        mean_v = vertex_sum[v] / samples
-        est = 2.0 * mean_v
-        if est > q_hat:
-            var = vertex_sumsq[v] / samples - mean_v ** 2
-            var *= samples / (samples - 1) if samples > 1 else 1.0
-            q_hat = est
-            q_se = 2.0 * math.sqrt(max(var, 0.0) / samples)
-            argmax = v
+    best = int(np.argmax(vertex_sum))  # ties pick the smallest vertex
+    mean_v = float(vertex_sum[best]) / samples
+    q_hat = 2.0 * mean_v
+    var = float(vertex_sumsq[best]) / samples - mean_v ** 2
+    var *= samples / (samples - 1) if samples > 1 else 1.0
+    q_se = 2.0 * math.sqrt(max(var, 0.0) / samples)
     ratio = m_hat / q_hat if q_hat > 0 else math.inf
     return AdversaryReport(
         M=m_hat, q=q_hat, ratio=ratio, bound=LOWER_BOUND_CONSTANT * ratio,
-        method="monte_carlo", argmax_vertex=argmax,
+        method="monte_carlo", argmax_vertex=best + 1,
         std_error=m_se, q_std_error=q_se,
         context={"n": P.n, "T": T, "L": L, "m": m, "sigma": params.sigma,
                  "samples": samples, "good_fraction": float(x_good.mean()),
-                 "q_is_lower_estimate": True,
+                 "q_bias": "upward",
                  "scope": "witness (whole family); not minimized over subsets"})
 
 
@@ -542,18 +562,12 @@ def milestone_escape_estimates(P: TransitionMatrix, params: StaircaseParams,
     from .staircase import sample_good_walk
 
     rng = np.random.default_rng(seed)
-    T, L, m = params.T, params.L, params.m
+    T, m = params.T, params.m
     x = np.array(sample_good_walk(P, params, rng).vertices, dtype=np.int64)
+    xs = np.tile(x, (samples, 1))
     out = []
     for j in range(m):
-        starts = np.full(samples, x[j * T], dtype=np.int64)
-        tails = _sample_tails(P, starts, L - j * T, rng)
-        zs = np.concatenate([np.tile(x[: j * T], (samples, 1)), tails], axis=1)
-        z_good = _good_rows(zs, T)
-        block_differs = np.any(
-            zs[:, j * T + 1:(j + 1) * T + 1] != np.tile(x[j * T + 1:(j + 1) * T + 1], (samples, 1)),
-            axis=1)
-        hits = (z_good & block_differs).astype(float)
+        hits = _redraw(P, xs, j, T, rng)[1].astype(float)
         p = float(hits.mean())
         se = float(hits.std(ddof=1)) / math.sqrt(samples) if samples > 1 else math.inf
         out.append((p, se))

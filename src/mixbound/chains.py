@@ -71,19 +71,30 @@ class TransitionMatrix:
         return self.pi
 
     @property
-    def cumulative_rows(self) -> np.ndarray:
-        """Row-wise cumulative sums, cached for walk sampling. Every column
-        from a row's last positive entry onward is pinned to 1, so an
-        inverse-CDF lookup of a uniform in [0, 1) always lands on a
-        positive transition, even when the sum falls short of 1 by
-        rounding."""
-        cached = self.__dict__.get("_cumrows")
+    def sampling_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Padded out-neighbour table (index, cumulative), cached, each of
+        shape n x (largest out-degree, self-loop included). Row u lists
+        the v with P[u, v] > 0 in increasing order and the running sums of
+        their probabilities; the last real slot and all padding hold 1.0,
+        and padding points at the row's last real neighbour. The first
+        slot whose sum exceeds a uniform u in [0, 1) therefore always
+        names a positive transition, even when the sum falls short of 1 by
+        rounding. The sums equal those of the dense row, since adding the
+        zero columns changes no float cumsum."""
+        cached = self.__dict__.get("_sampling")
         if cached is None:
-            cached = np.cumsum(self.matrix, axis=1)
-            last = self.n - 1 - np.argmax(self.matrix[:, ::-1] > 0.0, axis=1)
-            cached[np.arange(self.n)[None, :] >= last[:, None]] = 1.0
-            cached.setflags(write=False)
-            self.__dict__["_cumrows"] = cached
+            src, dst, slot, counts = _padded_entries(self.matrix > 0.0)
+            last = np.cumsum(counts) - 1
+            index = np.repeat(dst[last][:, None], counts.max(), axis=1)
+            index[src, slot] = dst
+            cumulative = np.zeros(index.shape)
+            cumulative[src, slot] = self.matrix[src, dst]
+            np.cumsum(cumulative, axis=1, out=cumulative)
+            cumulative[np.arange(index.shape[1])[None, :] >= counts[:, None] - 1] = 1.0
+            index.setflags(write=False)
+            cumulative.setflags(write=False)
+            cached = (index, cumulative)
+            self.__dict__["_sampling"] = cached
         return cached
 
     @property
@@ -95,9 +106,7 @@ class TransitionMatrix:
         ``(x[index] * weight).sum(axis=1)``."""
         cached = self.__dict__.get("_in_nbrs")
         if cached is None:
-            dst, src = np.nonzero(self.matrix.T > 0.0)  # sorted by dst, then src
-            counts = np.bincount(dst, minlength=self.n)
-            slot = np.arange(dst.size) - np.repeat(np.cumsum(counts) - counts, counts)
+            dst, src, slot, counts = _padded_entries(self.matrix.T > 0.0)
             index = np.zeros((self.n, counts.max()), dtype=np.intp)
             weight = np.zeros(index.shape)
             index[dst, slot] = src
@@ -107,6 +116,16 @@ class TransitionMatrix:
             cached = (index, weight)
             self.__dict__["_in_nbrs"] = cached
         return cached
+
+
+def _padded_entries(support: np.ndarray):
+    """(row, col, slot, counts) of the True entries of a square boolean
+    array in row-major order: entry e belongs in cell [row[e], slot[e]] of
+    a table padded to the longest row, and counts[r] is row r's length."""
+    row, col = np.nonzero(support)
+    counts = np.bincount(row, minlength=support.shape[0])
+    slot = np.arange(row.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    return row, col, slot, counts
 
 
 @dataclass(frozen=True)
@@ -506,12 +525,11 @@ def sample_walk(P: TransitionMatrix, start: int, length: int, seed) -> Walk:
     if length < 0:
         raise InputError("walk length must be nonnegative")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    cum = P.cumulative_rows
+    index, cum = P.sampling_table
     verts = [start]
     cur = start - 1
     for _ in range(length):
-        cur = int(np.searchsorted(cum[cur], rng.random(), side="right"))
-        cur = min(cur, P.n - 1)
+        cur = int(index[cur, np.searchsorted(cum[cur], rng.random(), side="right")])
         verts.append(cur + 1)
     return Walk(vertices=tuple(verts), chain=P)
 

@@ -269,7 +269,7 @@ def test_estimate_matches_exact_k3(k3_chain, k3_params):
     assert est.method == "monte_carlo"
     assert abs(est.M - exact.M) <= 3 * est.std_error
     assert abs(est.q - exact.q) <= 3 * est.q_std_error
-    assert est.context["q_is_lower_estimate"]
+    assert est.context["q_bias"] == "upward"
 
 
 def test_estimate_deterministic(k3_chain, k3_params):
@@ -297,6 +297,54 @@ def test_estimate_no_good_walks_error():
     params = mb.custom_params(P, T=1, L=2)  # no good walk exists on 2 vertices
     with pytest.raises(CapabilityError, match="effective samples"):
         mb.estimate_lower_bound(P, params, samples=200, seed=0)
+
+
+# Seeded outputs pinned to the repr: a rewrite of the sampler or of the
+# difference counting must reproduce them bit for bit.
+ESTIMATE_GOLDEN = {
+    ("rr32", 11): (
+        "(0.6666666666666666, 0.18666666666666668, 0.09025336976737437, "
+        "0.050587040640739316, 21)",
+        "[(0.24, 0.03027512038907301), (0.365, 0.034127679271557736), "
+        "(0.405, 0.03479841445010399), (0.735, 0.0312852815908872)]"),
+    ("rr32", (3, 5)): (
+        "(0.7066666666666667, 0.21333333333333335, 0.08972810823624415, "
+        "0.04458987725341419, 5)",
+        "[(0.19, 0.027809473820460076), (0.335, 0.0334585170294358), "
+        "(0.42, 0.0349874349304872), (0.645, 0.033920910080708584)]"),
+    ("metropolis", 11): (
+        "(0.08, 0.04666666666666667, 0.027951223640657184, "
+        "0.021982730291447376, 12)",
+        "[(0.04, 0.013891177924157585), (0.055, 0.016161092305986408), "
+        "(0.08, 0.019231465004808025), (0.195, 0.028085923439997242), "
+        "(0.515, 0.035428106832977174)]"),
+    ("metropolis", (3, 5)): (
+        "(0.09333333333333334, 0.04666666666666667, 0.03085310011484089, "
+        "0.023925438495651777, 19)",
+        "[(0.03, 0.012092607484694706), (0.04, 0.013891177924157585), "
+        "(0.09, 0.02028688711815402), (0.19, 0.027809473820460076), "
+        "(0.26, 0.031093957143700307)]"),
+}
+
+
+def _golden_system(name):
+    if name == "rr32":
+        P = mb.lazy_simple_walk(mb.random_regular_graph(32, 4, seed=0))
+        return P, mb.custom_params(P, T=3, L=12)
+    target = np.arange(1, 21, dtype=float)
+    P = mb.metropolis_walk(mb.torus_graph(4, 5), target / target.sum())
+    return P, mb.custom_params(P, T=2, L=10)
+
+
+@pytest.mark.parametrize("name,seed", list(ESTIMATE_GOLDEN))
+def test_estimate_golden_outputs(name, seed):
+    P, params = _golden_system(name)
+    est = mb.estimate_lower_bound(P, params, samples=300, seed=seed)
+    escape = mb.milestone_escape_estimates(P, params, samples=200, seed=seed)
+    want_estimate, want_escape = ESTIMATE_GOLDEN[(name, seed)]
+    assert repr((est.M, est.q, est.std_error, est.q_std_error,
+                 est.argmax_vertex)) == want_estimate
+    assert repr(escape) == want_escape
 
 
 def test_milestone_escape_estimates_shape():

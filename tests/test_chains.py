@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import mixbound as mb
 from mixbound.errors import CapabilityError, InputError
@@ -429,15 +431,68 @@ def test_sample_walk_deterministic(k3_chain):
     assert a.probability() > 0.0
 
 
-def test_cumulative_rows_pin_last_positive_column():
+def test_sampling_table_pin_last_positive_slot():
     from mixbound.verify import VerifyCaps, _Context
     u = np.nextafter(1.0, 0.0)
     for _, _, P in _Context(VerifyCaps(), seed=0).test_chains():
-        cum = P.cumulative_rows
+        index, cum = P.sampling_table
         assert np.all(np.diff(cum, axis=1) >= 0.0)
         for r in range(P.n):
-            col = int(np.searchsorted(cum[r], u, side="right"))
-            assert P.matrix[r, col] > 0.0
+            slot = int(np.searchsorted(cum[r], u, side="right"))
+            assert P.matrix[r, index[r, slot]] > 0.0
+            # real slots carry the dense running sums bit for bit; the last
+            # one and the padding are pinned to the last positive column
+            k = int(np.count_nonzero(P.matrix[r] > 0.0))
+            assert np.array_equal(cum[r, :k - 1], np.cumsum(P.matrix[r])[index[r, :k - 1]])
+            assert np.all(cum[r, k - 1:] == 1.0)
+            assert np.all(index[r, k - 1:] == np.flatnonzero(P.matrix[r] > 0.0)[-1])
+
+
+def _dense_inverse_cdf(row: np.ndarray, u: float) -> int:
+    """Reference step: the first column whose running sum exceeds u, or
+    the last positive column when rounding leaves the sum at or below u."""
+    above = np.flatnonzero(np.cumsum(row) > u)
+    return int(above[0]) if above.size else int(np.flatnonzero(row > 0.0)[-1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(hst.data())
+def test_samplers_match_dense_inverse_cdf(data):
+    from mixbound.adversary import _sample_tails
+    n = data.draw(hst.integers(min_value=2, max_value=8), label="n")
+    seed = data.draw(hst.integers(min_value=0, max_value=10_000), label="seed")
+    rng = np.random.default_rng(seed)
+    tree = {(int(rng.integers(1, v)), v) for v in range(2, n + 1)}
+    extra = {(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)
+             if rng.random() < 0.4}
+    g = mb.make_graph(n, tree | extra)
+    m = np.zeros((n, n))
+    for u, v in g.edges:  # some edges carry zero weight in one direction
+        m[u - 1, v - 1], m[v - 1, u - 1] = rng.random(2) * (rng.random(2) < 0.8)
+    off = m.sum(axis=1, keepdims=True)
+    m = np.divide(m, off, out=np.zeros_like(m), where=off > 0.0) * rng.uniform(0.0, 0.5, (n, 1))
+    m[np.arange(n), np.arange(n)] = 1.0 - m.sum(axis=1)
+    P = mb.make_chain(g, m)
+
+    count = data.draw(hst.integers(min_value=1, max_value=6), label="count")
+    steps = data.draw(hst.integers(min_value=0, max_value=12), label="steps")
+    starts = rng.integers(1, n + 1, size=count)
+    walks = _sample_tails(P, starts, steps, np.random.default_rng(seed))
+    draws = np.random.default_rng(seed).random((steps, count))
+    want = np.empty_like(walks)
+    want[:, 0] = starts
+    for s in range(steps):
+        for i in range(count):
+            want[i, s + 1] = _dense_inverse_cdf(P.matrix[want[i, s] - 1], draws[s, i]) + 1
+    assert np.array_equal(walks, want)
+    assert np.all(P.matrix[walks[:, :-1] - 1, walks[:, 1:] - 1] > 0.0)
+
+    walk = mb.sample_walk(P, int(starts[0]), steps, seed=seed)
+    single = [int(starts[0])]
+    for u in np.random.default_rng(seed).random(steps):
+        single.append(_dense_inverse_cdf(P.matrix[single[-1] - 1], u) + 1)
+    assert walk.vertices == tuple(single)
+    assert walk.probability() > 0.0
 
 
 def test_walk_probability(k3_chain, path3_chain):
