@@ -15,6 +15,7 @@ samples the chain law and scales to anything the sampler can reach.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -115,22 +116,6 @@ def relation_weight(a: StaircaseInstance, b: StaircaseInstance) -> float:
     return px * py / head_prob
 
 
-def _difference_vertices(last_a: dict[int, int], last_b: dict[int, int],
-                         end_a: int, end_b: int) -> tuple[int, ...]:
-    """Vertices where the decision functions of two opposite-bit instances
-    disagree: every vertex whose value differs, plus both walk ends (where
-    the tags disagree)."""
-    diff = {end_a, end_b}
-    for v, ia in last_a.items():
-        ib = last_b.get(v)
-        if ib is None or ib != ia:
-            diff.add(v)
-    for v, ib in last_b.items():
-        if v not in last_a:
-            diff.add(v)
-    return tuple(sorted(diff))
-
-
 # ---------------------------------------------------------------------------
 # Exact enumeration
 # ---------------------------------------------------------------------------
@@ -165,107 +150,73 @@ def enumerate_family(P: TransitionMatrix, params: StaircaseParams,
                           exhaustive=True)
 
 
-class _ExactSystem:
-    """Per-instance caches for quadratic-time exact sums."""
+@dataclass(frozen=True)
+class _PairTable:
+    """The pairs of good opposite-bit instances of a family as arrays:
+    rows are the good bit-0 instances, columns the good bit-1 ones. The
+    weight and the difference set are symmetric in the pair, so this half
+    stands for both orders."""
 
-    def __init__(self, family: FunctionFamily):
-        self.family = family
-        params = family.params
-        T, m = params.T, params.m
-        chain = family.chain
-        self.walk_verts = [inst.walk.vertices for inst in family.instances]
-        self.bits = [inst.bit for inst in family.instances]
-        self.good = [is_good_walk(v, T) for v in self.walk_verts]
-        self.last = [inst.last_occurrence for inst in family.instances]
-        self.ends = [v[-1] for v in self.walk_verts]
-        self.T, self.m = T, m
-        # prefix_probs[i][j] = probability of instance i's head at milestone j
-        self.prefix_probs = []
-        self.probs = []
-        mat = chain.matrix
-        for verts in self.walk_verts:
-            prefix = [1.0]
-            p = 1.0
-            for idx, (a, b) in enumerate(zip(verts, verts[1:]), start=1):
-                p *= mat[a - 1, b - 1]
-                if idx % T == 0:
-                    prefix.append(p)
-            self.prefix_probs.append(prefix)
-            self.probs.append(p)
-        self.index = {(v, b): i for i, (v, b) in enumerate(zip(self.walk_verts, self.bits))}
-        self._per_instance_mass: list[float] | None = None
-        self._pair_records: list[tuple[int, int, float, tuple[int, ...]]] | None = None
-
-    def pair_weight(self, i: int, k: int) -> float:
-        if (self.bits[i] == self.bits[k]
-                or self.walk_verts[i] == self.walk_verts[k]
-                or not (self.good[i] and self.good[k])):
-            return 0.0
-        j = self._shared_index(i, k)
-        return self.probs[i] * self.probs[k] / self.prefix_probs[k][j]
-
-    def _shared_index(self, i: int, k: int) -> int:
-        xv, yv = self.walk_verts[i], self.walk_verts[k]
-        T = self.T
-        j = 0
-        while j < self.m and xv[j * T + 1:(j + 1) * T + 1] == yv[j * T + 1:(j + 1) * T + 1]:
-            j += 1
-        return j
-
-    def per_instance_mass(self) -> list[float]:
-        if self._per_instance_mass is None:
-            n_inst = len(self.walk_verts)
-            good_idx = [i for i in range(n_inst) if self.good[i]]
-            if len(good_idx) ** 2 > EXACT_PAIR_CAP:
-                raise CapabilityError(
-                    f"exact mass needs {len(good_idx) ** 2} pair evaluations, "
-                    f"over the cap {EXACT_PAIR_CAP}; use the Monte Carlo estimator")
-            masses = [0.0] * n_inst
-            for i in good_idx:
-                terms = [self.pair_weight(i, k) for k in good_idx
-                         if self.bits[k] != self.bits[i]]
-                masses[i] = math.fsum(terms)
-            self._per_instance_mass = masses
-        return self._per_instance_mass
-
-    def pair_records(self) -> list[tuple[int, int, float, tuple[int, ...]]]:
-        """Ordered pairs with nonzero weight: (i, k, r, difference vertices)."""
-        if self._pair_records is None:
-            n_inst = len(self.walk_verts)
-            good_idx = [i for i in range(n_inst) if self.good[i]]
-            if len(good_idx) ** 2 > EXACT_PAIR_CAP:
-                raise CapabilityError(
-                    f"exact pair table needs {len(good_idx) ** 2} entries, "
-                    f"over the cap {EXACT_PAIR_CAP}")
-            records = []
-            for i in good_idx:
-                for k in good_idx:
-                    if self.bits[k] == self.bits[i]:
-                        continue
-                    r = self.pair_weight(i, k)
-                    if r == 0.0:
-                        continue
-                    diff = _difference_vertices(self.last[i], self.last[k],
-                                                self.ends[i], self.ends[k])
-                    records.append((i, k, r, diff))
-            self._pair_records = records
-        return self._pair_records
+    walks: np.ndarray  # (family size, L + 1) walk vertices
+    rows: np.ndarray  # family positions of the good bit-0 instances
+    cols: np.ndarray  # family positions of the good bit-1 instances
+    J: np.ndarray  # (rows, cols) shared head index
+    r: np.ndarray  # (rows, cols) relation weight
+    diff: np.ndarray  # (n, rows, cols): the decision functions differ at v
+    mass: tuple[float, ...]  # relation mass of each instance, family order
 
 
-def _system(family: FunctionFamily) -> _ExactSystem:
-    cached = family.__dict__.get("_exact_system")
-    if cached is None:
-        cached = _ExactSystem(family)
-        family.__dict__["_exact_system"] = cached
-    return cached
+def _pair_table(family: FunctionFamily) -> _PairTable:
+    """Build the pair table of a family. Refuses before allocating any
+    pair array when the good instances squared pass EXACT_PAIR_CAP."""
+    T, m, L = family.params.T, family.params.m, family.params.L
+    size = len(family)
+    walks = np.array([inst.walk.vertices for inst in family.instances],
+                     dtype=np.int64).reshape(size, L + 1)
+    bits = np.array([inst.bit for inst in family.instances])
+    good = _good_rows(walks, T)
+    pairs = int(good.sum()) ** 2
+    if pairs > EXACT_PAIR_CAP:
+        raise CapabilityError(
+            f"exact pair table needs {pairs} pair evaluations, over the cap "
+            f"{EXACT_PAIR_CAP}; use the Monte Carlo estimator")
+    rows = np.flatnonzero(good & (bits == 0))
+    cols = np.flatnonzero(good & (bits == 1))
+    # heads[i, j]: probability of walk i through milestone j, multiplied
+    # step by step from the start like walk_probability.
+    steps = family.chain.matrix[walks[:, :-1] - 1, walks[:, 1:] - 1]
+    heads = np.concatenate(
+        [np.ones((size, 1)), np.cumprod(steps, axis=1)[:, T - 1::T]], axis=1)
+    # Heads through milestone j are equal iff their ids are, and equal
+    # heads through j imply equal heads before it.
+    J = np.zeros((rows.size, cols.size), dtype=np.int64)
+    for j in range(1, m + 1):
+        ids = np.unique(walks[:, :j * T + 1], axis=0, return_inverse=True)[1].reshape(-1)
+        J += ids[rows, None] == ids[cols]
+    probs = heads[:, -1]
+    r = probs[rows, None] * probs[cols]
+    r /= heads[cols, J]
+    r[J == m] = 0.0  # the same walk under both bits
+    last = _last_occurrence(walks, family.chain.n)
+    diff = last[rows].T[:, :, None] != last[cols].T[:, None, :]
+    # A shared end is told apart by its tag; distinct ends already differ.
+    diff[walks[rows, -1] - 1, np.arange(rows.size)] = True
+    mass = [0.0] * size
+    for i, weights in zip(rows.tolist(), r):
+        mass[i] = math.fsum(weights.tolist())
+    for k, weights in zip(cols.tolist(), r.T):
+        mass[k] = math.fsum(weights.tolist())
+    return _PairTable(walks=walks, rows=rows, cols=cols, J=J, r=r, diff=diff,
+                      mass=tuple(mass))
 
 
-def _indices_in(system: _ExactSystem, subset) -> list[int]:
+def _indices_in(family: FunctionFamily, subset) -> list[int]:
+    index = {(inst.walk.vertices, inst.bit): i
+             for i, inst in enumerate(family.instances)}
     instances = subset.instances if isinstance(subset, FunctionFamily) else subset
     out = []
     for inst in instances:
-        key = (inst.walk.vertices, inst.bit)
-        idx = system.index.get(key)
+        idx = index.get((inst.walk.vertices, inst.bit))
         if idx is None:
             raise InputError("subset instance is not part of the family")
         out.append(idx)
@@ -283,9 +234,8 @@ def relation_mass(Z, X: FunctionFamily) -> MassResult:
     family, plus the per-instance contributions."""
     if not X.exhaustive:
         raise InputError("the reference family must be exhaustive")
-    system = _system(X)
-    masses = system.per_instance_mass()
-    picked = [masses[i] for i in _indices_in(system, Z)]
+    mass = _pair_table(X).mass
+    picked = [mass[i] for i in _indices_in(X, Z)]
     return MassResult(total=math.fsum(picked), per_instance=tuple(picked))
 
 
@@ -296,6 +246,22 @@ class DistinguishingMass:
     per_vertex: tuple[float, ...]  # indexed by vertex - 1
 
 
+def _distinguishing(table: _PairTable, inside: np.ndarray) -> DistinguishingMass:
+    """Per-vertex weight of the ordered pairs with both instances inside
+    (a mask over the family) that are told apart at the vertex. fsum is
+    exactly rounded, so doubling the half-table sum counts both orders
+    bit for bit."""
+    weights = table.r * (inside[table.rows, None] & inside[table.cols])
+    # Row by row, so that no pair-long list of Python floats is built.
+    per_vertex = tuple(
+        2.0 * math.fsum(itertools.chain.from_iterable(
+            row[told].tolist() for row, told in zip(weights, d)))
+        for d in table.diff)
+    best = max(per_vertex)
+    return DistinguishingMass(q=best, argmax_vertex=per_vertex.index(best) + 1,
+                              per_vertex=per_vertex)
+
+
 def distinguishing_mass(Z, X: FunctionFamily | None = None) -> DistinguishingMass:
     """q(Z): the largest, over vertices, total weight of pairs in Z whose
     decision functions disagree there. Ties pick the smallest vertex."""
@@ -303,20 +269,9 @@ def distinguishing_mass(Z, X: FunctionFamily | None = None) -> DistinguishingMas
         if not isinstance(Z, FunctionFamily):
             raise InputError("pass a FunctionFamily or supply the parent family")
         X = Z
-    system = _system(X)
-    members = set(_indices_in(system, Z))
-    n = X.chain.n
-    buckets: dict[int, list[float]] = {}
-    for i, k, r, diff in system.pair_records():
-        if i in members and k in members:
-            for v in diff:
-                buckets.setdefault(v, []).append(r)
-    per_vertex = [math.fsum(buckets[v]) if v in buckets else 0.0
-                  for v in range(1, n + 1)]
-    best = max(per_vertex)
-    argmax = per_vertex.index(best) + 1
-    return DistinguishingMass(q=best, argmax_vertex=argmax,
-                              per_vertex=tuple(per_vertex))
+    inside = np.zeros(len(X), dtype=bool)
+    inside[_indices_in(X, Z)] = True
+    return _distinguishing(_pair_table(X), inside)
 
 
 def exact_lower_bound(P: TransitionMatrix, params: StaircaseParams,
@@ -325,17 +280,17 @@ def exact_lower_bound(P: TransitionMatrix, params: StaircaseParams,
     family. This reports one witness value of the adversary minimand (the
     whole family), not the minimum over subsets."""
     family = enumerate_family(P, params, cap=cap)
-    mass = relation_mass(family, family)
-    dmass = distinguishing_mass(family, family)
+    table = _pair_table(family)
+    M = math.fsum(table.mass)
+    dmass = _distinguishing(table, np.ones(len(family), dtype=bool))
     if dmass.q <= 0.0:
         raise CapabilityError(
             "degenerate family: no vertex distinguishes any related pair "
             "(all walks bad or family too small)")
-    ratio = mass.total / dmass.q
-    good = sum(1 for inst in family.instances
-               if is_good_walk(inst.walk, params.T))
+    ratio = M / dmass.q
+    good = table.rows.size + table.cols.size
     return AdversaryReport(
-        M=mass.total, q=dmass.q, ratio=ratio, bound=LOWER_BOUND_CONSTANT * ratio,
+        M=M, q=dmass.q, ratio=ratio, bound=LOWER_BOUND_CONSTANT * ratio,
         method="exact", argmax_vertex=dmass.argmax_vertex,
         context={"n": P.n, "T": params.T, "L": params.L, "m": params.m,
                  "sigma": params.sigma, "family_size": len(family),
@@ -378,9 +333,7 @@ def ratio_property_check(P: TransitionMatrix, params: StaircaseParams,
     """Check M(Z)/q(Z) against the theoretical floor on random subsets Z
     of the enumerated family with q(Z) > 0."""
     family = enumerate_family(P, params, cap=cap)
-    system = _system(family)
-    masses = system.per_instance_mass()
-    records = system.pair_records()
+    table = _pair_table(family)
     threshold = ratio_floor(params)
     rng = np.random.default_rng(seed)
     size = len(family)
@@ -397,18 +350,13 @@ def ratio_property_check(P: TransitionMatrix, params: StaircaseParams,
                     f"no subset with positive q found in {max_attempts} draws")
             break
         k = int(rng.integers(2, size + 1))
-        members = set(rng.choice(size, size=k, replace=False).tolist())
-        buckets: dict[int, list[float]] = {}
-        for i, j, r, diff in records:
-            if i in members and j in members:
-                for v in diff:
-                    buckets.setdefault(v, []).append(r)
-        if not buckets:
-            continue
-        q = max(math.fsum(vals) for vals in buckets.values())
+        members = rng.choice(size, size=k, replace=False)
+        inside = np.zeros(size, dtype=bool)
+        inside[members] = True
+        q = _distinguishing(table, inside).q
         if q <= 0.0:
             continue
-        m_total = math.fsum(masses[i] for i in members)
+        m_total = math.fsum(table.mass[i] for i in members.tolist())
         ratio = m_total / q
         checked += 1
         if ratio < min_ratio:
@@ -423,22 +371,18 @@ def ratio_property_check(P: TransitionMatrix, params: StaircaseParams,
 # Monte Carlo estimation
 # ---------------------------------------------------------------------------
 
-def _sample_tails(P: TransitionMatrix, starts: np.ndarray, steps: int,
-                  rng: np.random.Generator) -> np.ndarray:
-    """Batch-sample trajectories: row i continues from starts[i] for the
-    given number of steps. Returns an array (len(starts), steps + 1).
-    Each step is one inverse-CDF lookup in the chain's `sampling_table`,
-    O(largest degree) per walker."""
+def _sample_tails(P: TransitionMatrix, walks: np.ndarray, start: int,
+                  rng: np.random.Generator) -> None:
+    """Batch-sample trajectories in place: row i of walks continues from
+    walks[i, start] to the last column. Each step is one inverse-CDF
+    lookup in the chain's `sampling_table`, O(largest degree) per walker."""
     index, cum = P.sampling_table
-    count = starts.shape[0]
-    out = np.empty((count, steps + 1), dtype=np.int64)
-    out[:, 0] = starts
-    cur = starts - 1
-    for s in range(steps):
+    count = walks.shape[0]
+    cur = walks[:, start] - 1
+    for s in range(start + 1, walks.shape[1]):
         draws = rng.random(count)
         cur = index[cur, (cum[cur] > draws[:, None]).argmax(axis=1)]
-        out[:, s + 1] = cur + 1
-    return out
+        walks[:, s] = cur + 1
 
 
 def _good_rows(walks: np.ndarray, T: int) -> np.ndarray:
@@ -452,8 +396,9 @@ def _redraw(P: TransitionMatrix, xs: np.ndarray, j: int, T: int,
     """Redraw every row of xs from its j-th milestone onward. Returns the
     redraws zs and the mask of rows where z is good and differs from x in
     segment j, the event that credits x's pair with z."""
-    tails = _sample_tails(P, xs[:, j * T], xs.shape[1] - 1 - j * T, rng)
-    zs = np.concatenate([xs[:, :j * T], tails], axis=1)
+    zs = np.empty_like(xs)
+    zs[:, :j * T + 1] = xs[:, :j * T + 1]
+    _sample_tails(P, zs, j * T, rng)
     block = slice(j * T + 1, (j + 1) * T + 1)
     return zs, _good_rows(zs, T) & np.any(zs[:, block] != xs[:, block], axis=1)
 
@@ -510,8 +455,8 @@ def estimate_lower_bound(P: TransitionMatrix, params: StaircaseParams,
     rng = np.random.default_rng(seed)
     T, L, m = params.T, params.L, params.m
 
-    ones = np.ones(samples, dtype=np.int64)
-    xs = _sample_tails(P, ones, L, rng)
+    xs = np.ones((samples, L + 1), dtype=np.int64)
+    _sample_tails(P, xs, 0, rng)
     x_good = _good_rows(xs, T)
 
     y_totals = np.zeros(samples)

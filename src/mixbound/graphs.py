@@ -236,33 +236,17 @@ def random_regular_graph(n: int, d: int, seed,
         f"in {retry_cap} pairing attempts")
 
 
-def generate(family: str, *, n: int | None = None, d: int | None = None,
-             rows: int | None = None, cols: int | None = None,
-             seed=None) -> Graph:
-    """Dispatch on family name; see graph_from_spec for the CLI syntax."""
-    if family == "cycle":
-        return cycle_graph(_need(n, "n", family))
-    if family == "path":
-        return path_graph(_need(n, "n", family))
-    if family == "complete":
-        return complete_graph(_need(n, "n", family))
-    if family == "hypercube":
-        return hypercube_graph(_need(d, "d", family))
-    if family == "torus2d":
-        return torus_graph(_need(rows, "rows", family), _need(cols, "cols", family))
-    if family == "barbell":
-        return barbell_graph(_need(n, "n", family))
-    if family == "random_regular":
-        if seed is None:
-            raise InputError("random_regular requires a seed")
-        return random_regular_graph(_need(n, "n", family), _need(d, "d", family), seed)
-    raise InputError(f"unknown graph family {family!r}")
-
-
-def _need(value, name: str, family: str) -> int:
-    if value is None:
-        raise InputError(f"graph family {family!r} requires parameter {name!r}")
-    return int(value)
+# Spec family -> (constructor, separator of its two integer sizes, or None
+# for a family with one size).
+_SPEC_FAMILIES = {
+    "cycle": (cycle_graph, None),
+    "path": (path_graph, None),
+    "complete": (complete_graph, None),
+    "hypercube": (hypercube_graph, None),
+    "barbell": (barbell_graph, None),
+    "torus2d": (torus_graph, "x"),
+    "random_regular": (random_regular_graph, ","),
+}
 
 
 def graph_from_spec(text: str, seed=None) -> Graph:
@@ -280,15 +264,18 @@ def graph_from_spec(text: str, seed=None) -> Graph:
     if not arg:
         raise InputError(f"graph spec {text!r} is missing size parameters")
     try:
-        if family == "hypercube":
-            return generate(family, d=int(arg))
-        if family == "torus2d":
-            r, c = arg.lower().split("x")
-            return generate(family, rows=int(r), cols=int(c))
-        if family == "random_regular":
-            n, d = arg.split(",")
-            return generate(family, n=int(n), d=int(d), seed=seed)
-        return generate(family, n=int(arg))
+        if family not in _SPEC_FAMILIES:
+            raise InputError(f"unknown graph family {family!r}")
+        build, sep = _SPEC_FAMILIES[family]
+        sizes = arg.lower().split(sep) if sep else [arg]
+        if sep and len(sizes) != 2:
+            raise InputError(f"expected two sizes separated by {sep!r}")
+        args = [int(size) for size in sizes]
+        if build is random_regular_graph:
+            if seed is None:
+                raise InputError("random_regular requires a seed")
+            args.append(seed)
+        return build(*args)
     except ValueError as exc:
         raise InputError(f"bad graph spec {text!r}: {exc}") from exc
 

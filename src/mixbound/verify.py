@@ -252,13 +252,14 @@ def check_a5_difference_localization(ctx: _Context) -> CheckResult:
                     return _fail(name, "difference outside the two tails",
                                  {"x": list(a.walk.vertices), "y": list(b.walk.vertices),
                                   "bits": [a.bit, b.bit], "vertex": v, "J": j})
-        # factor-2 bound, on the full family
-        system = adv._system(family)
-        rhs = np.zeros(P.n)
-        for i, k, r, _ in system.pair_records():
-            jk = system._shared_index(i, k)
-            for v in set(system.walk_verts[k][jk * T + 1:]):
-                rhs[v - 1] += r
+        # factor-2 bound, on the full family: each ordered pair (i, k)
+        # adds its weight to the vertices of k's tail after the shared head
+        table = adv._pair_table(family)
+        last = adv._last_occurrence(table.walks, P.n)
+        head_end = (table.J * T)[:, :, None]
+        covered = ((last[table.cols][None] > head_end).astype(float)
+                   + (last[table.rows][:, None] > head_end))
+        rhs = (table.r[:, :, None] * covered).sum(axis=(0, 1))
         per_vertex = np.array(adv.distinguishing_mass(family).per_vertex)
         if np.any(per_vertex > 2.0 * rhs + 1e-12):
             v = int(np.argmax(per_vertex - 2.0 * rhs)) + 1

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import mixbound as mb
-from mixbound.adversary import _bool_power, _system, ratio_floor
+from mixbound.adversary import _bool_power, _pair_table, ratio_floor
 from mixbound.errors import CapabilityError, InputError
 from mixbound.staircase import StaircaseParams
 
@@ -168,13 +168,12 @@ def test_q_single_instance(k3_family):
 
 def test_q_linear_in_relation(k3_family):
     # doubling every weight doubles q and leaves M/q fixed
-    system = _system(k3_family)
-    records = system.pair_records()
+    table = _pair_table(k3_family)
     dm = mb.distinguishing_mass(k3_family)
     doubled = {}
-    for i, k, r, diff in records:
-        for v in diff:
-            doubled[v] = doubled.get(v, 0.0) + 2.0 * r
+    for (v, a, b), told_apart in np.ndenumerate(table.diff):
+        if told_apart:  # a table entry stands for both orders of its pair
+            doubled[v + 1] = doubled.get(v + 1, 0.0) + 2 * 2.0 * table.r[a, b]
     assert max(doubled.values()) == pytest.approx(2 * dm.q, abs=1e-15)
     m_doubled = 2 * mb.relation_mass(k3_family, k3_family).total
     assert m_doubled / max(doubled.values()) == pytest.approx(
@@ -191,6 +190,80 @@ def test_exact_lower_bound_k3(k3_chain, k3_params):
     assert report.argmax_vertex == 2
     doc = report.to_json()
     assert doc["params"]["family_size"] == 18
+
+
+def _exact_system(name):
+    if name == "K3":
+        P = mb.lazy_simple_walk(mb.complete_graph(3))
+        return P, mb.custom_params(P, T=1, L=2)
+    if name == "K4":
+        P = mb.lazy_simple_walk(mb.complete_graph(4))
+        return P, mb.default_params(P)
+    if name == "cycle7":
+        P = mb.max_degree_walk(mb.cycle_graph(7))
+        return P, mb.custom_params(P, T=2, L=4)
+    target = np.arange(1, 7, dtype=float)
+    P = mb.metropolis_walk(mb.complete_graph(6), target / target.sum())
+    return P, mb.custom_params(P, T=1, L=3)
+
+
+@pytest.mark.parametrize("name", ["K3", "K4"])
+def test_pair_table_matches_relation_weight(name):
+    family = mb.enumerate_family(*_exact_system(name))
+    table = _pair_table(family)
+    weights = {}
+    for (a, b), r in np.ndenumerate(table.r):
+        i, k = int(table.rows[a]), int(table.cols[b])
+        weights[i, k] = weights[k, i] = float(r)
+    insts = family.instances
+    for (i, a), (k, b) in itertools.product(enumerate(insts), repeat=2):
+        assert weights.get((i, k), 0.0) == mb.relation_weight(a, b)
+
+
+def test_exact_pair_cap_refuses(monkeypatch):
+    P, params = _exact_system("K4")
+    family = mb.enumerate_family(P, params)
+    good = sum(mb.is_good_walk(inst.walk, params.T) for inst in family.instances)
+    monkeypatch.setattr("mixbound.adversary.EXACT_PAIR_CAP", good ** 2 - 1)
+    with pytest.raises(CapabilityError, match="cap"):
+        mb.exact_lower_bound(P, params)
+    with pytest.raises(CapabilityError, match="cap"):
+        mb.ratio_property_check(P, params, subsets=1, seed=0)
+    monkeypatch.setattr("mixbound.adversary.EXACT_PAIR_CAP", good ** 2)
+    assert mb.exact_lower_bound(P, params).context["good_instances"] == good
+
+
+# Exact outputs pinned to the repr: (M, q, argmax_vertex, per_vertex) and
+# the ratio check over 200 subsets with seed 0.
+EXACT_GOLDEN = {
+    "K4": (
+        "(0.379515317786923, 0.3074702789208964, 2, (0.15503543667123926, "
+        "0.3074702789208964, 0.3074702789208964, 0.3074702789208964))",
+        "RatioCheckResult(passed=True, threshold=0.010416666666666666, "
+        "min_ratio=1.2343154568268426, subsets_checked=200, worst_subset_size=510)"),
+    "cycle7": (
+        "(0.27447509765625, 0.16265869140625, 2, (0.10888671875, "
+        "0.16265869140625, 0.14923095703125, 0.08673095703125, 0.08673095703125, "
+        "0.14923095703125, 0.16265869140625))",
+        "RatioCheckResult(passed=True, threshold=0.010416666666666666, "
+        "min_ratio=1.6790334855403348, subsets_checked=200, worst_subset_size=160)"),
+    "metropolis6": (
+        "(0.01830056000000001, 0.011005170000000007, 6, (0.0, "
+        "0.0067522355555555595, 0.008309257777777782, 0.009491266666666671, "
+        "0.010375556666666673, 0.011005170000000007))",
+        "RatioCheckResult(passed=True, threshold=3.311369154188368e-09, "
+        "min_ratio=1.6629057070449615, subsets_checked=200, worst_subset_size=430)"),
+}
+
+
+@pytest.mark.parametrize("name", list(EXACT_GOLDEN))
+def test_exact_golden_outputs(name):
+    P, params = _exact_system(name)
+    report = mb.exact_lower_bound(P, params)
+    per_vertex = mb.distinguishing_mass(mb.enumerate_family(P, params)).per_vertex
+    want_exact, want_ratio = EXACT_GOLDEN[name]
+    assert repr((report.M, report.q, report.argmax_vertex, per_vertex)) == want_exact
+    assert repr(mb.ratio_property_check(P, params, subsets=200, seed=0)) == want_ratio
 
 
 def test_exact_lower_bound_degenerate():

@@ -477,7 +477,9 @@ def test_samplers_match_dense_inverse_cdf(data):
     count = data.draw(hst.integers(min_value=1, max_value=6), label="count")
     steps = data.draw(hst.integers(min_value=0, max_value=12), label="steps")
     starts = rng.integers(1, n + 1, size=count)
-    walks = _sample_tails(P, starts, steps, np.random.default_rng(seed))
+    walks = np.zeros((count, steps + 1), dtype=np.int64)
+    walks[:, 0] = starts
+    _sample_tails(P, walks, 0, np.random.default_rng(seed))
     draws = np.random.default_rng(seed).random((steps, count))
     want = np.empty_like(walks)
     want[:, 0] = starts
