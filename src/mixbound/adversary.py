@@ -100,7 +100,7 @@ class AdversaryReport:
 def relation_weight(a: StaircaseInstance, b: StaircaseInstance) -> float:
     """Similarity weight r between two instances; exactly symmetric because
     the shared head is the same sequence in both walks."""
-    if a.params != b.params:
+    if a.params is not b.params and a.params != b.params:
         raise InputError("instances come from different parameter sets")
     if a.chain is not b.chain:
         raise InputError("instances come from different chains")

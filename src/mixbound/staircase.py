@@ -118,8 +118,8 @@ def _segments(verts: tuple[int, ...], T: int) -> int:
 def milestones(w, T: int) -> tuple[int, ...]:
     """Every T-th vertex, including the start and the end."""
     verts = _vertices(w)
-    m = _segments(verts, T)
-    return tuple(verts[j * T] for j in range(m + 1))
+    _segments(verts, T)
+    return verts[::T]
 
 
 def is_good_walk(w, T: int) -> bool:

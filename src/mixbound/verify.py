@@ -77,7 +77,9 @@ class _Context:
         self.caps = caps
         self.seed = seed
         self._chains: list[tuple[str, str, ch.TransitionMatrix]] | None = None
-        self._params: dict[int, st.StaircaseParams] = {}
+        # keyed by id(P); the chain is stored with its parameters so that
+        # its id cannot be reused by a later chain while the entry exists
+        self._params: dict[int, tuple[ch.TransitionMatrix, st.StaircaseParams]] = {}
         self._instances: list[st.StaircaseInstance] | None = None
         self._micro_systems: list[tuple[ch.TransitionMatrix, st.StaircaseParams]] | None = None
 
@@ -109,8 +111,8 @@ class _Context:
         if key not in self._params:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", VacuousRegimeWarning)
-                self._params[key] = st.default_params(P, mixing_cap=self.caps.mixing_cap)
-        return self._params[key]
+                self._params[key] = (P, st.default_params(P, mixing_cap=self.caps.mixing_cap))
+        return self._params[key][1]
 
     def instances(self) -> list[st.StaircaseInstance]:
         """`caps.instances` seeded staircase instances spread over every
@@ -241,17 +243,36 @@ def check_a5_difference_localization(ctx: _Context) -> CheckResult:
         T = params.T
         family = adv.enumerate_family(P, params, cap=ctx.caps.enumeration_cap)
         insts = family.instances
-        for a, b in itertools.product(insts, insts):
-            if a.walk.vertices == b.walk.vertices:
-                continue
-            pair_count += 1
-            j = st.shared_head_index(a.walk, b.walk, T)
-            region = set(st.tail(a.walk, j, T)) | set(st.tail(b.walk, j, T))
-            for v in range(1, P.n + 1):
-                if a.decision_value(v) != b.decision_value(v) and v not in region:
-                    return _fail(name, "difference outside the two tails",
-                                 {"x": list(a.walk.vertices), "y": list(b.walk.vertices),
-                                  "bits": [a.bit, b.bit], "vertex": v, "J": j})
+        # (i) over every ordered instance pair (a, b) with distinct walks and
+        # every vertex v, as arrays: decision_value is called once per
+        # instance and vertex, shared_head_index once per pair of walks.
+        index: dict[tuple[int, ...], int] = {}
+        wid = np.array([index.setdefault(inst.walk.vertices, len(index))
+                        for inst in insts])
+        walks = list(index)
+        J = np.zeros((len(walks), len(walks)), dtype=np.int64)
+        for i, k in itertools.combinations(range(len(walks)), 2):
+            J[i, k] = J[k, i] = st.shared_head_index(walks[i], walks[k], T)
+        # equal decision values get equal codes
+        codes: dict = {}
+        decisions = np.array([[codes.setdefault(inst.decision_value(v), len(codes))
+                               for v in range(1, P.n + 1)] for inst in insts])
+        # v lies in tail(a, J, T) or tail(b, J, T) iff its last occurrence
+        # in a or in b comes after position J*T
+        last = adv._last_occurrence(np.array(walks, dtype=np.int64), P.n)[wid]
+        head_end = (J * T)[wid[:, None], wid][:, :, None]
+        outside = (last[:, None, :] <= head_end) & (last[None, :, :] <= head_end)
+        distinct = (wid[:, None] != wid)[:, :, None]
+        escaped = (decisions[:, None, :] != decisions[None, :, :]) & outside & distinct
+        pair_count += len(insts) ** 2 - int((np.bincount(wid) ** 2).sum())
+        if escaped.any():
+            # the first (a, b, v) in row-major order, i.e. itertools.product order
+            i, k, v = np.unravel_index(int(np.argmax(escaped)), escaped.shape)
+            a, b = insts[i], insts[k]
+            return _fail(name, "difference outside the two tails",
+                         {"x": list(a.walk.vertices), "y": list(b.walk.vertices),
+                          "bits": [a.bit, b.bit], "vertex": int(v) + 1,
+                          "J": int(J[wid[i], wid[k]])})
         # factor-2 bound, on the full family: each ordered pair (i, k)
         # adds its weight to the vertices of k's tail after the shared head
         table = adv._pair_table(family)
@@ -461,22 +482,27 @@ def check_adversary_symmetry(ctx: _Context) -> CheckResult:
         family = adv.enumerate_family(P, params, cap=ctx.caps.enumeration_cap)
         insts = family.instances
         T = params.T
-        for a, b in itertools.product(insts, insts):
-            r_ab = adv.relation_weight(a, b)
-            pairs += 1
-            if r_ab != adv.relation_weight(b, a):
-                return _fail(name, "relation not symmetric",
-                             {"x": list(a.walk.vertices), "y": list(b.walk.vertices)})
-            if a is b and r_ab != 0.0:
-                return _fail(name, "relation nonzero on the diagonal",
-                             {"x": list(a.walk.vertices)})
-            if a.bit == b.bit and r_ab != 0.0:
-                return _fail(name, "relation nonzero for equal bits",
-                             {"x": list(a.walk.vertices), "y": list(b.walk.vertices)})
-            if r_ab != 0.0 and not (st.is_good_walk(a.walk, T)
-                                    and st.is_good_walk(b.walk, T)):
-                return _fail(name, "relation nonzero for a bad walk",
-                             {"x": list(a.walk.vertices), "y": list(b.walk.vertices)})
+        R = np.array([[adv.relation_weight(a, b) for b in insts] for a in insts])
+        pairs += R.size
+        bits = np.array([inst.bit for inst in insts])
+        good = np.array([st.is_good_walk(inst.walk, T) for inst in insts])
+        nonzero = R != 0.0
+        # in the order each pair is tested: the first message that applies
+        conditions = [
+            ("relation not symmetric", R != R.T),
+            ("relation nonzero on the diagonal", np.eye(len(insts), dtype=bool) & nonzero),
+            ("relation nonzero for equal bits", (bits[:, None] == bits) & nonzero),
+            ("relation nonzero for a bad walk", ~(good[:, None] & good) & nonzero),
+        ]
+        failing = np.logical_or.reduce([mask for _, mask in conditions])
+        if failing.any():
+            i, k = np.unravel_index(int(np.argmax(failing)), failing.shape)
+            a, b = insts[i], insts[k]
+            message = next(message for message, mask in conditions if mask[i, k])
+            pair = {"x": list(a.walk.vertices), "y": list(b.walk.vertices)}
+            if message == "relation nonzero on the diagonal":
+                pair = {"x": pair["x"]}
+            return _fail(name, message, pair)
     return _ok(name, f"{pairs} ordered pairs checked")
 
 

@@ -257,6 +257,6 @@ def test_verify_unknown_check():
 
 
 def test_verify_deterministic_output():
-    runs = [run_cli("verify", "--checks", "A7_monotone_grid,B2_expansion_bound",
-                    "--seed", "3") for _ in range(2)]
+    runs = [run_cli("verify", "--seed", "0") for _ in range(2)]
+    assert runs[0][0] == 0
     assert runs[0][1] == runs[1][1]

@@ -77,6 +77,27 @@ def test_is_good_walk():
     assert mb.is_good_walk((1, 2, 1, 3), 3)  # interior repeat allowed
 
 
+@settings(max_examples=300, deadline=None)
+@given(verts=hst.lists(hst.integers(1, 6), max_size=25).map(tuple),
+       T=hst.integers(-2, 8))
+def test_milestones_match_comprehension(verts, T):
+    # reference: the per-index comprehension, with its validation messages
+    steps = len(verts) - 1
+    if T < 1:
+        message = f"T must be >= 1, got {T}"
+    elif steps % T != 0:
+        message = f"segment length {T} does not divide walk length {steps}"
+    else:
+        stones = tuple(verts[j * T] for j in range(steps // T + 1))
+        assert mb.milestones(verts, T) == stones
+        assert mb.is_good_walk(verts, T) == (len(set(stones)) == len(stones))
+        return
+    for fn in (mb.milestones, mb.is_good_walk):
+        with pytest.raises(InputError) as err:
+            fn(verts, T)
+        assert str(err.value) == message
+
+
 def test_head_tail_segment():
     w = (1, 2, 3, 4, 5, 6, 7)  # T=2, m=3
     assert mb.head(w, 0, 2) == (1,)

@@ -1,7 +1,14 @@
+import gc
+import weakref
+
 import pytest
 
+from mixbound import adversary as adv
+from mixbound import chains as ch
+from mixbound import graphs as gr
+from mixbound import staircase as st
 from mixbound.errors import InputError
-from mixbound.verify import CHECKS, VerifyCaps, run_verify
+from mixbound.verify import CHECKS, VerifyCaps, _Context, run_verify
 
 LEMMA_NAMES = [
     "A1_validity", "A2_mixing_concentration", "A3_visit_sum",
@@ -50,3 +57,85 @@ def test_check_results_are_json_ready():
     doc = results[0].to_json()
     assert doc == {"name": "A7_monotone_grid", "passed": True,
                    "details": doc["details"]}
+
+
+# ---------------------------------------------------------------------------
+# The exhaustive pair checks: golden output and injected faults
+# ---------------------------------------------------------------------------
+
+PAIR_CHECKS = ["A5_difference_localization", "adversary_symmetry"]
+
+
+def test_pair_checks_golden():
+    results = run_verify(checks=PAIR_CHECKS, seed=0)
+    assert [r.to_json() for r in results] == [
+        {"name": "A5_difference_localization", "passed": True,
+         "details": "261408 ordered pairs localized; factor-2 bound holds"},
+        {"name": "adversary_symmetry", "passed": True,
+         "details": "262468 ordered pairs checked"},
+    ]
+
+
+@pytest.mark.parametrize("walk,vertex,expected", [
+    # the faulty instance is x: vertex 1 lies in no tail after the shared head
+    ((1, 2, 2), 1, {"x": [1, 2, 2], "y": [1, 2, 3], "bits": [0, 0],
+                    "vertex": 1, "J": 1}),
+    # the faulty instance is y of an earlier pair
+    ((1, 2, 2), 3, {"x": [1, 1, 1], "y": [1, 2, 2], "bits": [0, 0],
+                    "vertex": 3, "J": 0}),
+])
+def test_a5_catches_difference_outside_tails(monkeypatch, walk, vertex, expected):
+    original = st.StaircaseInstance.decision_value
+
+    def faulty(self, v):
+        val, tag = original(self, v)
+        if self.walk.vertices == walk and self.bit == 0 and v == vertex:
+            return val, 1
+        return val, tag
+
+    monkeypatch.setattr(st.StaircaseInstance, "decision_value", faulty)
+    [result] = run_verify(checks=["A5_difference_localization"], seed=0)
+    assert not result.passed
+    assert result.details == "difference outside the two tails"
+    assert result.counterexample == expected
+
+
+@pytest.mark.parametrize("faulty_pairs,shift,details,expected", [
+    # one order only: the weight is no longer symmetric
+    ([(((1, 2, 3), 0), ((1, 3, 2), 1))], 1e-3, "relation not symmetric",
+     {"x": [1, 2, 3], "y": [1, 3, 2]}),
+    ([(((1, 2, 3), 1), ((1, 2, 3), 1))], 0.5, "relation nonzero on the diagonal",
+     {"x": [1, 2, 3]}),
+    ([(((1, 2, 3), 1), ((1, 3, 2), 1)), (((1, 3, 2), 1), ((1, 2, 3), 1))], 0.5,
+     "relation nonzero for equal bits", {"x": [1, 2, 3], "y": [1, 3, 2]}),
+    ([(((1, 1, 2), 0), ((1, 2, 3), 1)), (((1, 2, 3), 1), ((1, 1, 2), 0))], 0.5,
+     "relation nonzero for a bad walk", {"x": [1, 1, 2], "y": [1, 2, 3]}),
+])
+def test_symmetry_catches_faulty_relation(monkeypatch, faulty_pairs, shift,
+                                          details, expected):
+    original = adv.relation_weight
+
+    def faulty(a, b):
+        r = original(a, b)
+        if ((a.walk.vertices, a.bit), (b.walk.vertices, b.bit)) in faulty_pairs:
+            return r + shift
+        return r
+
+    monkeypatch.setattr(adv, "relation_weight", faulty)
+    [result] = run_verify(checks=["adversary_symmetry"], seed=0)
+    assert not result.passed
+    assert result.details == details
+    assert result.counterexample == expected
+
+
+def test_context_params_cache_keeps_chain_alive():
+    # the cache is keyed by id(P); a dropped chain whose id were reused
+    # would hand its (T, L) to a different chain
+    ctx = _Context(VerifyCaps(), seed=0)
+    P = ch.lazy_simple_walk(gr.complete_graph(5))
+    params = ctx.default_params(P)
+    ref = weakref.ref(P)
+    del P
+    gc.collect()
+    assert ref() is not None
+    assert ctx.default_params(ref()) is params
