@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chains import TransitionMatrix, Walk, make_walk, walk_probability
-from .errors import CapabilityError, InputError
+from .errors import DEFAULT_CAPS, CapabilityError, InputError
 from .staircase import (
     StaircaseInstance,
     StaircaseParams,
@@ -31,7 +31,6 @@ from .staircase import (
     shared_head_index,
 )
 
-ENUMERATION_CAP = 10 ** 7
 EXACT_PAIR_CAP = 4 * 10 ** 7
 WITNESS_EXPANSION_CAP = 10 ** 5
 LOWER_BOUND_CONSTANT = 0.01
@@ -121,7 +120,7 @@ def relation_weight(a: StaircaseInstance, b: StaircaseInstance) -> float:
 # ---------------------------------------------------------------------------
 
 def enumerate_family(P: TransitionMatrix, params: StaircaseParams,
-                     cap: int = ENUMERATION_CAP) -> FunctionFamily:
+                     cap: int = DEFAULT_CAPS["enumeration"]) -> FunctionFamily:
     """All walks of length L from vertex 1 with positive step probabilities,
     crossed with both hidden bits. Aborts once the walk count passes the
     cap; use the Monte Carlo estimator beyond that."""
@@ -239,6 +238,11 @@ def relation_mass(Z, X: FunctionFamily) -> MassResult:
     return MassResult(total=math.fsum(picked), per_instance=tuple(picked))
 
 
+# Pair cells whose weights are turned into Python floats at once: about
+# 0.5 MB of floats, small next to the pair table itself.
+_SUM_BLOCK_CELLS = 1 << 14
+
+
 @dataclass(frozen=True)
 class DistinguishingMass:
     q: float
@@ -251,12 +255,16 @@ def _distinguishing(table: _PairTable, inside: np.ndarray) -> DistinguishingMass
     (a mask over the family) that are told apart at the vertex. fsum is
     exactly rounded, so doubling the half-table sum counts both orders
     bit for bit."""
-    weights = table.r * (inside[table.rows, None] & inside[table.cols])
-    # Row by row, so that no pair-long list of Python floats is built.
+    # Pairs with both instances inside and a nonzero weight; summed block
+    # by block, so that no pair-long list of Python floats is built.
+    keep = ((table.r != 0.0) & inside[table.rows, None] & inside[table.cols]).ravel()
+    weights = table.r.ravel()
+    blocks = [slice(s, s + _SUM_BLOCK_CELLS)
+              for s in range(0, weights.size, _SUM_BLOCK_CELLS)]
     per_vertex = tuple(
         2.0 * math.fsum(itertools.chain.from_iterable(
-            row[told].tolist() for row, told in zip(weights, d)))
-        for d in table.diff)
+            weights[b][told[b] & keep[b]].tolist() for b in blocks))
+        for told in table.diff.reshape(len(table.diff), -1))
     best = max(per_vertex)
     return DistinguishingMass(q=best, argmax_vertex=per_vertex.index(best) + 1,
                               per_vertex=per_vertex)
@@ -275,7 +283,7 @@ def distinguishing_mass(Z, X: FunctionFamily | None = None) -> DistinguishingMas
 
 
 def exact_lower_bound(P: TransitionMatrix, params: StaircaseParams,
-                      cap: int = ENUMERATION_CAP) -> AdversaryReport:
+                      cap: int = DEFAULT_CAPS["enumeration"]) -> AdversaryReport:
     """Evaluate M, q, and the 0.01 * M/q bound on the full enumerated
     family. This reports one witness value of the adversary minimand (the
     whole family), not the minimum over subsets."""
@@ -329,7 +337,7 @@ def ratio_floor(params: StaircaseParams) -> float:
 
 def ratio_property_check(P: TransitionMatrix, params: StaircaseParams,
                          subsets: int, seed,
-                         cap: int = ENUMERATION_CAP) -> RatioCheckResult:
+                         cap: int = DEFAULT_CAPS["enumeration"]) -> RatioCheckResult:
     """Check M(Z)/q(Z) against the theoretical floor on random subsets Z
     of the enumerated family with q(Z) > 0."""
     family = enumerate_family(P, params, cap=cap)

@@ -19,7 +19,7 @@ from . import solvers as sv
 from . import staircase as st
 from .adversary import bound_values
 from .config import ExperimentConfig
-from .errors import CapabilityError
+from .errors import DEFAULT_CAPS, CapabilityError
 
 CSV_HEADER = "seed,solver,n,distinct,total,found_vertex,correct,error"
 
@@ -65,7 +65,8 @@ def build_system(config: ExperimentConfig):
 
 
 def bound_context(P: ch.TransitionMatrix, params: st.StaircaseParams,
-                  expansion_cap: int, mixing_cap: int) -> dict[str, float]:
+                  expansion_cap: int,
+                  mixing_cap: int = DEFAULT_CAPS["mixing_steps"]) -> dict[str, float]:
     """Bound shapes for the chain; brute-force quantities are skipped
     above their cap and non-reversible chains skip the spectral shapes."""
     sigma = params.sigma

@@ -14,15 +14,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import CapabilityError, InputError
+from .errors import DEFAULT_CAPS, CapabilityError, InputError
 from .graphs import Graph, _check_vertex, degree_stats, graph_from_json, make_graph
 
 ROW_SUM_TOL = 1e-12
 STATIONARY_TOL = 1e-10
 DETAILED_BALANCE_TOL = 1e-10
 EIGENVALUE_TOL = 1e-9
-MIXING_STEP_CAP = 10 ** 6
-BOTTLENECK_BRUTEFORCE_CAP = 20
 
 
 @dataclass(frozen=True)
@@ -350,7 +348,8 @@ def _tv_from_pi(power: np.ndarray, pi: np.ndarray) -> float:
     return float(0.5 * np.abs(power - pi[None, :]).sum(axis=1).max())
 
 
-def mixing_time(P: TransitionMatrix, eps: float, cap: int = MIXING_STEP_CAP,
+def mixing_time(P: TransitionMatrix, eps: float,
+                cap: int = DEFAULT_CAPS["mixing_steps"],
                 method: str = "doubling") -> int:
     """Smallest t with worst-case TV distance to stationarity at most eps.
 
@@ -447,7 +446,7 @@ def spectral_gap(P: TransitionMatrix) -> tuple[float, float]:
 
 
 def bottleneck_ratio(P: TransitionMatrix,
-                     cap: int = BOTTLENECK_BRUTEFORCE_CAP) -> float:
+                     cap: int = DEFAULT_CAPS["expansion_bruteforce"]) -> float:
     """min over S with pi(S) <= 1/2 of the stationary flow out of S divided
     by pi(S). Exhaustive over all subsets."""
     n = P.n
@@ -524,7 +523,7 @@ def sample_walk(P: TransitionMatrix, start: int, length: int, seed) -> Walk:
     _check_vertex(P.graph, start)
     if length < 0:
         raise InputError("walk length must be nonnegative")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     index, cum = P.sampling_table
     verts = [start]
     cur = start - 1

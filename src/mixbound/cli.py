@@ -12,14 +12,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 from . import chains as ch
 from . import graphs as gr
 from . import staircase as st
 from .adversary import bound_values
-from .bench import CSV_HEADER, build_system, run_bench
-from .config import DEFAULT_CAPS, ExperimentConfig
-from .errors import CapabilityError, InputError
+from .bench import CSV_HEADER, bound_context, build_system, run_bench
+from .config import ExperimentConfig
+from .errors import DEFAULT_CAPS, CapabilityError, InputError
 from .verify import SUITES, VerifyCaps, run_verify
 
 
@@ -36,7 +37,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def analyze_report(P: ch.TransitionMatrix, eps: float | None = None,
-                   expansion_cap: int = 20, mixing_cap: int = 10 ** 6) -> dict:
+                   expansion_cap: int = DEFAULT_CAPS["expansion_bruteforce"]) -> dict:
     """Chain analytics document: flags always; each derived quantity is
     either present or listed under "omitted" with the reason."""
     flags = P.flags
@@ -60,7 +61,7 @@ def analyze_report(P: ch.TransitionMatrix, eps: float | None = None,
         else:
             doc["t_mix_eps"] = eps_val
             try:
-                doc["t_mix"] = ch.mixing_time(P, eps_val, cap=mixing_cap)
+                doc["t_mix"] = ch.mixing_time(P, eps_val)
             except CapabilityError as exc:
                 omitted["t_mix"] = str(exc)
         if flags.reversible:
@@ -107,14 +108,9 @@ def _cmd_chain_analyze(args) -> int:
 
 
 def _cmd_instance_sample(args) -> int:
-    g = gr.graph_from_spec(args.graph, seed=args.seed)
-    P = ch.chain_from_spec(args.chain, g)
-    if args.T is not None or args.L is not None:
-        if args.T is None or args.L is None:
-            raise InputError("override --T and --L together")
-        params = st.custom_params(P, T=args.T, L=args.L)
-    else:
-        params = st.default_params(P)
+    config = ExperimentConfig(graph=args.graph, chain=args.chain, seed=args.seed,
+                              T=args.T, L=args.L)
+    _, P, params = build_system(config)
     inst = st.sample_instance(P, params, args.seed)
     doc = st.instance_to_json(inst, graph_ref=args.graph, chain_ref=args.chain,
                               reveal=args.reveal)
@@ -160,10 +156,8 @@ def _cmd_bound(args) -> int:
         config = ExperimentConfig(graph=args.graph, chain=args.chain,
                                   seed=args.seed if args.seed is not None else 0,
                                   T=args.T, L=args.L)
-        from .bench import bound_context
         _, P, params = build_system(config)
-        values = bound_context(P, params, expansion_cap=args.expansion_cap,
-                               mixing_cap=DEFAULT_CAPS["mixing_steps"])
+        values = bound_context(P, params, expansion_cap=args.expansion_cap)
         inputs = {"n": P.n, "t_mix": params.T if params.is_default else None,
                   "sigma": params.sigma}
     else:
@@ -182,10 +176,7 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    caps = VerifyCaps(
-        max_n=args.max_n, instances=args.instances,
-        escape_samples=args.escape_samples, ratio_subsets=args.ratio_subsets,
-        mc_samples=args.mc_samples)
+    caps = VerifyCaps(**{f.name: getattr(args, f.name) for f in fields(VerifyCaps)})
     checks = args.checks.split(",") if args.checks else None
     results = run_verify(suite=args.suite, checks=checks, caps=caps, seed=args.seed)
     for r in results:
@@ -248,7 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--chain", default="lazy-simple")
     analyze.add_argument("--eps", type=float,
                          help="mixing-time accuracy; defaults to sigma/(2n)")
-    analyze.add_argument("--expansion-cap", type=int, default=20)
+    analyze.add_argument("--expansion-cap", type=int,
+                         default=DEFAULT_CAPS["expansion_bruteforce"])
     _add_common(analyze)
     analyze.set_defaults(func=_cmd_chain_analyze)
 
@@ -288,18 +280,16 @@ def build_parser() -> argparse.ArgumentParser:
     bound.add_argument("--lambda2", type=float)
     bound.add_argument("--beta", type=float)
     bound.add_argument("--d-max", dest="d_max", type=float)
-    bound.add_argument("--expansion-cap", type=int, default=20)
+    bound.add_argument("--expansion-cap", type=int,
+                       default=DEFAULT_CAPS["expansion_bruteforce"])
     _add_common(bound)
     bound.set_defaults(func=_cmd_bound)
 
     verify = sub.add_parser("verify", help="run the verification suite")
     verify.add_argument("--suite", choices=list(SUITES), default="all")
     verify.add_argument("--checks", help="comma-separated check names (overrides --suite)")
-    verify.add_argument("--max-n", type=int, default=12)
-    verify.add_argument("--instances", type=int, default=500)
-    verify.add_argument("--escape-samples", type=int, default=10_000)
-    verify.add_argument("--ratio-subsets", type=int, default=200)
-    verify.add_argument("--mc-samples", type=int, default=20_000)
+    for f in fields(VerifyCaps):
+        verify.add_argument(f"--{f.name.replace('_', '-')}", type=int, default=f.default)
     _add_common(verify, seed_required=True)
     verify.set_defaults(func=_cmd_verify)
 

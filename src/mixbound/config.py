@@ -5,15 +5,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import InputError
+from .errors import DEFAULT_CAPS, InputError
 from .solvers import SOLVER_NAMES
-
-DEFAULT_CAPS = {
-    "expansion_bruteforce": 20,
-    "enumeration": 10 ** 7,
-    "mixing_steps": 10 ** 6,
-    "good_walk_retries": 10 ** 4,
-}
 
 
 @dataclass(frozen=True)
@@ -47,9 +40,12 @@ class ExperimentConfig:
         unknown = set(self.caps) - set(DEFAULT_CAPS)
         if unknown:
             raise InputError(f"unknown cap names: {sorted(unknown)}")
+        for name, value in self.caps.items():
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise InputError(f"cap {name!r} must be a positive integer, got {value!r}")
 
     def cap(self, name: str) -> int:
-        return int(self.caps.get(name, DEFAULT_CAPS[name]))
+        return self.caps.get(name, DEFAULT_CAPS[name])
 
     def to_dict(self) -> dict:
         return {

@@ -3,6 +3,15 @@
 The CLI maps these onto exit codes: InputError -> 1, CapabilityError -> 2.
 """
 
+# Default limit of every brute-force or unbounded step, each written only
+# here; going past one raises CapabilityError.
+DEFAULT_CAPS = {
+    "expansion_bruteforce": 20,
+    "enumeration": 10 ** 7,
+    "mixing_steps": 10 ** 6,
+    "good_walk_retries": 10 ** 4,
+}
+
 
 class InputError(ValueError):
     """Caller supplied an invalid argument (bad vertex, malformed file, ...)."""

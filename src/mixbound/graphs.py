@@ -15,9 +15,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import CapabilityError, InputError
+from .errors import DEFAULT_CAPS, CapabilityError, InputError
 
-EXPANSION_BRUTEFORCE_CAP = 20
 RANDOM_REGULAR_RETRY_CAP = 1000
 
 
@@ -102,7 +101,7 @@ def degree_stats(g: Graph) -> tuple[int, int, list[int]]:
     return min(degrees), max(degrees), degrees
 
 
-def edge_expansion(g: Graph, cap: int = EXPANSION_BRUTEFORCE_CAP) -> float:
+def edge_expansion(g: Graph, cap: int = DEFAULT_CAPS["expansion_bruteforce"]) -> float:
     """Minimum of |E(S, V\\S)| / |S| over nonempty S with |S| <= n/2.
 
     Exhaustive scan over all 2^n subsets, so only usable at desk scale.

@@ -100,7 +100,7 @@ def warm_start_descent(oracle: CountingOracle, g: Graph, m: int | None = None,
         m = math.ceil(math.sqrt(g.n * d_max))
     if m < 1:
         raise InputError(f"sample count must be >= 1, got {m}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     best_vertex, best_value = None, None
     for v in rng.integers(1, g.n + 1, size=m):
         v = int(v)

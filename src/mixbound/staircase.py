@@ -31,10 +31,8 @@ from .chains import (
     sample_walk,
     stationary_ratio,
 )
-from .errors import CapabilityError, InputError, VacuousRegimeWarning
+from .errors import DEFAULT_CAPS, CapabilityError, InputError, VacuousRegimeWarning
 from .graphs import Graph, _check_vertex, bfs_distances, graph_from_spec
-
-GOOD_WALK_RETRY_CAP = 10 ** 4
 
 
 @dataclass(frozen=True)
@@ -55,7 +53,8 @@ class StaircaseParams:
             raise InputError(f"L={self.L} is not m*T={self.m * self.T}")
 
 
-def default_params(P: TransitionMatrix, mixing_cap: int | None = None) -> StaircaseParams:
+def default_params(P: TransitionMatrix,
+                   mixing_cap: int = DEFAULT_CAPS["mixing_steps"]) -> StaircaseParams:
     """T = mixing time at eps = sigma/(2n), L = floor(sqrt(n)) * T.
 
     Warns when n < 16 sigma^2: the construction still works there but the
@@ -72,9 +71,7 @@ def default_params(P: TransitionMatrix, mixing_cap: int | None = None) -> Stairc
         raise CapabilityError(
             f"eps = sigma/(2n) = {eps:.4g} >= 1/2; chain too heterogeneous for n={n}")
     _warn_if_vacuous(n, sigma)
-    kwargs = {} if mixing_cap is None else {"cap": mixing_cap}
-    T = mixing_time(P, eps, **kwargs)
-    T = max(T, 1)
+    T = max(mixing_time(P, eps, cap=mixing_cap), 1)
     m = math.isqrt(n)
     return StaircaseParams(T=T, L=m * T, m=m, n=n, sigma=sigma, is_default=True)
 
@@ -244,10 +241,10 @@ def make_instance(walk: Walk, bit: int, params: StaircaseParams,
 
 
 def sample_good_walk(P: TransitionMatrix, params: StaircaseParams, seed,
-                     retry_cap: int = GOOD_WALK_RETRY_CAP) -> Walk:
+                     retry_cap: int = DEFAULT_CAPS["good_walk_retries"]) -> Walk:
     """Rejection-sample the chain law from vertex 1 conditioned on distinct
     milestones."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     for _ in range(retry_cap):
         w = sample_walk(P, 1, params.L, rng)
         if is_good_walk(w, params.T):
@@ -258,9 +255,9 @@ def sample_good_walk(P: TransitionMatrix, params: StaircaseParams, seed,
 
 
 def sample_instance(P: TransitionMatrix, params: StaircaseParams, seed,
-                    retry_cap: int = GOOD_WALK_RETRY_CAP) -> StaircaseInstance:
+                    retry_cap: int = DEFAULT_CAPS["good_walk_retries"]) -> StaircaseInstance:
     """A good walk plus a fair hidden bit, all from one seeded stream."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     walk = sample_good_walk(P, params, rng, retry_cap=retry_cap)
     bit = int(rng.integers(2))
     stored_seed = seed if isinstance(seed, int) else None

@@ -22,7 +22,14 @@ from . import chains as ch
 from . import graphs as gr
 from . import solvers as sv
 from . import staircase as st
-from .errors import VacuousRegimeWarning
+from .errors import DEFAULT_CAPS, InputError, VacuousRegimeWarning
+
+# Fixed sizes of the exhaustive A8 and A3 checks and the A4 graphs.
+REVERSAL_N = 10
+REVERSAL_LEN = 10
+VISIT_SUM_N = 8
+VISIT_SUM_LEN = 8
+ESCAPE_SIZES = (16, 25)
 
 
 @dataclass(frozen=True)
@@ -31,28 +38,23 @@ class VerifyCaps:
 
     max_n: int = 12
     instances: int = 500
-    reversal_n: int = 10
-    reversal_len: int = 10
-    visit_sum_n: int = 8
-    visit_sum_len: int = 8
-    escape_sizes: tuple[int, ...] = (16, 25)
     escape_samples: int = 10_000
     ratio_subsets: int = 200
     mc_samples: int = 20_000
-    expansion_cap: int = 20
-    enumeration_cap: int = 10 ** 7
-    mixing_cap: int = 10 ** 6
 
     def to_json(self) -> dict:
+        """Every limit the suite ran under, fixed ones and library caps
+        included."""
         return {
             "max_n": self.max_n, "instances": self.instances,
-            "reversal_n": self.reversal_n, "reversal_len": self.reversal_len,
-            "visit_sum_n": self.visit_sum_n, "visit_sum_len": self.visit_sum_len,
-            "escape_sizes": list(self.escape_sizes),
+            "reversal_n": REVERSAL_N, "reversal_len": REVERSAL_LEN,
+            "visit_sum_n": VISIT_SUM_N, "visit_sum_len": VISIT_SUM_LEN,
+            "escape_sizes": list(ESCAPE_SIZES),
             "escape_samples": self.escape_samples,
             "ratio_subsets": self.ratio_subsets, "mc_samples": self.mc_samples,
-            "expansion_cap": self.expansion_cap,
-            "enumeration_cap": self.enumeration_cap, "mixing_cap": self.mixing_cap,
+            "expansion_cap": DEFAULT_CAPS["expansion_bruteforce"],
+            "enumeration_cap": DEFAULT_CAPS["enumeration"],
+            "mixing_cap": DEFAULT_CAPS["mixing_steps"],
         }
 
 
@@ -111,7 +113,7 @@ class _Context:
         if key not in self._params:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", VacuousRegimeWarning)
-                self._params[key] = (P, st.default_params(P, mixing_cap=self.caps.mixing_cap))
+                self._params[key] = (P, st.default_params(P))
         return self._params[key][1]
 
     def instances(self) -> list[st.StaircaseInstance]:
@@ -192,7 +194,7 @@ def check_a3_visit_sum(ctx: _Context) -> CheckResult:
     """Sum of visit probabilities into a fixed vertex over any start subset
     is at most len * sigma."""
     name = "A3_visit_sum"
-    chains = [(g, k, P) for g, k, P in ctx.test_chains() if P.n <= ctx.caps.visit_sum_n]
+    chains = [(g, k, P) for g, k, P in ctx.test_chains() if P.n <= VISIT_SUM_N]
     for gname, kind, P in chains:
         sigma = ch.stationary_ratio(P)
         n = P.n
@@ -200,7 +202,7 @@ def check_a3_visit_sum(ctx: _Context) -> CheckResult:
             [[(mask >> u) & 1 for u in range(n)] for mask in range(1, 1 << n)],
             dtype=float)
         for v in range(1, n + 1):
-            for ell in range(ctx.caps.visit_sum_len + 1):
+            for ell in range(VISIT_SUM_LEN + 1):
                 visits = ch.visit_probability_all_starts(P, v, ell)
                 worst = float((subset_matrix @ visits).max())
                 if worst > ell * sigma + 1e-9:
@@ -216,7 +218,7 @@ def check_a4_milestone_escape(ctx: _Context) -> CheckResult:
     Monte Carlo error."""
     name = "A4_milestone_escape"
     details = []
-    for size in ctx.caps.escape_sizes:
+    for size in ESCAPE_SIZES:
         P = ch.lazy_simple_walk(gr.complete_graph(size))
         params = ctx.default_params(P)
         sigma = params.sigma
@@ -241,7 +243,7 @@ def check_a5_difference_localization(ctx: _Context) -> CheckResult:
     pair_count = 0
     for P, params in ctx.micro_systems():
         T = params.T
-        family = adv.enumerate_family(P, params, cap=ctx.caps.enumeration_cap)
+        family = adv.enumerate_family(P, params)
         insts = family.instances
         # (i) over every ordered instance pair (a, b) with distinct walks and
         # every vertex v, as arrays: decision_value is called once per
@@ -335,13 +337,13 @@ def check_a8_time_reversal(ctx: _Context) -> CheckResult:
     """pi(u) E_visit(u,v,len) = pi(v) E_visit(v,u,len) for every pair and
     every length, on all chain constructions."""
     name = "A8_time_reversal"
-    chains = [(g, k, P) for g, k, P in ctx.test_chains() if P.n <= ctx.caps.reversal_n]
+    chains = [(g, k, P) for g, k, P in ctx.test_chains() if P.n <= REVERSAL_N]
     worst = 0.0
     for gname, kind, P in chains:
         pi = ch.stationary(P)
         acc = np.zeros_like(P.matrix)
         power = np.eye(P.n)
-        for _ in range(1, ctx.caps.reversal_len + 1):
+        for _ in range(1, REVERSAL_LEN + 1):
             power = power @ P.matrix
             acc += power
             weighted = pi[:, None] * acc
@@ -373,7 +375,7 @@ def check_b1_cheeger_sandwich(ctx: _Context) -> CheckResult:
     """Phi^2/2 <= 1 - lambda2 <= 2 Phi for every lazy test chain."""
     name = "B1_cheeger_sandwich"
     for gname, kind, P in ctx.test_chains():
-        phi = ch.bottleneck_ratio(P, cap=ctx.caps.expansion_cap)
+        phi = ch.bottleneck_ratio(P)
         _, gap = ch.spectral_gap(P)
         if not (phi * phi / 2.0 <= gap + 1e-12 and gap <= 2.0 * phi + 1e-12):
             return _fail(name, "Cheeger sandwich violated",
@@ -387,8 +389,8 @@ def check_b2_expansion_bound(ctx: _Context) -> CheckResult:
     name = "B2_expansion_bound"
     for gname, g in ctx.family_graphs():
         P = ch.lazy_simple_walk(g)
-        phi = ch.bottleneck_ratio(P, cap=ctx.caps.expansion_cap)
-        beta = gr.edge_expansion(g, cap=ctx.caps.expansion_cap)
+        phi = ch.bottleneck_ratio(P)
+        beta = gr.edge_expansion(g)
         d_min, d_max, _ = gr.degree_stats(g)
         ratio = d_max / d_min
         limit = beta * ratio * ratio / d_max
@@ -408,8 +410,8 @@ def check_b_spectral_mixing(ctx: _Context) -> CheckResult:
         pi = ch.stationary(P)
         _, gap = ch.spectral_gap(P)
         for eps in (0.125, 1.0 / (2 * P.n)):
-            t = ch.mixing_time(P, eps, cap=ctx.caps.mixing_cap)
-            t_linear = ch.mixing_time(P, eps, cap=ctx.caps.mixing_cap, method="linear")
+            t = ch.mixing_time(P, eps)
+            t_linear = ch.mixing_time(P, eps, method="linear")
             if t != t_linear:
                 return _fail(name, "mixing time differs from the linear scan",
                              {"graph": gname, "chain": kind, "eps": eps,
@@ -479,7 +481,7 @@ def check_adversary_symmetry(ctx: _Context) -> CheckResult:
     name = "adversary_symmetry"
     pairs = 0
     for P, params in ctx.micro_systems():
-        family = adv.enumerate_family(P, params, cap=ctx.caps.enumeration_cap)
+        family = adv.enumerate_family(P, params)
         insts = family.instances
         T = params.T
         R = np.array([[adv.relation_weight(a, b) for b in insts] for a in insts])
@@ -512,7 +514,7 @@ def check_adversary_ratio_floor(ctx: _Context) -> CheckResult:
     name = "adversary_ratio_floor"
     P, params = ctx.micro_systems()[1]  # K4 at default parameters
     result = adv.ratio_property_check(P, params, subsets=ctx.caps.ratio_subsets,
-                                      seed=ctx.seed, cap=ctx.caps.enumeration_cap)
+                                      seed=ctx.seed)
     if not result.passed:
         return _fail(name, "subset ratio fell below the floor", result.to_json())
     return _ok(name, f"min ratio {result.min_ratio:.4f} vs floor "
@@ -525,7 +527,7 @@ def check_adversary_exact_mc(ctx: _Context) -> CheckResult:
     name = "adversary_exact_mc"
     details = []
     for idx, (P, params) in enumerate(ctx.micro_systems()):
-        exact = adv.exact_lower_bound(P, params, cap=ctx.caps.enumeration_cap)
+        exact = adv.exact_lower_bound(P, params)
         est = adv.estimate_lower_bound(P, params, samples=ctx.caps.mc_samples,
                                        seed=(ctx.seed, idx))
         if abs(est.M - exact.M) > 3.0 * est.std_error:
@@ -615,7 +617,6 @@ def run_verify(suite: str = "all", checks: list[str] | None = None,
     if checks is not None:
         unknown = [c for c in checks if c not in CHECKS]
         if unknown:
-            from .errors import InputError
             raise InputError(f"unknown checks: {unknown}; known: {list(CHECKS)}")
         selected = [c for c in CHECKS if c in set(checks)]
     elif suite == "all":
@@ -623,7 +624,6 @@ def run_verify(suite: str = "all", checks: list[str] | None = None,
     elif suite in SUITES:
         selected = [name for name, (suites, _) in CHECKS.items() if suite in suites]
     else:
-        from .errors import InputError
         raise InputError(f"unknown suite {suite!r}; known: {SUITES}")
     ctx = _Context(caps, seed)
     return [CHECKS[name][1](ctx) for name in selected]

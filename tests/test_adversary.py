@@ -256,8 +256,13 @@ EXACT_GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("name", list(EXACT_GOLDEN))
-def test_exact_golden_outputs(name):
+@pytest.mark.parametrize("name, block_cells", [
+    *(pytest.param(name, None, id=name) for name in EXACT_GOLDEN),
+    *(pytest.param(name, 7, id=f"{name}-block7") for name in EXACT_GOLDEN)])
+def test_exact_golden_outputs(name, block_cells, monkeypatch):
+    # q sums are the same whether a block holds many rows or part of one
+    if block_cells is not None:
+        monkeypatch.setattr("mixbound.adversary._SUM_BLOCK_CELLS", block_cells)
     P, params = _exact_system(name)
     report = mb.exact_lower_bound(P, params)
     per_vertex = mb.distinguishing_mass(mb.enumerate_family(P, params)).per_vertex

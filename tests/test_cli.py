@@ -85,6 +85,16 @@ def test_analyze_omits_bruteforce_above_cap():
     assert "cap" in doc["omitted"]["beta"]
 
 
+def test_analyze_expansion_cap_override():
+    code, out, _ = run_cli("chain", "analyze", "--graph", "complete:6",
+                           "--expansion-cap", "4")
+    assert code == 0
+    doc = json.loads(out)
+    assert "phi_star" not in doc and "beta" not in doc
+    assert doc["omitted"] == {"phi_star": "n=6 exceeds brute-force cap 4",
+                              "beta": "n=6 exceeds brute-force cap 4"}
+
+
 def test_analyze_reports_limited_for_nonreversible(tmp_path):
     chain_doc = {"n": 3, "rows": [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]}
     path = tmp_path / "biased.json"
@@ -144,6 +154,13 @@ def test_instance_sample_capability_exit():
                            "--T", "1", "--L", "2")
     assert code == 2
     assert "capability error" in err
+
+
+def test_instance_sample_lone_T_exit():
+    code, _, err = run_cli("instance", "sample", "--graph", "complete:4",
+                           "--seed", "1", "--T", "2")
+    assert code == 1
+    assert err == "input error: override T and L together or not at all\n"
 
 
 def test_instance_sample_bad_graph_exit():
@@ -210,6 +227,22 @@ def test_config_validation():
         ExperimentConfig(graph="cycle:5", chain="lazy-simple", seed=1, T=3)
 
 
+@pytest.mark.parametrize("caps", [{"mixing_steps": "abc"},
+                                  {"good_walk_retries": 0},
+                                  {"enumeration": True},
+                                  {"expansion_bruteforce": 2.5}])
+def test_bench_config_bad_cap_value(tmp_path, caps):
+    [name] = caps
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"graph": "complete:9", "chain": "lazy-simple",
+                                    "seed": 1, "trials": 1, "caps": caps}))
+    code, out, err = run_cli("bench", "--config", str(cfg_path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("input error: ")
+    assert repr(name) in err
+
+
 # ---------------------------------------------------------------------------
 # bound
 # ---------------------------------------------------------------------------
@@ -248,6 +281,18 @@ def test_verify_single_check():
     assert doc["passed"] is True
     assert [c["name"] for c in doc["checks"]] == ["A7_monotone_grid"]
     assert "PASS A7_monotone_grid" in err
+
+
+def test_verify_caps_block_golden():
+    # every size the suite runs at, fixed ones and library caps included
+    code, out, _ = run_cli("verify", "--checks", "A7_monotone_grid", "--seed", "0")
+    assert code == 0
+    assert json.loads(out)["caps"] == {
+        "max_n": 12, "instances": 500, "reversal_n": 10, "reversal_len": 10,
+        "visit_sum_n": 8, "visit_sum_len": 8, "escape_sizes": [16, 25],
+        "escape_samples": 10000, "ratio_subsets": 200, "mc_samples": 20000,
+        "expansion_cap": 20, "enumeration_cap": 10000000, "mixing_cap": 1000000,
+    }
 
 
 def test_verify_unknown_check():
