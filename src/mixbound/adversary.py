@@ -15,13 +15,14 @@ samples the chain law and scales to anything the sampler can reach.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chains import TransitionMatrix, Walk, make_walk, walk_probability
+from .chains import TransitionMatrix, Walk, _bfs, make_walk, walk_probability
 from .errors import DEFAULT_CAPS, CapabilityError, InputError
 from .staircase import (
     StaircaseInstance,
@@ -124,8 +125,7 @@ def enumerate_family(P: TransitionMatrix, params: StaircaseParams,
     """All walks of length L from vertex 1 with positive step probabilities,
     crossed with both hidden bits. Aborts once the walk count passes the
     cap; use the Monte Carlo estimator beyond that."""
-    successors = [tuple(int(v) + 1 for v in np.flatnonzero(P.matrix[u] > 0.0))
-                  for u in range(P.n)]
+    successors = [tuple(dict.fromkeys(row)) for row in (P.sampling_table[0] + 1).tolist()]
     walks: list[tuple[int, ...]] = []
     stack: list[tuple[int, ...]] = [(1,)]
     while stack:
@@ -531,53 +531,6 @@ def milestone_escape_estimates(P: TransitionMatrix, params: StaircaseParams,
 # Constructive witness
 # ---------------------------------------------------------------------------
 
-def _bool_power(support: np.ndarray, t: int) -> np.ndarray:
-    # The products count paths, up to n per entry: uint8 wraps them to 0
-    # at n = 256, while float64 holds them exactly (and multiplies via BLAS).
-    result = np.eye(support.shape[0], dtype=bool)
-    base = support.copy()
-    while t:
-        if t & 1:
-            result = (result.astype(float) @ base.astype(float)) > 0
-        base = (base.astype(float) @ base.astype(float)) > 0
-        t >>= 1
-    return result
-
-
-def _support_path(P: TransitionMatrix, u: int, w: int) -> list[int]:
-    """Shortest directed path u -> w through positive transitions."""
-    if u == w:
-        return [u]
-    prev = {u: None}
-    frontier = [u]
-    mat = P.matrix
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in (np.flatnonzero(mat[a - 1] > 0.0) + 1):
-                b = int(b)
-                if b not in prev:
-                    prev[b] = a
-                    if b == w:
-                        path = [w]
-                        while path[-1] != u:
-                            path.append(prev[path[-1]])
-                        return path[::-1]
-                    nxt.append(b)
-        frontier = nxt
-    raise CapabilityError(f"no positive-probability path from {u} to {w}")
-
-
-def _segment(P: TransitionMatrix, u: int, w: int, T: int) -> list[int]:
-    """A positive-probability path from u to w in exactly T steps, padding
-    with self-loops at u (lazy chains keep those positive)."""
-    path = _support_path(P, u, w)
-    slack = T - (len(path) - 1)
-    if slack < 0:
-        raise CapabilityError(f"{u} -> {w} needs more than T={T} steps")
-    return [u] * slack + path
-
-
 def witness_pair(P: TransitionMatrix, params: StaircaseParams,
                  expansion_cap: int = WITNESS_EXPANSION_CAP) -> FunctionFamily:
     """Two good walks that share their head through the next-to-last
@@ -586,8 +539,21 @@ def witness_pair(P: TransitionMatrix, params: StaircaseParams,
     if not P.flags.lazy:
         raise CapabilityError("witness construction requires a lazy chain")
     T, m = params.T, params.m
-    reach = _bool_power(P.matrix > 0.0, T)
-    reach_rows = [tuple((np.flatnonzero(reach[v]) + 1).tolist()) for v in range(P.n)]
+    index = P.sampling_table[0]
+
+    @functools.cache
+    def search(u: int) -> tuple[list[int], np.ndarray]:
+        # on a lazy chain, reachable in exactly T steps = within T hops
+        dist, parent = _bfs(index, u - 1, depth=T)
+        return (np.flatnonzero(dist >= 0) + 1).tolist(), parent
+
+    def segment(u: int, w: int) -> list[int]:
+        # a shortest path u -> w, padded to T steps with self-loops at u
+        parent = search(u)[1]
+        path = [w]
+        while path[-1] != u:
+            path.append(int(parent[path[-1] - 1]) + 1)
+        return [u] * (T + 1 - len(path)) + path[::-1]
 
     expansions = 0
 
@@ -595,11 +561,11 @@ def witness_pair(P: TransitionMatrix, params: StaircaseParams,
         nonlocal expansions
         if len(stones) == m + 1:
             # need an alternate final milestone for the second walk
-            for cand in reach_rows[stones[-2] - 1]:
+            for cand in search(stones[-2])[0]:
                 if cand not in stones:
                     return stones
             return None
-        for cand in reach_rows[stones[-1] - 1]:
+        for cand in search(stones[-1])[0]:
             if cand in stones:
                 continue
             expansions += 1
@@ -616,12 +582,12 @@ def witness_pair(P: TransitionMatrix, params: StaircaseParams,
         raise CapabilityError(
             "witness construction failed: not enough vertices reachable "
             f"within T={T} steps to place {m + 1} distinct milestones")
-    alt_end = next(c for c in reach_rows[stones[-2] - 1] if c not in stones)
+    alt_end = next(c for c in search(stones[-2])[0] if c not in stones)
 
     x_verts: list[int] = [1]
     for a, b in zip(stones, stones[1:]):
-        x_verts.extend(_segment(P, a, b, T)[1:])
-    y_verts = x_verts[: (m - 1) * T + 1] + _segment(P, stones[-2], alt_end, T)[1:]
+        x_verts.extend(segment(a, b)[1:])
+    y_verts = x_verts[: (m - 1) * T + 1] + segment(stones[-2], alt_end)[1:]
 
     x_walk = make_walk(P, x_verts)
     y_walk = make_walk(P, y_verts)

@@ -9,13 +9,14 @@ validated and frozen at construction and safe to share between threads.
 
 from __future__ import annotations
 
+import itertools
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DEFAULT_CAPS, CapabilityError, InputError
-from .graphs import Graph, _check_vertex, degree_stats, graph_from_json, make_graph
+from .graphs import Graph, _check_vertex, make_graph
 
 ROW_SUM_TOL = 1e-12
 STATIONARY_TOL = 1e-10
@@ -79,21 +80,7 @@ class TransitionMatrix:
         names a positive transition, even when the sum falls short of 1 by
         rounding. The sums equal those of the dense row, since adding the
         zero columns changes no float cumsum."""
-        cached = self.__dict__.get("_sampling")
-        if cached is None:
-            src, dst, slot, counts = _padded_entries(self.matrix > 0.0)
-            last = np.cumsum(counts) - 1
-            index = np.repeat(dst[last][:, None], counts.max(), axis=1)
-            index[src, slot] = dst
-            cumulative = np.zeros(index.shape)
-            cumulative[src, slot] = self.matrix[src, dst]
-            np.cumsum(cumulative, axis=1, out=cumulative)
-            cumulative[np.arange(index.shape[1])[None, :] >= counts[:, None] - 1] = 1.0
-            index.setflags(write=False)
-            cumulative.setflags(write=False)
-            cached = (index, cumulative)
-            self.__dict__["_sampling"] = cached
-        return cached
+        return self._tables()[0]
 
     @property
     def in_neighbours(self) -> tuple[np.ndarray, np.ndarray]:
@@ -102,28 +89,74 @@ class TransitionMatrix:
         P[u, v] > 0 in increasing order and their weights P[u, v]; padding
         has index 0 and weight 0. One step of a distribution x is
         ``(x[index] * weight).sum(axis=1)``."""
-        cached = self.__dict__.get("_in_nbrs")
+        return self._tables()[1]
+
+    def _tables(self):
+        """(sampling_table, in_neighbours); make_chain seeds them."""
+        cached = self.__dict__.get("_table_cache")
         if cached is None:
-            dst, src, slot, counts = _padded_entries(self.matrix.T > 0.0)
-            index = np.zeros((self.n, counts.max()), dtype=np.intp)
-            weight = np.zeros(index.shape)
-            index[dst, slot] = src
-            weight[dst, slot] = self.matrix[src, dst]
-            index.setflags(write=False)
-            weight.setflags(write=False)
-            cached = (index, weight)
-            self.__dict__["_in_nbrs"] = cached
+            cached = _support_tables(self.matrix, *np.nonzero(self.matrix > 0.0))
+            self.__dict__["_table_cache"] = cached
         return cached
 
 
-def _padded_entries(support: np.ndarray):
-    """(row, col, slot, counts) of the True entries of a square boolean
-    array in row-major order: entry e belongs in cell [row[e], slot[e]] of
-    a table padded to the longest row, and counts[r] is row r's length."""
-    row, col = np.nonzero(support)
-    counts = np.bincount(row, minlength=support.shape[0])
-    slot = np.arange(row.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    return row, col, slot, counts
+def _support_tables(m: np.ndarray, src: np.ndarray, dst: np.ndarray):
+    """(sampling_table, in_neighbours) of matrix m, whose positive entries
+    are m[src, dst] listed in row-major order."""
+    slot, counts = _slots(src, len(m))
+    last = np.cumsum(counts) - 1
+    out_index = np.repeat(dst[last][:, None], counts.max(), axis=1)
+    out_index[src, slot] = dst
+    cumulative = np.zeros(out_index.shape)
+    cumulative[src, slot] = m[src, dst]
+    np.cumsum(cumulative, axis=1, out=cumulative)
+    cumulative[np.arange(out_index.shape[1])[None, :] >= counts[:, None] - 1] = 1.0
+
+    order = np.lexsort((src, dst))
+    col, row = src[order], dst[order]
+    slot, counts = _slots(row, len(m))
+    in_index = np.zeros((len(m), counts.max()), dtype=np.intp)
+    weight = np.zeros(in_index.shape)
+    in_index[row, slot] = col
+    weight[row, slot] = m[col, row]
+    for table in (out_index, cumulative, in_index, weight):
+        table.setflags(write=False)
+    return (out_index, cumulative), (in_index, weight)
+
+
+def _slots(row: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(slot, counts) of entries sorted by row: entry e belongs in cell
+    [row[e], slot[e]] of a table padded to the longest row, and counts[r]
+    is row r's length."""
+    counts = np.bincount(row, minlength=n)
+    return np.arange(row.size) - np.repeat(np.cumsum(counts) - counts, counts), counts
+
+
+def _bfs(index: np.ndarray, source: int, real: np.ndarray | None = None,
+         depth: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(hop distance, BFS parent) of every vertex from the 0-based source
+    over a padded neighbour table, -1 where unreached or past `depth` hops.
+    `real` marks the slots that are edges; None suits only padding that
+    repeats a real neighbour, as in `sampling_table`. The frontier keeps
+    discovery order, so a parent is the first frontier vertex listing it."""
+    dist = np.full(index.shape[0], -1)
+    parent = dist.copy()
+    dist[source] = 0
+    frontier = np.array([source])
+    hops = 0
+    while frontier.size and (depth is None or hops < depth):
+        hops += 1
+        nbrs = index[frontier]
+        keep = dist[nbrs] < 0
+        if real is not None:
+            keep &= real[frontier]
+        rows, cols = np.nonzero(keep)
+        found = nbrs[rows, cols]
+        first = np.sort(np.unique(found, return_index=True)[1])
+        parent[found[first]] = frontier[rows[first]]
+        frontier = found[first]
+        dist[frontier] = hops
+    return dist, parent
 
 
 @dataclass(frozen=True)
@@ -175,6 +208,11 @@ def make_chain(graph: Graph, matrix, pi=None, kind: str = "custom") -> Transitio
     distribution is verified when supplied, solved for otherwise; it is
     left unset for reducible chains.
     """
+    return _make_chain(graph, matrix, pi, kind, vertex_transitive=False)
+
+
+def _make_chain(graph: Graph, matrix, pi, kind: str,
+                vertex_transitive: bool) -> TransitionMatrix:
     m = np.array(matrix, dtype=float)
     n = graph.n
     if m.shape != (n, n):
@@ -188,15 +226,15 @@ def make_chain(graph: Graph, matrix, pi=None, kind: str = "custom") -> Transitio
         raise InputError(
             f"row {bad + 1} sums to {row_sums[bad]:.15g}, not 1 within {ROW_SUM_TOL}")
     m /= row_sums[:, None]
-    allowed = np.eye(n, dtype=bool)
-    ends = np.array(list(graph.edges)) - 1
-    allowed[ends[:, 0], ends[:, 1]] = allowed[ends[:, 1], ends[:, 0]] = True
-    off_edge = np.flatnonzero((m > 0.0) & ~allowed)
+    src, dst = np.nonzero(m > 0.0)
+    edge_src, edge_dst = _edge_entries(graph)[:2]
+    off_edge = np.flatnonzero((src != dst) & ~np.isin(src * n + dst, edge_src * n + edge_dst))
     if off_edge.size:
-        u, v = divmod(int(off_edge[0]), n)
+        u, v = src[off_edge[0]], dst[off_edge[0]]
         raise InputError(f"positive entry ({u + 1},{v + 1}) is not on a graph edge")
 
-    irreducible = _strongly_connected(m)
+    tables = _support_tables(m, src, dst)
+    irreducible = _irreducible(tables)
 
     if pi is not None:
         p = np.array(pi, dtype=float)
@@ -214,37 +252,32 @@ def make_chain(graph: Graph, matrix, pi=None, kind: str = "custom") -> Transitio
     m.setflags(write=False)
     if p is not None:
         p.setflags(write=False)
-    return TransitionMatrix(n=n, matrix=m, graph=graph, pi=p,
-                            flags=_flags(m, p, irreducible), kind=kind)
+    P = TransitionMatrix(n=n, matrix=m, graph=graph, pi=p,
+                         flags=_flags(m, p, irreducible, src, dst), kind=kind,
+                         vertex_transitive=vertex_transitive)
+    P.__dict__["_table_cache"] = tables
+    return P
 
 
-def _flags(m: np.ndarray, pi: np.ndarray | None, irreducible: bool) -> ChainFlags:
+def _flags(m: np.ndarray, pi: np.ndarray | None, irreducible: bool,
+           src: np.ndarray, dst: np.ndarray) -> ChainFlags:
     """(lazy, irreducible, reversible) of matrix m with stationary vector
     pi, None for a reducible chain. Irreducibility is passed in because
-    make_chain needs it before it has pi."""
+    make_chain needs it before it has pi. Detailed balance is checked at
+    the positive entries m[src, dst]: a cell zero both ways balances."""
     lazy = bool(np.all(np.diag(m) >= 0.5 - ROW_SUM_TOL))
     reversible = pi is not None and bool(
-        np.max(np.abs(pi[:, None] * m - pi[None, :] * m.T)) <= DETAILED_BALANCE_TOL)
+        np.max(np.abs(pi[src] * m[src, dst] - pi[dst] * m[dst, src]))
+        <= DETAILED_BALANCE_TOL)
     return ChainFlags(lazy=lazy, irreducible=irreducible, reversible=reversible)
 
 
-def _strongly_connected(m: np.ndarray) -> bool:
-    support = m > 0.0
-    return _reaches_all(support, 0) and _reaches_all(support.T, 0)
-
-
-def _reaches_all(support: np.ndarray, start: int) -> bool:
-    n = support.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    seen[start] = True
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for v in np.flatnonzero(support[u]):
-            if not seen[v]:
-                seen[v] = True
-                stack.append(int(v))
-    return bool(seen.all())
+def _irreducible(tables) -> bool:
+    """Whether vertex 1 reaches and is reached from every vertex, read from
+    the chain's (sampling_table, in_neighbours)."""
+    (out_index, _), (in_index, in_weight) = tables
+    return bool(np.all(_bfs(out_index, 0)[0] >= 0)
+                and np.all(_bfs(in_index, 0, real=in_weight > 0.0)[0] >= 0))
 
 
 def _solve_stationary(m: np.ndarray) -> np.ndarray:
@@ -260,33 +293,34 @@ def _solve_stationary(m: np.ndarray) -> np.ndarray:
     return p / p.sum()
 
 
+def _edge_entries(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(src, dst, degrees): the 0-based ends of g's directed edges in
+    row-major order, and every vertex's degree."""
+    degrees = np.array([len(a) for a in g.adjacency])
+    src = np.repeat(np.arange(g.n), degrees)
+    dst = np.fromiter(itertools.chain.from_iterable(g.adjacency), np.intp) - 1
+    return src, dst, degrees
+
+
 def lazy_simple_walk(g: Graph) -> TransitionMatrix:
     """Self-loop 1/2, each neighbor 1/(2 deg); stationary mass deg/(2|E|)."""
-    n = g.n
-    m = np.zeros((n, n))
-    for u in range(1, n + 1):
-        nbrs = g.neighbors(u)
-        m[u - 1, u - 1] = 0.5
-        for v in nbrs:
-            m[u - 1, v - 1] = 0.5 / len(nbrs)
-    degrees = np.array([g.degree(v) for v in range(1, n + 1)], dtype=float)
+    src, dst, degrees = _edge_entries(g)
+    m = np.zeros((g.n, g.n))
+    m[src, dst] = 0.5 / degrees[src]
+    np.fill_diagonal(m, 0.5)
     pi = degrees / (2 * len(g.edges))
-    return replace(make_chain(g, m, pi=pi, kind="lazy-simple"),
-                   vertex_transitive=g.vertex_transitive)
+    return _make_chain(g, m, pi, "lazy-simple", g.vertex_transitive)
 
 
 def max_degree_walk(g: Graph) -> TransitionMatrix:
     """Each neighbor 1/(2 d_max), remainder on the self-loop; uniform
     stationary distribution."""
-    n = g.n
-    _, d_max, degrees = degree_stats(g)
-    m = np.zeros((n, n))
-    for u in range(1, n + 1):
-        for v in g.neighbors(u):
-            m[u - 1, v - 1] = 0.5 / d_max
-        m[u - 1, u - 1] = 1.0 - degrees[u - 1] / (2 * d_max)
-    return replace(make_chain(g, m, pi=np.full(n, 1.0 / n), kind="max-degree"),
-                   vertex_transitive=g.vertex_transitive)
+    src, dst, degrees = _edge_entries(g)
+    d_max = degrees.max()
+    m = np.zeros((g.n, g.n))
+    m[src, dst] = 0.5 / d_max
+    np.fill_diagonal(m, 1.0 - degrees / (2 * d_max))
+    return _make_chain(g, m, np.full(g.n, 1.0 / g.n), "max-degree", g.vertex_transitive)
 
 
 def metropolis_walk(g: Graph, target) -> TransitionMatrix:
@@ -303,13 +337,11 @@ def metropolis_walk(g: Graph, target) -> TransitionMatrix:
     if abs(t.sum() - 1.0) > 1e-9:
         raise InputError(f"target distribution sums to {t.sum():.12g}, not 1")
     t = t / t.sum()
+    src, dst, degrees = _edge_entries(g)
+    accept = np.minimum(1.0, t[dst] * degrees[src] / (t[src] * degrees[dst]))
     m = np.zeros((n, n))
-    for u in range(1, n + 1):
-        du = g.degree(u)
-        for v in g.neighbors(u):
-            accept = min(1.0, t[v - 1] * du / (t[u - 1] * g.degree(v)))
-            m[u - 1, v - 1] = accept / (2 * du)
-        m[u - 1, u - 1] = 1.0 - m[u - 1].sum()
+    m[src, dst] = accept / (2 * degrees[src])
+    np.fill_diagonal(m, 1.0 - m.sum(axis=1))
     return make_chain(g, m, pi=t, kind="metropolis")
 
 
@@ -318,8 +350,9 @@ def metropolis_walk(g: Graph, target) -> TransitionMatrix:
 # ---------------------------------------------------------------------------
 
 def check_properties(P: TransitionMatrix) -> ChainFlags:
-    """Recompute (lazy, irreducible, reversible) from the matrix."""
-    return _flags(P.matrix, P.pi, _strongly_connected(P.matrix))
+    """Recompute (lazy, irreducible, reversible) from the matrix and its
+    neighbour tables."""
+    return _flags(P.matrix, P.pi, _irreducible(P._tables()), *np.nonzero(P.matrix > 0.0))
 
 
 def stationary(P: TransitionMatrix) -> np.ndarray:
@@ -456,17 +489,14 @@ def bottleneck_ratio(P: TransitionMatrix,
     pi = P._pi_or_raise()
     flow = pi[:, None] * P.matrix
     masks = np.arange(1, 1 << n, dtype=np.uint64)
+    bits = [((masks >> np.uint64(u)) & np.uint64(1)).astype(bool) for u in range(n)]
     mass = np.zeros(masks.shape)
     for u in range(n):
-        mass += pi[u] * ((masks >> np.uint64(u)) & np.uint64(1)).astype(float)
+        mass += pi[u] * bits[u]
     escape = np.zeros(masks.shape)
-    for u in range(n):
-        bit_u = ((masks >> np.uint64(u)) & np.uint64(1)).astype(bool)
-        for v in range(n):
-            if u == v or flow[u, v] == 0.0:
-                continue
-            bit_v = ((masks >> np.uint64(v)) & np.uint64(1)).astype(bool)
-            escape[bit_u & ~bit_v] += flow[u, v]
+    for u, v in zip(*np.nonzero(flow)):
+        if u != v:
+            escape[bits[u] & ~bits[v]] += flow[u, v]
     keep = mass <= 0.5 + ROW_SUM_TOL
     return float((escape[keep] / mass[keep]).min())
 
@@ -485,37 +515,29 @@ def visit_probabilities(P: TransitionMatrix, u: int, v: int, length: int) -> Vis
     """(P_visit, E_visit, P_end) for a length-step walk from u against
     target v. P_visit uses dynamic programming with v made absorbing."""
     _check_vertex(P.graph, u)
-    _check_vertex(P.graph, v)
-    if length < 0:
-        raise InputError("walk length must be nonnegative")
-    n = P.n
-    free = np.zeros(n)
-    free[u - 1] = 1.0
-    alive = free.copy()
-    expected = 0.0
-    captured = 0.0
-    for _ in range(length):
-        free = free @ P.matrix
-        expected += free[v - 1]
-        alive = alive @ P.matrix
-        captured += alive[v - 1]
-        alive[v - 1] = 0.0
-    return VisitStats(p_visit=float(captured), expected_visits=float(expected),
-                      p_end=float(free[v - 1]))
+    return VisitStats(*(float(x[0]) for x in _visit_dp(P, np.eye(1, P.n, u - 1), v, length)))
 
 
 def visit_probability_all_starts(P: TransitionMatrix, v: int, length: int) -> np.ndarray:
     """Vector of P_visit(u, v, length) over all starting vertices u."""
+    return _visit_dp(P, np.eye(P.n), v, length)[0]
+
+
+def _visit_dp(P: TransitionMatrix, starts: np.ndarray, v: int, length: int):
+    """(P_visit, E_visit, P_end) against target v for a length-step walk
+    from each start distribution, one per row of `starts`."""
     _check_vertex(P.graph, v)
     if length < 0:
         raise InputError("walk length must be nonnegative")
-    alive = np.eye(P.n)
-    captured = np.zeros(P.n)
+    free, alive = starts, starts.copy()
+    expected, captured = np.zeros((2, starts.shape[0]))
     for _ in range(length):
+        free = free @ P.matrix
+        expected += free[:, v - 1]
         alive = alive @ P.matrix
         captured += alive[:, v - 1]
         alive[:, v - 1] = 0.0
-    return captured
+    return captured, expected, free[:, v - 1]
 
 
 def sample_walk(P: TransitionMatrix, start: int, length: int, seed) -> Walk:
@@ -586,14 +608,10 @@ def chain_from_json(doc: dict, graph: Graph | None = None) -> TransitionMatrix:
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed chain document: {exc}") from exc
     if graph is None:
-        edges = set()
         if rows.shape != (n, n):
             raise InputError(f"rows shape {rows.shape} does not match n={n}")
-        for u in range(n):
-            for v in range(u + 1, n):
-                if rows[u, v] > 0.0 or rows[v, u] > 0.0:
-                    edges.add((u + 1, v + 1))
-        graph = make_graph(n, edges)
+        ends = np.nonzero(np.triu((rows > 0.0) | (rows.T > 0.0), 1))
+        graph = make_graph(n, zip(ends[0] + 1, ends[1] + 1))
     return make_chain(graph, rows, pi=doc.get("pi"))
 
 

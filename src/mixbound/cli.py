@@ -211,6 +211,16 @@ def _add_common(p: argparse.ArgumentParser, *, seed_required: bool = False) -> N
     p.add_argument("--out", help="write output to this file instead of stdout")
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for effort and cap options: an integer of at least 1."""
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="mixbound",
@@ -239,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--chain", default="lazy-simple")
     analyze.add_argument("--eps", type=float,
                          help="mixing-time accuracy; defaults to sigma/(2n)")
-    analyze.add_argument("--expansion-cap", type=int,
+    analyze.add_argument("--expansion-cap", type=_positive_int,
                          default=DEFAULT_CAPS["expansion_bruteforce"])
     _add_common(analyze)
     analyze.set_defaults(func=_cmd_chain_analyze)
@@ -280,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     bound.add_argument("--lambda2", type=float)
     bound.add_argument("--beta", type=float)
     bound.add_argument("--d-max", dest="d_max", type=float)
-    bound.add_argument("--expansion-cap", type=int,
+    bound.add_argument("--expansion-cap", type=_positive_int,
                        default=DEFAULT_CAPS["expansion_bruteforce"])
     _add_common(bound)
     bound.set_defaults(func=_cmd_bound)
@@ -289,7 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--suite", choices=list(SUITES), default="all")
     verify.add_argument("--checks", help="comma-separated check names (overrides --suite)")
     for f in fields(VerifyCaps):
-        verify.add_argument(f"--{f.name.replace('_', '-')}", type=int, default=f.default)
+        verify.add_argument(f"--{f.name.replace('_', '-')}", type=_positive_int,
+                            default=f.default)
     _add_common(verify, seed_required=True)
     verify.set_defaults(func=_cmd_verify)
 

@@ -95,7 +95,11 @@ class _Context:
             ("barbell", gr.barbell_graph(10)),
             ("random_regular", gr.random_regular_graph(8, 3, seed=self.seed)),
         ]
-        return [(name, g) for name, g in candidates if g.n <= self.caps.max_n]
+        fitting = [(name, g) for name, g in candidates if g.n <= self.caps.max_n]
+        if not fitting:
+            raise InputError(f"max_n={self.caps.max_n} admits no family graph; "
+                             f"the smallest has n={min(g.n for _, g in candidates)}")
+        return fitting
 
     def test_chains(self) -> list[tuple[str, str, ch.TransitionMatrix]]:
         if self._chains is None:

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import mixbound as mb
-from mixbound.adversary import _bool_power, _pair_table, ratio_floor
+from mixbound.adversary import _pair_table, ratio_floor
+from mixbound.chains import _bfs
 from mixbound.errors import CapabilityError, InputError
 from mixbound.staircase import StaircaseParams
 
@@ -325,9 +326,48 @@ def test_witness_pair_positive_q():
 
 def test_witness_pair_reach_k256():
     P = mb.lazy_simple_walk(mb.complete_graph(256))
-    assert _bool_power(P.matrix > 0.0, 2).all()
+    index = P.sampling_table[0]
+    assert all(np.all(_bfs(index, s, depth=2)[0] >= 0) for s in range(P.n))
     pair = mb.witness_pair(P, mb.custom_params(P, 2, 32))
     assert len(pair.instances) == 2
+
+
+def _runs(*pairs):
+    """Expand (vertex, repeat) pairs into a vertex tuple."""
+    return tuple(v for v, k in pairs for _ in range(k))
+
+
+# x and y walks of A6's three chains at default parameters and of K256 at
+# T=2, L=32, as constructed before the witness search moved to the
+# neighbour tables.
+WITNESS_GOLDEN = {
+    "complete16": (
+        _runs((1, 5), (2, 5), (3, 5), (4, 5), (5, 1)),
+        _runs((1, 5), (2, 5), (3, 5), (4, 5), (6, 1))),
+    "hypercube4": (
+        _runs((1, 12), (2, 11), (1, 1), (3, 12), (4, 10), (2, 1), (1, 1), (5, 1)),
+        _runs((1, 12), (2, 11), (1, 1), (3, 12), (4, 11), (2, 1), (6, 1))),
+    "hypercube4-maxdeg": (
+        _runs((1, 12), (2, 11), (1, 1), (3, 12), (4, 10), (2, 1), (1, 1), (5, 1)),
+        _runs((1, 12), (2, 11), (1, 1), (3, 12), (4, 11), (2, 1), (6, 1))),
+    "k256": (
+        _runs(*((v, 2) for v in range(1, 17)), (17, 1)),
+        _runs(*((v, 2) for v in range(1, 17)), (18, 1))),
+}
+
+
+@pytest.mark.parametrize("label", list(WITNESS_GOLDEN))
+def test_witness_pair_golden(label):
+    build, spec, sizes = {
+        "complete16": (mb.lazy_simple_walk, "complete:16", None),
+        "hypercube4": (mb.lazy_simple_walk, "hypercube:4", None),
+        "hypercube4-maxdeg": (mb.max_degree_walk, "hypercube:4", None),
+        "k256": (mb.lazy_simple_walk, "complete:256", (2, 32)),
+    }[label]
+    P = build(mb.graph_from_spec(spec))
+    params = mb.default_params(P) if sizes is None else mb.custom_params(P, *sizes)
+    x, y = mb.witness_pair(P, params).instances
+    assert (x.walk.vertices, y.walk.vertices) == WITNESS_GOLDEN[label]
 
 
 def test_witness_pair_requires_room():

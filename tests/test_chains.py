@@ -497,6 +497,156 @@ def test_samplers_match_dense_inverse_cdf(data):
     assert walk.probability() > 0.0
 
 
+# ---------------------------------------------------------------------------
+# Neighbour tables against dense oracles
+# ---------------------------------------------------------------------------
+
+def _reaches_all_oracle(support, start):
+    # depth-first search over dense rows
+    seen = np.zeros(support.shape[0], dtype=bool)
+    seen[start] = True
+    stack = [start]
+    while stack:
+        u = stack.pop()
+        for v in np.flatnonzero(support[u]):
+            if not seen[v]:
+                seen[v] = True
+                stack.append(int(v))
+    return bool(seen.all())
+
+
+def _flags_oracle(m, pi):
+    # dense detailed balance over all n^2 cells
+    support = m > 0.0
+    irreducible = _reaches_all_oracle(support, 0) and _reaches_all_oracle(support.T, 0)
+    lazy = bool(np.all(np.diag(m) >= 0.5 - 1e-12))
+    reversible = pi is not None and bool(
+        np.max(np.abs(pi[:, None] * m - pi[None, :] * m.T)) <= 1e-10)
+    return mb.ChainFlags(lazy=lazy, irreducible=irreducible, reversible=reversible)
+
+
+def _hops_oracle(support):
+    # hop distance from every row vertex by dense boolean powers; -1 if never
+    n = support.shape[0]
+    dist = np.full((n, n), -1)
+    reach = np.eye(n, dtype=bool)
+    for hops in range(n):
+        dist[reach & (dist < 0)] = hops
+        reach = (reach.astype(int) @ support.astype(int)) > 0
+    return dist
+
+
+@settings(max_examples=80, deadline=None)
+@given(hst.data())
+def test_tables_agree_with_dense_oracles(data):
+    from mixbound.chains import _bfs
+    n = data.draw(hst.integers(min_value=2, max_value=8), label="n")
+    seed = data.draw(hst.integers(min_value=0, max_value=10_000), label="seed")
+    lazy_share = data.draw(hst.sampled_from([0.0, 0.5, 1.0]), label="lazy_share")
+    rng = np.random.default_rng(seed)
+    tree = {(int(rng.integers(1, v)), v) for v in range(2, n + 1)}
+    extra = {(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)
+             if rng.random() < 0.4}
+    g = mb.make_graph(n, tree | extra)
+    m = np.zeros((n, n))
+    for u, v in g.edges:  # zero weights leave some edges one-way or unused
+        m[u - 1, v - 1], m[v - 1, u - 1] = rng.random(2) * (rng.random(2) < 0.7)
+    loops = rng.random(n) * (rng.random(n) < 0.6)  # some rows have no self-loop
+    lazy = rng.random(n) < lazy_share
+    loops[lazy] = m[lazy].sum(axis=1) + rng.random(lazy.sum())
+    loops[m.sum(axis=1) + loops == 0.0] = 1.0
+    m[np.arange(n), np.arange(n)] = loops
+    P = mb.make_chain(g, m / m.sum(axis=1, keepdims=True))
+
+    want = _flags_oracle(P.matrix, P.pi)
+    assert P.flags == want
+    assert mb.check_properties(P) == want
+    assert (P.pi is None) == (not want.irreducible)
+
+    support = P.matrix > 0.0
+    out_index = P.sampling_table[0]
+    in_index, weight = P.in_neighbours
+    forward, backward = _hops_oracle(support), _hops_oracle(support.T)
+    lazy_reach = {T: np.linalg.matrix_power(support.astype(int), T) > 0 for T in (1, 2, 3)}
+    for s in range(n):
+        assert np.array_equal(_bfs(out_index, s)[0], forward[s])
+        assert np.array_equal(_bfs(in_index, s, real=weight > 0.0)[0], backward[s])
+        for T in (1, 2, 3):
+            within = _bfs(out_index, s, depth=T)[0]
+            assert np.array_equal(within >= 0, (forward[s] >= 0) & (forward[s] <= T))
+            if P.flags.lazy:  # reachable in exactly T steps
+                assert np.array_equal(within >= 0, lazy_reach[T][s])
+
+
+def test_bfs_parent_is_first_discoverer():
+    from mixbound.chains import _bfs
+    adjacency = ((5, 6, 7), (4, 7, 8), (4, 5, 6), (2, 3, 6),
+                 (1, 3, 8), (1, 3, 4), (1, 2, 8), (2, 5, 7))
+    g = mb.make_graph(8, {(u, v) for u, nbrs in enumerate(adjacency, 1) for v in nbrs if u < v})
+    dist, parent = _bfs(mb.lazy_simple_walk(g).sampling_table[0], 2)
+    # from vertex 3, level 2 is discovered in the order 2 (via 4), 1, 8
+    # (via 5); vertex 7 lists 1, 2 and 8 and takes 2, the first discovered,
+    # not 1, the smallest
+    assert dist.tolist() == [2, 2, 0, 1, 1, 1, 3, 2]
+    assert (parent + 1).tolist() == [5, 4, 0, 3, 3, 3, 2, 5]  # 1-based; 0 for none
+
+
+def _lazy_simple_loops(g):
+    n = g.n
+    m = np.zeros((n, n))
+    for u in range(1, n + 1):
+        nbrs = g.neighbors(u)
+        m[u - 1, u - 1] = 0.5
+        for v in nbrs:
+            m[u - 1, v - 1] = 0.5 / len(nbrs)
+    degrees = np.array([g.degree(v) for v in range(1, n + 1)], dtype=float)
+    return m, degrees / (2 * len(g.edges))
+
+
+def _max_degree_loops(g):
+    n = g.n
+    degrees = [len(a) for a in g.adjacency]
+    d_max = max(degrees)
+    m = np.zeros((n, n))
+    for u in range(1, n + 1):
+        for v in g.neighbors(u):
+            m[u - 1, v - 1] = 0.5 / d_max
+        m[u - 1, u - 1] = 1.0 - degrees[u - 1] / (2 * d_max)
+    return m, np.full(n, 1.0 / n)
+
+
+def _metropolis_loops(g, target):
+    n = g.n
+    t = target / target.sum()
+    m = np.zeros((n, n))
+    for u in range(1, n + 1):
+        du = g.degree(u)
+        for v in g.neighbors(u):
+            accept = min(1.0, t[v - 1] * du / (t[u - 1] * g.degree(v)))
+            m[u - 1, v - 1] = accept / (2 * du)
+        m[u - 1, u - 1] = 1.0 - m[u - 1].sum()
+    return m, t
+
+
+@pytest.mark.parametrize("spec", [
+    "path:2", "path:7", "cycle:5", "complete:6", "hypercube:4", "torus2d:3x4",
+    "barbell:10", "barbell:30", "random-regular:8,3", "random-regular:64,4",
+])
+def test_named_walks_match_loop_oracles(spec):
+    g = mb.graph_from_spec(spec, seed=5)
+    target = np.random.default_rng(g.n).uniform(1.0, 4.0, g.n)
+    target /= target.sum()
+    for P, (m, pi) in [(mb.lazy_simple_walk(g), _lazy_simple_loops(g)),
+                       (mb.max_degree_walk(g), _max_degree_loops(g)),
+                       (mb.metropolis_walk(g, target), _metropolis_loops(g, target)),
+                       (mb.metropolis_walk(g, np.full(g.n, 1.0 / g.n)),
+                        _metropolis_loops(g, np.full(g.n, 1.0 / g.n)))]:
+        ref = mb.make_chain(g, m, pi=pi)
+        assert np.array_equal(P.matrix, ref.matrix)
+        assert np.array_equal(P.pi, ref.pi)
+        assert P.flags == ref.flags == _flags_oracle(ref.matrix, ref.pi)
+
+
 def test_walk_probability(k3_chain, path3_chain):
     assert mb.walk_probability(k3_chain, (2,)) == 1.0
     assert mb.walk_probability(k3_chain, (1, 2, 3)) == pytest.approx(1 / 16)

@@ -301,6 +301,36 @@ def test_verify_unknown_check():
     assert "unknown checks" in err
 
 
+def test_verify_max_n_below_every_family_graph():
+    code, out, err = run_cli("verify", "--checks", "A1_validity", "--max-n", "2",
+                             "--seed", "0")
+    assert code == 1
+    assert out == ""
+    assert err == ("input error: max_n=2 admits no family graph; "
+                   "the smallest has n=8\n")
+    # a check that uses no family graph runs at any max_n
+    code, out, _ = run_cli("verify", "--checks", "A7_monotone_grid", "--max-n", "2",
+                           "--seed", "0")
+    assert code == 0
+    assert json.loads(out)["passed"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--checks", "A1_validity", "--seed", "0", "--max-n", "0"),
+    ("verify", "--checks", "A1_validity", "--seed", "0", "--instances", "0"),
+    ("verify", "--checks", "A4_milestone_escape", "--seed", "0", "--escape-samples", "-5"),
+    ("verify", "--checks", "adversary_ratio_floor", "--seed", "0", "--ratio-subsets", "0"),
+    ("verify", "--checks", "adversary_exact_mc", "--seed", "0", "--mc-samples", "abc"),
+    ("chain", "analyze", "--graph", "complete:3", "--expansion-cap", "-1"),
+    ("bound", "--graph", "complete:3", "--chain", "lazy-simple", "--expansion-cap", "0"),
+])
+def test_effort_and_cap_options_must_be_positive(argv):
+    code, out, err = run_cli(*argv)
+    assert code == 1
+    assert out == ""
+    assert f"input error: argument {argv[-2]}: expected a positive integer" in err
+
+
 def test_verify_deterministic_output():
     runs = [run_cli("verify", "--seed", "0") for _ in range(2)]
     assert runs[0][0] == 0
