@@ -318,15 +318,6 @@ class RatioCheckResult:
     subsets_checked: int
     worst_subset_size: int
 
-    def to_json(self) -> dict:
-        return {
-            "passed": self.passed,
-            "threshold": self.threshold,
-            "min_ratio": self.min_ratio,
-            "subsets_checked": self.subsets_checked,
-            "worst_subset_size": self.worst_subset_size,
-        }
-
 
 def ratio_floor(params: StaircaseParams) -> float:
     """(2^(-4 sigma) / (6 sigma)) * floor(sqrt(n)) / T, the uniform floor

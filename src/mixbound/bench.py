@@ -44,14 +44,6 @@ class TrialRow:
                 f"{self.total},{self.found_vertex},"
                 f"{'true' if self.correct else 'false'},{self.error}")
 
-    def to_json(self) -> dict:
-        return {
-            "seed": self.seed, "solver": self.solver, "n": self.n,
-            "distinct": self.distinct, "total": self.total,
-            "found_vertex": self.found_vertex, "correct": self.correct,
-            "error": self.error,
-        }
-
 
 def build_system(config: ExperimentConfig):
     """(graph, chain, params) for a config."""

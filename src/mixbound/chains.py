@@ -10,12 +10,11 @@ validated and frozen at construction and safe to share between threads.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DEFAULT_CAPS, CapabilityError, InputError
+from .errors import DEFAULT_CAPS, CapabilityError, InputError, read_json
 from .graphs import Graph, _check_vertex, make_graph
 
 ROW_SUM_TOL = 1e-12
@@ -39,6 +38,23 @@ class TransitionMatrix:
     Immutable; the ndarray buffers are marked read-only. Compared by
     identity: two chains are "the same" only if they are the same object.
 
+    ``sampling_table`` is the padded out-neighbour table (index,
+    cumulative), each of shape n x (largest out-degree, self-loop
+    included). Row u lists the v with P[u, v] > 0 in increasing order and
+    the running sums of their probabilities; the last real slot and all
+    padding hold 1.0, and padding points at the row's last real
+    neighbour. The first slot whose sum exceeds a uniform u in [0, 1)
+    therefore always names a positive transition, even when the sum falls
+    short of 1 by rounding. The sums equal those of the dense row, since
+    adding the zero columns changes no float cumsum.
+
+    ``in_neighbours`` is the padded in-neighbour table (index, weight),
+    each of shape n x (largest in-degree, self-loop included). Row v lists
+    the u with P[u, v] > 0 in increasing order and their weights P[u, v];
+    padding has index 0 and weight 0. One step of a distribution x is
+    ``(x[index] * weight).sum(axis=1)``. `make_chain` builds both tables
+    with the matrix.
+
     ``vertex_transitive`` marks a chain that every automorphism of a
     vertex-transitive graph preserves, so the distance to stationarity
     after t steps is the same from every start. Only `lazy_simple_walk`
@@ -51,6 +67,8 @@ class TransitionMatrix:
     graph: Graph = field(repr=False)
     pi: np.ndarray | None = field(repr=False)
     flags: ChainFlags
+    sampling_table: tuple[np.ndarray, np.ndarray] = field(repr=False)
+    in_neighbours: tuple[np.ndarray, np.ndarray] = field(repr=False)
     kind: str = "custom"
     vertex_transitive: bool = field(default=False, repr=False)
 
@@ -59,48 +77,14 @@ class TransitionMatrix:
         _check_vertex(self.graph, v)
         return float(self.matrix[u - 1, v - 1])
 
-    def stationary_of(self, v: int) -> float:
-        _check_vertex(self.graph, v)
-        return float(self._pi_or_raise()[v - 1])
-
     def _pi_or_raise(self) -> np.ndarray:
         if self.pi is None:
             raise CapabilityError(
                 "chain is reducible: no unique stationary distribution")
         return self.pi
 
-    @property
-    def sampling_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """Padded out-neighbour table (index, cumulative), cached, each of
-        shape n x (largest out-degree, self-loop included). Row u lists
-        the v with P[u, v] > 0 in increasing order and the running sums of
-        their probabilities; the last real slot and all padding hold 1.0,
-        and padding points at the row's last real neighbour. The first
-        slot whose sum exceeds a uniform u in [0, 1) therefore always
-        names a positive transition, even when the sum falls short of 1 by
-        rounding. The sums equal those of the dense row, since adding the
-        zero columns changes no float cumsum."""
-        return self._tables()[0]
 
-    @property
-    def in_neighbours(self) -> tuple[np.ndarray, np.ndarray]:
-        """Padded in-neighbour table (index, weight), cached, each of shape
-        n x (largest in-degree, self-loop included). Row v lists the u with
-        P[u, v] > 0 in increasing order and their weights P[u, v]; padding
-        has index 0 and weight 0. One step of a distribution x is
-        ``(x[index] * weight).sum(axis=1)``."""
-        return self._tables()[1]
-
-    def _tables(self):
-        """(sampling_table, in_neighbours); make_chain seeds them."""
-        cached = self.__dict__.get("_table_cache")
-        if cached is None:
-            cached = _support_tables(self.matrix, *np.nonzero(self.matrix > 0.0))
-            self.__dict__["_table_cache"] = cached
-        return cached
-
-
-def _support_tables(m: np.ndarray, src: np.ndarray, dst: np.ndarray):
+def _tables_from(m: np.ndarray, src: np.ndarray, dst: np.ndarray):
     """(sampling_table, in_neighbours) of matrix m, whose positive entries
     are m[src, dst] listed in row-major order."""
     slot, counts = _slots(src, len(m))
@@ -233,7 +217,7 @@ def _make_chain(graph: Graph, matrix, pi, kind: str,
         u, v = src[off_edge[0]], dst[off_edge[0]]
         raise InputError(f"positive entry ({u + 1},{v + 1}) is not on a graph edge")
 
-    tables = _support_tables(m, src, dst)
+    tables = _tables_from(m, src, dst)
     irreducible = _irreducible(tables)
 
     if pi is not None:
@@ -252,11 +236,10 @@ def _make_chain(graph: Graph, matrix, pi, kind: str,
     m.setflags(write=False)
     if p is not None:
         p.setflags(write=False)
-    P = TransitionMatrix(n=n, matrix=m, graph=graph, pi=p,
-                         flags=_flags(m, p, irreducible, src, dst), kind=kind,
-                         vertex_transitive=vertex_transitive)
-    P.__dict__["_table_cache"] = tables
-    return P
+    return TransitionMatrix(n=n, matrix=m, graph=graph, pi=p,
+                            flags=_flags(m, p, irreducible, src, dst),
+                            sampling_table=tables[0], in_neighbours=tables[1],
+                            kind=kind, vertex_transitive=vertex_transitive)
 
 
 def _flags(m: np.ndarray, pi: np.ndarray | None, irreducible: bool,
@@ -352,7 +335,8 @@ def metropolis_walk(g: Graph, target) -> TransitionMatrix:
 def check_properties(P: TransitionMatrix) -> ChainFlags:
     """Recompute (lazy, irreducible, reversible) from the matrix and its
     neighbour tables."""
-    return _flags(P.matrix, P.pi, _irreducible(P._tables()), *np.nonzero(P.matrix > 0.0))
+    tables = (P.sampling_table, P.in_neighbours)
+    return _flags(P.matrix, P.pi, _irreducible(tables), *np.nonzero(P.matrix > 0.0))
 
 
 def stationary(P: TransitionMatrix) -> np.ndarray:
@@ -618,8 +602,7 @@ def chain_from_json(doc: dict, graph: Graph | None = None) -> TransitionMatrix:
 def chain_from_spec(text: str, g: Graph | None = None) -> TransitionMatrix:
     """CLI chain argument: a kind name (requires a graph) or a .json file."""
     if text.endswith(".json"):
-        with open(text, encoding="utf-8") as fh:
-            return chain_from_json(json.load(fh), graph=g)
+        return chain_from_json(read_json(text), graph=g)
     if g is None:
         raise InputError("a graph is required to build a chain by name")
     return build_chain(g, text)

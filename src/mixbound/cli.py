@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 from . import chains as ch
 from . import graphs as gr
@@ -20,7 +20,8 @@ from . import staircase as st
 from .adversary import bound_values
 from .bench import CSV_HEADER, bound_context, build_system, run_bench
 from .config import ExperimentConfig
-from .errors import DEFAULT_CAPS, CapabilityError, InputError
+from .errors import DEFAULT_CAPS, CapabilityError, InputError, read_json
+from .solvers import SOLVER_NAMES
 from .verify import SUITES, VerifyCaps, run_verify
 
 
@@ -120,8 +121,7 @@ def _cmd_instance_sample(args) -> int:
 
 def _cmd_bench(args) -> int:
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            config = ExperimentConfig.from_dict(json.load(fh))
+        config = ExperimentConfig.from_dict(read_json(args.config))
         if args.out:
             config = ExperimentConfig.from_dict({**config.to_dict(), "out": args.out})
     else:
@@ -130,11 +130,11 @@ def _cmd_bench(args) -> int:
         config = ExperimentConfig(
             graph=args.graph, chain=args.chain, seed=args.seed,
             trials=args.trials,
-            solvers=tuple(args.solver) if args.solver else ("steepest", "warm-start", "exhaustive"),
+            solvers=tuple(args.solver) if args.solver else SOLVER_NAMES,
             T=args.T, L=args.L, out=args.out, format=args.format)
     rows, summary = run_bench(config)
     if config.format == "json":
-        doc = {"trials": [r.to_json() for r in rows], "summary": summary}
+        doc = {"trials": [asdict(r) for r in rows], "summary": summary}
         _emit(_dump(doc), config.out)
     else:
         csv_text = "\n".join([CSV_HEADER] + [r.to_csv() for r in rows]) + "\n"
@@ -270,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--config", help="JSON experiment config")
     bench.add_argument("--graph")
     bench.add_argument("--chain", default="lazy-simple")
-    bench.add_argument("--solver", action="append", choices=["steepest", "warm-start", "exhaustive"],
+    bench.add_argument("--solver", action="append", choices=SOLVER_NAMES,
                        help="repeatable; defaults to all three")
     bench.add_argument("--trials", type=int, default=10)
     bench.add_argument("--T", type=int)
@@ -321,7 +321,7 @@ def main(argv=None) -> int:
     except CapabilityError as exc:
         sys.stderr.write(f"capability error: {exc}\n")
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:  # an --out path that cannot be written
         sys.stderr.write(f"input error: {exc}\n")
         return 1
 

@@ -18,7 +18,7 @@ class ExperimentConfig:
     chain: str
     seed: int
     trials: int = 10
-    solvers: tuple[str, ...] = ("steepest", "warm-start", "exhaustive")
+    solvers: tuple[str, ...] = SOLVER_NAMES
     T: int | None = None
     L: int | None = None
     out: str | None = None
@@ -28,6 +28,18 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.seed is None:
             raise InputError("a seed is required")
+        for name in ("graph", "chain", "out"):
+            value = getattr(self, name)
+            if value is None and name == "out":
+                continue  # no file: write to stdout
+            if not isinstance(value, str):
+                raise InputError(f"{name} must be a string, got {value!r}")
+        for name in ("seed", "trials", "T", "L"):
+            value = getattr(self, name)
+            if value is None and name in ("T", "L"):
+                continue  # no override: T and L come from the chain
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise InputError(f"{name} must be an integer, got {value!r}")
         if self.trials < 1:
             raise InputError(f"trials must be >= 1, got {self.trials}")
         if self.format not in ("csv", "json"):
@@ -63,6 +75,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
+        if not isinstance(doc, dict):
+            raise InputError(f"config must be a JSON object, got {doc!r}")
+        if not isinstance(doc.get("caps", {}), dict):
+            raise InputError(f"caps must be an object, got {doc['caps']!r}")
+        if not isinstance(doc.get("solvers", []), (list, tuple)):
+            raise InputError(f"solvers must be a list, got {doc['solvers']!r}")
         try:
             return cls(
                 graph=doc["graph"],

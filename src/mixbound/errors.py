@@ -1,7 +1,10 @@
-"""Error and warning types shared across the package.
+"""Error and warning types shared across the package, and the one reader
+of JSON input files.
 
 The CLI maps these onto exit codes: InputError -> 1, CapabilityError -> 2.
 """
+
+import json
 
 # Default limit of every brute-force or unbounded step, each written only
 # here; going past one raises CapabilityError.
@@ -15,6 +18,18 @@ DEFAULT_CAPS = {
 
 class InputError(ValueError):
     """Caller supplied an invalid argument (bad vertex, malformed file, ...)."""
+
+
+def read_json(path: str):
+    """Parse the JSON file at path; a file that cannot be opened or is not
+    JSON raises InputError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise InputError(str(exc)) from exc
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
 class CapabilityError(RuntimeError):

@@ -9,13 +9,12 @@ throughout the package because instance walks start at vertex 1.
 from __future__ import annotations
 
 import itertools
-import json
 from collections import deque
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DEFAULT_CAPS, CapabilityError, InputError
+from .errors import DEFAULT_CAPS, CapabilityError, InputError, read_json
 
 RANDOM_REGULAR_RETRY_CAP = 1000
 
@@ -24,15 +23,18 @@ RANDOM_REGULAR_RETRY_CAP = 1000
 class Graph:
     """Connected simple undirected graph on vertices 1..n.
 
+    ``start_distances`` holds the hop count from vertex 1 to every vertex,
+    kept from the connectivity check of `make_graph`.
     ``vertex_transitive`` is set only by the generators of families whose
     automorphism group moves any vertex to any other (cycle, complete,
-    hypercube, torus). It takes no part in equality and is not written to
-    JSON, so a parsed graph is never marked.
+    hypercube, torus). Neither field takes part in equality or is written
+    to JSON, so a parsed graph is never marked transitive.
     """
 
     n: int
     edges: frozenset[tuple[int, int]]
     adjacency: tuple[tuple[int, ...], ...] = field(repr=False)
+    start_distances: tuple[int, ...] = field(repr=False, compare=False)
     vertex_transitive: bool = field(default=False, repr=False, compare=False)
 
     def degree(self, v: int) -> int:
@@ -71,24 +73,29 @@ def make_graph(n: int, edges) -> Graph:
     for u, v in norm:
         adj[u - 1].append(v)
         adj[v - 1].append(u)
-    g = Graph(n=n, edges=frozenset(norm),
-              adjacency=tuple(tuple(sorted(a)) for a in adj))
-    dist = bfs_distances(g, 1)
+    adjacency = tuple(tuple(sorted(a)) for a in adj)
+    dist = _distances_from(adjacency, 1)
     if any(d < 0 for d in dist):
         raise InputError("graph is not connected")
-    return g
+    return Graph(n=n, edges=frozenset(norm), adjacency=adjacency,
+                 start_distances=tuple(dist))
 
 
 def bfs_distances(g: Graph, source: int) -> list[int]:
-    """Hop counts from source to every vertex; -1 marks unreachable
-    (only possible during construction, before connectivity is enforced)."""
+    """Hop counts from source to every vertex."""
     _check_vertex(g, source)
-    dist = [-1] * g.n
+    return _distances_from(g.adjacency, source)
+
+
+def _distances_from(adjacency: tuple[tuple[int, ...], ...], source: int) -> list[int]:
+    """Hop counts from source over 1-based adjacency lists; -1 marks
+    unreachable (only possible before connectivity is enforced)."""
+    dist = [-1] * len(adjacency)
     dist[source - 1] = 0
     queue = deque([source])
     while queue:
         u = queue.popleft()
-        for w in g.adjacency[u - 1]:
+        for w in adjacency[u - 1]:
             if dist[w - 1] < 0:
                 dist[w - 1] = dist[u - 1] + 1
                 queue.append(w)
@@ -256,8 +263,7 @@ def graph_from_spec(text: str, seed=None) -> Graph:
     ending in ``.json`` is loaded as a graph file.
     """
     if text.endswith(".json"):
-        with open(text, encoding="utf-8") as fh:
-            return graph_from_json(json.load(fh))
+        return graph_from_json(read_json(text))
     family, _, arg = text.partition(":")
     family = family.replace("-", "_")
     if not arg:
@@ -292,7 +298,7 @@ def graph_from_json(doc: dict) -> Graph:
     duplicates, and disconnected graphs."""
     try:
         n = int(doc["n"])
-        edges = doc["edges"]
+        edges = [(int(u), int(v)) for u, v in doc["edges"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed graph document: {exc}") from exc
     return make_graph(n, edges)

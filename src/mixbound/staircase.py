@@ -14,7 +14,6 @@ defaults to floor(sqrt(n)).
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -31,7 +30,13 @@ from .chains import (
     sample_walk,
     stationary_ratio,
 )
-from .errors import DEFAULT_CAPS, CapabilityError, InputError, VacuousRegimeWarning
+from .errors import (
+    DEFAULT_CAPS,
+    CapabilityError,
+    InputError,
+    VacuousRegimeWarning,
+    read_json,
+)
 from .graphs import Graph, _check_vertex, bfs_distances, graph_from_spec
 
 
@@ -175,9 +180,8 @@ def shared_head_index(x, y, T: int) -> int:
 class StaircaseInstance:
     """A hidden walk with a hidden bit, evaluable as a query oracle.
 
-    Values are derived lazily from the walk, its last-occurrence map, and
-    BFS distances, so nothing of size n is materialized until an off-walk
-    vertex is queried.
+    The value table is built on the first query: the graph's stored
+    distances from vertex 1, overwritten along the walk.
     """
 
     walk: Walk
@@ -208,24 +212,19 @@ class StaircaseInstance:
         return self.walk.end
 
     @cached_property
-    def last_occurrence(self) -> dict[int, int]:
-        occ: dict[int, int] = {}
+    def values(self) -> tuple[int, ...]:
+        """Value of vertex v at index v-1. Walk positions are written in
+        order, so each vertex keeps minus its last occurrence."""
+        vals = list(self.graph.start_distances)
         for i, v in enumerate(self.walk.vertices):
-            occ[v] = i
-        return occ
-
-    @cached_property
-    def distances(self) -> list[int]:
-        return bfs_distances(self.graph, 1)
+            vals[v - 1] = -i
+        return tuple(vals)
 
     def value(self, v: int) -> int:
         """Search-problem value: minus the last occurrence index on the
         walk, BFS distance to vertex 1 off it."""
         _check_vertex(self.graph, v)
-        last = self.last_occurrence.get(int(v))
-        if last is not None:
-            return -last
-        return self.distances[v - 1]
+        return self.values[v - 1]
 
     def decision_value(self, v: int) -> tuple[int, int]:
         """Decision-problem value: (value, hidden bit) at the walk's end,
@@ -326,7 +325,7 @@ def instance_to_json(inst: StaircaseInstance, graph_ref: str, chain_ref: str,
         "seed": inst.seed,
     }
     if reveal:
-        doc["f_values"] = [inst.value(v) for v in range(1, inst.graph.n + 1)]
+        doc["f_values"] = list(inst.values)
     return doc
 
 
@@ -347,5 +346,4 @@ def instance_from_json(doc: dict) -> StaircaseInstance:
 
 
 def load_instance(path: str) -> StaircaseInstance:
-    with open(path, encoding="utf-8") as fh:
-        return instance_from_json(json.load(fh))
+    return instance_from_json(read_json(path))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -79,9 +79,8 @@ class _Context:
         self.caps = caps
         self.seed = seed
         self._chains: list[tuple[str, str, ch.TransitionMatrix]] | None = None
-        # keyed by id(P); the chain is stored with its parameters so that
-        # its id cannot be reused by a later chain while the entry exists
-        self._params: dict[int, tuple[ch.TransitionMatrix, st.StaircaseParams]] = {}
+        # chains compare by identity, so each key is one chain object
+        self._params: dict[ch.TransitionMatrix, st.StaircaseParams] = {}
         self._instances: list[st.StaircaseInstance] | None = None
         self._micro_systems: list[tuple[ch.TransitionMatrix, st.StaircaseParams]] | None = None
 
@@ -113,12 +112,11 @@ class _Context:
         return self._chains
 
     def default_params(self, P: ch.TransitionMatrix) -> st.StaircaseParams:
-        key = id(P)
-        if key not in self._params:
+        if P not in self._params:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", VacuousRegimeWarning)
-                self._params[key] = (P, st.default_params(P))
-        return self._params[key][1]
+                self._params[P] = st.default_params(P)
+        return self._params[P]
 
     def instances(self) -> list[st.StaircaseInstance]:
         """`caps.instances` seeded staircase instances spread over every
@@ -153,33 +151,35 @@ class _Context:
         return self._micro_systems
 
 
-def _fail(name: str, details: str, counterexample: dict) -> CheckResult:
-    return CheckResult(name=name, passed=False, details=details,
-                       counterexample=counterexample)
+# What a check returns: (passed, details, counterexample or None).
+# `run_verify` adds the check's registry name.
+Outcome = tuple[bool, str, dict | None]
 
 
-def _ok(name: str, details: str) -> CheckResult:
-    return CheckResult(name=name, passed=True, details=details)
+def _fail(details: str, counterexample: dict) -> Outcome:
+    return False, details, counterexample
+
+
+def _ok(details: str) -> Outcome:
+    return True, details, None
 
 
 # ---------------------------------------------------------------------------
 # A-series checks
 # ---------------------------------------------------------------------------
 
-def check_a1_validity(ctx: _Context) -> CheckResult:
+def check_a1_validity(ctx: _Context) -> Outcome:
     """Sampled instance value functions are valid for their walks."""
-    name = "A1_validity"
     for inst in ctx.instances():
         if not st.is_valid_value_function(inst.graph, inst.walk, inst.value):
-            return _fail(name, "instance value function failed validity",
+            return _fail("instance value function failed validity",
                          {"walk": list(inst.walk.vertices), "bit": inst.bit})
-    return _ok(name, f"{len(ctx.instances())} instances valid")
+    return _ok(f"{len(ctx.instances())} instances valid")
 
 
-def check_a2_mixing_concentration(ctx: _Context) -> CheckResult:
+def check_a2_mixing_concentration(ctx: _Context) -> Outcome:
     """After T = t_mix(sigma/2n) steps no vertex holds more than 2 sigma/n
     probability, from any start."""
-    name = "A2_mixing_concentration"
     for gname, kind, P in ctx.test_chains():
         sigma = ch.stationary_ratio(P)
         T = ctx.default_params(P).T
@@ -187,17 +187,16 @@ def check_a2_mixing_concentration(ctx: _Context) -> CheckResult:
         limit = 2.0 * sigma / P.n + 1e-12
         if power.max() > limit:
             u, v = np.unravel_index(int(power.argmax()), power.shape)
-            return _fail(name, "T-step probability exceeds 2*sigma/n",
+            return _fail("T-step probability exceeds 2*sigma/n",
                          {"graph": gname, "chain": kind, "u": int(u + 1),
                           "v": int(v + 1), "value": float(power.max()),
                           "limit": limit})
-    return _ok(name, f"{len(ctx.test_chains())} chains concentrated")
+    return _ok(f"{len(ctx.test_chains())} chains concentrated")
 
 
-def check_a3_visit_sum(ctx: _Context) -> CheckResult:
+def check_a3_visit_sum(ctx: _Context) -> Outcome:
     """Sum of visit probabilities into a fixed vertex over any start subset
     is at most len * sigma."""
-    name = "A3_visit_sum"
     chains = [(g, k, P) for g, k, P in ctx.test_chains() if P.n <= VISIT_SUM_N]
     for gname, kind, P in chains:
         sigma = ch.stationary_ratio(P)
@@ -210,17 +209,16 @@ def check_a3_visit_sum(ctx: _Context) -> CheckResult:
                 visits = ch.visit_probability_all_starts(P, v, ell)
                 worst = float((subset_matrix @ visits).max())
                 if worst > ell * sigma + 1e-9:
-                    return _fail(name, "subset visit sum exceeds len*sigma",
+                    return _fail("subset visit sum exceeds len*sigma",
                                  {"graph": gname, "chain": kind, "v": v,
                                   "len": ell, "sum": worst, "limit": ell * sigma})
-    return _ok(name, f"{len(chains)} chains, all subsets within bound")
+    return _ok(f"{len(chains)} chains, all subsets within bound")
 
 
-def check_a4_milestone_escape(ctx: _Context) -> CheckResult:
+def check_a4_milestone_escape(ctx: _Context) -> Outcome:
     """On complete graphs at default T, each segment's probability of
     staying good while diverging exactly there clears 2^(-4 sigma) within
     Monte Carlo error."""
-    name = "A4_milestone_escape"
     details = []
     for size in ESCAPE_SIZES:
         P = ch.lazy_simple_walk(gr.complete_graph(size))
@@ -231,19 +229,18 @@ def check_a4_milestone_escape(ctx: _Context) -> CheckResult:
             P, params, ctx.caps.escape_samples, seed=(ctx.seed, size))
         for j, (p_hat, se) in enumerate(estimates):
             if p_hat < floor - 3.0 * se:
-                return _fail(name, "segment escape estimate below 2^(-4 sigma)",
+                return _fail("segment escape estimate below 2^(-4 sigma)",
                              {"n": size, "segment": j, "estimate": p_hat,
                               "std_error": se, "floor": floor})
         details.append(f"n={size}: min {min(p for p, _ in estimates):.3f}")
-    return _ok(name, "; ".join(details) + f" vs floor {floor:.4f}")
+    return _ok("; ".join(details) + f" vs floor {floor:.4f}")
 
 
-def check_a5_difference_localization(ctx: _Context) -> CheckResult:
+def check_a5_difference_localization(ctx: _Context) -> Outcome:
     """(i) Two distinct-walk functions can only disagree inside the two
     tails after their shared head; (ii) the per-vertex distinguishing mass
     is at most twice the weight of pairs whose second tail covers the
     vertex. Exhaustive over the micro-systems."""
-    name = "A5_difference_localization"
     pair_count = 0
     for P, params in ctx.micro_systems():
         T = params.T
@@ -275,7 +272,7 @@ def check_a5_difference_localization(ctx: _Context) -> CheckResult:
             # the first (a, b, v) in row-major order, i.e. itertools.product order
             i, k, v = np.unravel_index(int(np.argmax(escaped)), escaped.shape)
             a, b = insts[i], insts[k]
-            return _fail(name, "difference outside the two tails",
+            return _fail("difference outside the two tails",
                          {"x": list(a.walk.vertices), "y": list(b.walk.vertices),
                           "bits": [a.bit, b.bit], "vertex": int(v) + 1,
                           "J": int(J[wid[i], wid[k]])})
@@ -290,17 +287,16 @@ def check_a5_difference_localization(ctx: _Context) -> CheckResult:
         per_vertex = np.array(adv.distinguishing_mass(family).per_vertex)
         if np.any(per_vertex > 2.0 * rhs + 1e-12):
             v = int(np.argmax(per_vertex - 2.0 * rhs)) + 1
-            return _fail(name, "factor-2 bound violated",
+            return _fail("factor-2 bound violated",
                          {"n": P.n, "vertex": v, "q_tilde": float(per_vertex[v - 1]),
                           "rhs": float(2.0 * rhs[v - 1])})
-    return _ok(name, f"{pair_count} ordered pairs localized; factor-2 bound holds")
+    return _ok(f"{pair_count} ordered pairs localized; factor-2 bound holds")
 
 
-def check_a6_witness_existence(ctx: _Context) -> CheckResult:
+def check_a6_witness_existence(ctx: _Context) -> Outcome:
     """The constructive witness yields two good walks sharing the
     next-to-last head with positive distinguishing mass, on chains large
     enough for the guarantee."""
-    name = "A6_witness_existence"
     cases = [
         ("complete16", ch.lazy_simple_walk(gr.complete_graph(16))),
         ("hypercube4", ch.lazy_simple_walk(gr.hypercube_graph(4))),
@@ -316,31 +312,29 @@ def check_a6_witness_existence(ctx: _Context) -> CheckResult:
               and st.is_good_walk(x.walk, params.T)
               and st.is_good_walk(y.walk, params.T))
         if not ok:
-            return _fail(name, "witness pair malformed",
+            return _fail("witness pair malformed",
                          {"case": label, "J": j, "m": params.m, "q": q,
                           "x_end": x.walk.end, "y_end": y.walk.end})
-    return _ok(name, f"{len(cases)} chains produced positive-mass witnesses")
+    return _ok(f"{len(cases)} chains produced positive-mass witnesses")
 
 
-def check_a7_monotone_grid(ctx: _Context) -> CheckResult:
+def check_a7_monotone_grid(ctx: _Context) -> Outcome:
     """(1 - y/x)^x is nondecreasing in x on a grid with x >= 2y >= 1."""
-    name = "A7_monotone_grid"
     for y in (0.5, 1.0, 1.5, 2.0, 3.0):
         xs = np.arange(2 * y, 2 * y + 20.0001, 0.25)
         vals = (1.0 - y / xs) ** xs
         drops = np.flatnonzero(np.diff(vals) < -1e-12)
         if drops.size:
             i = int(drops[0])
-            return _fail(name, "grid value decreased",
+            return _fail("grid value decreased",
                          {"y": y, "x": float(xs[i]), "value": float(vals[i]),
                           "next": float(vals[i + 1])})
-    return _ok(name, "nondecreasing on all grid lines")
+    return _ok("nondecreasing on all grid lines")
 
 
-def check_a8_time_reversal(ctx: _Context) -> CheckResult:
+def check_a8_time_reversal(ctx: _Context) -> Outcome:
     """pi(u) E_visit(u,v,len) = pi(v) E_visit(v,u,len) for every pair and
     every length, on all chain constructions."""
-    name = "A8_time_reversal"
     chains = [(g, k, P) for g, k, P in ctx.test_chains() if P.n <= REVERSAL_N]
     worst = 0.0
     for gname, kind, P in chains:
@@ -354,62 +348,60 @@ def check_a8_time_reversal(ctx: _Context) -> CheckResult:
             gap = float(np.abs(weighted - weighted.T).max())
             worst = max(worst, gap)
             if gap > 1e-10:
-                return _fail(name, "time-reversal identity violated",
+                return _fail("time-reversal identity violated",
                              {"graph": gname, "chain": kind, "error": gap})
-    return _ok(name, f"{len(chains)} chains, max asymmetry {worst:.2e}")
+    return _ok(f"{len(chains)} chains, max asymmetry {worst:.2e}")
 
 
-def check_a9_unique_minimum(ctx: _Context) -> CheckResult:
+def check_a9_unique_minimum(ctx: _Context) -> Outcome:
     """Every sampled instance has exactly one local minimum: the end of
     its walk."""
-    name = "A9_unique_minimum"
     for inst in ctx.instances():
         minima = st.local_minima(inst.graph, inst.value)
         if minima != [inst.minimum]:
-            return _fail(name, "local minima differ from the walk end",
+            return _fail("local minima differ from the walk end",
                          {"walk": list(inst.walk.vertices), "minima": minima})
-    return _ok(name, f"{len(ctx.instances())} instances with unique minimum")
+    return _ok(f"{len(ctx.instances())} instances with unique minimum")
 
 
 # ---------------------------------------------------------------------------
 # B-series checks
 # ---------------------------------------------------------------------------
 
-def check_b1_cheeger_sandwich(ctx: _Context) -> CheckResult:
+def check_b1_cheeger_sandwich(ctx: _Context) -> Outcome:
     """Phi^2/2 <= 1 - lambda2 <= 2 Phi for every lazy test chain."""
-    name = "B1_cheeger_sandwich"
     for gname, kind, P in ctx.test_chains():
         phi = ch.bottleneck_ratio(P)
         _, gap = ch.spectral_gap(P)
         if not (phi * phi / 2.0 <= gap + 1e-12 and gap <= 2.0 * phi + 1e-12):
-            return _fail(name, "Cheeger sandwich violated",
+            return _fail("Cheeger sandwich violated",
                          {"graph": gname, "chain": kind, "phi": phi, "gap": gap})
-    return _ok(name, f"{len(ctx.test_chains())} chains sandwiched")
+    return _ok(f"{len(ctx.test_chains())} chains sandwiched")
 
 
-def check_b2_expansion_bound(ctx: _Context) -> CheckResult:
+def check_b2_expansion_bound(ctx: _Context) -> Outcome:
     """Phi <= beta * C^2 / d_max for the lazy simple walk, with
     C = d_max/d_min."""
-    name = "B2_expansion_bound"
-    for gname, g in ctx.family_graphs():
-        P = ch.lazy_simple_walk(g)
+    lazy_simple = [(gname, P) for gname, kind, P in ctx.test_chains()
+                   if kind == "lazy-simple"]
+    for gname, P in lazy_simple:
+        g = P.graph
         phi = ch.bottleneck_ratio(P)
         beta = gr.edge_expansion(g)
         d_min, d_max, _ = gr.degree_stats(g)
         ratio = d_max / d_min
         limit = beta * ratio * ratio / d_max
         if phi > limit + 1e-12:
-            return _fail(name, "bottleneck ratio exceeds expansion bound",
+            return _fail("bottleneck ratio exceeds expansion bound",
                          {"graph": gname, "phi": phi, "beta": beta,
                           "limit": limit})
-    return _ok(name, f"{len(ctx.family_graphs())} lazy simple walks bounded")
+    return _ok(f"{len(lazy_simple)} lazy simple walks bounded")
 
 
-def check_b_spectral_mixing(ctx: _Context) -> CheckResult:
+def check_b_spectral_mixing(ctx: _Context) -> Outcome:
     """t_mix(eps) <= ln(1/(eps min pi)) / (1 - lambda2) at eps in
     {1/8, 1/(2n)}, and the default mixing time (single-start on
     vertex-transitive chains) equals the full-matrix linear scan."""
-    name = "B_spectral_mixing"
     for gname, kind, P in ctx.test_chains():
         pi = ch.stationary(P)
         _, gap = ch.spectral_gap(P)
@@ -417,72 +409,69 @@ def check_b_spectral_mixing(ctx: _Context) -> CheckResult:
             t = ch.mixing_time(P, eps)
             t_linear = ch.mixing_time(P, eps, method="linear")
             if t != t_linear:
-                return _fail(name, "mixing time differs from the linear scan",
+                return _fail("mixing time differs from the linear scan",
                              {"graph": gname, "chain": kind, "eps": eps,
                               "t_mix": t, "t_linear": t_linear,
                               "vertex_transitive": P.vertex_transitive})
             limit = math.log(1.0 / (eps * pi.min())) / gap
             if t > limit:
-                return _fail(name, "mixing time exceeds spectral bound",
+                return _fail("mixing time exceeds spectral bound",
                              {"graph": gname, "chain": kind, "eps": eps,
                               "t_mix": t, "limit": limit})
-    return _ok(name, f"{len(ctx.test_chains())} chains within the spectral bound")
+    return _ok(f"{len(ctx.test_chains())} chains within the spectral bound")
 
 
 # ---------------------------------------------------------------------------
 # Module invariants
 # ---------------------------------------------------------------------------
 
-def check_graph_invariants(ctx: _Context) -> CheckResult:
+def check_graph_invariants(ctx: _Context) -> Outcome:
     """Connectivity, brute-force expansion agreement (n <= 10), and the
     triangle inequality on sampled triples."""
-    name = "graph_invariants"
     rng = np.random.default_rng(ctx.seed)
     for gname, g in ctx.family_graphs():
         dist_rows = [gr.bfs_distances(g, s) for s in range(1, g.n + 1)]
         if any(d < 0 for d in dist_rows[0]):
-            return _fail(name, "graph not connected", {"graph": gname})
+            return _fail("graph not connected", {"graph": gname})
         if g.n <= 10:
             beta = gr.edge_expansion(g)
             oracle, _ = gr._min_cut_set(g)
             if abs(beta - oracle) > 1e-12:
-                return _fail(name, "edge expansion disagrees with subset oracle",
+                return _fail("edge expansion disagrees with subset oracle",
                              {"graph": gname, "fast": beta, "oracle": oracle})
         for _ in range(50):
             a, b, c = (int(v) for v in rng.integers(1, g.n + 1, size=3))
             if dist_rows[a - 1][c - 1] > dist_rows[a - 1][b - 1] + dist_rows[b - 1][c - 1]:
-                return _fail(name, "triangle inequality violated",
+                return _fail("triangle inequality violated",
                              {"graph": gname, "triple": [a, b, c]})
-    return _ok(name, f"{len(ctx.family_graphs())} generated graphs pass")
+    return _ok(f"{len(ctx.family_graphs())} generated graphs pass")
 
 
-def check_chain_construction(ctx: _Context) -> CheckResult:
+def check_chain_construction(ctx: _Context) -> Outcome:
     """Constructed chains are lazy, reversible, irreducible; stationary
     vectors match their closed forms and the generic solver."""
-    name = "chain_construction"
     for gname, kind, P in ctx.test_chains():
         flags = ch.check_properties(P)
         if not (flags.lazy and flags.irreducible and flags.reversible):
-            return _fail(name, "constructed chain missing a property",
+            return _fail("constructed chain missing a property",
                          {"graph": gname, "chain": kind, "flags": str(flags)})
         if np.diag(P.matrix).min() < 0.5 - 1e-12:
-            return _fail(name, "self-loop below 1/2",
+            return _fail("self-loop below 1/2",
                          {"graph": gname, "chain": kind})
         solved = ch._solve_stationary(P.matrix)
         if np.abs(solved - P.pi).max() > 1e-9:
-            return _fail(name, "stationary solve disagrees with closed form",
+            return _fail("stationary solve disagrees with closed form",
                          {"graph": gname, "chain": kind,
                           "error": float(np.abs(solved - P.pi).max())})
         if kind == "max-degree" and np.abs(P.pi - 1.0 / P.n).max() > 1e-12:
-            return _fail(name, "max-degree stationary not uniform",
+            return _fail("max-degree stationary not uniform",
                          {"graph": gname})
-    return _ok(name, f"{len(ctx.test_chains())} constructions validated")
+    return _ok(f"{len(ctx.test_chains())} constructions validated")
 
 
-def check_adversary_symmetry(ctx: _Context) -> CheckResult:
+def check_adversary_symmetry(ctx: _Context) -> Outcome:
     """The relation is exactly symmetric, zero on the diagonal, zero for
     equal bits, and zero when either walk is bad."""
-    name = "adversary_symmetry"
     pairs = 0
     for P, params in ctx.micro_systems():
         family = adv.enumerate_family(P, params)
@@ -508,81 +497,78 @@ def check_adversary_symmetry(ctx: _Context) -> CheckResult:
             pair = {"x": list(a.walk.vertices), "y": list(b.walk.vertices)}
             if message == "relation nonzero on the diagonal":
                 pair = {"x": pair["x"]}
-            return _fail(name, message, pair)
-    return _ok(name, f"{pairs} ordered pairs checked")
+            return _fail(message, pair)
+    return _ok(f"{pairs} ordered pairs checked")
 
 
-def check_adversary_ratio_floor(ctx: _Context) -> CheckResult:
+def check_adversary_ratio_floor(ctx: _Context) -> Outcome:
     """Random subsets of an enumerable family keep M(Z)/q(Z) above the
     theoretical floor."""
-    name = "adversary_ratio_floor"
     P, params = ctx.micro_systems()[1]  # K4 at default parameters
     result = adv.ratio_property_check(P, params, subsets=ctx.caps.ratio_subsets,
                                       seed=ctx.seed)
     if not result.passed:
-        return _fail(name, "subset ratio fell below the floor", result.to_json())
-    return _ok(name, f"min ratio {result.min_ratio:.4f} vs floor "
+        return _fail("subset ratio fell below the floor", asdict(result))
+    return _ok(f"min ratio {result.min_ratio:.4f} vs floor "
                      f"{result.threshold:.4f} over {result.subsets_checked} subsets")
 
 
-def check_adversary_exact_mc(ctx: _Context) -> CheckResult:
+def check_adversary_exact_mc(ctx: _Context) -> Outcome:
     """Monte Carlo estimates agree with exact enumeration within three
     standard errors on every enumerable configuration."""
-    name = "adversary_exact_mc"
     details = []
     for idx, (P, params) in enumerate(ctx.micro_systems()):
         exact = adv.exact_lower_bound(P, params)
         est = adv.estimate_lower_bound(P, params, samples=ctx.caps.mc_samples,
                                        seed=(ctx.seed, idx))
         if abs(est.M - exact.M) > 3.0 * est.std_error:
-            return _fail(name, "Monte Carlo M estimate disagrees with exact value",
+            return _fail("Monte Carlo M estimate disagrees with exact value",
                          {"n": P.n, "exact": exact.M, "estimate": est.M,
                           "std_error": est.std_error})
         if abs(est.q - exact.q) > 3.0 * est.q_std_error:
-            return _fail(name, "Monte Carlo q estimate disagrees with exact value",
+            return _fail("Monte Carlo q estimate disagrees with exact value",
                          {"n": P.n, "exact": exact.q, "estimate": est.q,
                           "std_error": est.q_std_error})
         details.append(f"n={P.n}: M within {abs(est.M - exact.M) / est.std_error:.2f} se")
-    return _ok(name, "; ".join(details))
+    return _ok("; ".join(details))
 
 
-def check_solver_invariants(ctx: _Context) -> CheckResult:
+def check_solver_invariants(ctx: _Context) -> Outcome:
     """All solvers land on the instance minimum, repeat deterministically
     under a fixed seed, reveal the hidden bit in decision mode, and respect
     the steepest-descent query budget."""
-    name = "solver_invariants"
     sample = ctx.instances()[:60]
     for inst in sample:
         g = inst.graph
         _, d_max, _ = gr.degree_stats(g)
         res = sv.steepest_descent(sv.search_oracle(inst), g, start=1)
         if res.vertex != inst.minimum:
-            return _fail(name, "steepest descent missed the minimum",
+            return _fail("steepest descent missed the minimum",
                          {"walk": list(inst.walk.vertices), "found": res.vertex})
         budget = 1 + res.moves * d_max + g.degree(res.vertex)
         if res.total_queries > budget:
-            return _fail(name, "steepest descent exceeded its query budget",
+            return _fail("steepest descent exceeded its query budget",
                          {"total": res.total_queries, "budget": budget})
         r1 = sv.warm_start_descent(sv.search_oracle(inst), g, seed=ctx.seed)
         r2 = sv.warm_start_descent(sv.search_oracle(inst), g, seed=ctx.seed)
         if r1 != r2 or r1.vertex != inst.minimum:
-            return _fail(name, "warm-start descent nondeterministic or wrong",
+            return _fail("warm-start descent nondeterministic or wrong",
                          {"first": r1.vertex, "second": r2.vertex,
                           "expected": inst.minimum})
         res = sv.exhaustive_search(sv.search_oracle(inst), g)
         if res.vertex != inst.minimum or res.distinct_queries != g.n:
-            return _fail(name, "exhaustive search malformed",
+            return _fail("exhaustive search malformed",
                          {"found": res.vertex, "distinct": res.distinct_queries})
         bit, _ = sv.solve_decision(inst)
         if bit != inst.bit:
-            return _fail(name, "decision mode failed to reveal the bit",
+            return _fail("decision mode failed to reveal the bit",
                          {"expected": inst.bit, "found": bit})
         tagged = [inst.decision_value(v)[1] for v in range(1, g.n + 1)
                   if v != inst.minimum]
         if any(t != -1 for t in tagged):
-            return _fail(name, "tag leaked outside the minimum",
+            return _fail("tag leaked outside the minimum",
                          {"walk": list(inst.walk.vertices)})
-    return _ok(name, f"{len(sample)} instances solved by all solvers")
+    return _ok(f"{len(sample)} instances solved by all solvers")
 
 
 # ---------------------------------------------------------------------------
@@ -630,4 +616,4 @@ def run_verify(suite: str = "all", checks: list[str] | None = None,
     else:
         raise InputError(f"unknown suite {suite!r}; known: {SUITES}")
     ctx = _Context(caps, seed)
-    return [CHECKS[name][1](ctx) for name in selected]
+    return [CheckResult(name, *CHECKS[name][1](ctx)) for name in selected]

@@ -225,6 +225,8 @@ def test_config_validation():
                          solvers=("nope",))
     with pytest.raises(InputError):
         ExperimentConfig(graph="cycle:5", chain="lazy-simple", seed=1, T=3)
+    with pytest.raises(InputError, match="out must be a string"):
+        ExperimentConfig(graph="cycle:5", chain="lazy-simple", seed=1, out=5)
 
 
 @pytest.mark.parametrize("caps", [{"mixing_steps": "abc"},
@@ -241,6 +243,53 @@ def test_bench_config_bad_cap_value(tmp_path, caps):
     assert out == ""
     assert err.startswith("input error: ")
     assert repr(name) in err
+
+
+_CONFIG = {"graph": "complete:9", "chain": "lazy-simple", "seed": 1, "trials": 1}
+
+
+@pytest.mark.parametrize("command,content", [
+    pytest.param("bench --config", "{bad json", id="config-not-json"),
+    pytest.param("bench --config", "[1, 2]", id="config-not-object"),
+    pytest.param("bench --config", json.dumps({**_CONFIG, "seed": "x"}), id="seed-string"),
+    pytest.param("bench --config", json.dumps({**_CONFIG, "T": "2", "L": "4"}),
+                 id="T-L-strings"),
+    pytest.param("bench --config", json.dumps({**_CONFIG, "caps": [1]}), id="caps-list"),
+    pytest.param("bench --config", json.dumps({**_CONFIG, "graph": 8}), id="graph-int"),
+    pytest.param("bench --config", json.dumps({**_CONFIG, "solvers": 5}), id="solvers-int"),
+    pytest.param("bench --config", None, id="config-directory"),
+    pytest.param("graph gen --graph", '{"n": 4, "edges": [[1, 2]', id="graph-truncated"),
+    pytest.param("graph gen --graph", '{"n": 4, "edges": [["a", 1]]}', id="edge-string"),
+    pytest.param("graph gen --graph", '{"n": 4, "edges": 5}', id="edges-int"),
+    pytest.param("chain build --graph cycle:4 --chain", '{"n": 4, "rows": ',
+                 id="chain-truncated"),
+])
+def test_malformed_input_file_is_an_input_error(tmp_path, command, content):
+    path = tmp_path / "input.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_text(content)
+    code, out, err = run_cli(*command.split(), str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("input error")
+    assert "Traceback" not in err
+
+
+def test_unwritable_out_path_is_an_input_error(tmp_path):
+    code, out, err = run_cli("graph", "gen", "--graph", "cycle:4", "--out", str(tmp_path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("input error: ") and str(tmp_path) in err
+    assert "Traceback" not in err
+
+
+def test_missing_input_file_message(tmp_path):
+    path = tmp_path / "absent.json"
+    code, _, err = run_cli("bench", "--config", str(path))
+    assert code == 1
+    assert err == f"input error: [Errno 2] No such file or directory: '{path}'\n"
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import itertools
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -114,6 +115,20 @@ def test_generator_invariants():
             for u in g.neighbors(v):
                 assert v in g.neighbors(u)
             assert g.neighbors(v) == tuple(sorted(g.neighbors(v)))
+
+
+def test_start_distances_match_bfs():
+    graphs = [
+        mb.cycle_graph(9), mb.path_graph(5), mb.complete_graph(6),
+        mb.hypercube_graph(4), mb.torus_graph(3, 4), mb.barbell_graph(6),
+        mb.random_regular_graph(10, 3, seed=3),
+    ]
+    for g in graphs:
+        expected = tuple(mb.bfs_distances(g, 1))
+        assert g.start_distances == expected
+        assert mb.graph_from_json(mb.graph_to_json(g)).start_distances == expected
+        flipped = replace(g, vertex_transitive=not g.vertex_transitive)
+        assert flipped.start_distances == expected
 
 
 def test_triangle_inequality_sampled():

@@ -195,9 +195,44 @@ def test_instance_walk_must_start_at_one(k3_chain, k3_params):
 # Validity and local minima
 # ---------------------------------------------------------------------------
 
-def test_sampled_instances_are_valid(k3_chain, k3_params):
-    for seed in range(30):
-        inst = mb.sample_instance(k3_chain, k3_params, seed)
+def test_sampled_instances_are_valid():
+    # (graph, chain, T, L); None takes the default parameters. On cycle:5
+    # a walk of 21 positions revisits vertices, so last occurrence decides.
+    sweep = [
+        ("complete:3", "lazy-simple", 1, 2),
+        ("cycle:5", "lazy-simple", 5, 20),
+        ("path:6", "max-degree", 3, 9),
+        ("barbell:10", "metropolis", None, None),
+        ("hypercube:3", "lazy-simple", None, None),
+    ]
+    for spec, kind, T, L in sweep:
+        P = mb.build_chain(mb.graph_from_spec(spec), kind)
+        params = mb.default_params(P) if T is None else mb.custom_params(P, T=T, L=L)
+        for seed in range(30):
+            inst = mb.sample_instance(P, params, seed)
+            assert mb.is_valid_value_function(inst.graph, inst.walk, inst.value)
+            if spec == "cycle:5":
+                assert len(set(inst.walk.vertices)) < len(inst.walk.vertices)
+
+
+@pytest.mark.parametrize("spec,kind", [("hypercube:6", "lazy-simple"),
+                                       ("random-regular:64,4", "metropolis")])
+def test_instance_values_need_no_bfs(monkeypatch, spec, kind):
+    P = mb.build_chain(mb.graph_from_spec(spec, seed=5), kind)
+    params = mb.default_params(P)
+
+    def no_bfs(g, source):
+        raise AssertionError("instance values must come from the graph's stored distances")
+
+    monkeypatch.setattr(mb.staircase, "bfs_distances", no_bfs)
+    insts = [mb.sample_instance(P, params, seed) for seed in range(5)]
+    for inst in insts:
+        values = [inst.value(v) for v in range(1, P.n + 1)]
+        doc = mb.instance_to_json(inst, spec, kind, reveal=True)
+        assert doc["f_values"] == values
+        assert values[inst.minimum - 1] == -params.L
+    monkeypatch.undo()
+    for inst in insts:
         assert mb.is_valid_value_function(inst.graph, inst.walk, inst.value)
 
 
@@ -276,6 +311,15 @@ def test_instance_json_roundtrip(tmp_path):
     assert back.walk.vertices == inst.walk.vertices
     assert back.bit == inst.bit
     assert back.params.T == inst.params.T
+
+
+def test_load_instance_malformed_file(tmp_path):
+    path = tmp_path / "inst.json"
+    path.write_text('{"graph": "complete:3", ')
+    with pytest.raises(InputError, match="not valid JSON"):
+        mb.staircase.load_instance(str(path))
+    with pytest.raises(InputError, match="No such file"):
+        mb.staircase.load_instance(str(tmp_path / "absent.json"))
 
 
 def test_instance_json_reveal(k3_chain, k3_params):

@@ -129,8 +129,8 @@ def test_symmetry_catches_faulty_relation(monkeypatch, faulty_pairs, shift,
 
 
 def test_context_params_cache_keeps_chain_alive():
-    # the cache is keyed by id(P); a dropped chain whose id were reused
-    # would hand its (T, L) to a different chain
+    # the cache is keyed by the chain itself, which hashes by identity; the
+    # key holds the chain, so its (T, L) can never pass to a later chain
     ctx = _Context(VerifyCaps(), seed=0)
     P = ch.lazy_simple_walk(gr.complete_graph(5))
     params = ctx.default_params(P)
