@@ -522,8 +522,7 @@ def milestone_escape_estimates(P: TransitionMatrix, params: StaircaseParams,
 # Constructive witness
 # ---------------------------------------------------------------------------
 
-def witness_pair(P: TransitionMatrix, params: StaircaseParams,
-                 expansion_cap: int = WITNESS_EXPANSION_CAP) -> FunctionFamily:
+def witness_pair(P: TransitionMatrix, params: StaircaseParams) -> FunctionFamily:
     """Two good walks that share their head through the next-to-last
     milestone, end at distinct vertices, and carry opposite bits: a
     two-element family with positive distinguishing mass."""
@@ -560,9 +559,9 @@ def witness_pair(P: TransitionMatrix, params: StaircaseParams,
             if cand in stones:
                 continue
             expansions += 1
-            if expansions > expansion_cap:
+            if expansions > WITNESS_EXPANSION_CAP:
                 raise CapabilityError(
-                    f"witness search exceeded {expansion_cap} expansions")
+                    f"witness search exceeded {WITNESS_EXPANSION_CAP} expansions")
             result = extend(stones + [cand])
             if result is not None:
                 return result

@@ -60,12 +60,14 @@ def bound_context(P: ch.TransitionMatrix, params: st.StaircaseParams,
                   expansion_cap: int,
                   mixing_cap: int = DEFAULT_CAPS["mixing_steps"]) -> dict[str, float]:
     """Bound shapes for the chain; brute-force quantities are skipped
-    above their cap and non-reversible chains skip the spectral shapes."""
+    above their cap and non-reversible chains skip the spectral shapes.
+    Custom params need t_mix at eps = sigma/(2n), so a chain too
+    heterogeneous for that eps raises CapabilityError."""
     sigma = params.sigma
     if params.is_default:
         t_default = params.T
     else:
-        t_default = ch.mixing_time(P, sigma / (2 * P.n), cap=mixing_cap)
+        t_default = ch.mixing_time(P, st.default_eps(P.n, sigma), cap=mixing_cap)
     lambda2 = None
     if P.flags.reversible:
         lambda2, _ = ch.spectral_gap(P)

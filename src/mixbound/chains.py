@@ -362,87 +362,70 @@ def worst_case_tv(P: TransitionMatrix, t: int) -> float:
 
 
 def _tv_from_pi(power: np.ndarray, pi: np.ndarray) -> float:
-    return float(0.5 * np.abs(power - pi[None, :]).sum(axis=1).max())
+    """Largest TV distance to pi over the rows of power, a 2-D block of
+    start rows or one 1-D row."""
+    return float(0.5 * np.abs(power - pi).sum(axis=-1).max())
 
 
 def mixing_time(P: TransitionMatrix, eps: float,
                 cap: int = DEFAULT_CAPS["mixing_steps"],
                 method: str = "doubling") -> int:
     """Smallest t with worst-case TV distance to stationarity at most eps.
+    A mixing time above cap raises CapabilityError under either method.
 
-    The worst-case TV distance is nonincreasing in t, so the default finds
-    the threshold by doubling then binary search on matrix powers. The
-    "linear" method scans t = 0, 1, 2, ... on the full matrix and exists
-    as an independent cross-check.
+    The worst-case TV distance is nonincreasing in t, so the default
+    squares the dense matrix until P^(2^K) is within eps, then lifts: for
+    k = K-1 down to 0 it multiplies the running power by P^(2^k) and
+    keeps the product while its TV stays above eps. The running exponent
+    ends one step short of the threshold. The "linear" method scans
+    t = 0, 1, 2, ... with all n starts on the full matrix and exists as an
+    independent cross-check.
 
     For a chain marked `vertex_transitive` (the lazy simple and max-degree
     walks on cycle, complete, hypercube and torus graphs) the default
-    instead propagates the single row of vertex 1 through the sparse
-    `in_neighbours` table, O(nnz) per step, and stops at the first t with
-    TV <= eps. That is exact, not an approximation: an automorphism
-    mapping u to w and preserving the chain carries the t-step law from u
-    onto the one from w and fixes the stationary distribution, so every
-    start is at the same TV distance (Levin, Peres and Wilmer, Markov
-    Chains and Mixing Times, ch. 4).
+    instead runs that scan on the single row of vertex 1 through the
+    sparse `in_neighbours` table, O(nnz) per step. That is exact, not an
+    approximation: an automorphism mapping u to w and preserving the chain
+    carries the t-step law from u onto the one from w and fixes the
+    stationary distribution, so every start is at the same TV distance
+    (Levin, Peres and Wilmer, Markov Chains and Mixing Times, ch. 4).
     """
     if not 0 < eps < 0.5:
         raise InputError(f"eps must lie in (0, 1/2), got {eps}")
+    if method not in ("doubling", "linear"):
+        raise InputError(f"unknown mixing time method {method!r}")
     if not P.flags.irreducible:
         raise CapabilityError("mixing time requires an irreducible chain")
     pi = P._pi_or_raise()
-    if method == "linear":
-        power = np.eye(P.n)
+    over_cap = CapabilityError(f"mixing time exceeds cap {cap} at eps={eps}")
+    if method == "linear" or P.vertex_transitive:
+        # All n start rows, or vertex 1's row kept one-dimensional: a
+        # (1, n) row steps through the table markedly slower.
+        x = np.eye(P.n) if method == "linear" else np.eye(1, P.n)[0]
+        index, weight = P.in_neighbours
         for t in range(cap + 1):
-            if _tv_from_pi(power, pi) <= eps:
+            if _tv_from_pi(x, pi) <= eps:
                 return t
-            power = power @ P.matrix
-        raise CapabilityError(f"mixing time exceeds cap {cap} at eps={eps}")
-    if method != "doubling":
-        raise InputError(f"unknown mixing time method {method!r}")
-    if P.vertex_transitive:
-        return _single_start_mixing_time(P, pi, eps, cap)
+            x = x @ P.matrix if x.ndim == 2 else (x[index] * weight).sum(axis=1)
+        raise over_cap
 
-    if _tv_from_pi(np.eye(P.n), pi) <= eps:
-        return 0
-    # Doubling phase: squares[k] = P^(2^k).
-    squares = [P.matrix]
-    t = 1
+    # TV(P^0) = 1 - min pi >= 1/2 > eps, since n >= 2.
+    squares = [P.matrix]  # squares[k] = P^(2^k)
     while _tv_from_pi(squares[-1], pi) > eps:
-        if t >= cap:
-            raise CapabilityError(f"mixing time exceeds cap {cap} at eps={eps}")
+        if 1 << (len(squares) - 1) >= cap:
+            raise over_cap
         squares.append(squares[-1] @ squares[-1])
-        t *= 2
-    lo, hi = t // 2, t  # tv(lo) > eps >= tv(hi)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _tv_from_pi(_matrix_power(squares, mid), pi) <= eps:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def _single_start_mixing_time(P: TransitionMatrix, pi: np.ndarray, eps: float,
-                              cap: int) -> int:
-    index, weight = P.in_neighbours
-    row = np.zeros(P.n)
-    row[0] = 1.0
-    for t in range(cap + 1):
-        if 0.5 * np.abs(row - pi).sum() <= eps:
-            return t
-        row = (row[index] * weight).sum(axis=1)
-    raise CapabilityError(f"mixing time exceeds cap {cap} at eps={eps}")
-
-
-def _matrix_power(squares: list[np.ndarray], t: int) -> np.ndarray:
-    result = None
-    for k, square in enumerate(squares):
-        if t & (1 << k):
-            result = square if result is None else result @ square
-    if result is None:
-        n = squares[0].shape[0]
-        return np.eye(n)
-    return result
+    squares.pop()  # P^(2^K), the first square within eps
+    # Lift t from 2^(K-1), or 0, to the largest exponent still above eps.
+    t = (1 << len(squares)) >> 1
+    power = squares.pop() if squares else None
+    for k in reversed(range(len(squares))):
+        lifted = power @ squares.pop()
+        if _tv_from_pi(lifted, pi) > eps:
+            t, power = t + (1 << k), lifted
+    if t + 1 > cap:
+        raise over_cap
+    return t + 1
 
 
 def spectral_gap(P: TransitionMatrix) -> tuple[float, float]:

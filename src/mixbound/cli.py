@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 
 from . import chains as ch
 from . import graphs as gr
@@ -123,7 +123,7 @@ def _cmd_bench(args) -> int:
     if args.config:
         config = ExperimentConfig.from_dict(read_json(args.config))
         if args.out:
-            config = ExperimentConfig.from_dict({**config.to_dict(), "out": args.out})
+            config = replace(config, out=args.out)
     else:
         if args.graph is None or args.seed is None:
             raise InputError("bench needs --config or --graph plus --seed")

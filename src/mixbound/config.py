@@ -1,9 +1,10 @@
 """Experiment configuration: one JSON document driving graph, chain,
-parameter, solver, and cap choices. Round-trips losslessly."""
+parameter, solver, and cap choices. Round-trips losslessly; a key that
+names no field is refused."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 from .errors import DEFAULT_CAPS, InputError
 from .solvers import SOLVER_NAMES
@@ -60,39 +61,25 @@ class ExperimentConfig:
         return self.caps.get(name, DEFAULT_CAPS[name])
 
     def to_dict(self) -> dict:
-        return {
-            "graph": self.graph,
-            "chain": self.chain,
-            "seed": self.seed,
-            "trials": self.trials,
-            "solvers": list(self.solvers),
-            "T": self.T,
-            "L": self.L,
-            "out": self.out,
-            "format": self.format,
-            "caps": dict(self.caps),
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
+        """Config from a JSON object; unknown keys are an input error."""
         if not isinstance(doc, dict):
             raise InputError(f"config must be a JSON object, got {doc!r}")
+        known = fields(cls)
+        unknown = sorted(set(doc) - {f.name for f in known})
+        if unknown:
+            raise InputError(f"unknown config keys: {unknown}")
         if not isinstance(doc.get("caps", {}), dict):
             raise InputError(f"caps must be an object, got {doc['caps']!r}")
         if not isinstance(doc.get("solvers", []), (list, tuple)):
             raise InputError(f"solvers must be a list, got {doc['solvers']!r}")
-        try:
-            return cls(
-                graph=doc["graph"],
-                chain=doc["chain"],
-                seed=doc["seed"],
-                trials=doc.get("trials", 10),
-                solvers=tuple(doc.get("solvers", SOLVER_NAMES)),
-                T=doc.get("T"),
-                L=doc.get("L"),
-                out=doc.get("out"),
-                format=doc.get("format", "csv"),
-                caps={**DEFAULT_CAPS, **doc.get("caps", {})},
-            )
-        except KeyError as exc:
-            raise InputError(f"config is missing required field {exc}") from exc
+        for f in known:
+            if f.name not in doc and f.default is MISSING and f.default_factory is MISSING:
+                raise InputError(f"config is missing required field {f.name!r}")
+        doc = {**doc, "caps": {**DEFAULT_CAPS, **doc.get("caps", {})}}
+        if "solvers" in doc:
+            doc["solvers"] = tuple(doc["solvers"])
+        return cls(**doc)

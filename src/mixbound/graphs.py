@@ -210,8 +210,7 @@ def barbell_graph(n: int) -> Graph:
     return make_graph(n, edges)
 
 
-def random_regular_graph(n: int, d: int, seed,
-                         retry_cap: int = RANDOM_REGULAR_RETRY_CAP) -> Graph:
+def random_regular_graph(n: int, d: int, seed) -> Graph:
     """Seeded d-regular graph via stub pairing, rejected until simple and
     connected."""
     if d < 1 or d >= n:
@@ -220,7 +219,7 @@ def random_regular_graph(n: int, d: int, seed,
         raise InputError(f"n*d must be even, got n={n}, d={d}")
     rng = np.random.default_rng(seed)
     stubs = np.repeat(np.arange(1, n + 1), d)
-    for _ in range(retry_cap):
+    for _ in range(RANDOM_REGULAR_RETRY_CAP):
         perm = rng.permutation(stubs)
         pairs = perm.reshape(-1, 2)
         edges = set()
@@ -239,7 +238,7 @@ def random_regular_graph(n: int, d: int, seed,
             continue  # disconnected; retry
     raise CapabilityError(
         f"no simple connected {d}-regular graph on {n} vertices found "
-        f"in {retry_cap} pairing attempts")
+        f"in {RANDOM_REGULAR_RETRY_CAP} pairing attempts")
 
 
 # Spec family -> (constructor, separator of its two integer sizes, or None

@@ -127,24 +127,22 @@ SOLVER_NAMES = ("steepest", "warm-start", "exhaustive")
 
 
 def run_solver(name: str, oracle: CountingOracle, g: Graph, *,
-               start: int = 1, samples: int | None = None, seed=None) -> SolverResult:
+               start: int = 1, seed=None) -> SolverResult:
     if name == "steepest":
         return steepest_descent(oracle, g, start)
     if name == "warm-start":
-        return warm_start_descent(oracle, g, m=samples, seed=seed)
+        return warm_start_descent(oracle, g, seed=seed)
     if name == "exhaustive":
         return exhaustive_search(oracle, g)
     raise InputError(f"unknown solver {name!r}; expected one of {SOLVER_NAMES}")
 
 
 def solve_decision(inst: StaircaseInstance, solver: str = "steepest", *,
-                   start: int = 1, samples: int | None = None,
                    seed=None) -> tuple[int, SolverResult]:
     """Recover the hidden bit: solve the search problem against the tagged
     oracle, then read the tag at the minimum (already memoized, so this
     costs no extra query)."""
     oracle = decision_oracle(inst)
-    result = run_solver(solver, oracle, inst.graph, start=start,
-                        samples=samples, seed=seed)
+    result = run_solver(solver, oracle, inst.graph, seed=seed)
     _, tag = oracle.memo[result.vertex]
     return tag, result

@@ -71,14 +71,21 @@ def default_params(P: TransitionMatrix,
             f"default parameters need a lazy irreducible reversible chain, got {flags}")
     sigma = stationary_ratio(P)
     n = P.n
-    eps = sigma / (2 * n)
-    if eps >= 0.5:
-        raise CapabilityError(
-            f"eps = sigma/(2n) = {eps:.4g} >= 1/2; chain too heterogeneous for n={n}")
+    eps = default_eps(n, sigma)
     _warn_if_vacuous(n, sigma)
     T = max(mixing_time(P, eps, cap=mixing_cap), 1)
     m = math.isqrt(n)
     return StaircaseParams(T=T, L=m * T, m=m, n=n, sigma=sigma, is_default=True)
+
+
+def default_eps(n: int, sigma: float) -> float:
+    """eps = sigma/(2n), the accuracy at which the default T is the mixing
+    time; a chain with eps >= 1/2 is refused with CapabilityError."""
+    eps = sigma / (2 * n)
+    if eps >= 0.5:
+        raise CapabilityError(
+            f"eps = sigma/(2n) = {eps:.4g} >= 1/2; chain too heterogeneous for n={n}")
+    return eps
 
 
 def custom_params(P: TransitionMatrix, T: int, L: int) -> StaircaseParams:

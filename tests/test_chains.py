@@ -204,9 +204,12 @@ def test_mixing_time_cycle_matches_scan_oracle():
 
 @pytest.mark.parametrize("eps", [0.4, 0.125, 0.03, 1 / 64])
 def test_mixing_time_methods_agree(eps):
+    regular = mb.random_regular_graph(32, 4, seed=0)
     for P in (mb.lazy_simple_walk(mb.barbell_graph(8)),
               mb.max_degree_walk(mb.path_graph(6)),
-              mb.lazy_simple_walk(mb.torus_graph(3, 3))):
+              mb.lazy_simple_walk(mb.torus_graph(3, 3)),
+              *(mb.build_chain(regular, kind)
+                for kind in ("lazy-simple", "metropolis", "max-degree"))):
         assert mb.mixing_time(P, eps) == mb.mixing_time(P, eps, method="linear")
 
 
@@ -259,6 +262,33 @@ def test_mixing_time_cap():
     P = mb.lazy_simple_walk(mb.cycle_graph(12))
     with pytest.raises(CapabilityError, match="cap"):
         mb.mixing_time(P, 0.01, cap=2)
+
+
+@pytest.mark.parametrize("graph,t", [(mb.path_graph(12), 125),
+                                     (mb.barbell_graph(10), 64),
+                                     (mb.cycle_graph(9), 21)])
+@pytest.mark.parametrize("method", ["doubling", "linear"])
+def test_mixing_time_cap_holds_for_every_method(graph, t, method):
+    # path:12 needs t = 125 at eps 0.05: the search's last square is
+    # P^128, past a cap of 124, yet the threshold itself is what counts
+    P = mb.lazy_simple_walk(graph)
+    with pytest.raises(CapabilityError,
+                       match=rf"^mixing time exceeds cap {t - 1} at eps=0.05$"):
+        mb.mixing_time(P, 0.05, cap=t - 1, method=method)
+    assert mb.mixing_time(P, 0.05, cap=t, method=method) == t
+
+
+@pytest.mark.parametrize("spec,seed,kind,at_default,at_005", [
+    ("random-regular:256,4", 0, "lazy-simple", 84, 41),
+    ("random-regular:64,4", 5, "metropolis", 48, 30),
+    ("barbell:30", None, "lazy-simple", 791, 547),
+    ("path:12", None, "max-degree", 159, 148),
+])
+def test_mixing_time_golden(spec, seed, kind, at_default, at_005):
+    P = mb.build_chain(mb.graph_from_spec(spec, seed=seed), kind)
+    eps = mb.stationary_ratio(P) / (2 * P.n)
+    assert mb.mixing_time(P, eps) == at_default
+    assert mb.mixing_time(P, 0.05) == at_005
 
 
 # ---------------------------------------------------------------------------

@@ -277,6 +277,18 @@ def test_malformed_input_file_is_an_input_error(tmp_path, command, content):
     assert "Traceback" not in err
 
 
+def test_bench_config_unknown_key_is_an_input_error(tmp_path):
+    # "trails" once ran the default 10 trials of every solver and exited 0
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"graph": "cycle:8", "chain": "lazy-simple",
+                                    "seed": 1, "trails": 3,
+                                    "solver": ["steepest"]}))
+    code, out, err = run_cli("bench", "--config", str(cfg_path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("input error") and "trails" in err
+
+
 def test_unwritable_out_path_is_an_input_error(tmp_path):
     code, out, err = run_cli("graph", "gen", "--graph", "cycle:4", "--out", str(tmp_path))
     assert code == 1
@@ -310,6 +322,28 @@ def test_bound_from_graph():
     doc = json.loads(out)
     assert doc["inputs"]["n"] == 16
     assert set(doc["values"]) >= {"mixing", "spectral", "expansion"}
+
+
+# sigma = 180, so eps = sigma/(2n) = 30 leaves no default mixing time
+_HETEROGENEOUS_CHAIN = {"n": 3, "rows": [[0.975, 0.025, 0.0], [0.45, 0.5, 0.05],
+                                         [0.0, 0.5, 0.5]]}
+
+
+def test_heterogeneous_chain_with_explicit_T_L(tmp_path):
+    chain = tmp_path / "chain.json"
+    chain.write_text(json.dumps(_HETEROGENEOUS_CHAIN))
+    code, out, err = run_cli("bench", "--graph", "path:3", "--chain", str(chain),
+                             "--T", "1", "--L", "2", "--trials", "2", "--seed", "1")
+    assert code == 0
+    assert out.splitlines()[0] == "seed,solver,n,distinct,total,found_vertex,correct,error"
+    assert len(out.splitlines()) == 1 + 2 * 3
+    assert json.loads(err)["bounds"] == {}
+    code, out, err = run_cli("bound", "--graph", "path:3", "--chain", str(chain),
+                             "--T", "1", "--L", "2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("capability error: eps = sigma/(2n) = 30 >= 1/2")
+    assert "eps must lie in" not in err
 
 
 def test_bound_missing_inputs():
