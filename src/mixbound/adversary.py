@@ -22,8 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chains import TransitionMatrix, Walk, _bfs, make_walk, walk_probability
+from .chains import TransitionMatrix, Walk, make_walk, walk_probability
 from .errors import DEFAULT_CAPS, CapabilityError, InputError
+from .graphs import _bfs
 from .staircase import (
     StaircaseInstance,
     StaircaseParams,
@@ -530,11 +531,12 @@ def witness_pair(P: TransitionMatrix, params: StaircaseParams) -> FunctionFamily
         raise CapabilityError("witness construction requires a lazy chain")
     T, m = params.T, params.m
     index = P.sampling_table[0]
+    indptr = index.shape[1] * np.arange(P.n + 1)
 
     @functools.cache
     def search(u: int) -> tuple[list[int], np.ndarray]:
         # on a lazy chain, reachable in exactly T steps = within T hops
-        dist, parent = _bfs(index, u - 1, depth=T)
+        dist, parent = _bfs(indptr, index.ravel(), u - 1, depth=T)
         return (np.flatnonzero(dist >= 0) + 1).tolist(), parent
 
     def segment(u: int, w: int) -> list[int]:

@@ -9,13 +9,12 @@ validated and frozen at construction and safe to share between threads.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DEFAULT_CAPS, CapabilityError, InputError, read_json
-from .graphs import Graph, _check_vertex, make_graph
+from .errors import DEFAULT_CAPS, CapabilityError, InputError, json_integer, read_json
+from .graphs import Graph, _bfs, _check_vertex, make_graph
 
 ROW_SUM_TOL = 1e-12
 STATIONARY_TOL = 1e-10
@@ -114,33 +113,6 @@ def _slots(row: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     is row r's length."""
     counts = np.bincount(row, minlength=n)
     return np.arange(row.size) - np.repeat(np.cumsum(counts) - counts, counts), counts
-
-
-def _bfs(index: np.ndarray, source: int, real: np.ndarray | None = None,
-         depth: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """(hop distance, BFS parent) of every vertex from the 0-based source
-    over a padded neighbour table, -1 where unreached or past `depth` hops.
-    `real` marks the slots that are edges; None suits only padding that
-    repeats a real neighbour, as in `sampling_table`. The frontier keeps
-    discovery order, so a parent is the first frontier vertex listing it."""
-    dist = np.full(index.shape[0], -1)
-    parent = dist.copy()
-    dist[source] = 0
-    frontier = np.array([source])
-    hops = 0
-    while frontier.size and (depth is None or hops < depth):
-        hops += 1
-        nbrs = index[frontier]
-        keep = dist[nbrs] < 0
-        if real is not None:
-            keep &= real[frontier]
-        rows, cols = np.nonzero(keep)
-        found = nbrs[rows, cols]
-        first = np.sort(np.unique(found, return_index=True)[1])
-        parent[found[first]] = frontier[rows[first]]
-        frontier = found[first]
-        dist[frontier] = hops
-    return dist, parent
 
 
 @dataclass(frozen=True)
@@ -259,8 +231,11 @@ def _irreducible(tables) -> bool:
     """Whether vertex 1 reaches and is reached from every vertex, read from
     the chain's (sampling_table, in_neighbours)."""
     (out_index, _), (in_index, in_weight) = tables
-    return bool(np.all(_bfs(out_index, 0)[0] >= 0)
-                and np.all(_bfs(in_index, 0, real=in_weight > 0.0)[0] >= 0))
+    n, width = out_index.shape
+    real = in_weight > 0.0  # a prefix of each row
+    in_indptr = np.concatenate(([0], np.cumsum(real.sum(axis=1))))
+    return bool(np.all(_bfs(width * np.arange(n + 1), out_index.ravel(), 0)[0] >= 0)
+                and np.all(_bfs(in_indptr, in_index[real], 0)[0] >= 0))
 
 
 def _solve_stationary(m: np.ndarray) -> np.ndarray:
@@ -279,10 +254,8 @@ def _solve_stationary(m: np.ndarray) -> np.ndarray:
 def _edge_entries(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(src, dst, degrees): the 0-based ends of g's directed edges in
     row-major order, and every vertex's degree."""
-    degrees = np.array([len(a) for a in g.adjacency])
-    src = np.repeat(np.arange(g.n), degrees)
-    dst = np.fromiter(itertools.chain.from_iterable(g.adjacency), np.intp) - 1
-    return src, dst, degrees
+    degrees = np.diff(g.indptr)
+    return np.repeat(np.arange(g.n), degrees), g.indices, degrees
 
 
 def lazy_simple_walk(g: Graph) -> TransitionMatrix:
@@ -291,7 +264,7 @@ def lazy_simple_walk(g: Graph) -> TransitionMatrix:
     m = np.zeros((g.n, g.n))
     m[src, dst] = 0.5 / degrees[src]
     np.fill_diagonal(m, 0.5)
-    pi = degrees / (2 * len(g.edges))
+    pi = degrees / g.indices.size
     return _make_chain(g, m, pi, "lazy-simple", g.vertex_transitive)
 
 
@@ -570,15 +543,14 @@ def chain_from_json(doc: dict, graph: Graph | None = None) -> TransitionMatrix:
     """Parse {"n": int, "rows": [[p,...],...], "pi": [p,...]?}. Without an
     explicit graph, the edge set is inferred from the support."""
     try:
-        n = int(doc["n"])
+        n = json_integer(doc["n"])
         rows = np.array(doc["rows"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed chain document: {exc}") from exc
     if graph is None:
         if rows.shape != (n, n):
             raise InputError(f"rows shape {rows.shape} does not match n={n}")
-        ends = np.nonzero(np.triu((rows > 0.0) | (rows.T > 0.0), 1))
-        graph = make_graph(n, zip(ends[0] + 1, ends[1] + 1))
+        graph = make_graph(n, np.argwhere(np.triu((rows > 0.0) | (rows.T > 0.0), 1)) + 1)
     return make_chain(graph, rows, pi=doc.get("pi"))
 
 

@@ -1,5 +1,5 @@
-"""Error and warning types shared across the package, and the one reader
-of JSON input files.
+"""Error and warning types shared across the package, the one reader of
+JSON input files, and the integer check for the numbers in them.
 
 The CLI maps these onto exit codes: InputError -> 1, CapabilityError -> 2.
 """
@@ -30,6 +30,14 @@ def read_json(path: str):
         raise InputError(str(exc)) from exc
     except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
+
+
+def json_integer(value) -> int:
+    """value itself if it is an integer; a float, bool or string read from
+    a JSON document raises TypeError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
 
 
 class CapabilityError(RuntimeError):

@@ -9,44 +9,65 @@ throughout the package because instance walks start at vertex 1.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DEFAULT_CAPS, CapabilityError, InputError, read_json
+from .errors import DEFAULT_CAPS, CapabilityError, InputError, json_integer, read_json
 
 RANDOM_REGULAR_RETRY_CAP = 1000
+# Most undirected edges a generator may build; a larger spec is refused
+# before any array exists.
+MAX_EDGES = 1 << 25
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Connected simple undirected graph on vertices 1..n.
+    """Connected simple undirected graph on vertices 1..n, stored as a
+    read-only CSR index: the 0-based neighbours of vertex v are
+    ``indices[indptr[v-1]:indptr[v]]``, sorted within each row.
 
     ``start_distances`` holds the hop count from vertex 1 to every vertex,
     kept from the connectivity check of `make_graph`.
     ``vertex_transitive`` is set only by the generators of families whose
     automorphism group moves any vertex to any other (cycle, complete,
-    hypercube, torus). Neither field takes part in equality or is written
-    to JSON, so a parsed graph is never marked transitive.
+    hypercube, torus). Equality and the hash read n and the index alone,
+    and only n and the edges are written to JSON, so a parsed graph
+    equals the generated one but is never marked transitive.
     """
 
     n: int
-    edges: frozenset[tuple[int, int]]
-    adjacency: tuple[tuple[int, ...], ...] = field(repr=False)
-    start_distances: tuple[int, ...] = field(repr=False, compare=False)
-    vertex_transitive: bool = field(default=False, repr=False, compare=False)
+    indptr: np.ndarray = field(repr=False)
+    indices: np.ndarray = field(repr=False)
+    start_distances: np.ndarray = field(repr=False)
+    vertex_transitive: bool = field(default=False, repr=False)
+
+    def __eq__(self, other):
+        return (isinstance(other, Graph) and self.n == other.n
+                and np.array_equal(self.indptr, other.indptr)
+                and np.array_equal(self.indices, other.indices))
+
+    def __hash__(self):
+        return hash((self.n, self.indptr.tobytes(), self.indices.tobytes()))
+
+    @property
+    def edges(self) -> np.ndarray:
+        """Read-only (m, 2) array of the 1-based edges u < v, sorted."""
+        src = np.repeat(np.arange(1, self.n + 1), np.diff(self.indptr))
+        edges = np.column_stack((src, self.indices + 1))[src <= self.indices]
+        edges.setflags(write=False)
+        return edges
 
     def degree(self, v: int) -> int:
         _check_vertex(self, v)
-        return len(self.adjacency[v - 1])
+        return int(self.indptr[v] - self.indptr[v - 1])
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         _check_vertex(self, v)
-        return self.adjacency[v - 1]
+        return tuple((self.indices[self.indptr[v - 1]:self.indptr[v]] + 1).tolist())
 
     def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edges
+        return 1 <= u <= self.n and v in self.neighbors(u)
 
 
 def _check_vertex(g: Graph, v: int) -> None:
@@ -55,57 +76,86 @@ def _check_vertex(g: Graph, v: int) -> None:
 
 
 def make_graph(n: int, edges) -> Graph:
-    """Build a Graph, validating simplicity and connectivity."""
+    """Build a Graph from 1-based (u, v) pairs, validating simplicity and
+    connectivity. The first bad pair in input order is reported: an end
+    outside 1..n, then a self-loop, then the second occurrence of a pair."""
     if n < 2:
         raise InputError(f"graph needs at least 2 vertices, got n={n}")
-    norm = set()
-    for e in edges:
-        u, v = int(e[0]), int(e[1])
-        if not (1 <= u <= n and 1 <= v <= n):
-            raise InputError(f"edge ({u},{v}) has endpoint outside 1..{n}")
-        if u == v:
-            raise InputError(f"self-loop at vertex {u} not allowed")
-        key = (min(u, v), max(u, v))
-        if key in norm:
-            raise InputError(f"duplicate edge ({key[0]},{key[1]})")
-        norm.add(key)
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in norm:
-        adj[u - 1].append(v)
-        adj[v - 1].append(u)
-    adjacency = tuple(tuple(sorted(a)) for a in adj)
-    dist = _distances_from(adjacency, 1)
-    if any(d < 0 for d in dist):
+    ends = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges),
+                      dtype=np.int64).reshape(-1, 2)
+    u, v = ends.T
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    outside = (lo < 1) | (hi > n)
+    # Distinct in-range pairs get distinct keys; a false repeat needs an
+    # earlier out-of-range pair, which is then the one reported.
+    key = lo * (n + 2) + hi
+    repeated = np.ones(key.size, dtype=bool)
+    repeated[np.unique(key, return_index=True)[1]] = False  # first occurrences
+    bad = np.flatnonzero(outside | (lo == hi) | repeated)
+    if bad.size:
+        i = bad[0]
+        if outside[i]:
+            raise InputError(f"edge ({u[i]},{v[i]}) has endpoint outside 1..{n}")
+        if lo[i] == hi[i]:
+            raise InputError(f"self-loop at vertex {u[i]} not allowed")
+        raise InputError(f"duplicate edge ({lo[i]},{hi[i]})")
+    del outside, key, repeated  # frees memory before the CSR build
+    # 0-based u * n + v of both directions, sorted row-major
+    directed = np.concatenate((lo * n + hi, hi * n + lo)) - (n + 1)
+    del lo, hi
+    directed.sort()
+    indptr = np.searchsorted(directed, n * np.arange(n + 1))
+    indices = directed % n
+    dist = _bfs(indptr, indices, 0)[0]
+    if np.any(dist < 0):
         raise InputError("graph is not connected")
-    return Graph(n=n, edges=frozenset(norm), adjacency=adjacency,
-                 start_distances=tuple(dist))
+    for a in (indptr, indices, dist):
+        a.setflags(write=False)
+    return Graph(n=n, indptr=indptr, indices=indices, start_distances=dist)
+
+
+def _bfs(indptr: np.ndarray, indices: np.ndarray, source: int,
+         depth: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(hop distance, BFS parent) of every vertex from the 0-based source
+    over a CSR index, -1 where unreached or past `depth` hops. A padded
+    table of width k is the index (k * arange(n + 1), table.ravel()), and
+    padding that repeats a real neighbour changes no distance or parent.
+    The frontier keeps discovery order, so a parent is the first frontier
+    vertex listing it."""
+    dist = np.full(len(indptr) - 1, -1)
+    parent = dist.copy()
+    dist[source] = 0
+    frontier = np.array([source])
+    hops = 0
+    while frontier.size and (depth is None or hops < depth):
+        hops += 1
+        starts = indptr[frontier]
+        counts = indptr[frontier + 1] - starts
+        offsets = (starts - counts.cumsum() + counts).repeat(counts)
+        nbrs = indices[np.arange(offsets.size) + offsets]
+        keep = dist[nbrs] < 0
+        found, owners = nbrs[keep], frontier.repeat(counts)[keep]
+        # each found vertex keeps the label of its first slot: the least, all < -1
+        slot = np.arange(found.size) - found.size - 1
+        np.minimum.at(dist, found, slot)
+        lead = dist[found] == slot
+        parent[found[lead]] = owners[lead]
+        frontier = found[lead]
+        dist[frontier] = hops
+    return dist, parent
 
 
 def bfs_distances(g: Graph, source: int) -> list[int]:
-    """Hop counts from source to every vertex."""
+    """Hop counts from source to every vertex, as a list indexed by
+    vertex - 1, from the one BFS over the graph's CSR index."""
     _check_vertex(g, source)
-    return _distances_from(g.adjacency, source)
-
-
-def _distances_from(adjacency: tuple[tuple[int, ...], ...], source: int) -> list[int]:
-    """Hop counts from source over 1-based adjacency lists; -1 marks
-    unreachable (only possible before connectivity is enforced)."""
-    dist = [-1] * len(adjacency)
-    dist[source - 1] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for w in adjacency[u - 1]:
-            if dist[w - 1] < 0:
-                dist[w - 1] = dist[u - 1] + 1
-                queue.append(w)
-    return dist
+    return _bfs(g.indptr, g.indices, source - 1)[0].tolist()
 
 
 def degree_stats(g: Graph) -> tuple[int, int, list[int]]:
     """(d_min, d_max, per-vertex degrees)."""
-    degrees = [len(a) for a in g.adjacency]
-    return min(degrees), max(degrees), degrees
+    degrees = np.diff(g.indptr)
+    return int(degrees.min()), int(degrees.max()), degrees.tolist()
 
 
 def edge_expansion(g: Graph, cap: int = DEFAULT_CAPS["expansion_bruteforce"]) -> float:
@@ -120,7 +170,7 @@ def edge_expansion(g: Graph, cap: int = DEFAULT_CAPS["expansion_bruteforce"]) ->
     masks = np.arange(1, 1 << n, dtype=np.uint64)
     sizes = np.bitwise_count(masks)
     cuts = np.zeros(masks.shape, dtype=np.int64)
-    for u, v in g.edges:
+    for u, v in g.edges.tolist():
         bu = (masks >> np.uint64(u - 1)) & np.uint64(1)
         bv = (masks >> np.uint64(v - 1)) & np.uint64(1)
         cuts += (bu ^ bv).astype(np.int64)
@@ -132,10 +182,11 @@ def edge_expansion(g: Graph, cap: int = DEFAULT_CAPS["expansion_bruteforce"]) ->
 def _min_cut_set(g: Graph) -> tuple[float, set[int]]:
     """Edge expansion together with a minimizing subset (for diagnostics)."""
     best = (float("inf"), set())
+    edges = g.edges.tolist()
     for size in range(1, g.n // 2 + 1):
         for sub in itertools.combinations(range(1, g.n + 1), size):
             s = set(sub)
-            cut = sum(1 for u, v in g.edges if (u in s) != (v in s))
+            cut = sum(1 for u, v in edges if (u in s) != (v in s))
             ratio = cut / size
             if ratio < best[0]:
                 best = (ratio, s)
@@ -150,22 +201,32 @@ def _transitive(g: Graph) -> Graph:
     return replace(g, vertex_transitive=True)
 
 
+def _check_edge_count(spec: str, m: int) -> None:
+    if m > MAX_EDGES:
+        raise CapabilityError(
+            f"{spec} has {m} edges, above the generator cap of {MAX_EDGES}")
+
+
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise InputError(f"cycle needs n >= 3, got {n}")
-    return _transitive(make_graph(n, [(i, i % n + 1) for i in range(1, n + 1)]))
+    _check_edge_count(f"cycle:{n}", n)
+    v = np.arange(1, n + 1)
+    return _transitive(make_graph(n, np.column_stack((v, v % n + 1))))
 
 
 def path_graph(n: int) -> Graph:
     if n < 2:
         raise InputError(f"path needs n >= 2, got {n}")
-    return make_graph(n, [(i, i + 1) for i in range(1, n)])
+    _check_edge_count(f"path:{n}", n - 1)
+    return make_graph(n, np.column_stack((np.arange(1, n), np.arange(2, n + 1))))
 
 
 def complete_graph(n: int) -> Graph:
     if n < 2:
         raise InputError(f"complete graph needs n >= 2, got {n}")
-    return _transitive(make_graph(n, itertools.combinations(range(1, n + 1), 2)))
+    _check_edge_count(f"complete:{n}", n * (n - 1) // 2)
+    return _transitive(make_graph(n, np.column_stack(np.triu_indices(n, 1)) + 1))
 
 
 def hypercube_graph(d: int) -> Graph:
@@ -173,29 +234,23 @@ def hypercube_graph(d: int) -> Graph:
     pattern of v-1, so BFS distance equals Hamming distance of labels."""
     if d < 1:
         raise InputError(f"hypercube needs d >= 1, got {d}")
-    n = 1 << d
-    edges = []
-    for v in range(n):
-        for bit in range(d):
-            w = v ^ (1 << bit)
-            if v < w:
-                edges.append((v + 1, w + 1))
-    return _transitive(make_graph(n, edges))
+    _check_edge_count(f"hypercube:{d}", d << (d - 1))
+    v = np.arange(1 << d)
+    # edge {v, v ^ 2^bit} for each bit clear in v
+    bit, low = np.divmod(np.flatnonzero(v & (1 << np.arange(d))[:, None] == 0), 1 << d)
+    return _transitive(make_graph(1 << d, np.column_stack((low, low | 1 << bit)) + 1))
 
 
 def torus_graph(rows: int, cols: int) -> Graph:
     """2D torus grid; both dimensions must be >= 3 to stay simple."""
     if rows < 3 or cols < 3:
         raise InputError(f"torus needs rows, cols >= 3, got {rows}x{cols}")
-    edges = set()
-    for i in range(rows):
-        for j in range(cols):
-            v = i * cols + j + 1
-            right = i * cols + (j + 1) % cols + 1
-            down = ((i + 1) % rows) * cols + j + 1
-            edges.add((min(v, right), max(v, right)))
-            edges.add((min(v, down), max(v, down)))
-    return _transitive(make_graph(rows * cols, edges))
+    n = rows * cols
+    _check_edge_count(f"torus2d:{rows}x{cols}", 2 * n)
+    v = np.arange(n)
+    right, down = v - v % cols + (v + 1) % cols, (v + cols) % n
+    pairs = np.column_stack((np.tile(v, 2), np.concatenate((right, down))))
+    return _transitive(make_graph(n, pairs + 1))
 
 
 def barbell_graph(n: int) -> Graph:
@@ -204,10 +259,9 @@ def barbell_graph(n: int) -> Graph:
     if n < 4 or n % 2 != 0:
         raise InputError(f"barbell needs even n >= 4, got {n}")
     k = n // 2
-    edges = list(itertools.combinations(range(1, k + 1), 2))
-    edges += list(itertools.combinations(range(k + 1, n + 1), 2))
-    edges.append((k, k + 1))
-    return make_graph(n, edges)
+    _check_edge_count(f"barbell:{n}", k * (k - 1) + 1)
+    clique = np.column_stack(np.triu_indices(k, 1)) + 1
+    return make_graph(n, np.concatenate((clique, clique + k, [[k, k + 1]])))
 
 
 def random_regular_graph(n: int, d: int, seed) -> Graph:
@@ -217,25 +271,14 @@ def random_regular_graph(n: int, d: int, seed) -> Graph:
         raise InputError(f"degree d={d} must satisfy 1 <= d < n={n}")
     if (n * d) % 2 != 0:
         raise InputError(f"n*d must be even, got n={n}, d={d}")
+    _check_edge_count(f"random-regular:{n},{d}", n * d // 2)
     rng = np.random.default_rng(seed)
     stubs = np.repeat(np.arange(1, n + 1), d)
     for _ in range(RANDOM_REGULAR_RETRY_CAP):
-        perm = rng.permutation(stubs)
-        pairs = perm.reshape(-1, 2)
-        edges = set()
-        ok = True
-        for u, v in pairs:
-            u, v = int(u), int(v)
-            if u == v or (min(u, v), max(u, v)) in edges:
-                ok = False
-                break
-            edges.add((min(u, v), max(u, v)))
-        if not ok:
-            continue
         try:
-            return make_graph(n, edges)
+            return make_graph(n, rng.permutation(stubs).reshape(-1, 2))
         except InputError:
-            continue  # disconnected; retry
+            continue  # a self-loop, a repeated pair, or disconnected: redraw
     raise CapabilityError(
         f"no simple connected {d}-regular graph on {n} vertices found "
         f"in {RANDOM_REGULAR_RETRY_CAP} pairing attempts")
@@ -289,15 +332,16 @@ def graph_from_spec(text: str, seed=None) -> Graph:
 # ---------------------------------------------------------------------------
 
 def graph_to_json(g: Graph) -> dict:
-    return {"n": g.n, "edges": [list(e) for e in sorted(g.edges)]}
+    return {"n": g.n, "edges": g.edges.tolist()}
 
 
 def graph_from_json(doc: dict) -> Graph:
-    """Parse {"n": int, "edges": [[u,v], ...]}; rejects self-loops,
-    duplicates, and disconnected graphs."""
+    """Parse {"n": int, "edges": [[u,v], ...]}; rejects ends that are not
+    integers, self-loops, duplicates, and disconnected graphs."""
     try:
-        n = int(doc["n"])
-        edges = [(int(u), int(v)) for u, v in doc["edges"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        n = json_integer(doc["n"])
+        edges = np.array([(json_integer(u), json_integer(v)) for u, v in doc["edges"]],
+                         dtype=np.int64)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed graph document: {exc}") from exc
     return make_graph(n, edges)

@@ -222,7 +222,7 @@ class StaircaseInstance:
     def values(self) -> tuple[int, ...]:
         """Value of vertex v at index v-1. Walk positions are written in
         order, so each vertex keeps minus its last occurrence."""
-        vals = list(self.graph.start_distances)
+        vals = self.graph.start_distances.tolist()
         for i, v in enumerate(self.walk.vertices):
             vals[v - 1] = -i
         return tuple(vals)
@@ -294,7 +294,8 @@ def is_valid_value_function(g: Graph, walk, f) -> bool:
     for a, b in zip(by_last, by_last[1:]):
         if not fn(a) > fn(b):  # a's last occurrence precedes b's
             return False
-    dist = bfs_distances(g, verts[0])
+    # the graph stores the distances from vertex 1, where instance walks start
+    dist = g.start_distances if verts[0] == 1 else bfs_distances(g, verts[0])
     on_walk = set(verts)
     for v in range(1, g.n + 1):
         if v in on_walk:

@@ -7,7 +7,7 @@ import pytest
 
 import mixbound as mb
 from mixbound.adversary import _pair_table, ratio_floor
-from mixbound.chains import _bfs
+from mixbound.graphs import _bfs
 from mixbound.errors import CapabilityError, InputError
 from mixbound.staircase import StaircaseParams
 
@@ -327,7 +327,8 @@ def test_witness_pair_positive_q():
 def test_witness_pair_reach_k256():
     P = mb.lazy_simple_walk(mb.complete_graph(256))
     index = P.sampling_table[0]
-    assert all(np.all(_bfs(index, s, depth=2)[0] >= 0) for s in range(P.n))
+    indptr = index.shape[1] * np.arange(P.n + 1)
+    assert all(np.all(_bfs(indptr, index.ravel(), s, depth=2)[0] >= 0) for s in range(P.n))
     pair = mb.witness_pair(P, mb.custom_params(P, 2, 32))
     assert len(pair.instances) == 2
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as hst
 
 import mixbound as mb
 from mixbound.errors import CapabilityError, InputError
+from mixbound.graphs import _bfs
 
 
 def solve_stationary_oracle(matrix):
@@ -555,6 +557,34 @@ def _flags_oracle(m, pi):
     return mb.ChainFlags(lazy=lazy, irreducible=irreducible, reversible=reversible)
 
 
+def _deque_bfs(rows, source, depth=None):
+    # queue BFS over 0-based neighbour lists: (dist, parent), -1 where
+    # unreached or past depth; a parent is the first dequeued vertex listing it
+    dist, parent = [-1] * len(rows), [-1] * len(rows)
+    dist[source] = 0
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        if depth is not None and dist[u] >= depth:
+            continue
+        for w in rows[u]:
+            if dist[w] < 0:
+                dist[w], parent[w] = dist[u] + 1, u
+                queue.append(w)
+    return dist, parent
+
+
+def _padded_csr(index):
+    # a padded table of width k is a CSR index with k slots per row
+    return index.shape[1] * np.arange(index.shape[0] + 1), index.ravel()
+
+
+def _in_csr(index, weight):
+    # the in-table's real slots are a prefix of each row
+    real = weight > 0.0
+    return np.concatenate(([0], np.cumsum(real.sum(axis=1)))), index[real]
+
+
 def _hops_oracle(support):
     # hop distance from every row vertex by dense boolean powers; -1 if never
     n = support.shape[0]
@@ -569,7 +599,6 @@ def _hops_oracle(support):
 @settings(max_examples=80, deadline=None)
 @given(hst.data())
 def test_tables_agree_with_dense_oracles(data):
-    from mixbound.chains import _bfs
     n = data.draw(hst.integers(min_value=2, max_value=8), label="n")
     seed = data.draw(hst.integers(min_value=0, max_value=10_000), label="seed")
     lazy_share = data.draw(hst.sampled_from([0.0, 0.5, 1.0]), label="lazy_share")
@@ -577,7 +606,8 @@ def test_tables_agree_with_dense_oracles(data):
     tree = {(int(rng.integers(1, v)), v) for v in range(2, n + 1)}
     extra = {(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)
              if rng.random() < 0.4}
-    g = mb.make_graph(n, tree | extra)
+    edge_set = tree | extra
+    g = mb.make_graph(n, edge_set)
     m = np.zeros((n, n))
     for u, v in g.edges:  # zero weights leave some edges one-way or unused
         m[u - 1, v - 1], m[v - 1, u - 1] = rng.random(2) * (rng.random(2) < 0.7)
@@ -598,22 +628,34 @@ def test_tables_agree_with_dense_oracles(data):
     in_index, weight = P.in_neighbours
     forward, backward = _hops_oracle(support), _hops_oracle(support.T)
     lazy_reach = {T: np.linalg.matrix_power(support.astype(int), T) > 0 for T in (1, 2, 3)}
+    out_csr, in_csr = _padded_csr(out_index), _in_csr(in_index, weight)
     for s in range(n):
-        assert np.array_equal(_bfs(out_index, s)[0], forward[s])
-        assert np.array_equal(_bfs(in_index, s, real=weight > 0.0)[0], backward[s])
+        assert np.array_equal(_bfs(*out_csr, s)[0], forward[s])
+        assert np.array_equal(_bfs(*in_csr, s)[0], backward[s])
         for T in (1, 2, 3):
-            within = _bfs(out_index, s, depth=T)[0]
+            within = _bfs(*out_csr, s, depth=T)[0]
             assert np.array_equal(within >= 0, (forward[s] >= 0) & (forward[s] <= T))
             if P.flags.lazy:  # reachable in exactly T steps
                 assert np.array_equal(within >= 0, lazy_reach[T][s])
 
+    # the one BFS, with parents and depths, on all three CSR views
+    graph_rows = [sorted({w - 1 for e in edge_set if u + 1 in e for w in e} - {u})
+                  for u in range(n)]
+    out_rows = [np.flatnonzero(support[u]).tolist() for u in range(n)]
+    in_rows = [np.flatnonzero(support[:, v]).tolist() for v in range(n)]
+    for csr, rows in (((g.indptr, g.indices), graph_rows), (out_csr, out_rows),
+                      (in_csr, in_rows)):
+        for s in range(n):
+            for T in (None, 1, 2, 3):
+                dist, parent = _bfs(*csr, s, depth=T)
+                assert (dist.tolist(), parent.tolist()) == _deque_bfs(rows, s, T)
+
 
 def test_bfs_parent_is_first_discoverer():
-    from mixbound.chains import _bfs
     adjacency = ((5, 6, 7), (4, 7, 8), (4, 5, 6), (2, 3, 6),
                  (1, 3, 8), (1, 3, 4), (1, 2, 8), (2, 5, 7))
     g = mb.make_graph(8, {(u, v) for u, nbrs in enumerate(adjacency, 1) for v in nbrs if u < v})
-    dist, parent = _bfs(mb.lazy_simple_walk(g).sampling_table[0], 2)
+    dist, parent = _bfs(*_padded_csr(mb.lazy_simple_walk(g).sampling_table[0]), 2)
     # from vertex 3, level 2 is discovered in the order 2 (via 4), 1, 8
     # (via 5); vertex 7 lists 1, 2 and 8 and takes 2, the first discovered,
     # not 1, the smallest
@@ -635,7 +677,7 @@ def _lazy_simple_loops(g):
 
 def _max_degree_loops(g):
     n = g.n
-    degrees = [len(a) for a in g.adjacency]
+    degrees = [g.degree(v) for v in range(1, n + 1)]
     d_max = max(degrees)
     m = np.zeros((n, n))
     for u in range(1, n + 1):
@@ -701,11 +743,11 @@ def test_chain_json_roundtrip(path3_chain):
     back = mb.chain_from_json(doc)
     assert np.allclose(back.matrix, path3_chain.matrix)
     assert np.allclose(back.pi, path3_chain.pi)
-    assert back.graph.edges == path3_chain.graph.edges
+    assert back.graph.edges.tolist() == path3_chain.graph.edges.tolist()
 
 
 def test_chain_json_infers_graph():
     doc = {"n": 2, "rows": [[0.5, 0.5], [0.5, 0.5]]}
     P = mb.chain_from_json(doc)
-    assert P.graph.edges == frozenset({(1, 2)})
+    assert P.graph.edges.tolist() == [[1, 2]]
     assert P.flags.reversible

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
@@ -34,6 +35,34 @@ def test_graph_gen():
     doc = json.loads(out)
     assert doc["n"] == 4
     assert sorted(map(tuple, doc["edges"])) == [(1, 2), (1, 4), (2, 3), (3, 4)]
+
+
+# sha256 of `graph gen` stdout, taken while the graph was still stored as
+# an edge set and adjacency tuples; the CSR index must reproduce it.
+_GRAPH_GEN_SHA256 = {
+    ("cycle:9", None): "1cd2c77f7a56407b882a5b7d5ea199b788e491b440054609b3baf46e853232c6",
+    ("path:12", None): "6aa2cfc99326cca3c251d74b121b4a1fcd5feb53ebb2bc7f07360be6826900eb",
+    ("complete:16", None): "7c22e3202e6e661be796b4389542f9a803a872824c8370cb8acdab7a7b4a5d35",
+    ("hypercube:8", None): "33f283499f31ca3dc77ea5f177dfbf60ec332e61aa5e4600d442066bd90430c4",
+    ("torus2d:6x5", None): "b5771fc53ef215d44805f94221e5509851df10eb6c1eeaa849e82686abe1d15a",
+    ("barbell:30", None): "4b1786759a456aa5d982828a04c820736b1cfd142df5fbede8fe76f67b39b836",
+    ("random-regular:64,4", 0): "b9bd69845dedfa7d3cca6d4da42dc2c8bb4bf3de15eb5f8a6e45f72e4b930b36",
+    ("random-regular:64,4", 1): "5f7b8c9d56aaa5ddb43dea184a60431818bf947d0f0f6e3e344e5bc2e7b41514",
+    ("random-regular:64,4", 2): "2ad6e5ae536265ba223a4097a8c7cd640b9c2995c34556bae64ab0dbfe26cb49",
+    ("random-regular:64,4", 3): "4ddb607b01916eeada92cedece0cc55413fa3087748179dbe42baa72ef489c04",
+    ("random-regular:64,4", 4): "ec4ce4b8e4061e65aa3c1923a4f37380fac56373ce0f55aea226741ec5bc5965",
+    ("random-regular:64,4", 5): "bba866e96af24698c5185a4073faed56cdd40fd03071e94626b2db655d9909fe",
+    ("random-regular:256,4", 0): "01f8511fdc0abcdad29500e0564e2aad5d045d43dc11ac5d3b23cd8739fb27a5",
+    ("random-regular:4096,4", 0): "23b91d17c9fdfdbc8f44089d9657192e1a3c95ab2fe3e8cc6a8ef081bcdb6fcf",
+}
+
+
+@pytest.mark.parametrize("spec,seed", list(_GRAPH_GEN_SHA256))
+def test_graph_gen_golden(spec, seed):
+    argv = ["graph", "gen", "--graph", spec] + ([] if seed is None else ["--seed", str(seed)])
+    code, out, err = run_cli(*argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == _GRAPH_GEN_SHA256[spec, seed]
 
 
 def test_graph_gen_seeded_deterministic():
@@ -275,6 +304,32 @@ def test_malformed_input_file_is_an_input_error(tmp_path, command, content):
     assert out == ""
     assert err.startswith("input error")
     assert "Traceback" not in err
+
+
+_PATH3_ROWS = [[0.5, 0.5, 0.0], [0.25, 0.5, 0.25], [0.0, 0.5, 0.5]]
+
+
+# Each of these once parsed by truncation: n = 3.9 and the ends 1.9, 3.2
+# built path:3, and true was read as vertex 1.
+@pytest.mark.parametrize("command,doc,kind", [
+    pytest.param("chain build --chain lazy-simple --graph",
+                 {"n": 3.9, "edges": [[1.9, 2], [2, 3.2]]}, "graph", id="graph-floats"),
+    pytest.param("chain build --chain lazy-simple --graph",
+                 {"n": 3, "edges": [[True, 2], [2, 3]]}, "graph", id="graph-bool-end"),
+    pytest.param("graph gen --graph", {"n": True, "edges": [[1, 2]]}, "graph",
+                 id="graph-bool-n"),
+    pytest.param("chain analyze --graph path:3 --chain",
+                 {"n": 3.9, "rows": _PATH3_ROWS}, "chain", id="chain-float-n"),
+    pytest.param("chain build --graph path:3 --chain",
+                 {"n": "3", "rows": _PATH3_ROWS}, "chain", id="chain-string-n"),
+])
+def test_file_numbers_must_be_integers(tmp_path, command, doc, kind):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(*command.split(), str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"input error: malformed {kind} document: expected an integer")
 
 
 def test_bench_config_unknown_key_is_an_input_error(tmp_path):

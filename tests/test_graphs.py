@@ -1,12 +1,17 @@
 import itertools
 import json
+import time
+from collections import deque
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import mixbound as mb
 from mixbound.errors import CapabilityError, InputError
+from mixbound.graphs import MAX_EDGES, _check_edge_count
 
 
 def brute_edge_expansion(g):
@@ -78,7 +83,7 @@ def test_edge_expansion_cap():
 
 def test_cycle_edges():
     g = mb.cycle_graph(4)
-    assert g.edges == frozenset({(1, 2), (2, 3), (3, 4), (1, 4)})
+    assert g.edges.tolist() == [[1, 2], [1, 4], [2, 3], [3, 4]]
 
 
 def test_barbell_structure():
@@ -92,7 +97,7 @@ def test_random_regular():
     assert all(g.degree(v) == 3 for v in range(1, 9))
     assert all(d >= 0 for d in mb.bfs_distances(g, 1))
     again = mb.random_regular_graph(8, 3, seed=7)
-    assert again.edges == g.edges
+    assert np.array_equal(again.edges, g.edges)
 
 
 def test_random_regular_bad_params():
@@ -124,11 +129,11 @@ def test_start_distances_match_bfs():
         mb.random_regular_graph(10, 3, seed=3),
     ]
     for g in graphs:
-        expected = tuple(mb.bfs_distances(g, 1))
-        assert g.start_distances == expected
-        assert mb.graph_from_json(mb.graph_to_json(g)).start_distances == expected
+        expected = mb.bfs_distances(g, 1)
+        assert g.start_distances.tolist() == expected
+        assert mb.graph_from_json(mb.graph_to_json(g)).start_distances.tolist() == expected
         flipped = replace(g, vertex_transitive=not g.vertex_transitive)
-        assert flipped.start_distances == expected
+        assert flipped.start_distances.tolist() == expected
 
 
 def test_triangle_inequality_sampled():
@@ -151,11 +156,93 @@ def test_make_graph_rejects_bad_input():
         mb.make_graph(3, [(1, 5)])
 
 
+def _make_graph_oracle(n, edges):
+    # set-and-deque reference: the error message, or (sorted edges,
+    # neighbour tuples, distances from vertex 1)
+    norm = set()
+    for u, v in edges:
+        if not (1 <= u <= n and 1 <= v <= n):
+            return f"edge ({u},{v}) has endpoint outside 1..{n}"
+        if u == v:
+            return f"self-loop at vertex {u} not allowed"
+        key = (min(u, v), max(u, v))
+        if key in norm:
+            return f"duplicate edge ({key[0]},{key[1]})"
+        norm.add(key)
+    nbrs = [tuple(sorted({w for e in norm if v in e for w in e} - {v}))
+            for v in range(1, n + 1)]
+    dist = [-1] * n
+    dist[0] = 0
+    queue = deque([1])
+    while queue:
+        u = queue.popleft()
+        for w in nbrs[u - 1]:
+            if dist[w - 1] < 0:
+                dist[w - 1] = dist[u - 1] + 1
+                queue.append(w)
+    if min(dist) < 0:
+        return "graph is not connected"
+    return sorted(map(list, norm)), nbrs, dist
+
+
+@settings(max_examples=300, deadline=None)
+@given(hst.data())
+def test_make_graph_matches_oracle(data):
+    n = data.draw(hst.integers(min_value=2, max_value=8), label="n")
+    pool = list(itertools.combinations(range(1, n + 1), 2))
+    edges = data.draw(hst.lists(hst.sampled_from(pool), unique=True), label="edges")
+    if data.draw(hst.booleans(), label="spanning path"):  # most such draws connect
+        edges += [e for e in zip(range(1, n), range(2, n + 1)) if e not in edges]
+    flips = data.draw(hst.lists(hst.booleans(), min_size=len(edges), max_size=len(edges)))
+    edges = [e[::-1] if flip else e for e, flip in zip(edges, flips)]
+    end = hst.integers(min_value=-1, max_value=n + 2)
+    for _ in range(data.draw(hst.integers(min_value=0, max_value=3), label="faults")):
+        fault = data.draw(hst.one_of(
+            hst.tuples(end, end),  # often outside 1..n, sometimes a self-loop
+            hst.integers(min_value=1, max_value=n).map(lambda v: (v, v)),
+            hst.sampled_from(edges or [(1, 2)]).flatmap(
+                lambda e: hst.sampled_from([e, e[::-1]])),  # a repeat either way
+        ), label="fault")
+        edges.insert(data.draw(hst.integers(min_value=0, max_value=len(edges))), fault)
+    if data.draw(hst.booleans(), label="as array"):
+        edges = np.array(edges, dtype=np.int64).reshape(-1, 2)
+
+    want = _make_graph_oracle(n, [tuple(map(int, e)) for e in edges])
+    if isinstance(want, str):
+        with pytest.raises(InputError) as exc:
+            mb.make_graph(n, edges)
+        assert str(exc.value) == want
+    else:
+        g = mb.make_graph(n, edges)
+        assert sorted(map(list, g.edges)) == want[0]
+        assert [g.neighbors(v) for v in range(1, n + 1)] == want[1]
+        assert list(g.start_distances) == want[2]
+
+
+@pytest.mark.parametrize("spec", [
+    "hypercube:22", "complete:8193", "barbell:12000", "torus2d:5000x5000",
+    "cycle:40000000", "random-regular:20000000,4",
+])
+def test_oversized_spec_refused_before_building(spec):
+    start = time.perf_counter()
+    with pytest.raises(CapabilityError, match=f"edges, above the generator cap of {MAX_EDGES}"):
+        mb.graph_from_spec(spec, seed=0)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_edge_cap_boundary():
+    assert MAX_EDGES == 33_554_432
+    _check_edge_count("hypercube:21", 21 << 20)  # 22 020 096 edges
+    _check_edge_count("complete:8192", 8192 * 8191 // 2)  # 33 550 336 edges
+    with pytest.raises(CapabilityError, match="33554433 edges"):
+        _check_edge_count("spec", MAX_EDGES + 1)
+
+
 def test_graph_json_roundtrip():
     g = mb.barbell_graph(8)
     doc = mb.graph_to_json(g)
     back = mb.graph_from_json(doc)
-    assert back.n == g.n and back.edges == g.edges
+    assert back.n == g.n and np.array_equal(back.edges, g.edges)
 
 
 def test_vertex_transitive_flag():
