@@ -81,8 +81,15 @@ def make_graph(n: int, edges) -> Graph:
     outside 1..n, then a self-loop, then the second occurrence of a pair."""
     if n < 2:
         raise InputError(f"graph needs at least 2 vertices, got n={n}")
-    ends = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges),
-                      dtype=np.int64).reshape(-1, 2)
+    try:
+        ends = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges),
+                          dtype=np.int64)
+    except (TypeError, ValueError):
+        raise InputError("edges must be (u, v) pairs of integers") from None
+    if ends.size == 0:
+        ends = ends.reshape(0, 2)
+    if ends.ndim != 2 or ends.shape[1] != 2:
+        raise InputError(f"edges must be (u, v) pairs, got an array of shape {ends.shape}")
     u, v = ends.T
     lo, hi = np.minimum(u, v), np.maximum(u, v)
     outside = (lo < 1) | (hi > n)
@@ -124,23 +131,24 @@ def _bfs(indptr: np.ndarray, indices: np.ndarray, source: int,
     vertex listing it."""
     dist = np.full(len(indptr) - 1, -1)
     parent = dist.copy()
-    dist[source] = 0
+    # the number of the scan slot that first reached each vertex
+    first = np.full(dist.size, len(indices) + 1)
+    dist[source] = first[source] = 0
     frontier = np.array([source])
-    hops = 0
+    hops = scanned = 0
     while frontier.size and (depth is None or hops < depth):
         hops += 1
         starts = indptr[frontier]
-        counts = indptr[frontier + 1] - starts
-        offsets = (starts - counts.cumsum() + counts).repeat(counts)
-        nbrs = indices[np.arange(offsets.size) + offsets]
-        keep = dist[nbrs] < 0
-        found, owners = nbrs[keep], frontier.repeat(counts)[keep]
-        # each found vertex keeps the label of its first slot: the least, all < -1
-        slot = np.arange(found.size) - found.size - 1
-        np.minimum.at(dist, found, slot)
-        lead = dist[found] == slot
-        parent[found[lead]] = owners[lead]
-        frontier = found[lead]
+        counts = indptr[1:][frontier] - starts
+        ends = counts.cumsum()
+        nbrs = indices[np.arange(ends[-1]) + (starts - ends + counts).repeat(counts)]
+        slot = np.arange(scanned + 1, scanned + 1 + nbrs.size)
+        scanned += nbrs.size
+        # a vertex reached before keeps its smaller slot and is not a lead
+        np.minimum.at(first, nbrs, slot)
+        lead = first[nbrs] == slot
+        parent[nbrs[lead]] = frontier.repeat(counts)[lead]
+        frontier = nbrs[lead]
         dist[frontier] = hops
     return dist, parent
 

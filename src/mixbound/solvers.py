@@ -78,7 +78,7 @@ def steepest_descent(oracle: CountingOracle, g: Graph, start: int) -> SolverResu
     moves = 0
     while True:
         best_vertex, best_value = None, value
-        for u in g.neighbors(current):
+        for u in (g.indices[g.indptr[current - 1]:g.indptr[current]] + 1).tolist():
             u_value = oracle.query(u)
             if u_value < best_value:
                 best_vertex, best_value = u, u_value

@@ -294,8 +294,7 @@ def is_valid_value_function(g: Graph, walk, f) -> bool:
     for a, b in zip(by_last, by_last[1:]):
         if not fn(a) > fn(b):  # a's last occurrence precedes b's
             return False
-    # the graph stores the distances from vertex 1, where instance walks start
-    dist = g.start_distances if verts[0] == 1 else bfs_distances(g, verts[0])
+    dist = bfs_distances(g, verts[0])
     on_walk = set(verts)
     for v in range(1, g.n + 1):
         if v in on_walk:
@@ -309,12 +308,10 @@ def is_valid_value_function(g: Graph, walk, f) -> bool:
 def local_minima(g: Graph, f) -> list[int]:
     """All vertices whose value is <= every neighbor's value."""
     fn = _as_function(f, g.n)
-    out = []
-    for v in range(1, g.n + 1):
-        fv = fn(v)
-        if all(fv <= fn(u) for u in g.neighbors(v)):
-            out.append(v)
-    return out
+    vals = np.array([fn(v) for v in range(1, g.n + 1)])
+    # every row is nonempty: the graph is connected and n >= 2
+    lowest = np.minimum.reduceat(vals[g.indices], g.indptr[:-1])
+    return (np.flatnonzero(vals <= lowest) + 1).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -154,6 +154,13 @@ def test_make_graph_rejects_bad_input():
         mb.make_graph(4, [(1, 2), (3, 4)])
     with pytest.raises(InputError):
         mb.make_graph(3, [(1, 5)])
+    # anything but a list of pairs is refused, not re-paired
+    for bad in ([(1, 2, 3), (2, 3, 1)], [1, 2, 2, 3], [(1, 2), (2, 3, 1)],
+                np.array([[1, 2, 3]]), [("a", 2)]):
+        with pytest.raises(InputError, match="pairs"):
+            mb.make_graph(3, bad)
+    with pytest.raises(InputError, match="connected"):
+        mb.make_graph(3, [])
 
 
 def _make_graph_oracle(n, edges):
