@@ -86,11 +86,9 @@ def make_graph(n: int, edges) -> Graph:
                           dtype=np.int64)
     except (TypeError, ValueError):
         raise InputError("edges must be (u, v) pairs of integers") from None
-    if ends.size == 0:
-        ends = ends.reshape(0, 2)
-    if ends.ndim != 2 or ends.shape[1] != 2:
+    if ends.size and (ends.ndim, ends.shape[-1]) != (2, 2):
         raise InputError(f"edges must be (u, v) pairs, got an array of shape {ends.shape}")
-    u, v = ends.T
+    u, v = ends.reshape(-1, 2).T
     lo, hi = np.minimum(u, v), np.maximum(u, v)
     outside = (lo < 1) | (hi > n)
     # Distinct in-range pairs get distinct keys; a false repeat needs an
