@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chains import TransitionMatrix, Walk, make_walk, walk_probability
+from .chains import TransitionMatrix, Walk, _sample_tails, make_walk, walk_probability
 from .errors import DEFAULT_CAPS, CapabilityError, InputError
 from .graphs import _bfs
 from .staircase import (
@@ -30,6 +30,7 @@ from .staircase import (
     StaircaseParams,
     is_good_walk,
     make_instance,
+    sample_good_walk,
     shared_head_index,
 )
 
@@ -127,16 +128,28 @@ def enumerate_family(P: TransitionMatrix, params: StaircaseParams,
     crossed with both hidden bits. Aborts once the walk count passes the
     cap; use the Monte Carlo estimator beyond that."""
     successors = [tuple(dict.fromkeys(row)) for row in (P.sampling_table[0] + 1).tolist()]
+    # Walks ending at each vertex, counted level by level before any walk
+    # is built. Every row has a successor, so the total never falls and
+    # the count can stop at the first level that passes the cap.
+    ends = {1: 1}
+    for _ in range(params.L):
+        if sum(ends.values()) > cap:
+            break
+        level: dict[int, int] = {}
+        for u, count in ends.items():
+            for v in successors[u - 1]:
+                level[v] = level.get(v, 0) + count
+        ends = level
+    if sum(ends.values()) > cap:
+        raise CapabilityError(
+            f"family exceeds enumeration cap {cap}; "
+            "use the Monte Carlo estimator instead")
     walks: list[tuple[int, ...]] = []
     stack: list[tuple[int, ...]] = [(1,)]
     while stack:
         prefix = stack.pop()
         if len(prefix) == params.L + 1:
             walks.append(prefix)
-            if len(walks) > cap:
-                raise CapabilityError(
-                    f"family exceeds enumeration cap {cap}; "
-                    "use the Monte Carlo estimator instead")
             continue
         for nxt in reversed(successors[prefix[-1] - 1]):
             stack.append(prefix + (nxt,))
@@ -371,20 +384,6 @@ def ratio_property_check(P: TransitionMatrix, params: StaircaseParams,
 # Monte Carlo estimation
 # ---------------------------------------------------------------------------
 
-def _sample_tails(P: TransitionMatrix, walks: np.ndarray, start: int,
-                  rng: np.random.Generator) -> None:
-    """Batch-sample trajectories in place: row i of walks continues from
-    walks[i, start] to the last column. Each step is one inverse-CDF
-    lookup in the chain's `sampling_table`, O(largest degree) per walker."""
-    index, cum = P.sampling_table
-    count = walks.shape[0]
-    cur = walks[:, start] - 1
-    for s in range(start + 1, walks.shape[1]):
-        draws = rng.random(count)
-        cur = index[cur, (cum[cur] > draws[:, None]).argmax(axis=1)]
-        walks[:, s] = cur + 1
-
-
 def _good_rows(walks: np.ndarray, T: int) -> np.ndarray:
     stones = walks[:, ::T]
     ordered = np.sort(stones, axis=1)
@@ -487,7 +486,7 @@ def estimate_lower_bound(P: TransitionMatrix, params: StaircaseParams,
     q_hat = 2.0 * mean_v
     var = float(vertex_sumsq[best]) / samples - mean_v ** 2
     var *= samples / (samples - 1) if samples > 1 else 1.0
-    q_se = 2.0 * math.sqrt(max(var, 0.0) / samples)
+    q_se = 2.0 * math.sqrt(max(var, 0.0) / samples) if samples > 1 else math.inf
     ratio = m_hat / q_hat if q_hat > 0 else math.inf
     return AdversaryReport(
         M=m_hat, q=q_hat, ratio=ratio, bound=LOWER_BOUND_CONSTANT * ratio,
@@ -504,8 +503,6 @@ def milestone_escape_estimates(P: TransitionMatrix, params: StaircaseParams,
     """For a fixed sampled good walk x and each segment index j, the Monte
     Carlo probability (with standard error) that a redraw sharing x's head
     through milestone j stays good and diverges exactly at segment j."""
-    from .staircase import sample_good_walk
-
     rng = np.random.default_rng(seed)
     T, m = params.T, params.m
     x = np.array(sample_good_walk(P, params, rng).vertices, dtype=np.int64)
@@ -597,8 +594,7 @@ def witness_pair(P: TransitionMatrix, params: StaircaseParams) -> FunctionFamily
 
 def bound_values(n: int, t_mix: float, sigma: float,
                  lambda2: float | None = None, beta: float | None = None,
-                 d_max: float | None = None,
-                 degree_ratio: float | None = None) -> dict[str, float]:
+                 d_max: float | None = None) -> dict[str, float]:
     """The bracketed expressions of the lower-bound statements, without
     their unknown Omega constants. Natural logarithms; the values are
     asymptotic shapes, not absolute query counts.
@@ -620,8 +616,6 @@ def bound_values(n: int, t_mix: float, sigma: float,
         raise InputError(f"edge expansion must be positive, got {beta}")
     if d_max is not None and d_max < 1:
         raise InputError(f"d_max must be at least 1, got {d_max}")
-    if degree_ratio is not None and degree_ratio < 1:
-        raise InputError(f"degree ratio must be at least 1, got {degree_ratio}")
     root = math.sqrt(n)
     log_n = math.log(n)
     blowup = math.exp(3.0 * sigma)

@@ -13,7 +13,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DEFAULT_CAPS, CapabilityError, InputError, json_integer, read_json
+from .errors import (
+    DEFAULT_CAPS,
+    CapabilityError,
+    InputError,
+    json_integer,
+    json_number,
+    read_json,
+)
 from .graphs import Graph, _bfs, _check_vertex, make_graph
 
 ROW_SUM_TOL = 1e-12
@@ -485,14 +492,28 @@ def sample_walk(P: TransitionMatrix, start: int, length: int, seed) -> Walk:
     _check_vertex(P.graph, start)
     if length < 0:
         raise InputError("walk length must be nonnegative")
-    rng = np.random.default_rng(seed)
+    verts = np.full(length + 1, start, dtype=np.int64)
+    _sample_tails(P, verts, 0, np.random.default_rng(seed))
+    return Walk(vertices=tuple(verts.tolist()), chain=P)
+
+
+# Uniforms that _sample_tails draws in one call, rounded to whole steps.
+_WALK_BLOCK_CELLS = 1 << 16
+
+
+def _sample_tails(P: TransitionMatrix, walks: np.ndarray, start: int,
+                  rng: np.random.Generator) -> None:
+    """Continue one walk (1-D) or one walk per row (2-D) in place from
+    column `start`. A step takes the first `sampling_table` slot whose sum
+    exceeds a uniform; uniforms are drawn step by step, walker by walker."""
     index, cum = P.sampling_table
-    verts = [start]
-    cur = start - 1
-    for _ in range(length):
-        cur = int(index[cur, np.searchsorted(cum[cur], rng.random(), side="right")])
-        verts.append(cur + 1)
-    return Walk(vertices=tuple(verts), chain=P)
+    cur = walks[..., start] - 1
+    per_block = max(1, _WALK_BLOCK_CELLS // max(1, cur.size))
+    for lo in range(start + 1, walks.shape[-1], per_block):
+        draws = rng.random((min(per_block, walks.shape[-1] - lo),) + cur.shape)
+        for s, u in enumerate(draws, lo):
+            cur = index[cur, (cum[cur] > u[..., None]).argmax(axis=-1)]
+            walks[..., s] = cur + 1
 
 
 def walk_probability(P: TransitionMatrix, vertices) -> float:
@@ -540,18 +561,22 @@ def chain_to_json(P: TransitionMatrix) -> dict:
 
 
 def chain_from_json(doc: dict, graph: Graph | None = None) -> TransitionMatrix:
-    """Parse {"n": int, "rows": [[p,...],...], "pi": [p,...]?}. Without an
-    explicit graph, the edge set is inferred from the support."""
+    """Parse {"n": int, "rows": [[p,...],...], "pi": [p,...]?}, whose
+    entries must be JSON numbers. Without an explicit graph, the edge set
+    is inferred from the support."""
     try:
         n = json_integer(doc["n"])
-        rows = np.array(doc["rows"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+        rows = np.array([[json_number(p) for p in row] for row in doc["rows"]])
+        pi = doc.get("pi")
+        if pi is not None:
+            pi = [json_number(p) for p in pi]
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed chain document: {exc}") from exc
     if graph is None:
         if rows.shape != (n, n):
             raise InputError(f"rows shape {rows.shape} does not match n={n}")
         graph = make_graph(n, np.argwhere(np.triu((rows > 0.0) | (rows.T > 0.0), 1)) + 1)
-    return make_chain(graph, rows, pi=doc.get("pi"))
+    return make_chain(graph, rows, pi=pi)
 
 
 def chain_from_spec(text: str, g: Graph | None = None) -> TransitionMatrix:

@@ -1,10 +1,12 @@
 """Error and warning types shared across the package, the one reader of
-JSON input files, and the integer check for the numbers in them.
+JSON input files, and the integer and number checks for the values in
+them.
 
 The CLI maps these onto exit codes: InputError -> 1, CapabilityError -> 2.
 """
 
 import json
+import math
 
 # Default limit of every brute-force or unbounded step, each written only
 # here; going past one raises CapabilityError.
@@ -38,6 +40,15 @@ def json_integer(value) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"expected an integer, got {value!r}")
     return value
+
+
+def json_number(value) -> float:
+    """value as a float if it is a finite JSON number; a bool, a string, or
+    the NaN and Infinity that Python's parser admits raises TypeError."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
 
 
 class CapabilityError(RuntimeError):

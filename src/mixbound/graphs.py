@@ -241,10 +241,16 @@ def hypercube_graph(d: int) -> Graph:
     if d < 1:
         raise InputError(f"hypercube needs d >= 1, got {d}")
     _check_edge_count(f"hypercube:{d}", d << (d - 1))
+    return _transitive(make_graph(1 << d, _hypercube_edges(d)))
+
+
+def _hypercube_edges(d: int) -> np.ndarray:
+    """The 1-based edges {v, v ^ 2^bit} of the d-cube, one for each bit
+    clear in v. Its own function, so that the label arrays are freed
+    before make_graph runs."""
     v = np.arange(1 << d)
-    # edge {v, v ^ 2^bit} for each bit clear in v
     bit, low = np.divmod(np.flatnonzero(v & (1 << np.arange(d))[:, None] == 0), 1 << d)
-    return _transitive(make_graph(1 << d, np.column_stack((low, low | 1 << bit)) + 1))
+    return np.column_stack((low, low | 1 << bit)) + 1
 
 
 def torus_graph(rows: int, cols: int) -> Graph:

@@ -35,6 +35,7 @@ from .errors import (
     CapabilityError,
     InputError,
     VacuousRegimeWarning,
+    json_integer,
     read_json,
 )
 from .graphs import Graph, _check_vertex, bfs_distances, graph_from_spec
@@ -338,9 +339,9 @@ def instance_from_json(doc: dict) -> StaircaseInstance:
     try:
         graph_ref = doc["graph"]
         chain_ref = doc["chain"]
-        T, L = int(doc["T"]), int(doc["L"])
-        walk_vertices = doc["walk"]
-        bit = int(doc["b"])
+        T, L = json_integer(doc["T"]), json_integer(doc["L"])
+        walk_vertices = [json_integer(v) for v in doc["walk"]]
+        bit = json_integer(doc["b"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed instance document: {exc}") from exc
     g = graph_from_spec(graph_ref, seed=doc.get("seed"))

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -134,6 +135,32 @@ def test_enumerate_path_one_step(path3_chain):
 def test_enumerate_cap(k3_chain, k3_params):
     with pytest.raises(CapabilityError, match="Monte Carlo"):
         mb.enumerate_family(k3_chain, k3_params, cap=5)
+
+
+def test_enumerate_cap_refuses_before_building_walks():
+    # complete:12 with L=7 has 12^7 (35.8 M) walks; the refusal once built
+    # cap walk tuples first, about 11 MB at cap=10**5
+    P = mb.lazy_simple_walk(mb.complete_graph(12))
+    params = mb.custom_params(P, T=1, L=7)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapabilityError, match="exceeds enumeration cap 100000"):
+            mb.enumerate_family(P, params, cap=10 ** 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("L,cap", [(0, 0), (0, 1), (2, 8), (2, 9), (3, 26), (3, 27)])
+def test_enumerate_cap_boundary(k3_chain, L, cap):
+    # lazy K3 has 3^L walks from vertex 1: exactly the cap is admitted
+    params = mb.custom_params(k3_chain, T=1, L=L)
+    if 3 ** L > cap:
+        with pytest.raises(CapabilityError, match="Monte Carlo"):
+            mb.enumerate_family(k3_chain, params, cap=cap)
+    else:
+        assert len(mb.enumerate_family(k3_chain, params, cap=cap)) == 2 * 3 ** L
 
 
 # ---------------------------------------------------------------------------
@@ -409,6 +436,15 @@ def test_estimate_error_shrinks_with_samples(k3_chain, k3_params):
 def test_estimate_zero_samples_error(k3_chain, k3_params):
     with pytest.raises(InputError):
         mb.estimate_lower_bound(k3_chain, k3_params, samples=0, seed=1)
+
+
+def test_one_sample_standard_errors_are_infinite():
+    # one sample says nothing about spread; q's SE once read 0.0 here
+    P = mb.lazy_simple_walk(mb.complete_graph(4))
+    est = mb.estimate_lower_bound(P, mb.custom_params(P, T=2, L=4), samples=1, seed=5)
+    assert (est.M, est.q) == (2.0, 2.0)
+    assert est.std_error == math.inf
+    assert est.q_std_error == math.inf
 
 
 def test_estimate_no_good_walks_error():

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import mixbound as mb
+from mixbound.chains import _sample_tails
 from mixbound.errors import CapabilityError, InputError
 from mixbound.graphs import _bfs
 
@@ -490,7 +491,6 @@ def _dense_inverse_cdf(row: np.ndarray, u: float) -> int:
 @settings(max_examples=60, deadline=None)
 @given(hst.data())
 def test_samplers_match_dense_inverse_cdf(data):
-    from mixbound.adversary import _sample_tails
     n = data.draw(hst.integers(min_value=2, max_value=8), label="n")
     seed = data.draw(hst.integers(min_value=0, max_value=10_000), label="seed")
     rng = np.random.default_rng(seed)
@@ -521,12 +521,54 @@ def test_samplers_match_dense_inverse_cdf(data):
     assert np.array_equal(walks, want)
     assert np.all(P.matrix[walks[:, :-1] - 1, walks[:, 1:] - 1] > 0.0)
 
-    walk = mb.sample_walk(P, int(starts[0]), steps, seed=seed)
     single = [int(starts[0])]
     for u in np.random.default_rng(seed).random(steps):
         single.append(_dense_inverse_cdf(P.matrix[single[-1] - 1], u) + 1)
+    one = np.full(steps + 1, starts[0])
+    _sample_tails(P, one, 0, np.random.default_rng(seed))
+    assert one.tolist() == single
+    walk = mb.sample_walk(P, int(starts[0]), steps, seed=seed)
     assert walk.vertices == tuple(single)
     assert walk.probability() > 0.0
+
+
+def test_sampler_tie_takes_the_next_slot(k2_chain):
+    # a uniform equal to a running sum is not below it: the step goes on to
+    # the next slot, as the dense reference's first sum above u does
+    class Halves:
+        def random(self, shape):
+            return np.full(shape, 0.5)
+
+    walks = np.ones((2, 4), dtype=np.int64)
+    walks[1, 0] = 2
+    _sample_tails(k2_chain, walks, 0, Halves())
+    assert walks.tolist() == [[1, 2, 2, 2], [2, 2, 2, 2]]
+    assert _dense_inverse_cdf(k2_chain.matrix[0], 0.5) == 1
+
+
+@pytest.mark.parametrize("block_cells", [1, 3, 1 << 30])
+def test_sampled_walks_do_not_depend_on_block_size(block_cells, monkeypatch):
+    # a block of uniforms is laid out step by step, so how the steps are
+    # cut into blocks changes no walk, instance or estimate
+    P = mb.lazy_simple_walk(mb.random_regular_graph(32, 4, seed=0))
+    params = mb.custom_params(P, T=3, L=12)
+
+    def draw():
+        batches = []
+        for count in (1, 2, 5):
+            walks = np.zeros((count, 41), dtype=np.int64)
+            walks[:, 7] = np.arange(1, count + 1)
+            _sample_tails(P, walks, 7, np.random.default_rng(count))
+            batches.append(walks[:, 7:].tolist())
+        est = mb.estimate_lower_bound(P, params, samples=40, seed=4)
+        return (mb.sample_walk(P, 3, 40, seed=9).vertices, batches,
+                mb.sample_instance(P, params, seed=2).walk.vertices,
+                repr((est.M, est.q, est.std_error, est.q_std_error)),
+                mb.milestone_escape_estimates(P, params, samples=30, seed=6))
+
+    want = draw()
+    monkeypatch.setattr("mixbound.chains._WALK_BLOCK_CELLS", block_cells)
+    assert draw() == want
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import math
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 
@@ -330,6 +331,34 @@ def test_file_numbers_must_be_integers(tmp_path, command, doc, kind):
     assert code == 1
     assert out == ""
     assert err.startswith(f"input error: malformed {kind} document: expected an integer")
+
+
+# Each of these was once coerced or passed on: the strings and true were
+# read as the numbers 0.5 and 1 and the chain analysed or built, and a NaN
+# row ended in a LinAlgError traceback.
+@pytest.mark.parametrize("command,doc", [
+    pytest.param("chain analyze --graph complete:2 --chain",
+                 {"n": 2, "rows": [["0.5", "0.5"], [True, 0.0]]}, id="string-and-bool-rows"),
+    pytest.param("chain build --graph complete:2 --chain",
+                 {"n": 2, "rows": [[0.5, 0.5], [True, 0.0]]}, id="bool-row"),
+    pytest.param("chain analyze --graph path:3 --chain",
+                 {"n": 3, "rows": _PATH3_ROWS, "pi": ["0.25", "0.5", "0.25"]},
+                 id="string-pi"),
+    pytest.param("chain build --graph path:3 --chain",
+                 {"n": 3, "rows": _PATH3_ROWS, "pi": [0.25, 0.5, False]}, id="bool-pi"),
+    pytest.param("chain build --graph complete:2 --chain",
+                 {"n": 2, "rows": [[math.nan, math.nan], [0.5, 0.5]]}, id="nan-row"),
+    pytest.param("chain analyze --graph path:3 --chain",
+                 {"n": 3, "rows": _PATH3_ROWS, "pi": [0.25, math.inf, 0.25]},
+                 id="infinite-pi"),
+])
+def test_chain_file_entries_must_be_numbers(tmp_path, command, doc):
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(*command.split(), str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("input error: malformed chain document: expected a number")
 
 
 def test_bench_config_unknown_key_is_an_input_error(tmp_path):

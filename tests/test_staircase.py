@@ -322,6 +322,23 @@ def test_load_instance_malformed_file(tmp_path):
         mb.staircase.load_instance(str(tmp_path / "absent.json"))
 
 
+# Each of these once parsed by truncation or coercion: T = 1 from 1.9,
+# L = 2 from 2.2, the walk (1, 2, 3) from [1, 2.7, 3], and bit 1 from true
+# or "1".
+@pytest.mark.parametrize("field,value", [
+    ("T", 1.9), ("L", 2.2), ("T", "1"), ("walk", [1, 2.7, 3]), ("walk", [1, True, 3]),
+    ("b", True), ("b", "1"), ("b", 1.0)])
+def test_instance_file_numbers_must_be_integers(tmp_path, field, value):
+    doc = {"graph": "complete:3", "chain": "lazy-simple", "T": 1, "L": 2,
+           "walk": [1, 2, 3], "b": 0, "seed": None}
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    assert mb.staircase.load_instance(str(path)).walk.vertices == (1, 2, 3)
+    path.write_text(json.dumps({**doc, field: value}))
+    with pytest.raises(InputError, match="^malformed instance document: expected an integer"):
+        mb.staircase.load_instance(str(path))
+
+
 def test_instance_json_reveal(k3_chain, k3_params):
     inst = make_k3_instance(k3_chain, k3_params)
     doc = mb.instance_to_json(inst, "complete:3", "lazy-simple", reveal=True)
