@@ -9,6 +9,7 @@ validated and frozen at construction and safe to share between threads.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -184,8 +185,8 @@ def _make_chain(graph: Graph, matrix, pi, kind: str,
         raise InputError("matrix has negative entries")
     m[m < 0] = 0.0
     row_sums = m.sum(axis=1)
-    bad = np.argmax(np.abs(row_sums - 1.0))
-    if abs(row_sums[bad] - 1.0) > ROW_SUM_TOL:
+    bad = np.argmax(np.abs(row_sums - 1.0))  # the first NaN sum, if any
+    if not abs(row_sums[bad] - 1.0) <= ROW_SUM_TOL:  # negated, so NaN fails
         raise InputError(
             f"row {bad + 1} sums to {row_sums[bad]:.15g}, not 1 within {ROW_SUM_TOL}")
     m /= row_sums[:, None]
@@ -203,7 +204,7 @@ def _make_chain(graph: Graph, matrix, pi, kind: str,
         p = np.array(pi, dtype=float)
         if p.shape != (n,):
             raise InputError("stationary vector has wrong length")
-        if np.any(p <= 0.0) or abs(p.sum() - 1.0) > ROW_SUM_TOL:
+        if not (np.all(p > 0.0) and abs(p.sum() - 1.0) <= ROW_SUM_TOL):  # refuses NaN
             raise InputError("stationary vector must be positive and sum to 1")
         if np.max(np.abs(p @ m - p)) > STATIONARY_TOL:
             raise InputError("supplied stationary vector is not a fixed point")
@@ -295,7 +296,7 @@ def metropolis_walk(g: Graph, target) -> TransitionMatrix:
     t = np.array(target, dtype=float)
     if t.shape != (n,):
         raise InputError(f"target distribution has length {t.shape}, need {n}")
-    if np.any(t <= 0.0):
+    if not np.all(t > 0.0):  # negated, so NaN fails
         raise InputError("target distribution entries must be positive")
     if abs(t.sum() - 1.0) > 1e-9:
         raise InputError(f"target distribution sums to {t.sum():.12g}, not 1")
@@ -504,9 +505,33 @@ _WALK_BLOCK_CELLS = 1 << 16
 def _sample_tails(P: TransitionMatrix, walks: np.ndarray, start: int,
                   rng: np.random.Generator) -> None:
     """Continue one walk (1-D) or one walk per row (2-D) in place from
-    column `start`. A step takes the first `sampling_table` slot whose sum
-    exceeds a uniform; uniforms are drawn step by step, walker by walker."""
+    column `start`.
+
+    One step rule: a step takes the first `sampling_table` slot whose sum
+    exceeds a uniform. One block rule: uniforms are drawn step by step,
+    walker by walker, in blocks of whole steps, so the stream does not
+    depend on the block size. Two loops apply them. A 2-D batch steps all
+    rows at once in numpy. A single walk steps in plain Python, since a
+    numpy call per step costs several times the step itself: it bisects
+    the current row of the table through memoryviews, which read single
+    entries without converting the whole table on every call. Bisection
+    finds the same slot as the numpy scan because ``sum > u`` reads
+    False...False True...True along every row for u < 1: the sums never
+    decrease except where one rounded above 1.0 drops to the pinned 1.0
+    after it.
+    """
     index, cum = P.sampling_table
+    if walks.ndim == 1:
+        width = cum.shape[1]
+        flat_cum, flat_index = memoryview(cum.ravel()), memoryview(index.ravel())
+        cur, tail = int(walks[start]) - 1, []
+        for lo in range(start + 1, walks.size, _WALK_BLOCK_CELLS):
+            for u in rng.random(min(_WALK_BLOCK_CELLS, walks.size - lo)).tolist():
+                base = cur * width
+                cur = flat_index[bisect_right(flat_cum, u, base, base + width)]
+                tail.append(cur + 1)
+        walks[start + 1:] = tail
+        return
     cur = walks[..., start] - 1
     per_block = max(1, _WALK_BLOCK_CELLS // max(1, cur.size))
     for lo in range(start + 1, walks.shape[-1], per_block):

@@ -71,7 +71,8 @@ class Graph:
 
 
 def _check_vertex(g: Graph, v: int) -> None:
-    if not isinstance(v, (int, np.integer)) or not 1 <= v <= g.n:
+    # bool is an int subclass that has no subclasses: True would pass as vertex 1
+    if type(v) is bool or not isinstance(v, (int, np.integer)) or not 1 <= v <= g.n:
         raise InputError(f"vertex {v!r} out of range 1..{g.n}")
 
 

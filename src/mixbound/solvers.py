@@ -33,7 +33,7 @@ class CountingOracle:
         self.memo: dict[int, object] = {}
 
     def query(self, v: int):
-        if not isinstance(v, (int, np.integer)) or not 1 <= v <= self.n:
+        if type(v) is bool or not isinstance(v, (int, np.integer)) or not 1 <= v <= self.n:
             raise InputError(f"vertex {v!r} out of range 1..{self.n}")
         v = int(v)
         self.total_queries += 1

@@ -88,6 +88,8 @@ def test_metropolis_rejects_bad_target():
         mb.metropolis_walk(g, [0.5, 0.5, 0.0])
     with pytest.raises(InputError):
         mb.metropolis_walk(g, [0.5, 0.4, 0.3])
+    with pytest.raises(InputError, match="must be positive"):
+        mb.metropolis_walk(g, [np.nan, 0.5, 0.5])
 
 
 def test_max_degree_walk():
@@ -157,6 +159,20 @@ def test_make_chain_rejects_bad_rows():
     with pytest.raises(InputError,
                        match=r"^positive entry \(1,3\) is not on a graph edge$"):
         mb.make_chain(g, off_support)
+
+
+@pytest.mark.parametrize("rows,pi,match", [
+    ([[np.nan, np.nan], [0.5, 0.5]], None, r"^row 1 sums to nan"),
+    ([[0.5, 0.5], [np.inf, 0.5]], None, r"^row 2 sums to inf"),
+    ([[0.5, 0.5], [0.5, 0.5]], [np.nan, np.nan], "stationary vector"),
+])
+def test_make_chain_refuses_non_finite_input(capfd, rows, pi, match):
+    # a NaN row passed the row-sum tolerance test and reached the
+    # stationary solve, where LAPACK printed DLASCL errors and raised
+    # LinAlgError; a NaN stationary vector was accepted
+    with pytest.raises(InputError, match=match):
+        mb.make_chain(mb.complete_graph(2), rows, pi=pi)
+    assert capfd.readouterr() == ("", "")
 
 
 def test_reducible_chain():
@@ -543,7 +559,57 @@ def test_sampler_tie_takes_the_next_slot(k2_chain):
     walks[1, 0] = 2
     _sample_tails(k2_chain, walks, 0, Halves())
     assert walks.tolist() == [[1, 2, 2, 2], [2, 2, 2, 2]]
+    for start in (1, 2):  # a single walk steps in its own loop
+        one = np.full(4, start)
+        _sample_tails(k2_chain, one, 0, Halves())
+        assert one.tolist() == [start, 2, 2, 2]
     assert _dense_inverse_cdf(k2_chain.matrix[0], 0.5) == 1
+
+
+class _Scripted:
+    """Stand-in generator that hands out fixed uniforms in order."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self, shape):
+        size = int(np.prod(shape))
+        out, self.values = self.values[:size], self.values[size:]
+        return np.reshape(out, shape)
+
+
+def test_rows_summing_past_one_step_alike_in_both_loops():
+    # Rows 1-3 of this K5 chain end in a 1e-18 entry, so rounding can lift
+    # the running sum above 1.0 at the fourth slot, before the last slot
+    # is pinned back to 1.0. A single walk bisects the row and a batch
+    # scans it; both must take the first slot whose sum exceeds u, ties
+    # included.
+    rng = np.random.default_rng(0)
+    rows = []
+    while len(rows) < 3:
+        row = np.append(rng.random(4), 1e-18)
+        row /= row.sum()
+        if np.cumsum(row / row.sum())[3] > 1.0:  # as make_chain renormalises
+            rows.append(row)
+    rows += [row / row.sum() for row in rng.random((2, 5))]
+    P = mb.make_chain(mb.complete_graph(5), rows)
+    cum = P.sampling_table[1]
+    assert np.all(cum[:3, 3] > 1.0) and np.all(cum[:, 4] == 1.0)
+
+    top = np.nextafter(1.0, 0.0)
+    ties = cum[cum < 1.0].tolist()  # uniforms equal to a running sum
+    uniforms = [u for other in ties + rng.random(200 - len(ties)).tolist()
+                for u in (top, other)]
+    for start in range(1, 6):
+        one = np.full(len(uniforms) + 1, start)
+        _sample_tails(P, one, 0, _Scripted(uniforms))
+        batch = np.full((1, len(uniforms) + 1), start)
+        _sample_tails(P, batch, 0, _Scripted(uniforms))
+        want = [start]
+        for u in uniforms:
+            want.append(_dense_inverse_cdf(P.matrix[want[-1] - 1], u) + 1)
+        assert one.tolist() == batch[0].tolist() == want
+        assert any(u == top and v <= 3 for v, u in zip(want, uniforms))
 
 
 @pytest.mark.parametrize("block_cells", [1, 3, 1 << 30])

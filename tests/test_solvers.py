@@ -39,6 +39,18 @@ def test_oracle_out_of_range(k3_instance):
         oracle.query(4)
 
 
+@pytest.mark.parametrize("vertex", [True, np.True_])
+def test_bool_is_not_a_vertex(k3_chain, k3_instance, vertex):
+    # bool is an int subclass, so a plain range check took True for vertex 1
+    calls = [lambda: mb.sample_walk(k3_chain, vertex, 3, seed=1),
+             lambda: k3_chain.prob(vertex, 1),
+             lambda: mb.bfs_distances(k3_chain.graph, vertex),
+             lambda: mb.search_oracle(k3_instance).query(vertex)]
+    for call in calls:
+        with pytest.raises(InputError, match="out of range"):
+            call()
+
+
 def test_steepest_descent_k3(k3_instance):
     oracle = mb.search_oracle(k3_instance)
     res = mb.steepest_descent(oracle, k3_instance.graph, 1)

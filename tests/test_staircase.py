@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -281,6 +282,30 @@ def test_sample_good_walk_retry_cap(path3_chain):
     params = mb.custom_params(P, T=1, L=2)
     with pytest.raises(CapabilityError, match="good walk"):
         mb.sample_good_walk(P, params, 0, retry_cap=50)
+
+
+# sha256 of repr((walk.vertices, bit)) for sample_instance(P,
+# default_params(P), k), k = 1..20, taken while single walks still stepped
+# through the batched numpy loop; pins seeded walks at pipeline scale.
+_INSTANCE_SHA256 = {
+    ("hypercube:11", None, "lazy-simple"):
+        "6798081487573f4f7c3388498de885d0a50cc3c2db3bb6e7e6d7882df58a2a24",
+    ("random-regular:64,4", 5, "metropolis"):
+        "84ebc9abafa0e3e70b2c1b0a7e85f3615c4595b8e158022b62c99cb354f0d806",
+    ("barbell:30", None, "max-degree"):
+        "26dab44da36fe4165af4a21b9558eea9504e2ad4dd1c5467f0b0ba76eac22a2a",
+}
+
+
+@pytest.mark.parametrize("spec,seed,kind", list(_INSTANCE_SHA256))
+def test_sampled_instances_golden(spec, seed, kind):
+    P = mb.build_chain(mb.graph_from_spec(spec, seed=seed), kind)
+    params = mb.default_params(P)
+    digest = hashlib.sha256()
+    for k in range(1, 21):
+        inst = mb.sample_instance(P, params, k)
+        digest.update(repr((inst.walk.vertices, inst.bit)).encode())
+    assert digest.hexdigest() == _INSTANCE_SHA256[spec, seed, kind]
 
 
 def test_good_walk_acceptance_rate_k16():
