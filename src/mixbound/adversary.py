@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chains import TransitionMatrix, Walk, _sample_tails, make_walk, walk_probability
+from .chains import TransitionMatrix, Walk, _path_probability, _sample_tails, make_walk
 from .errors import DEFAULT_CAPS, CapabilityError, InputError
 from .graphs import _bfs
 from .staircase import (
@@ -112,7 +112,7 @@ def relation_weight(a: StaircaseInstance, b: StaircaseInstance) -> float:
     if not (is_good_walk(a.walk, T) and is_good_walk(b.walk, T)):
         return 0.0
     j = shared_head_index(a.walk, b.walk, T)
-    head_prob = walk_probability(a.chain, b.walk.vertices[: j * T + 1])
+    head_prob = _path_probability(a.chain, b.walk.vertices[: j * T + 1])
     px = a.walk.probability()
     py = b.walk.probability()
     return px * py / head_prob
@@ -418,13 +418,13 @@ def _last_occurrence(walks: np.ndarray, n: int) -> np.ndarray:
 _DIFF_CHUNK_CELLS = 1 << 18
 
 
-def _count_differences(counts: np.ndarray, rows: np.ndarray, xs: np.ndarray,
-                       zs: np.ndarray) -> None:
-    """Add 1 to counts[i, v - 1] for every row i in rows and every vertex v
-    where the decision functions of x_i and z_i disagree: the vertices
-    whose last occurrence differs, plus both walk ends. Works in chunks of
-    rows, so memory stays O(_DIFF_CHUNK_CELLS)."""
-    n = counts.shape[1]
+def _difference_counts(rows: np.ndarray, xs: np.ndarray, zs: np.ndarray,
+                       n: int) -> np.ndarray:
+    """counts[v - 1]: how many rows i in rows have decision functions of
+    x_i and z_i that disagree at vertex v, that is where v's last
+    occurrence differs or v ends either walk. Works in chunks of rows, so
+    memory stays O(_DIFF_CHUNK_CELLS)."""
+    counts = np.zeros(n, dtype=np.int64)
     chunk = max(1, _DIFF_CHUNK_CELLS // max(n, xs.shape[1]))
     for lo in range(0, rows.size, chunk):
         part = rows[lo:lo + chunk]
@@ -432,7 +432,18 @@ def _count_differences(counts: np.ndarray, rows: np.ndarray, xs: np.ndarray,
         # Two distinct ends already differ in last occurrence (one walk
         # sits there at step L, the other does not); a shared end does not.
         diff[np.arange(part.size), xs[part, -1] - 1] = True
-        counts[part] += diff
+        counts += diff.sum(axis=0)
+    return counts
+
+
+def _credited_mean(count: int, samples: int, credit: float) -> tuple[float, float]:
+    """Mean and standard error of samples that each add credit or 0, with
+    count of them adding credit. The sample variance of such values is
+    credit^2 h (1 - h) s / (s - 1), h the fraction that add credit; one
+    sample says nothing about spread, so its standard error is infinite."""
+    se = (credit * math.sqrt(count * (samples - count) / (samples - 1)) / samples
+          if samples > 1 else math.inf)
+    return credit * count / samples, se
 
 
 def estimate_lower_bound(P: TransitionMatrix, params: StaircaseParams,
@@ -441,53 +452,58 @@ def estimate_lower_bound(P: TransitionMatrix, params: StaircaseParams,
     distinguishing masses, using the chain law as the importance
     distribution.
 
-    Each outer draw samples a walk x; for every segment index j a second
-    walk is resampled from x's j-th milestone onward, and the indicator of
-    "second walk good and diverging exactly at segment j" estimates x's
-    contribution to M. The same draws estimate the per-vertex masses; q is
-    reported as the largest of them. Each per-vertex estimate is unbiased,
-    but the largest of several noisy estimates overshoots on average, so
-    q is biased upward (E[q] >= the largest true per-vertex mass).
+    Each sample draws a walk x from vertex 1 and a milestone index J
+    uniform on 0..m-1, then a walk z that shares x's head through
+    milestone J. z's tail is the first L - J*T steps of an L-step walk
+    from x's J-th milestone (a prefix of a longer walk has the law of the
+    shorter one), so one batched draw serves every J. x's contribution to
+    M is the sum over all m segments of the probability that z is good
+    and diverges from x exactly there, with x good; m times that event's
+    indicator at the one segment J estimates it without bias. The same
+    draws, credited m at each vertex where the two decision functions
+    differ, estimate the per-vertex masses; q is reported as the largest
+    of them. Each per-vertex estimate is unbiased, but the largest of
+    several noisy estimates overshoots on average, so q is biased upward
+    (E[q] >= the largest true per-vertex mass). A sample costs 2L
+    walker-steps, whatever m is.
     """
     if samples < 1:
         raise InputError("need at least one sample")
     rng = np.random.default_rng(seed)
     T, L, m = params.T, params.L, params.m
 
-    xs = np.ones((samples, L + 1), dtype=np.int64)
+    xs = np.ones((samples, L + 1), dtype=np.int32)
     _sample_tails(P, xs, 0, rng)
     x_good = _good_rows(xs, T)
-
-    y_totals = np.zeros(samples)
-    # counts[i, v - 1]: redraws of sample i whose pair with x_i is told
-    # apart at vertex v.
-    counts = np.zeros((samples, P.n), dtype=np.int32)
-    for j in range(m):
-        zs, ok = _redraw(P, xs, j, T, rng)
-        hit = x_good & ok
-        y_totals += hit.astype(float)
-        _count_differences(counts, np.flatnonzero(hit), xs, zs)
-    vertex_sum = counts.sum(axis=0)
-    vertex_sumsq = (counts * counts).sum(axis=0)
-
     if not np.any(x_good):
         raise CapabilityError(
             "zero effective samples: no good walk was drawn; increase the "
             "sample count or check the parameters")
 
-    m_hat = 2.0 * float(y_totals.mean())
-    m_se = 2.0 * float(y_totals.std(ddof=1)) / math.sqrt(samples) if samples > 1 else math.inf
+    J = rng.integers(0, m, samples)
+    zs = np.empty_like(xs)
+    zs[:, 0] = xs[np.arange(samples), J * T]
+    _sample_tails(P, zs, 0, rng)
+    # Shift each redraw behind x's head through milestone J: the row
+    # keeps the first L - J*T steps of its tail.
+    for j in range(1, m):
+        rows = np.flatnonzero(J == j)
+        zs[rows, j * T:] = zs[rows, :L + 1 - j * T]
+        zs[rows, :j * T] = xs[rows, :j * T]
+    block = (J * T + 1)[:, None] + np.arange(T)  # segment J's columns
+    diverged = np.any(np.take_along_axis(zs, block, axis=1)
+                      != np.take_along_axis(xs, block, axis=1), axis=1)
+    hit = x_good & _good_rows(zs, T) & diverged
+    m_hat, m_se = _credited_mean(int(hit.sum()), samples, 2.0 * m)
 
-    if not vertex_sum.any():
+    # vertex_hits[v - 1]: hits whose x and z are told apart at vertex v
+    vertex_hits = _difference_counts(np.flatnonzero(hit), xs, zs, P.n)
+    if not vertex_hits.any():
         raise CapabilityError(
             "zero effective samples: no distinguishing event observed")
-    best = int(np.argmax(vertex_sum))  # ties pick the smallest vertex
-    mean_v = float(vertex_sum[best]) / samples
-    q_hat = 2.0 * mean_v
-    var = float(vertex_sumsq[best]) / samples - mean_v ** 2
-    var *= samples / (samples - 1) if samples > 1 else 1.0
-    q_se = 2.0 * math.sqrt(max(var, 0.0) / samples) if samples > 1 else math.inf
-    ratio = m_hat / q_hat if q_hat > 0 else math.inf
+    best = int(np.argmax(vertex_hits))  # ties pick the smallest vertex
+    q_hat, q_se = _credited_mean(int(vertex_hits[best]), samples, 2.0 * m)
+    ratio = m_hat / q_hat
     return AdversaryReport(
         M=m_hat, q=q_hat, ratio=ratio, bound=LOWER_BOUND_CONSTANT * ratio,
         method="monte_carlo", argmax_vertex=best + 1,

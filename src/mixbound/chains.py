@@ -144,15 +144,11 @@ class Walk:
         return self.vertices[-1]
 
     def probability(self) -> float:
-        return walk_probability(self.chain, self.vertices)
+        return _path_probability(self.chain, self.vertices)
 
 
 def make_walk(chain: TransitionMatrix, vertices) -> Walk:
-    verts = tuple(int(v) for v in vertices)
-    if not verts:
-        raise InputError("walk must contain at least one vertex")
-    for v in verts:
-        _check_vertex(chain.graph, v)
+    verts = _walk_vertices(chain, vertices)
     m = chain.matrix
     for a, b in zip(verts, verts[1:]):
         if m[a - 1, b - 1] <= 0.0:
@@ -541,12 +537,27 @@ def _sample_tails(P: TransitionMatrix, walks: np.ndarray, start: int,
             walks[..., s] = cur + 1
 
 
+def _walk_vertices(P: TransitionMatrix, vertices) -> tuple[int, ...]:
+    """The vertices of a walk as Python ints, each checked as it was given:
+    converting first would let 1.9 or True pass as a vertex."""
+    verts = tuple(vertices)
+    if not verts:
+        raise InputError("walk must contain at least one vertex")
+    for v in verts:
+        _check_vertex(P.graph, v)
+    return tuple(int(v) for v in verts)
+
+
 def walk_probability(P: TransitionMatrix, vertices) -> float:
     """Product of transition probabilities along the vertex sequence; zero
     if any step is unsupported. A single vertex has probability 1."""
-    verts = vertices.vertices if isinstance(vertices, Walk) else tuple(vertices)
-    if not verts:
-        raise InputError("walk must contain at least one vertex")
+    verts = (vertices.vertices if isinstance(vertices, Walk)
+             else _walk_vertices(P, vertices))
+    return _path_probability(P, verts)
+
+
+def _path_probability(P: TransitionMatrix, verts: tuple[int, ...]) -> float:
+    """walk_probability of vertices already checked, such as a Walk's."""
     prob = 1.0
     m = P.matrix
     for a, b in zip(verts, verts[1:]):

@@ -830,6 +830,7 @@ def test_named_walks_match_loop_oracles(spec):
 def test_walk_probability(k3_chain, path3_chain):
     assert mb.walk_probability(k3_chain, (2,)) == 1.0
     assert mb.walk_probability(k3_chain, (1, 2, 3)) == pytest.approx(1 / 16)
+    assert mb.walk_probability(k3_chain, np.array([1, 2, 3])) == pytest.approx(1 / 16)
     assert mb.walk_probability(path3_chain, (1, 3)) == 0.0
     with pytest.raises(InputError):
         mb.walk_probability(k3_chain, ())
@@ -838,8 +839,22 @@ def test_walk_probability(k3_chain, path3_chain):
 def test_make_walk_validates(path3_chain):
     w = mb.make_walk(path3_chain, [1, 2, 3, 2])
     assert w.length == 3 and w.start == 1 and w.end == 2
+    assert mb.make_walk(path3_chain, np.array([1, 2, 3, 2])).vertices == w.vertices
+    assert type(mb.make_walk(path3_chain, np.array([1, 2])).vertices[0]) is int
     with pytest.raises(InputError):
         mb.make_walk(path3_chain, [1, 3])
+
+
+@pytest.mark.parametrize("vertices", [[1.9, 2.2, True], [1, 2.0], [True, 2],
+                                      [0, 2], [1, 4], [-1, 1]])
+def test_walks_refuse_what_is_not_a_vertex(k3_chain, vertices):
+    # make_walk once converted with int() before checking, so [1.9, 2.2,
+    # True] became the walk (1, 2, 1); walk_probability checked nothing,
+    # so [0, 2] read row -1 and returned 0.25
+    with pytest.raises(InputError, match="out of range"):
+        mb.make_walk(k3_chain, vertices)
+    with pytest.raises(InputError, match="out of range"):
+        mb.walk_probability(k3_chain, vertices)
 
 
 # ---------------------------------------------------------------------------
