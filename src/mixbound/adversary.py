@@ -333,6 +333,14 @@ class RatioCheckResult:
     worst_subset_size: int
 
 
+def _check_count(name: str, value) -> int:
+    """value as an int if it is a positive int or numpy integer; a bool is
+    refused although Python counts it as an int."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise InputError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
+
+
 def ratio_floor(params: StaircaseParams) -> float:
     """(2^(-4 sigma) / (6 sigma)) * floor(sqrt(n)) / T, the uniform floor
     the theory places under M(Z)/q(Z)."""
@@ -345,6 +353,7 @@ def ratio_property_check(P: TransitionMatrix, params: StaircaseParams,
                          cap: int = DEFAULT_CAPS["enumeration"]) -> RatioCheckResult:
     """Check M(Z)/q(Z) against the theoretical floor on random subsets Z
     of the enumerated family with q(Z) > 0."""
+    subsets = _check_count("subsets", subsets)
     family = enumerate_family(P, params, cap=cap)
     table = _pair_table(family)
     threshold = ratio_floor(params)
@@ -390,16 +399,29 @@ def _good_rows(walks: np.ndarray, T: int) -> np.ndarray:
     return np.all(np.diff(ordered, axis=1) > 0, axis=1)
 
 
-def _redraw(P: TransitionMatrix, xs: np.ndarray, j: int, T: int,
+def _redraw(P: TransitionMatrix, xs: np.ndarray, J: np.ndarray, T: int,
             rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Redraw every row of xs from its j-th milestone onward. Returns the
+    """Redraw row i of xs from its J[i]-th milestone onward. Returns the
     redraws zs and the mask of rows where z is good and differs from x in
-    segment j, the event that credits x's pair with z."""
+    segment J[i], the event that credits x's pair with z. One batch of
+    L - min(J)*T steps starts at the milestones and row i keeps the first
+    L - J[i]*T as its tail: a prefix of a longer walk has the law of the
+    shorter one. A constant J draws exactly a plain redraw's steps."""
+    L, lo = xs.shape[1] - 1, int(J.min())
     zs = np.empty_like(xs)
-    zs[:, :j * T + 1] = xs[:, :j * T + 1]
-    _sample_tails(P, zs, j * T, rng)
-    block = slice(j * T + 1, (j + 1) * T + 1)
-    return zs, _good_rows(zs, T) & np.any(zs[:, block] != xs[:, block], axis=1)
+    zs[:, :lo * T] = xs[:, :lo * T]
+    zs[:, lo * T] = xs[np.arange(len(xs)), J * T]
+    _sample_tails(P, zs, lo * T, rng)
+    # Until the shift below, row i's segment J[i] sits in segment lo's columns.
+    block = slice(lo * T + 1, (lo + 1) * T + 1)
+    diverged = np.any(zs[:, block] != xs[:, block], axis=1)
+    for j in range(lo + 1, int(J.max()) + 1):
+        rows = np.flatnonzero(J == j)
+        diverged[rows] = np.any(
+            zs[rows, block] != xs[rows, j * T + 1:(j + 1) * T + 1], axis=1)
+        zs[rows, j * T:] = zs[rows, lo * T:L + 1 - (j - lo) * T]
+        zs[rows, lo * T:j * T] = xs[rows, lo * T:j * T]
+    return zs, _good_rows(zs, T) & diverged
 
 
 def _last_occurrence(walks: np.ndarray, n: int) -> np.ndarray:
@@ -454,9 +476,7 @@ def estimate_lower_bound(P: TransitionMatrix, params: StaircaseParams,
 
     Each sample draws a walk x from vertex 1 and a milestone index J
     uniform on 0..m-1, then a walk z that shares x's head through
-    milestone J. z's tail is the first L - J*T steps of an L-step walk
-    from x's J-th milestone (a prefix of a longer walk has the law of the
-    shorter one), so one batched draw serves every J. x's contribution to
+    milestone J and redraws the rest (``_redraw``). x's contribution to
     M is the sum over all m segments of the probability that z is good
     and diverges from x exactly there, with x good; m times that event's
     indicator at the one segment J estimates it without bias. The same
@@ -464,13 +484,15 @@ def estimate_lower_bound(P: TransitionMatrix, params: StaircaseParams,
     differ, estimate the per-vertex masses; q is reported as the largest
     of them. Each per-vertex estimate is unbiased, but the largest of
     several noisy estimates overshoots on average, so q is biased upward
-    (E[q] >= the largest true per-vertex mass). A sample costs 2L
-    walker-steps, whatever m is.
+    (E[q] >= the largest true per-vertex mass). A sample costs at most
+    2L walker-steps, whatever m is.
     """
-    if samples < 1:
-        raise InputError("need at least one sample")
+    samples = _check_count("samples", samples)
     rng = np.random.default_rng(seed)
     T, L, m = params.T, params.L, params.m
+    if m < 1:
+        raise CapabilityError(
+            f"no milestone to redraw from: L={L} holds no segment of T={T}")
 
     xs = np.ones((samples, L + 1), dtype=np.int32)
     _sample_tails(P, xs, 0, rng)
@@ -480,20 +502,8 @@ def estimate_lower_bound(P: TransitionMatrix, params: StaircaseParams,
             "zero effective samples: no good walk was drawn; increase the "
             "sample count or check the parameters")
 
-    J = rng.integers(0, m, samples)
-    zs = np.empty_like(xs)
-    zs[:, 0] = xs[np.arange(samples), J * T]
-    _sample_tails(P, zs, 0, rng)
-    # Shift each redraw behind x's head through milestone J: the row
-    # keeps the first L - J*T steps of its tail.
-    for j in range(1, m):
-        rows = np.flatnonzero(J == j)
-        zs[rows, j * T:] = zs[rows, :L + 1 - j * T]
-        zs[rows, :j * T] = xs[rows, :j * T]
-    block = (J * T + 1)[:, None] + np.arange(T)  # segment J's columns
-    diverged = np.any(np.take_along_axis(zs, block, axis=1)
-                      != np.take_along_axis(xs, block, axis=1), axis=1)
-    hit = x_good & _good_rows(zs, T) & diverged
+    zs, hit = _redraw(P, xs, rng.integers(0, m, samples), T, rng)
+    hit &= x_good
     m_hat, m_se = _credited_mean(int(hit.sum()), samples, 2.0 * m)
 
     # vertex_hits[v - 1]: hits whose x and z are told apart at vertex v
@@ -519,13 +529,14 @@ def milestone_escape_estimates(P: TransitionMatrix, params: StaircaseParams,
     """For a fixed sampled good walk x and each segment index j, the Monte
     Carlo probability (with standard error) that a redraw sharing x's head
     through milestone j stays good and diverges exactly at segment j."""
+    samples = _check_count("samples", samples)
     rng = np.random.default_rng(seed)
     T, m = params.T, params.m
     x = np.array(sample_good_walk(P, params, rng).vertices, dtype=np.int64)
     xs = np.tile(x, (samples, 1))
     out = []
     for j in range(m):
-        hits = _redraw(P, xs, j, T, rng)[1].astype(float)
+        hits = _redraw(P, xs, np.full(samples, j), T, rng)[1].astype(float)
         p = float(hits.mean())
         se = float(hits.std(ddof=1)) / math.sqrt(samples) if samples > 1 else math.inf
         out.append((p, se))

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -5,9 +6,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as hst
 
 import mixbound as mb
-from mixbound.adversary import _pair_table, ratio_floor
+from mixbound.adversary import _pair_table, _redraw, ratio_floor
 from mixbound.chains import _sample_tails
 from mixbound.graphs import _bfs
 from mixbound.errors import CapabilityError, InputError
@@ -326,6 +329,13 @@ def test_ratio_floor_arithmetic():
     assert ratio_floor(params) == pytest.approx(1 / 48)
 
 
+@pytest.mark.parametrize("subsets", [0, -3])
+def test_ratio_property_check_refuses_no_subsets(k3_chain, k3_params, subsets):
+    # zero subsets would pass vacuously, with min_ratio = inf
+    with pytest.raises(InputError, match="subsets must be a positive integer"):
+        mb.ratio_property_check(k3_chain, k3_params, subsets=subsets, seed=0)
+
+
 def test_ratio_property_check_k3(k3_chain, k3_params):
     result = mb.ratio_property_check(k3_chain, k3_params, subsets=60, seed=3)
     assert result.passed
@@ -440,6 +450,28 @@ def test_estimate_zero_samples_error(k3_chain, k3_params):
         mb.estimate_lower_bound(k3_chain, k3_params, samples=0, seed=1)
 
 
+@pytest.mark.parametrize("samples", [0, -1, 2.5, True, "3"])
+@pytest.mark.parametrize("estimator", [mb.estimate_lower_bound,
+                                       mb.milestone_escape_estimates])
+def test_estimators_refuse_bad_sample_counts(k3_chain, k3_params, estimator, samples):
+    # zero samples would give (nan, inf) per segment with numpy warnings,
+    # and a float a raw TypeError
+    with pytest.raises(InputError, match="samples must be a positive integer"):
+        estimator(k3_chain, k3_params, samples=samples, seed=0)
+
+
+def test_estimate_refuses_zero_milestones(monkeypatch):
+    # with L = 0 there is no milestone to redraw from; the estimator
+    # refuses before it draws anything
+    P = mb.lazy_simple_walk(mb.complete_graph(4))
+    calls = []
+    monkeypatch.setattr("mixbound.adversary._sample_tails",
+                        lambda *args: calls.append(args) or _sample_tails(*args))
+    with pytest.raises(CapabilityError, match="no milestone"):
+        mb.estimate_lower_bound(P, mb.custom_params(P, T=2, L=0), samples=10, seed=0)
+    assert calls == []
+
+
 def test_one_sample_standard_errors_are_infinite():
     # one sample says nothing about spread; q's SE once read 0.0 here.
     # Seed 8 is the first from 5 up whose one sample is told apart: M and
@@ -537,6 +569,120 @@ def test_estimate_golden_outputs(name, seed):
     assert repr((est.M, est.q, est.std_error, est.q_std_error,
                  est.argmax_vertex)) == want_estimate
     assert repr(escape) == want_escape
+
+
+def test_estimators_accept_numpy_integer_counts():
+    # a numpy count gives the same plain floats as the int it holds
+    P, params = _golden_system("rr32")
+    est = mb.estimate_lower_bound(P, params, samples=np.int64(300), seed=11)
+    escape = mb.milestone_escape_estimates(P, params, samples=np.int64(200), seed=11)
+    want_estimate, want_escape = ESTIMATE_GOLDEN[("rr32", 11)]
+    assert repr((est.M, est.q, est.std_error, est.q_std_error,
+                 est.argmax_vertex)) == want_estimate
+    assert repr(escape) == want_escape
+
+
+# One to three samples often draw no milestone 0, where the redraw skips
+# the trailing uniforms that no row keeps. The outcomes, each the repr of
+# (M, q, std_error, q_std_error, argmax_vertex) or the error text, are
+# pinned by the sha256 of their lines.
+TINY_SWEEP_SHA256 = "a920a6c4b51c06f6498d6d6b6b53b966fbce76270bc94c2664e924b89339c723"
+
+
+def test_estimate_tiny_sample_sweep():
+    K4 = mb.lazy_simple_walk(mb.complete_graph(4))
+    rr32 = _golden_system("rr32")
+    lines = []
+    for P, params in [(K4, mb.custom_params(K4, T=2, L=4)), rr32]:
+        for samples, seed in itertools.product((1, 2, 3), range(300)):
+            try:
+                est = mb.estimate_lower_bound(P, params, samples=samples, seed=seed)
+                lines.append(repr((est.M, est.q, est.std_error, est.q_std_error,
+                                   est.argmax_vertex)))
+            except CapabilityError as exc:
+                lines.append(str(exc))
+    assert len(lines) == 1_800
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == TINY_SWEEP_SHA256
+
+
+def _redraw_inputs():
+    P, params = _golden_system("rr32")
+    xs = np.ones((200, params.L + 1), dtype=np.int64)
+    _sample_tails(P, xs, 0, np.random.default_rng(5))
+    return P, params, xs
+
+
+def _redraw_hits(xs, zs, J, params):
+    """Per row: z is good (m + 1 distinct milestones) and differs from x
+    somewhere in segment J."""
+    T, m = params.T, params.m
+    return np.array([len(set(z[::T].tolist())) == m + 1
+                     and (z[j * T + 1:(j + 1) * T + 1] != x[j * T + 1:(j + 1) * T + 1]).any()
+                     for x, z, j in zip(xs, zs, J)])
+
+
+@pytest.mark.parametrize("j", range(4))
+def test_redraw_constant_milestone_is_a_plain_redraw(j):
+    # copy the head through milestone j, then draw the rest in place: the
+    # same walks from the same uniforms, and no uniform more or less
+    P, params, xs = _redraw_inputs()
+    rng, want_rng = np.random.default_rng(9), np.random.default_rng(9)
+    zs, hit = _redraw(P, xs, np.full(len(xs), j), params.T, rng)
+    want = np.empty_like(xs)
+    want[:, :j * params.T + 1] = xs[:, :j * params.T + 1]
+    _sample_tails(P, want, j * params.T, want_rng)
+    assert np.array_equal(zs, want)
+    assert np.array_equal(hit, _redraw_hits(xs, want, [j] * len(xs), params))
+    assert 0 < hit.sum() < len(hit)
+    assert rng.random() == want_rng.random()
+
+
+def test_redraw_random_milestones_are_a_shifted_full_draw():
+    # min(J) > 0: each row keeps the first L - J*T steps of a full L-step
+    # walk from its milestone, behind x's head
+    P, params, xs = _redraw_inputs()
+    T, L = params.T, params.L
+    J = np.random.default_rng(3).integers(1, params.m, len(xs))
+    assert J.min() == 1 and J.max() == params.m - 1
+    zs, hit = _redraw(P, xs, J, T, np.random.default_rng(9))
+    tails = np.empty_like(xs)
+    tails[:, 0] = xs[np.arange(len(xs)), J * T]
+    _sample_tails(P, tails, 0, np.random.default_rng(9))
+    want = np.array([np.concatenate([x[:j * T], tail[:L + 1 - j * T]])
+                     for x, tail, j in zip(xs, tails, J)])
+    assert np.array_equal(zs, want)
+    assert np.array_equal(hit, _redraw_hits(xs, want, J, params))
+    assert 0 < hit.sum() < len(hit)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(hst.data())
+def test_estimate_within_four_errors_of_exact(data):
+    # small random chains whose exact M is not tiny: the 4 000-sample
+    # estimate of M lies within 4 of its standard errors of the exact M
+    n = data.draw(hst.integers(min_value=3, max_value=6), label="n")
+    seed = data.draw(hst.integers(min_value=0, max_value=10_000), label="seed")
+    T = data.draw(hst.sampled_from([1, 2]), label="T")
+    m = data.draw(hst.sampled_from([2, 3]), label="m")
+    rng = np.random.default_rng(seed)
+    tree = {(int(rng.integers(1, v)), v) for v in range(2, n + 1)}
+    extra = {(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)
+             if rng.random() < 0.4}
+    g = mb.make_graph(n, tree | extra)
+    if data.draw(hst.booleans(), label="metropolis"):
+        target = rng.uniform(0.1, 1.0, n)
+        P = mb.metropolis_walk(g, target / target.sum())
+    else:
+        P = mb.lazy_simple_walk(g)
+    params = mb.custom_params(P, T=T, L=m * T)
+    try:
+        family = mb.enumerate_family(P, params, cap=2_000)
+    except CapabilityError:
+        assume(False)
+    exact = mb.relation_mass(family, family).total
+    assume(exact >= 0.05)
+    est = mb.estimate_lower_bound(P, params, samples=4_000, seed=seed)
+    assert abs(est.M - exact) <= 4 * est.std_error
 
 
 def test_milestone_escape_estimates_shape():
