@@ -9,6 +9,7 @@ validated and frozen at construction and safe to share between threads.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
@@ -28,6 +29,8 @@ ROW_SUM_TOL = 1e-12
 STATIONARY_TOL = 1e-10
 DETAILED_BALANCE_TOL = 1e-10
 EIGENVALUE_TOL = 1e-9
+LANCZOS_TOL = 1e-13
+LANCZOS_CHECK = 10  # Lanczos steps between Ritz residual checks
 
 
 @dataclass(frozen=True)
@@ -406,20 +409,82 @@ def mixing_time(P: TransitionMatrix, eps: float,
 
 
 def spectral_gap(P: TransitionMatrix) -> tuple[float, float]:
-    """(second-largest eigenvalue, 1 - it) of a reversible chain, via the
-    symmetrized matrix D^(1/2) P D^(-1/2)."""
+    """(second-largest eigenvalue, 1 - it) of a reversible chain.
+
+    Lanczos on the symmetrized matrix S = D^(1/2) P D^(-1/2), D = diag(pi),
+    whose eigenvalues are P's (Golub and Van Loan, Matrix Computations, the
+    chapter on large sparse eigenproblems). A product with S is one gather
+    through `in_neighbours`, so no n x n matrix is formed. S's top
+    eigenvector sqrt(pi) is deflated: every Lanczos vector is kept
+    orthogonal to it, and lambda2 is the largest Ritz value of what is
+    left. Each new vector is orthogonalized twice against sqrt(pi) and all
+    earlier vectors, since one pass loses orthogonality and lets spurious
+    copies diverge.
+
+    The start vector is fixed, ``default_rng(0).standard_normal(n)`` with
+    its sqrt(pi) part removed, so the result is the same in every process.
+    Every LANCZOS_CHECK steps the Ritz residual |beta_k s_k| of the largest
+    Ritz value is read from the k x k tridiagonal matrix. The run stops
+    when that residual, which bounds the distance from the Ritz value to
+    an eigenvalue, is at most LANCZOS_TOL; when beta_k is at most
+    LANCZOS_TOL, i.e. the Krylov space is invariant (one step on complete
+    graphs, d on hypercube:d); or after n - 1 steps, the whole deflated
+    space.
+    """
     if not P.flags.reversible:
         raise CapabilityError("spectral gap requires a reversible chain")
-    pi = P._pi_or_raise()
-    root = np.sqrt(pi)
-    sym = root[:, None] * P.matrix / root[None, :]
-    sym = (sym + sym.T) / 2  # symmetric up to roundoff by reversibility
-    eigs = np.linalg.eigvalsh(sym)
-    lambda2 = float(eigs[-2])
-    if P.flags.lazy and lambda2 < -EIGENVALUE_TOL:
+    root = np.sqrt(P._pi_or_raise())
+    index, weight = P.in_neighbours
+    n = P.n
+    basis = np.empty((min(n, 2 * LANCZOS_CHECK), n))  # grows by doubling
+    basis[0] = root / np.linalg.norm(root)
+    q = np.random.default_rng(0).standard_normal(n)
+    q -= (basis[0] @ q) * basis[0]
+    basis[1] = q / np.linalg.norm(q)
+    alpha, beta = [], []
+    for k in range(1, n):
+        q = basis[k]
+        # S^T q, which is S q by reversibility.
+        w = ((q * root)[index] * weight).sum(axis=1) / root
+        alpha.append(q @ w)
+        for _ in range(2):
+            w -= (basis[:k + 1] @ w) @ basis[:k + 1]
+        b = float(np.linalg.norm(w))
+        done = b <= LANCZOS_TOL or k == n - 1
+        if done or k % LANCZOS_CHECK == 0:
+            ritz, vectors = np.linalg.eigh(
+                np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
+            if done or abs(b * vectors[-1, -1]) <= LANCZOS_TOL:
+                break
+        beta.append(b)
+        if k + 1 == len(basis):
+            basis = np.concatenate((basis, np.empty((min(k + 1, n - k - 1), n))))
+        basis[k + 1] = w / b
+    # A Ritz value never lies below the smallest eigenvalue, so a negative
+    # one proves a negative eigenvalue.
+    if P.flags.lazy and ritz[0] < -EIGENVALUE_TOL:
         raise AssertionError(
-            f"lazy chain produced negative second eigenvalue {lambda2}")
+            f"lazy chain has a negative eigenvalue, Ritz value {ritz[0]}")
+    lambda2 = float(ritz[-1])
     return lambda2, 1.0 - lambda2
+
+
+def t_mix_bracket(P: TransitionMatrix, eps: float) -> tuple[float, int]:
+    """(lower, upper) bounds on mixing_time(P, eps) from the relaxation
+    time t_rel = 1 / (1 - lambda2) of a lazy reversible chain:
+    (t_rel - 1) ln(1/(2 eps)) and ceil(t_rel ln(1/(eps min pi))) (Levin,
+    Peres and Wilmer, Markov Chains and Mixing Times, ch. 12). Laziness
+    puts the spectrum in [0, 1], so lambda2 is the largest eigenvalue
+    modulus below 1 that both bounds need."""
+    if not 0 < eps < 0.5:
+        raise InputError(f"eps must lie in (0, 1/2), got {eps}")
+    flags = P.flags
+    if not (flags.lazy and flags.reversible and flags.irreducible):
+        raise CapabilityError(
+            "mixing time bracket requires a lazy, reversible, irreducible chain")
+    t_rel = 1.0 / spectral_gap(P)[1]
+    return ((t_rel - 1.0) * math.log(1.0 / (2.0 * eps)),
+            math.ceil(t_rel * math.log(1.0 / (eps * P.pi.min()))))
 
 
 def bottleneck_ratio(P: TransitionMatrix,

@@ -51,20 +51,25 @@ def analyze_report(P: ch.TransitionMatrix, eps: float | None = None,
     }
     omitted = doc["omitted"]
     if P.pi is None:
-        for name in ("sigma", "t_mix", "lambda2", "gap", "phi_star"):
+        for name in ("sigma", "t_mix", "t_mix_bracket", "lambda2", "gap", "phi_star"):
             omitted[name] = "chain is reducible"
     else:
         sigma = ch.stationary_ratio(P)
         doc["sigma"] = sigma
         eps_val = eps if eps is not None else sigma / (2 * P.n)
         if not 0 < eps_val < 0.5:
-            omitted["t_mix"] = f"eps={eps_val:.4g} outside (0, 1/2)"
+            omitted["t_mix"] = omitted["t_mix_bracket"] = (
+                f"eps={eps_val:.4g} outside (0, 1/2)")
         else:
             doc["t_mix_eps"] = eps_val
             try:
                 doc["t_mix"] = ch.mixing_time(P, eps_val)
             except CapabilityError as exc:
                 omitted["t_mix"] = str(exc)
+            try:
+                doc["t_mix_bracket"] = list(ch.t_mix_bracket(P, eps_val))
+            except CapabilityError as exc:
+                omitted["t_mix_bracket"] = str(exc)
         if flags.reversible:
             lambda2, gap = ch.spectral_gap(P)
             doc["lambda2"] = lambda2

@@ -368,11 +368,25 @@ def check_a9_unique_minimum(ctx: _Context) -> Outcome:
 # B-series checks
 # ---------------------------------------------------------------------------
 
+def _dense_lambda2(P: ch.TransitionMatrix) -> float:
+    """Reference lambda2: the second-largest eigenvalue of the dense
+    symmetrized matrix D^(1/2) P D^(-1/2), D = diag(pi)."""
+    root = np.sqrt(P.pi)
+    sym = root[:, None] * P.matrix / root[None, :]
+    return float(np.linalg.eigvalsh((sym + sym.T) / 2)[-2])
+
+
 def check_b1_cheeger_sandwich(ctx: _Context) -> Outcome:
-    """Phi^2/2 <= 1 - lambda2 <= 2 Phi for every lazy test chain."""
+    """Phi^2/2 <= 1 - lambda2 <= 2 Phi for every lazy test chain, with the
+    Lanczos lambda2 within 1e-12 of a dense eigensolve."""
     for gname, kind, P in ctx.test_chains():
         phi = ch.bottleneck_ratio(P)
-        _, gap = ch.spectral_gap(P)
+        lambda2, gap = ch.spectral_gap(P)
+        reference = _dense_lambda2(P)
+        if abs(lambda2 - reference) > 1e-12:
+            return _fail("Lanczos lambda2 differs from the dense eigensolve",
+                         {"graph": gname, "chain": kind, "lambda2": lambda2,
+                          "dense": reference})
         if not (phi * phi / 2.0 <= gap + 1e-12 and gap <= 2.0 * phi + 1e-12):
             return _fail("Cheeger sandwich violated",
                          {"graph": gname, "chain": kind, "phi": phi, "gap": gap})
@@ -399,9 +413,11 @@ def check_b2_expansion_bound(ctx: _Context) -> Outcome:
 
 
 def check_b_spectral_mixing(ctx: _Context) -> Outcome:
-    """t_mix(eps) <= ln(1/(eps min pi)) / (1 - lambda2) at eps in
-    {1/8, 1/(2n)}, and the default mixing time (single-start on
-    vertex-transitive chains) equals the full-matrix linear scan."""
+    """(1/(1 - lambda2) - 1) ln(1/(2 eps)) <= t_mix(eps) <= ln(1/(eps min
+    pi)) / (1 - lambda2) at eps in {1/8, 1/(2n)}: the `t_mix_bracket`
+    ends, the upper one before it is rounded up. The default mixing time
+    (single-start on vertex-transitive chains) also equals the
+    full-matrix linear scan."""
     for gname, kind, P in ctx.test_chains():
         pi = ch.stationary(P)
         _, gap = ch.spectral_gap(P)
@@ -413,11 +429,13 @@ def check_b_spectral_mixing(ctx: _Context) -> Outcome:
                              {"graph": gname, "chain": kind, "eps": eps,
                               "t_mix": t, "t_linear": t_linear,
                               "vertex_transitive": P.vertex_transitive})
+            lower, upper = ch.t_mix_bracket(P, eps)
             limit = math.log(1.0 / (eps * pi.min())) / gap
-            if t > limit:
-                return _fail("mixing time exceeds spectral bound",
+            if not lower <= t <= limit:
+                return _fail("mixing time outside the spectral bracket",
                              {"graph": gname, "chain": kind, "eps": eps,
-                              "t_mix": t, "limit": limit})
+                              "t_mix": t, "lower": lower, "limit": limit,
+                              "upper": upper})
     return _ok(f"{len(ctx.test_chains())} chains within the spectral bound")
 
 

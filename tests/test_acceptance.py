@@ -206,6 +206,7 @@ def test_criterion_7_cli_determinism():
     commands = [
         ("graph", "gen", "--graph", "random-regular:8,3", "--seed", "5"),
         ("chain", "analyze", "--graph", "hypercube:3", "--chain", "max-degree"),
+        ("chain", "analyze", "--graph", "random-regular:64,4", "--seed", "2"),
         ("instance", "sample", "--graph", "complete:16", "--chain",
          "lazy-simple", "--seed", "3"),
         ("bench", "--graph", "complete:9", "--chain", "lazy-simple",

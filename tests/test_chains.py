@@ -342,6 +342,81 @@ def test_spectral_requires_reversible():
         mb.spectral_gap(P)
 
 
+def dense_lambda2_oracle(P):
+    # second-largest eigenvalue of the dense symmetrized matrix
+    root = np.sqrt(P.pi)
+    sym = root[:, None] * P.matrix / root[None, :]
+    return float(np.linalg.eigvalsh((sym + sym.T) / 2)[-2])
+
+
+@settings(max_examples=80, deadline=None)
+@given(hst.data())
+def test_spectral_gap_matches_dense_oracle(data):
+    n = data.draw(hst.integers(min_value=2, max_value=8), label="n")
+    seed = data.draw(hst.integers(min_value=0, max_value=10_000), label="seed")
+    kind = data.draw(hst.sampled_from(["lazy-simple", "max-degree", "metropolis"]),
+                     label="kind")
+    rng = np.random.default_rng(seed)
+    tree = {(int(rng.integers(1, v)), v) for v in range(2, n + 1)}
+    extra = {(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)
+             if rng.random() < 0.4}
+    g = mb.make_graph(n, tree | extra)
+    target = rng.uniform(0.1, 1.0, n)
+    P = mb.build_chain(g, kind, target=target / target.sum())
+    lam, gap = mb.spectral_gap(P)
+    assert abs(lam - dense_lambda2_oracle(P)) <= 1e-12
+    assert gap == 1.0 - lam
+
+
+@pytest.mark.parametrize("spec", [
+    "complete:2", "complete:6", "path:3", "barbell:10", "hypercube:4",
+    "hypercube:5", "hypercube:6", "hypercube:7", "hypercube:8", "hypercube:9",
+    "random-regular:256,4",
+])
+def test_spectral_gap_named_chains_match_dense_oracle(spec):
+    P = mb.lazy_simple_walk(mb.graph_from_spec(spec, seed=0))
+    assert abs(mb.spectral_gap(P)[0] - dense_lambda2_oracle(P)) <= 1e-12
+
+
+def test_spectral_gap_is_bit_identical_on_repeat():
+    P = mb.lazy_simple_walk(mb.graph_from_spec("random-regular:256,4", seed=0))
+    assert mb.spectral_gap(P) == mb.spectral_gap(P)
+
+
+def test_spectral_gap_hypercube_is_closed_form():
+    # lambda2 = 1 - 1/d on the lazy hypercube
+    lam, _ = mb.spectral_gap(mb.lazy_simple_walk(mb.hypercube_graph(11)))
+    assert lam == pytest.approx(10 / 11, abs=1e-14)
+
+
+@pytest.mark.parametrize("spec,kind", [
+    ("cycle:9", "lazy-simple"), ("barbell:8", "max-degree"),
+    ("random-regular:64,4", "metropolis"), ("path:12", "lazy-simple"),
+])
+def test_t_mix_bracket_contains_exact_mixing_time(spec, kind):
+    P = mb.build_chain(mb.graph_from_spec(spec, seed=2), kind)
+    _, gap = mb.spectral_gap(P)
+    for eps in (0.125, 0.05, 1 / (2 * P.n)):
+        lower, upper = mb.t_mix_bracket(P, eps)
+        t_rel = 1 / gap
+        assert lower == pytest.approx((t_rel - 1) * math.log(1 / (2 * eps)), rel=1e-15)
+        assert upper == math.ceil(t_rel * math.log(1 / (eps * P.pi.min())))
+        assert isinstance(upper, int)
+        assert lower <= mb.mixing_time(P, eps) <= upper
+
+
+def test_t_mix_bracket_refuses_other_chains():
+    half_lazy = mb.make_chain(mb.path_graph(2), [[0.25, 0.75], [0.75, 0.25]])
+    cyclic = mb.make_chain(mb.cycle_graph(3),
+                           [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
+    reducible = mb.make_chain(mb.path_graph(3), np.eye(3), pi=np.full(3, 1 / 3))
+    for P in (half_lazy, cyclic, reducible):
+        with pytest.raises(CapabilityError):
+            mb.t_mix_bracket(P, 0.25)
+    with pytest.raises(InputError):
+        mb.t_mix_bracket(mb.lazy_simple_walk(mb.path_graph(3)), 0.5)
+
+
 def brute_bottleneck_oracle(P):
     pi = P.pi
     best, best_set = float("inf"), None

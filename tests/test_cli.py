@@ -101,6 +101,7 @@ def test_analyze_k2_values_and_schema():
     assert doc["sigma"] == 1.0
     assert doc["lambda2"] == pytest.approx(0.0, abs=1e-12)
     assert doc["t_mix"] == 1
+    assert doc["t_mix_bracket"] == [0.0, 3]  # eps = 1/4: ceil(ln 8) = 3
     assert doc["flags"] == {"lazy": True, "irreducible": True, "reversible": True}
     assert doc["omitted"] == {}
 
@@ -136,6 +137,7 @@ def test_analyze_reports_limited_for_nonreversible(tmp_path):
     jsonschema.validate(doc, load_schema())
     assert doc["flags"]["reversible"] is False
     assert "lambda2" in doc["omitted"]
+    assert "t_mix_bracket" in doc["omitted"]
     assert "t_mix" in doc  # still computable
 
 

@@ -128,6 +128,31 @@ def test_symmetry_catches_faulty_relation(monkeypatch, faulty_pairs, shift,
     assert result.counterexample == expected
 
 
+def test_b1_catches_lambda2_off_the_dense_reference(monkeypatch):
+    original = ch.spectral_gap
+
+    def faulty(P):
+        lam, gap = original(P)
+        return lam + 2e-12, gap - 2e-12
+
+    monkeypatch.setattr(ch, "spectral_gap", faulty)
+    [result] = run_verify(checks=["B1_cheeger_sandwich"], seed=0)
+    assert not result.passed
+    assert result.details == "Lanczos lambda2 differs from the dense eigensolve"
+
+
+def test_spectral_mixing_catches_lower_end_above_t_mix(monkeypatch):
+    original = ch.t_mix_bracket
+
+    def faulty(P, eps):
+        return ch.mixing_time(P, eps) + 0.5, original(P, eps)[1]
+
+    monkeypatch.setattr(ch, "t_mix_bracket", faulty)
+    [result] = run_verify(checks=["B_spectral_mixing"], seed=0)
+    assert not result.passed
+    assert result.details == "mixing time outside the spectral bracket"
+
+
 def test_context_params_cache_keeps_chain_alive():
     # the cache is keyed by the chain itself, which hashes by identity; the
     # key holds the chain, so its (T, L) can never pass to a later chain
