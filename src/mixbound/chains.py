@@ -30,7 +30,9 @@ STATIONARY_TOL = 1e-10
 DETAILED_BALANCE_TOL = 1e-10
 EIGENVALUE_TOL = 1e-9
 LANCZOS_TOL = 1e-13
-LANCZOS_CHECK = 10  # Lanczos steps between Ritz residual checks
+LANCZOS_BASIS = 20  # first rows of the Lanczos basis, which doubles when full
+_EPS = float(np.finfo(float).eps)
+_PIVMIN = 1e-300  # stands in for a zero pivot of a tridiagonal factorization
 
 
 @dataclass(frozen=True)
@@ -417,74 +419,171 @@ def spectral_gap(P: TransitionMatrix) -> tuple[float, float]:
     through `in_neighbours`, so no n x n matrix is formed. S's top
     eigenvector sqrt(pi) is deflated: every Lanczos vector is kept
     orthogonal to it, and lambda2 is the largest Ritz value of what is
-    left. Each new vector is orthogonalized twice against sqrt(pi) and all
-    earlier vectors, since one pass loses orthogonality and lets spurious
-    copies diverge.
+    left. The basis is kept semi-orthogonal by partial
+    reorthogonalization (Simon, Math. Comp. 42, 1984): a recurrence
+    estimates how far each new vector has drifted from the earlier ones,
+    and only when the estimate passes sqrt(machine eps) is it, and the
+    vector after it, orthogonalized twice against all earlier vectors.
+    Semi-orthogonality keeps the Ritz values accurate to machine precision
+    while sparing the O(kn) pass over the basis at most steps.
 
     The start vector is fixed, ``default_rng(0).standard_normal(n)`` with
     its sqrt(pi) part removed, so the result is the same in every process.
-    Every LANCZOS_CHECK steps the Ritz residual |beta_k s_k| of the largest
-    Ritz value is read from the k x k tridiagonal matrix. The run stops
-    when that residual, which bounds the distance from the Ritz value to
-    an eigenvalue, is at most LANCZOS_TOL; when beta_k is at most
-    LANCZOS_TOL, i.e. the Krylov space is invariant (one step on complete
-    graphs, d on hypercube:d); or after n - 1 steps, the whole deflated
-    space.
+    Each time the basis fills, before it doubles, the Ritz residual
+    |beta_k s_k| of the largest Ritz value is read from the k x k
+    tridiagonal matrix by `_top_ritz`, in O(k) work per bisection step;
+    with the doubling, all checks together cost about two at the final
+    size. The run stops when that residual, which bounds the distance from
+    the Ritz value to an eigenvalue, is at most LANCZOS_TOL; when beta_k
+    is at most LANCZOS_TOL, i.e. the Krylov space is invariant (one step
+    on complete graphs, d on hypercube:d); or after n - 1 steps, the whole
+    deflated space.
     """
     if not P.flags.reversible:
         raise CapabilityError("spectral gap requires a reversible chain")
     root = np.sqrt(P._pi_or_raise())
     index, weight = P.in_neighbours
     n = P.n
-    basis = np.empty((min(n, 2 * LANCZOS_CHECK), n))  # grows by doubling
-    basis[0] = root / np.linalg.norm(root)
-    q = np.random.default_rng(0).standard_normal(n)
-    q -= (basis[0] @ q) * basis[0]
-    basis[1] = q / np.linalg.norm(q)
-    alpha, beta = [], []
+    basis = np.empty((min(n, LANCZOS_BASIS), n))  # grows by doubling
+    basis[0] = q0 = root / np.linalg.norm(root)
+    w = np.random.default_rng(0).standard_normal(n)
+    w -= (q0 @ w) * q0
+    b = float(np.linalg.norm(w))
+    alpha, beta = np.empty(n), np.empty(n)
+    # omega[i] estimates |v_k . v_(i+1)| for the current Lanczos vector v_k
+    # (omega[-1] = 1), omega_prev the same for v_(k-1).
+    omega, omega_prev = np.ones(1), np.zeros(0)
+    fresh = _EPS * math.sqrt(n)  # drift of a newly orthogonalized vector
+    forced = False  # orthogonalize this step too, after a triggered one
     for k in range(1, n):
-        q = basis[k]
+        basis[k] = q = w / b
         # S^T q, which is S q by reversibility.
         w = ((q * root)[index] * weight).sum(axis=1) / root
-        alpha.append(q @ w)
-        for _ in range(2):
-            w -= (basis[:k + 1] @ w) @ basis[:k + 1]
+        if k > 1:
+            w -= beta[k - 2] * basis[k - 1]
+        alpha[k - 1] = a = float(q @ w)
+        w -= a * q
+        w -= (q0 @ w) * q0
         b = float(np.linalg.norm(w))
+        if b > LANCZOS_TOL and k < n - 1:
+            a_k, b_k = alpha[:k - 1], beta[:k - 1]
+            drift = b_k * omega[1:] + (a_k - a) * omega[:-1] - beta[k - 2] * omega_prev
+            drift[1:] += b_k[:-1] * omega[:-2]
+            drift = (drift + np.copysign(_EPS * (b_k + b), drift)) / b
+            if forced or (k > 1 and np.abs(drift).max() > math.sqrt(_EPS)):
+                for _ in range(2):
+                    w -= (basis[:k + 1] @ w) @ basis[:k + 1]
+                b = float(np.linalg.norm(w))
+                drift[:] = fresh
+                forced = not forced
+            omega_prev, omega = omega, np.concatenate((drift, [fresh, 1.0]))
         done = b <= LANCZOS_TOL or k == n - 1
-        if done or k % LANCZOS_CHECK == 0:
-            ritz, vectors = np.linalg.eigh(
-                np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
-            if done or abs(b * vectors[-1, -1]) <= LANCZOS_TOL:
+        if done or k + 1 == len(basis):
+            lambda2, last = _top_ritz(alpha[:k].tolist(), beta[:k - 1].tolist())
+            if done or b * last <= LANCZOS_TOL:
                 break
-        beta.append(b)
+        beta[k - 1] = b
         if k + 1 == len(basis):
             basis = np.concatenate((basis, np.empty((min(k + 1, n - k - 1), n))))
-        basis[k + 1] = w / b
     # A Ritz value never lies below the smallest eigenvalue, so a negative
     # one proves a negative eigenvalue.
-    if P.flags.lazy and ritz[0] < -EIGENVALUE_TOL:
-        raise AssertionError(
-            f"lazy chain has a negative eigenvalue, Ritz value {ritz[0]}")
-    lambda2 = float(ritz[-1])
+    if P.flags.lazy and _eigenvalues_below(
+            alpha[:k].tolist(), (beta[:k - 1] ** 2).tolist(), -EIGENVALUE_TOL):
+        raise AssertionError("lazy chain has a negative eigenvalue: "
+                             f"a Ritz value lies below {-EIGENVALUE_TOL}")
     return lambda2, 1.0 - lambda2
 
 
-def t_mix_bracket(P: TransitionMatrix, eps: float) -> tuple[float, int]:
+def _pivots(diag: list, off2: list) -> list:
+    """Pivots of the LDL^T factorization of the symmetric tridiagonal
+    matrix with diagonal `diag` and squared off-diagonal `off2`; a pivot
+    that vanishes is replaced by -_PIVMIN, as LAPACK's bisection does."""
+    pivots, pivot = [], 1.0
+    for a, b2 in zip(diag, [0.0, *off2]):
+        pivot = a - b2 / pivot
+        if abs(pivot) < _PIVMIN:
+            pivot = -_PIVMIN
+        pivots.append(pivot)
+    return pivots
+
+
+def _eigenvalues_below(diag: list, off2: list, x: float) -> int:
+    """How many eigenvalues of the symmetric tridiagonal matrix with
+    diagonal `diag` and squared off-diagonal `off2` lie below x: the
+    negative pivots of it shifted by -x (Sturm count); _pivots, unrolled
+    for the bisection that calls it ~50 times per Ritz value."""
+    count, pivot = 0, 1.0
+    for a, b2 in zip(diag, [0.0, *off2]):
+        pivot = a - x - b2 / pivot
+        if pivot < _PIVMIN:
+            if pivot > -_PIVMIN:
+                pivot = -_PIVMIN
+            count += 1
+    return count
+
+
+def _top_ritz(diag: list, off: list) -> tuple[float, float]:
+    """(largest eigenvalue theta, |last entry| of its unit eigenvector) of
+    the symmetric tridiagonal matrix T with diagonal `diag` and positive
+    off-diagonal `off`, in O(k) work per bisection step.
+
+    theta is bisected to adjacent floats by Sturm counts. The eigenvector
+    comes from a twisted factorization of theta - T (Parlett and Dhillon,
+    the MRRR eigenvector method): its entries are solved outward from the
+    twist index, where the eigenvector is largest, using the top-down
+    pivots above it and the bottom-up pivots below it, so every step of
+    the solve shrinks the entries and none amplifies rounding. The norm is
+    summed in logarithms, since the entries can span hundreds of orders of
+    magnitude."""
+    k = len(diag)
+    off2 = [b * b for b in off]
+    pad = [0.0, *off, 0.0]
+    lo = max(diag)
+    hi = max(a + pad[j] + pad[j + 1] for j, a in enumerate(diag))
+    while lo < (mid := (lo + hi) / 2) < hi:
+        if _eigenvalues_below(diag, off2, mid) == k:
+            hi = mid
+        else:
+            lo = mid
+    shifted = [hi - a for a in diag]
+    down = _pivots(shifted, off2)
+    up = _pivots(shifted[::-1], off2[::-1])[::-1]
+    twist = min(range(k), key=lambda i: abs(down[i] + up[i] - shifted[i]))
+    logs = [0.0] * k  # log |entry| / |entry at the twist|
+    for i in range(twist - 1, -1, -1):
+        logs[i] = logs[i + 1] + math.log(off[i] / abs(down[i]))
+    for i in range(twist + 1, k):
+        logs[i] = logs[i - 1] + math.log(off[i - 1] / abs(up[i]))
+    top = max(logs)
+    log_norm = top + 0.5 * math.log(math.fsum(math.exp(2 * (x - top)) for x in logs))
+    return hi, math.exp(logs[-1] - log_norm)
+
+
+def t_mix_bracket(P: TransitionMatrix, eps: float,
+                  gap: float | None = None) -> tuple[float, int]:
     """(lower, upper) bounds on mixing_time(P, eps) from the relaxation
     time t_rel = 1 / (1 - lambda2) of a lazy reversible chain:
     (t_rel - 1) ln(1/(2 eps)) and ceil(t_rel ln(1/(eps min pi))) (Levin,
     Peres and Wilmer, Markov Chains and Mixing Times, ch. 12). Laziness
     puts the spectrum in [0, 1], so lambda2 is the largest eigenvalue
-    modulus below 1 that both bounds need."""
+    modulus below 1 that both bounds need. A caller that already has
+    spectral_gap(P)'s gap passes it as `gap` to save a second solve."""
+    lower, upper = _relaxation_bounds(P, eps, gap)
+    return lower, math.ceil(upper)
+
+
+def _relaxation_bounds(P: TransitionMatrix, eps: float,
+                       gap: float | None = None) -> tuple[float, float]:
+    """t_mix_bracket's two ends, the upper one not yet rounded up."""
     if not 0 < eps < 0.5:
         raise InputError(f"eps must lie in (0, 1/2), got {eps}")
     flags = P.flags
     if not (flags.lazy and flags.reversible and flags.irreducible):
         raise CapabilityError(
             "mixing time bracket requires a lazy, reversible, irreducible chain")
-    t_rel = 1.0 / spectral_gap(P)[1]
+    t_rel = 1.0 / (spectral_gap(P)[1] if gap is None else gap)
     return ((t_rel - 1.0) * math.log(1.0 / (2.0 * eps)),
-            math.ceil(t_rel * math.log(1.0 / (eps * P.pi.min()))))
+            t_rel * math.log(1.0 / (eps * P.pi.min())))
 
 
 def bottleneck_ratio(P: TransitionMatrix,

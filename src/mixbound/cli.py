@@ -56,6 +56,11 @@ def analyze_report(P: ch.TransitionMatrix, eps: float | None = None,
     else:
         sigma = ch.stationary_ratio(P)
         doc["sigma"] = sigma
+        if flags.reversible:
+            doc["lambda2"], doc["gap"] = ch.spectral_gap(P)
+        else:
+            omitted["lambda2"] = "chain is not reversible"
+            omitted["gap"] = "chain is not reversible"
         eps_val = eps if eps is not None else sigma / (2 * P.n)
         if not 0 < eps_val < 0.5:
             omitted["t_mix"] = omitted["t_mix_bracket"] = (
@@ -67,16 +72,10 @@ def analyze_report(P: ch.TransitionMatrix, eps: float | None = None,
             except CapabilityError as exc:
                 omitted["t_mix"] = str(exc)
             try:
-                doc["t_mix_bracket"] = list(ch.t_mix_bracket(P, eps_val))
+                doc["t_mix_bracket"] = list(
+                    ch.t_mix_bracket(P, eps_val, doc.get("gap")))
             except CapabilityError as exc:
                 omitted["t_mix_bracket"] = str(exc)
-        if flags.reversible:
-            lambda2, gap = ch.spectral_gap(P)
-            doc["lambda2"] = lambda2
-            doc["gap"] = gap
-        else:
-            omitted["lambda2"] = "chain is not reversible"
-            omitted["gap"] = "chain is not reversible"
         if P.n <= expansion_cap:
             doc["phi_star"] = ch.bottleneck_ratio(P, cap=expansion_cap)
         else:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import mixbound as mb
-from mixbound.chains import _sample_tails
+from mixbound.chains import _sample_tails, _top_ritz
 from mixbound.errors import CapabilityError, InputError
 from mixbound.graphs import _bfs
 
@@ -372,10 +372,32 @@ def test_spectral_gap_matches_dense_oracle(data):
     "complete:2", "complete:6", "path:3", "barbell:10", "hypercube:4",
     "hypercube:5", "hypercube:6", "hypercube:7", "hypercube:8", "hypercube:9",
     "random-regular:256,4",
+    # lambda2 within O(1/n^2) of lambda3: Lanczos runs to, or near, n - 1 steps
+    "path:512", "cycle:512", "torus2d:16x16", "barbell:100",
 ])
 def test_spectral_gap_named_chains_match_dense_oracle(spec):
     P = mb.lazy_simple_walk(mb.graph_from_spec(spec, seed=0))
     assert abs(mb.spectral_gap(P)[0] - dense_lambda2_oracle(P)) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(hst.integers(min_value=1, max_value=40), hst.integers(min_value=0, max_value=10_000))
+def test_top_ritz_matches_dense_eigh(k, seed):
+    rng = np.random.default_rng(seed)
+    diag, off = rng.uniform(-1, 1, k), rng.uniform(0.01, 1, k - 1)
+    values, vectors = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    theta, last = _top_ritz(diag.tolist(), off.tolist())
+    assert abs(theta - values[-1]) <= 1e-14
+    if k == 1 or values[-1] - values[-2] > 1e-3:  # a well-defined eigenvector
+        assert last == pytest.approx(abs(vectors[-1, -1]), rel=1e-8, abs=1e-14)
+
+
+def test_top_ritz_reads_a_last_entry_far_below_double_range():
+    # a long chain of weak couplings: the top eigenvector's last entry is
+    # about 0.01^99 = 1e-198, whose square underflows
+    theta, last = _top_ritz([1.0] + [0.0] * 99, [0.01] * 99)
+    assert theta == pytest.approx(1.0001, rel=1e-12)
+    assert 1e-200 < last < 1e-196
 
 
 def test_spectral_gap_is_bit_identical_on_repeat():

@@ -142,12 +142,12 @@ def test_b1_catches_lambda2_off_the_dense_reference(monkeypatch):
 
 
 def test_spectral_mixing_catches_lower_end_above_t_mix(monkeypatch):
-    original = ch.t_mix_bracket
+    original = ch._relaxation_bounds
 
-    def faulty(P, eps):
-        return ch.mixing_time(P, eps) + 0.5, original(P, eps)[1]
+    def faulty(P, eps, gap=None):
+        return ch.mixing_time(P, eps) + 0.5, original(P, eps, gap)[1]
 
-    monkeypatch.setattr(ch, "t_mix_bracket", faulty)
+    monkeypatch.setattr(ch, "_relaxation_bounds", faulty)
     [result] = run_verify(checks=["B_spectral_mixing"], seed=0)
     assert not result.passed
     assert result.details == "mixing time outside the spectral bracket"
