@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -33,6 +34,9 @@ LANCZOS_TOL = 1e-13
 LANCZOS_BASIS = 20  # first rows of the Lanczos basis, which doubles when full
 _EPS = float(np.finfo(float).eps)
 _PIVMIN = 1e-300  # stands in for a zero pivot of a tridiagonal factorization
+# Largest n for which a chain forms its dense n x n matrix (2 GiB at the cap).
+MAX_DENSE_N = 1 << 14
+_ROW_SUM_CELLS = 1 << 20  # cells of the scratch block that row sums are taken in
 
 
 @dataclass(frozen=True)
@@ -50,11 +54,12 @@ class TransitionMatrix:
     Immutable; the ndarray buffers are marked read-only. Compared by
     identity: two chains are "the same" only if they are the same object.
 
-    ``sampling_table`` is the padded out-neighbour table (index,
-    cumulative), each of shape n x (largest out-degree, self-loop
-    included). Row u lists the v with P[u, v] > 0 in increasing order and
-    the running sums of their probabilities; the last real slot and all
-    padding hold 1.0, and padding points at the row's last real
+    The chain is stored as two neighbour tables only, built once from the
+    validated entries. ``sampling_table`` is the padded out-neighbour
+    table (index, cumulative), each of shape n x (largest out-degree,
+    self-loop included). Row u lists the v with P[u, v] > 0 in increasing
+    order and the running sums of their probabilities; the last real slot
+    and all padding hold 1.0, and padding points at the row's last real
     neighbour. The first slot whose sum exceeds a uniform u in [0, 1)
     therefore always names a positive transition, even when the sum falls
     short of 1 by rounding. The sums equal those of the dense row, since
@@ -64,8 +69,12 @@ class TransitionMatrix:
     each of shape n x (largest in-degree, self-loop included). Row v lists
     the u with P[u, v] > 0 in increasing order and their weights P[u, v];
     padding has index 0 and weight 0. One step of a distribution x is
-    ``(x[index] * weight).sum(axis=1)``. `make_chain` builds both tables
-    with the matrix.
+    ``(x[index] * weight).sum(axis=1)``.
+
+    ``matrix`` is the dense n x n view, scattered from ``in_neighbours``
+    the first time it is read and kept; it is read-only. Dense algorithms
+    and single-entry lookups on small chains read it. Above MAX_DENSE_N it
+    raises CapabilityError before allocating.
 
     ``vertex_transitive`` marks a chain that every automorphism of a
     vertex-transitive graph preserves, so the distance to stationarity
@@ -75,7 +84,6 @@ class TransitionMatrix:
     """
 
     n: int
-    matrix: np.ndarray = field(repr=False)
     graph: Graph = field(repr=False)
     pi: np.ndarray | None = field(repr=False)
     flags: ChainFlags
@@ -83,6 +91,12 @@ class TransitionMatrix:
     in_neighbours: tuple[np.ndarray, np.ndarray] = field(repr=False)
     kind: str = "custom"
     vertex_transitive: bool = field(default=False, repr=False)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        m = _dense(self.n, self.in_neighbours)
+        m.setflags(write=False)
+        return m
 
     def prob(self, u: int, v: int) -> float:
         _check_vertex(self.graph, u)
@@ -96,25 +110,48 @@ class TransitionMatrix:
         return self.pi
 
 
-def _tables_from(m: np.ndarray, src: np.ndarray, dst: np.ndarray):
-    """(sampling_table, in_neighbours) of matrix m, whose positive entries
-    are m[src, dst] listed in row-major order."""
-    slot, counts = _slots(src, len(m))
+def _check_dense(n: int) -> None:
+    if n > MAX_DENSE_N:
+        raise CapabilityError(
+            f"a dense {n} x {n} matrix is above the cap of n={MAX_DENSE_N}")
+
+
+def _dense(n: int, in_neighbours) -> np.ndarray:
+    """The n x n matrix whose entries the in-neighbour table stores."""
+    _check_dense(n)
+    src, dst, value = _stored_entries(in_neighbours)
+    m = np.zeros((n, n))
+    m[src, dst] = value
+    return m
+
+
+def _stored_entries(in_neighbours) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(src, dst, value) of every positive entry, in column-major order:
+    the real slots of the in-neighbour table, a prefix of each row."""
+    index, weight = in_neighbours
+    real = weight > 0.0
+    return index[real], np.nonzero(real)[0], weight[real]
+
+
+def _tables_from(n: int, src: np.ndarray, dst: np.ndarray, value: np.ndarray):
+    """(sampling_table, in_neighbours) of the n-state chain whose positive
+    entries are value at (src, dst), listed in row-major order."""
+    slot, counts = _slots(src, n)
     last = np.cumsum(counts) - 1
     out_index = np.repeat(dst[last][:, None], counts.max(), axis=1)
     out_index[src, slot] = dst
     cumulative = np.zeros(out_index.shape)
-    cumulative[src, slot] = m[src, dst]
+    cumulative[src, slot] = value
     np.cumsum(cumulative, axis=1, out=cumulative)
     cumulative[np.arange(out_index.shape[1])[None, :] >= counts[:, None] - 1] = 1.0
 
     order = np.lexsort((src, dst))
     col, row = src[order], dst[order]
-    slot, counts = _slots(row, len(m))
-    in_index = np.zeros((len(m), counts.max()), dtype=np.intp)
+    slot, counts = _slots(row, n)
+    in_index = np.zeros((n, counts.max()), dtype=np.intp)
     weight = np.zeros(in_index.shape)
     in_index[row, slot] = col
-    weight[row, slot] = m[col, row]
+    weight[row, slot] = value[order]
     for table in (out_index, cumulative, in_index, weight):
         table.setflags(write=False)
     return (out_index, cumulative), (in_index, weight)
@@ -171,34 +208,44 @@ def make_chain(graph: Graph, matrix, pi=None, kind: str = "custom") -> Transitio
     Rows must sum to 1 within 1e-12 (then renormalized exactly); any
     positive off-diagonal entry must sit on a graph edge. The stationary
     distribution is verified when supplied, solved for otherwise; it is
-    left unset for reducible chains.
+    left unset for reducible chains. A graph above MAX_DENSE_N vertices
+    raises CapabilityError before the matrix is read.
     """
-    return _make_chain(graph, matrix, pi, kind, vertex_transitive=False)
-
-
-def _make_chain(graph: Graph, matrix, pi, kind: str,
-                vertex_transitive: bool) -> TransitionMatrix:
-    m = np.array(matrix, dtype=float)
     n = graph.n
+    _check_dense(n)
+    m = np.array(matrix, dtype=float)
     if m.shape != (n, n):
         raise InputError(f"matrix shape {m.shape} does not match n={n}")
     if np.any(m < -1e-15):
         raise InputError("matrix has negative entries")
-    m[m < 0] = 0.0
-    row_sums = m.sum(axis=1)
+    src, dst = np.nonzero(~(m <= 0.0))  # positive or NaN; a NaN row fails its sum
+    return _chain(graph, src, dst, m[src, dst], pi, kind, vertex_transitive=False)
+
+
+def _chain(graph: Graph, src: np.ndarray, dst: np.ndarray, value: np.ndarray,
+           pi, kind: str, vertex_transitive: bool) -> TransitionMatrix:
+    """The one construction path: the chain on graph whose entries are
+    value at (src, dst), listed in row-major order, each row summing to 1
+    within ROW_SUM_TOL. The rows are renormalized, entries left at zero
+    are dropped, the support is checked against the graph's edges, and
+    the tables, stationary vector and flags are built from the entries. No
+    n x n array is formed unless the stationary vector must be solved for."""
+    n = graph.n
+    row_sums = _dense_row_sums(n, src, dst, value)
     bad = np.argmax(np.abs(row_sums - 1.0))  # the first NaN sum, if any
     if not abs(row_sums[bad] - 1.0) <= ROW_SUM_TOL:  # negated, so NaN fails
         raise InputError(
             f"row {bad + 1} sums to {row_sums[bad]:.15g}, not 1 within {ROW_SUM_TOL}")
-    m /= row_sums[:, None]
-    src, dst = np.nonzero(m > 0.0)
+    value = value / row_sums[src]
+    real = value > 0.0  # a Metropolis move can underflow to 0
+    src, dst, value = src[real], dst[real], value[real]
     edge_src, edge_dst = _edge_entries(graph)[:2]
-    off_edge = np.flatnonzero((src != dst) & ~np.isin(src * n + dst, edge_src * n + edge_dst))
+    off_edge = np.flatnonzero((src != dst) & ~_find(edge_src * n + edge_dst, src * n + dst)[1])
     if off_edge.size:
         u, v = src[off_edge[0]], dst[off_edge[0]]
         raise InputError(f"positive entry ({u + 1},{v + 1}) is not on a graph edge")
 
-    tables = _tables_from(m, src, dst)
+    tables = _tables_from(n, src, dst, value)
     irreducible = _irreducible(tables)
 
     if pi is not None:
@@ -207,33 +254,69 @@ def _make_chain(graph: Graph, matrix, pi, kind: str,
             raise InputError("stationary vector has wrong length")
         if not (np.all(p > 0.0) and abs(p.sum() - 1.0) <= ROW_SUM_TOL):  # refuses NaN
             raise InputError("stationary vector must be positive and sum to 1")
-        if np.max(np.abs(p @ m - p)) > STATIONARY_TOL:
+        index, weight = tables[1]
+        if np.max(np.abs((p[index] * weight).sum(axis=1) - p)) > STATIONARY_TOL:
             raise InputError("supplied stationary vector is not a fixed point")
     elif irreducible:
-        p = _solve_stationary(m)
+        p = _solve_stationary(_dense(n, tables[1]))
     else:
         p = None
 
-    m.setflags(write=False)
     if p is not None:
         p.setflags(write=False)
-    return TransitionMatrix(n=n, matrix=m, graph=graph, pi=p,
-                            flags=_flags(m, p, irreducible, src, dst),
+    return TransitionMatrix(n=n, graph=graph, pi=p,
+                            flags=_flags(n, src, dst, value, p, irreducible),
                             sampling_table=tables[0], in_neighbours=tables[1],
                             kind=kind, vertex_transitive=vertex_transitive)
 
 
-def _flags(m: np.ndarray, pi: np.ndarray | None, irreducible: bool,
-           src: np.ndarray, dst: np.ndarray) -> ChainFlags:
-    """(lazy, irreducible, reversible) of matrix m with stationary vector
-    pi, None for a reducible chain. Irreducibility is passed in because
-    make_chain needs it before it has pi. Detailed balance is checked at
-    the positive entries m[src, dst]: a cell zero both ways balances."""
-    lazy = bool(np.all(np.diag(m) >= 0.5 - ROW_SUM_TOL))
-    reversible = pi is not None and bool(
-        np.max(np.abs(pi[src] * m[src, dst] - pi[dst] * m[dst, src]))
-        <= DETAILED_BALANCE_TOL)
+def _dense_row_sums(n: int, src: np.ndarray, dst: np.ndarray,
+                    value: np.ndarray) -> np.ndarray:
+    """Row sums of the n x n matrix whose entries are value at (src, dst),
+    listed in row-major order, bit for bit as ``m.sum(axis=1)`` gives them.
+
+    numpy sums a dense row pairwise, so the rounding depends on where the
+    zero cells fall, and a sum over the entries alone differs in the last
+    bit on many rows (25 of 64 on the lazy walk of hypercube:6). Every
+    chain's rows are divided by these sums, so to keep each chain equal to
+    its dense construction the rows are summed dense, a block at a time,
+    in one zeroed scratch of at most _ROW_SUM_CELLS cells (or one row)."""
+    rows = max(1, min(n, _ROW_SUM_CELLS // n))
+    scratch = np.zeros((rows, n))
+    sums = np.empty(n)
+    bounds = np.searchsorted(src, np.arange(0, n + rows, rows))
+    for lo, a, b in zip(range(0, n, rows), bounds[:-1], bounds[1:]):
+        block = scratch[:min(rows, n - lo)]
+        block[src[a:b] - lo, dst[a:b]] = value[a:b]
+        sums[lo:lo + len(block)] = block.sum(axis=1)
+        block[src[a:b] - lo, dst[a:b]] = 0.0
+    return sums
+
+
+def _flags(n: int, src: np.ndarray, dst: np.ndarray, value: np.ndarray,
+           pi: np.ndarray | None, irreducible: bool) -> ChainFlags:
+    """(lazy, irreducible, reversible) of the n-state chain whose positive
+    entries are value at (src, dst), listed in row-major order, with
+    stationary vector pi, None for a reducible chain. Irreducibility is
+    passed in because construction needs it before it has pi. Detailed
+    balance is checked at the positive entries, each against its reverse
+    entry, found by binary search and 0 when absent: a cell zero both ways
+    balances."""
+    lazy = bool(np.count_nonzero(value[src == dst] >= 0.5 - ROW_SUM_TOL) == n)
+    reversible = False
+    if pi is not None:
+        at, found = _find(src * n + dst, dst * n + src)
+        back = np.where(found, value[at], 0.0)
+        reversible = bool(np.max(np.abs(pi[src] * value - pi[dst] * back))
+                          <= DETAILED_BALANCE_TOL)
     return ChainFlags(lazy=lazy, irreducible=irreducible, reversible=reversible)
+
+
+def _find(keys: np.ndarray, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(at, found): for each query, a position in the sorted, nonempty keys,
+    and whether keys[at] is that query."""
+    at = np.minimum(np.searchsorted(keys, query), keys.size - 1)
+    return at, keys[at] == query
 
 
 def _irreducible(tables) -> bool:
@@ -267,14 +350,20 @@ def _edge_entries(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.repeat(np.arange(g.n), degrees), g.indices, degrees
 
 
+def _with_loops(g: Graph, src: np.ndarray, dst: np.ndarray, value: np.ndarray,
+                loops: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The entries value at g's directed edges (src, dst) and loops[u] at
+    each (u, u), merged in row-major order."""
+    at = g.indptr[:-1] + np.bincount(src[dst < src], minlength=g.n)
+    u = np.arange(g.n)
+    return np.insert(src, at, u), np.insert(dst, at, u), np.insert(value, at, loops)
+
+
 def lazy_simple_walk(g: Graph) -> TransitionMatrix:
     """Self-loop 1/2, each neighbor 1/(2 deg); stationary mass deg/(2|E|)."""
     src, dst, degrees = _edge_entries(g)
-    m = np.zeros((g.n, g.n))
-    m[src, dst] = 0.5 / degrees[src]
-    np.fill_diagonal(m, 0.5)
-    pi = degrees / g.indices.size
-    return _make_chain(g, m, pi, "lazy-simple", g.vertex_transitive)
+    entries = _with_loops(g, src, dst, 0.5 / degrees[src], np.full(g.n, 0.5))
+    return _chain(g, *entries, degrees / g.indices.size, "lazy-simple", g.vertex_transitive)
 
 
 def max_degree_walk(g: Graph) -> TransitionMatrix:
@@ -282,10 +371,9 @@ def max_degree_walk(g: Graph) -> TransitionMatrix:
     stationary distribution."""
     src, dst, degrees = _edge_entries(g)
     d_max = degrees.max()
-    m = np.zeros((g.n, g.n))
-    m[src, dst] = 0.5 / d_max
-    np.fill_diagonal(m, 1.0 - degrees / (2 * d_max))
-    return _make_chain(g, m, np.full(g.n, 1.0 / g.n), "max-degree", g.vertex_transitive)
+    entries = _with_loops(g, src, dst, np.full(src.size, 0.5 / d_max),
+                          1.0 - degrees / (2 * d_max))
+    return _chain(g, *entries, np.full(g.n, 1.0 / g.n), "max-degree", g.vertex_transitive)
 
 
 def metropolis_walk(g: Graph, target) -> TransitionMatrix:
@@ -304,10 +392,9 @@ def metropolis_walk(g: Graph, target) -> TransitionMatrix:
     t = t / t.sum()
     src, dst, degrees = _edge_entries(g)
     accept = np.minimum(1.0, t[dst] * degrees[src] / (t[src] * degrees[dst]))
-    m = np.zeros((n, n))
-    m[src, dst] = accept / (2 * degrees[src])
-    np.fill_diagonal(m, 1.0 - m.sum(axis=1))
-    return make_chain(g, m, pi=t, kind="metropolis")
+    move = accept / (2 * degrees[src])
+    entries = _with_loops(g, src, dst, move, 1.0 - _dense_row_sums(n, src, dst, move))
+    return _chain(g, *entries, t, "metropolis", vertex_transitive=False)
 
 
 # ---------------------------------------------------------------------------
@@ -315,10 +402,11 @@ def metropolis_walk(g: Graph, target) -> TransitionMatrix:
 # ---------------------------------------------------------------------------
 
 def check_properties(P: TransitionMatrix) -> ChainFlags:
-    """Recompute (lazy, irreducible, reversible) from the matrix and its
-    neighbour tables."""
-    tables = (P.sampling_table, P.in_neighbours)
-    return _flags(P.matrix, P.pi, _irreducible(tables), *np.nonzero(P.matrix > 0.0))
+    """Recompute (lazy, irreducible, reversible) from the neighbour tables."""
+    src, dst, value = _stored_entries(P.in_neighbours)
+    order = np.lexsort((dst, src))  # row-major
+    return _flags(P.n, src[order], dst[order], value[order], P.pi,
+                  _irreducible((P.sampling_table, P.in_neighbours)))
 
 
 def stationary(P: TransitionMatrix) -> np.ndarray:
@@ -437,7 +525,11 @@ def spectral_gap(P: TransitionMatrix) -> tuple[float, float]:
     the Ritz value to an eigenvalue, is at most LANCZOS_TOL; when beta_k
     is at most LANCZOS_TOL, i.e. the Krylov space is invariant (one step
     on complete graphs, d on hypercube:d); or after n - 1 steps, the whole
-    deflated space.
+    deflated space. On a slow-mixing chain, such as a path, that takes
+    about n steps and an n x n basis, so a basis that would grow past
+    MAX_DENSE_N^2 cells, the size of the largest dense matrix, raises
+    CapabilityError before it grows; below MAX_DENSE_N vertices it never
+    does.
     """
     if not P.flags.reversible:
         raise CapabilityError("spectral gap requires a reversible chain")
@@ -484,7 +576,12 @@ def spectral_gap(P: TransitionMatrix) -> tuple[float, float]:
                 break
         beta[k - 1] = b
         if k + 1 == len(basis):
-            basis = np.concatenate((basis, np.empty((min(k + 1, n - k - 1), n))))
+            rows = len(basis) + min(k + 1, n - k - 1)
+            if rows * n > MAX_DENSE_N ** 2:
+                raise CapabilityError(
+                    f"Lanczos basis of {rows} x {n} after {k} steps is above the dense "
+                    f"cap of {MAX_DENSE_N}^2 cells")
+            basis = np.concatenate((basis, np.empty((rows - len(basis), n))))
     # A Ritz value never lies below the smallest eigenvalue, so a negative
     # one proves a negative eigenvalue.
     if P.flags.lazy and _eigenvalues_below(
@@ -763,9 +860,11 @@ def chain_to_json(P: TransitionMatrix) -> dict:
 def chain_from_json(doc: dict, graph: Graph | None = None) -> TransitionMatrix:
     """Parse {"n": int, "rows": [[p,...],...], "pi": [p,...]?}, whose
     entries must be JSON numbers. Without an explicit graph, the edge set
-    is inferred from the support."""
+    is inferred from the support. An n above MAX_DENSE_N raises
+    CapabilityError before any row is read."""
     try:
         n = json_integer(doc["n"])
+        _check_dense(n)
         rows = np.array([[json_number(p) for p in row] for row in doc["rows"]])
         pi = doc.get("pi")
         if pi is not None:

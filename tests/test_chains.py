@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import mixbound as mb
-from mixbound.chains import _sample_tails, _top_ritz
+from mixbound.chains import MAX_DENSE_N, _sample_tails, _top_ritz
 from mixbound.errors import CapabilityError, InputError
 from mixbound.graphs import _bfs
 
@@ -403,6 +404,16 @@ def test_top_ritz_reads_a_last_entry_far_below_double_range():
 def test_spectral_gap_is_bit_identical_on_repeat():
     P = mb.lazy_simple_walk(mb.graph_from_spec("random-regular:256,4", seed=0))
     assert mb.spectral_gap(P) == mb.spectral_gap(P)
+
+
+def test_spectral_gap_refuses_a_basis_above_the_dense_cap(monkeypatch):
+    # With the cap lowered to 64, a basis may hold 64^2 cells: 40 rows at
+    # n = 100. The lazy path needs about n steps, hypercube:7 only 7.
+    monkeypatch.setattr("mixbound.chains.MAX_DENSE_N", 64)
+    with pytest.raises(CapabilityError, match="Lanczos basis of 80 x 100 after 39 steps"):
+        mb.spectral_gap(mb.lazy_simple_walk(mb.path_graph(100)))
+    lam, _ = mb.spectral_gap(mb.lazy_simple_walk(mb.hypercube_graph(7)))
+    assert lam == pytest.approx(6 / 7, abs=1e-14)
 
 
 def test_spectral_gap_hypercube_is_closed_form():
@@ -922,6 +933,107 @@ def test_named_walks_match_loop_oracles(spec):
         assert np.array_equal(P.matrix, ref.matrix)
         assert np.array_equal(P.pi, ref.pi)
         assert P.flags == ref.flags == _flags_oracle(ref.matrix, ref.pi)
+
+
+def _dense_reference(g, kind, target):
+    # the named chain built dense: scatter the entries into an n x n array,
+    # then divide each row by numpy's dense row sum
+    n = g.n
+    degrees = np.diff(g.indptr)
+    src, dst = np.repeat(np.arange(n), degrees), g.indices
+    m = np.zeros((n, n))
+    if kind == "lazy-simple":
+        m[src, dst] = 0.5 / degrees[src]
+        np.fill_diagonal(m, 0.5)
+        pi = degrees / dst.size
+    elif kind == "max-degree":
+        m[src, dst] = 0.5 / degrees.max()
+        np.fill_diagonal(m, 1.0 - degrees / (2 * degrees.max()))
+        pi = np.full(n, 1.0 / n)
+    else:
+        pi = target / target.sum()
+        accept = np.minimum(1.0, pi[dst] * degrees[src] / (pi[src] * degrees[dst]))
+        m[src, dst] = accept / (2 * degrees[src])
+        np.fill_diagonal(m, 1.0 - m.sum(axis=1))
+    m /= m.sum(axis=1)[:, None]
+    return m, pi
+
+
+def _tables_reference(m):
+    # both padded neighbour tables read row by row from the dense matrix
+    n = len(m)
+    support = m > 0.0
+    out_index = np.zeros((n, support.sum(axis=1).max()), dtype=np.intp)
+    cumulative = np.ones(out_index.shape)
+    in_index = np.zeros((n, support.sum(axis=0).max()), dtype=np.intp)
+    weight = np.zeros(in_index.shape)
+    for r in range(n):
+        cols = np.flatnonzero(support[r])
+        out_index[r] = cols[-1]
+        out_index[r, :cols.size] = cols
+        cumulative[r, :cols.size - 1] = np.cumsum(m[r])[cols[:-1]]
+        rows = np.flatnonzero(support[:, r])
+        in_index[r, :rows.size] = rows
+        weight[r, :rows.size] = m[rows, r]
+    return (out_index, cumulative), (in_index, weight)
+
+
+_VERIFY_FAMILY = ["cycle:9", "path:8", "complete:9", "hypercube:3", "torus2d:3x3",
+                  "barbell:10", "random-regular:8,3"]
+
+
+@pytest.mark.parametrize("spec", ["hypercube:6", "hypercube:9", "random-regular:64,3",
+                                  "complete:6", *_VERIFY_FAMILY])
+def test_named_chains_equal_dense_construction_bit_for_bit(spec):
+    # The chain is built from its entries without an n x n array, yet each
+    # row must be divided by the dense row sum: numpy sums a dense row
+    # pairwise, and a sum over the entries alone differs in the last bit on
+    # 25 of 64 rows of hypercube:6 and 4 of 10 of barbell:10 max-degree.
+    g = mb.graph_from_spec(spec, seed=0)
+    skewed = np.random.default_rng(g.n).uniform(1.0, 4.0, g.n)
+    for kind, target in [("lazy-simple", None), ("max-degree", None),
+                         ("metropolis", np.full(g.n, 1.0 / g.n)),
+                         ("metropolis", skewed / skewed.sum())]:
+        P = mb.build_chain(g, kind, target)
+        m, pi = _dense_reference(g, kind, target)
+        (out_index, cumulative), (in_index, weight) = _tables_reference(m)
+        for got, want in [(P.matrix, m), (P.pi, pi),
+                          (P.sampling_table[0], out_index), (P.sampling_table[1], cumulative),
+                          (P.in_neighbours[0], in_index), (P.in_neighbours[1], weight)]:
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes(), (kind, target is skewed)
+
+
+def test_named_chain_build_allocates_no_dense_matrix():
+    g = mb.hypercube_graph(12)
+    tracemalloc.start()
+    try:
+        mb.lazy_simple_walk(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < g.n * g.n * 8 / 4  # the dense array alone is n * n * 8 bytes
+
+
+def test_dense_cap_refuses_before_allocating():
+    big = mb.path_graph(MAX_DENSE_N + 1)
+    with pytest.raises(CapabilityError, match="dense"):
+        mb.make_chain(big, [[1.0]])  # refused before the shape check
+    with pytest.raises(CapabilityError, match="dense"):
+        mb.chain_from_json({"n": MAX_DENSE_N + 1, "rows": []})
+    P = mb.lazy_simple_walk(big)  # the tables alone are small
+    assert P.flags == mb.ChainFlags(lazy=True, irreducible=True, reversible=True)
+    with pytest.raises(CapabilityError, match="dense"):
+        P.matrix
+    with pytest.raises(CapabilityError, match="dense"):
+        mb.worst_case_tv(P, 1)
+
+
+def test_dense_view_is_cached_and_read_only(path3_chain):
+    assert path3_chain.matrix is path3_chain.matrix
+    assert not path3_chain.matrix.flags.writeable
+    with pytest.raises(AttributeError):
+        path3_chain.matrix = np.eye(3)
 
 
 def test_walk_probability(k3_chain, path3_chain):

@@ -9,6 +9,7 @@ import jsonschema
 import pytest
 
 import mixbound as mb
+from mixbound.chains import MAX_DENSE_N
 from mixbound.cli import analyze_report, main
 from mixbound.config import ExperimentConfig
 from mixbound.errors import InputError
@@ -77,6 +78,30 @@ def test_graph_gen_requires_seed_for_random():
     code, _, err = run_cli("graph", "gen", "--graph", "random-regular:8,3")
     assert code == 1
     assert "seed" in err
+
+
+# sha256 of `chain build` stdout, taken while every chain stored its dense
+# matrix and renormalised by the dense row sum. Both chains have rows whose
+# sum over the table's entries differs in the last bit from the dense sum,
+# so the neighbour-table build must reproduce the dense-order sum.
+_CHAIN_BUILD_SHA256 = {
+    ("hypercube:6", "lazy-simple"): "b893bdce46e349738388c6b46601648321cc1811502aa1639e2bf276e7b7daaa",
+    ("barbell:10", "max-degree"): "eb85a4a84bb00d11c9c450c98bf2e1613d0bc4e0f627f7ff420b8e2ec45977e2",
+}
+
+
+@pytest.mark.parametrize("spec,kind", list(_CHAIN_BUILD_SHA256))
+def test_chain_build_golden(spec, kind):
+    code, out, err = run_cli("chain", "build", "--graph", spec, "--chain", kind)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == _CHAIN_BUILD_SHA256[spec, kind]
+
+
+def test_chain_build_above_dense_cap_exits_2():
+    # the chain builds from its tables; emitting its rows needs the dense view
+    code, out, err = run_cli("chain", "build", "--graph", f"path:{MAX_DENSE_N + 1}")
+    assert (code, out) == (2, "")
+    assert "dense" in err
 
 
 def test_chain_build_roundtrip(tmp_path):
