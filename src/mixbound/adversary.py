@@ -16,13 +16,12 @@ samples the chain law and scales to anything the sampler can reach.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chains import TransitionMatrix, Walk, _path_probability, _sample_tails, make_walk
+from .chains import TransitionMatrix, Walk, _sample_tails, make_walk
 from .errors import DEFAULT_CAPS, CapabilityError, InputError
 from .graphs import _bfs
 from .staircase import (
@@ -31,7 +30,6 @@ from .staircase import (
     is_good_walk,
     make_instance,
     sample_good_walk,
-    shared_head_index,
 )
 
 EXACT_PAIR_CAP = 4 * 10 ** 7
@@ -104,18 +102,23 @@ def relation_weight(a: StaircaseInstance, b: StaircaseInstance) -> float:
     the shared head is the same sequence in both walks."""
     if a.params is not b.params and a.params != b.params:
         raise InputError("instances come from different parameter sets")
-    if a.chain is not b.chain:
+    if a.walk.chain is not b.walk.chain:
         raise InputError("instances come from different chains")
     if a.bit == b.bit or a.walk.vertices == b.walk.vertices:
         return 0.0
-    T = a.params.T
-    if not (is_good_walk(a.walk, T) and is_good_walk(b.walk, T)):
+    x = a.relation_data
+    if not x.good:
         return 0.0
-    j = shared_head_index(a.walk, b.walk, T)
-    head_prob = _path_probability(a.chain, b.walk.vertices[: j * T + 1])
-    px = a.walk.probability()
-    py = b.walk.probability()
-    return px * py / head_prob
+    y = b.relation_data
+    if not y.good:
+        return 0.0
+    # the shared head index, as shared_head_index finds it
+    j = 0
+    for seg_x, seg_y in zip(x.segments, y.segments):
+        if seg_x != seg_y:
+            break
+        j += 1
+    return x.heads[-1] * y.heads[-1] / y.heads[j]
 
 
 # ---------------------------------------------------------------------------
@@ -174,9 +177,15 @@ class _PairTable:
     rows: np.ndarray  # family positions of the good bit-0 instances
     cols: np.ndarray  # family positions of the good bit-1 instances
     J: np.ndarray  # (rows, cols) shared head index
-    r: np.ndarray  # (rows, cols) relation weight
+    values: np.ndarray  # the distinct relation weights, ascending
+    ids: np.ndarray  # (rows, cols) index of each pair's weight in values
     diff: np.ndarray  # (n, rows, cols): the decision functions differ at v
     mass: tuple[float, ...]  # relation mass of each instance, family order
+
+    @property
+    def r(self) -> np.ndarray:
+        """(rows, cols) relation weight."""
+        return self.values[self.ids]
 
 
 def _pair_table(family: FunctionFamily) -> _PairTable:
@@ -204,23 +213,39 @@ def _pair_table(family: FunctionFamily) -> _PairTable:
     # heads through j imply equal heads before it.
     J = np.zeros((rows.size, cols.size), dtype=np.int64)
     for j in range(1, m + 1):
-        ids = np.unique(walks[:, :j * T + 1], axis=0, return_inverse=True)[1].reshape(-1)
-        J += ids[rows, None] == ids[cols]
+        head_ids = np.unique(walks[:, :j * T + 1], axis=0, return_inverse=True)[1].reshape(-1)
+        J += head_ids[rows, None] == head_ids[cols]
     probs = heads[:, -1]
     r = probs[rows, None] * probs[cols]
     r /= heads[cols, J]
     r[J == m] = 0.0  # the same walk under both bits
+    # A family's weights take few distinct values, so the table keeps each
+    # pair's as a small index, and a sum over pairs is a count per index
+    # (see _grouped_fsums). Both passes take a block of rows at a time, so
+    # that their temporaries stay small next to r.
+    step = max(1, _SUM_BLOCK_CELLS // max(cols.size, 1))
+    blocks = [slice(i, i + step) for i in range(0, rows.size, step)]
+    values = np.zeros(0)
+    for b in blocks:
+        values = np.union1d(values, r[b])
+    width = values.size
+    ids = np.empty(r.shape, dtype=np.min_scalar_type(max(width - 1, 0)))
+    for b in blocks:
+        ids[b] = np.searchsorted(values, r[b])
+    del r
+    # the mass of an instance sums its row or its column of weights
+    mass = np.zeros(size)
+    for members, cells in ((rows, ids), (cols, ids.T)):
+        counts = np.array([np.bincount(c, minlength=width) for c in cells], dtype=np.int64)
+        mass[members] = _grouped_fsums(values, counts.reshape(members.size, width))
     last = _last_occurrence(walks, family.chain.n)
-    diff = last[rows].T[:, :, None] != last[cols].T[:, None, :]
+    # C order, so that _distinguishing reads each vertex's cells in one run
+    diff = np.empty((family.chain.n, rows.size, cols.size), dtype=bool)
+    np.not_equal(last[rows].T[:, :, None], last[cols].T[:, None, :], out=diff)
     # A shared end is told apart by its tag; distinct ends already differ.
     diff[walks[rows, -1] - 1, np.arange(rows.size)] = True
-    mass = [0.0] * size
-    for i, weights in zip(rows.tolist(), r):
-        mass[i] = math.fsum(weights.tolist())
-    for k, weights in zip(cols.tolist(), r.T):
-        mass[k] = math.fsum(weights.tolist())
-    return _PairTable(walks=walks, rows=rows, cols=cols, J=J, r=r, diff=diff,
-                      mass=tuple(mass))
+    return _PairTable(walks=walks, rows=rows, cols=cols, J=J, values=values,
+                      ids=ids, diff=diff, mass=tuple(mass.tolist()))
 
 
 def _indices_in(family: FunctionFamily, subset) -> list[int]:
@@ -252,9 +277,22 @@ def relation_mass(Z, X: FunctionFamily) -> MassResult:
     return MassResult(total=math.fsum(picked), per_instance=tuple(picked))
 
 
-# Pair cells whose weights are turned into Python floats at once: about
-# 0.5 MB of floats, small next to the pair table itself.
+# Pair cells in one block, when the weights are indexed and when q is
+# counted; a block's counting keys take n * 8 bytes per cell.
 _SUM_BLOCK_CELLS = 1 << 14
+
+
+def _grouped_fsums(values: np.ndarray, counts: np.ndarray) -> list[float]:
+    """For each row of counts, math.fsum of the multiset holding
+    counts[k] copies of values[k]. Each count is split into binary digits,
+    so every term values[k] * 2**d is exact and the terms add up to the
+    multiset's exact sum; fsum rounds that sum once, so each result equals
+    fsum of the expanded multiset bit for bit."""
+    counts = np.asarray(counts, dtype=np.int64)
+    digits = np.arange(int(counts.max(initial=0)).bit_length())
+    terms = np.ldexp(np.asarray(values, dtype=float)[:, None], digits)
+    return [math.fsum(terms[(row[:, None] >> digits) & 1 == 1].tolist())
+            for row in counts]
 
 
 @dataclass(frozen=True)
@@ -266,19 +304,24 @@ class DistinguishingMass:
 
 def _distinguishing(table: _PairTable, inside: np.ndarray) -> DistinguishingMass:
     """Per-vertex weight of the ordered pairs with both instances inside
-    (a mask over the family) that are told apart at the vertex. fsum is
-    exactly rounded, so doubling the half-table sum counts both orders
-    bit for bit."""
-    # Pairs with both instances inside and a nonzero weight; summed block
-    # by block, so that no pair-long list of Python floats is built.
-    keep = ((table.r != 0.0) & inside[table.rows, None] & inside[table.cols]).ravel()
-    weights = table.r.ravel()
-    blocks = [slice(s, s + _SUM_BLOCK_CELLS)
-              for s in range(0, weights.size, _SUM_BLOCK_CELLS)]
-    per_vertex = tuple(
-        2.0 * math.fsum(itertools.chain.from_iterable(
-            weights[b][told[b] & keep[b]].tolist() for b in blocks))
-        for told in table.diff.reshape(len(table.diff), -1))
+    (a mask over the family) that are told apart at the vertex. Each sum
+    is counted per distinct weight and rounded once by _grouped_fsums, so
+    it is exactly rounded, and doubling the half-table sum counts both
+    orders bit for bit. A zero weight adds nothing to a sum."""
+    n, width = len(table.diff), table.values.size
+    keep = (inside[table.rows, None] & inside[table.cols]).ravel()
+    told = table.diff.reshape(n, -1)
+    ids = table.ids.ravel()
+    # counts[v * width + k]: kept cells told apart at vertex v + 1 whose
+    # weight is values[k]; counts add exactly across blocks
+    offsets = (width * np.arange(n))[:, None]
+    counts = np.zeros(n * width, dtype=np.int64)
+    for s in range(0, ids.size, _SUM_BLOCK_CELLS):
+        b = slice(s, s + _SUM_BLOCK_CELLS)
+        counts += np.bincount((offsets + ids[b])[told[:, b] & keep[b]],
+                              minlength=counts.size)
+    per_vertex = tuple(2.0 * total for total in
+                       _grouped_fsums(table.values, counts.reshape(n, width)))
     best = max(per_vertex)
     return DistinguishingMass(q=best, argmax_vertex=per_vertex.index(best) + 1,
                               per_vertex=per_vertex)

@@ -36,6 +36,10 @@ _EPS = float(np.finfo(float).eps)
 _PIVMIN = 1e-300  # stands in for a zero pivot of a tridiagonal factorization
 # Largest n for which a chain forms its dense n x n matrix (2 GiB at the cap).
 MAX_DENSE_N = 1 << 14
+# Largest n that chain_to_json writes out. Its nested lists take about
+# 130 bytes per cell: `chain build` peaks at 574 MB RSS at n = 2048 and
+# at 2 141 MB at n = 4096 (one run each, in-process ru_maxrss).
+MAX_JSON_N = 1 << 11
 _ROW_SUM_CELLS = 1 << 20  # cells of the scratch block that row sums are taken in
 
 
@@ -851,6 +855,12 @@ def build_chain(g: Graph, kind: str, target=None) -> TransitionMatrix:
 
 
 def chain_to_json(P: TransitionMatrix) -> dict:
+    """{"n": int, "rows": [[p,...],...], "pi": [p,...]?}, the dense matrix
+    as nested lists. An n above MAX_JSON_N raises CapabilityError before
+    the dense matrix is formed."""
+    if P.n > MAX_JSON_N:
+        raise CapabilityError(
+            f"a dense {P.n} x {P.n} matrix document is above the cap of n={MAX_JSON_N}")
     doc = {"n": P.n, "rows": [[float(x) for x in row] for row in P.matrix]}
     if P.pi is not None:
         doc["pi"] = [float(x) for x in P.pi]

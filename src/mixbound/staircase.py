@@ -18,6 +18,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -184,6 +185,14 @@ def shared_head_index(x, y, T: int) -> int:
 # Instances
 # ---------------------------------------------------------------------------
 
+class RelationData(NamedTuple):
+    """What the relational adversary reads of one instance."""
+
+    good: bool  # the milestones at params.T are all distinct
+    heads: tuple[float, ...]  # heads[j]: probability of the head through milestone j
+    segments: tuple[tuple[int, ...], ...]  # segment j: vertices j*T+1 .. (j+1)*T
+
+
 @dataclass(frozen=True)
 class StaircaseInstance:
     """A hidden walk with a hidden bit, evaluable as a query oracle.
@@ -227,6 +236,28 @@ class StaircaseInstance:
         for i, v in enumerate(self.walk.vertices):
             vals[v - 1] = -i
         return tuple(vals)
+
+    @cached_property
+    def relation_data(self) -> RelationData:
+        """Goodness, head probabilities and segments, computed once for
+        the relation weight. The heads come from one left-to-right product
+        of the steps, as in chains._path_probability, so heads[j] equals
+        the probability of the head through milestone j bit for bit and
+        heads[m] equals the walk's probability."""
+        T = self.params.T
+        good = is_good_walk(self.walk, T)
+        verts = self.walk.vertices
+        m = self.chain.matrix
+        prob = 1.0
+        heads = [1.0]
+        for i, (a, b) in enumerate(zip(verts, verts[1:]), 1):
+            step = m[a - 1, b - 1]
+            # an unsupported step zeroes this head and every later one
+            prob = prob * step if step > 0.0 else 0.0
+            if i % T == 0:
+                heads.append(float(prob))
+        segments = tuple(verts[j + 1:j + T + 1] for j in range(0, len(verts) - 1, T))
+        return RelationData(good, tuple(heads), segments)
 
     def value(self, v: int) -> int:
         """Search-problem value: minus the last occurrence index on the

@@ -284,7 +284,8 @@ def check_a5_difference_localization(ctx: _Context) -> Outcome:
         covered = ((last[table.cols][None] > head_end).astype(float)
                    + (last[table.rows][:, None] > head_end))
         rhs = (table.r[:, :, None] * covered).sum(axis=(0, 1))
-        per_vertex = np.array(adv.distinguishing_mass(family).per_vertex)
+        per_vertex = np.array(
+            adv._distinguishing(table, np.ones(len(family), dtype=bool)).per_vertex)
         if np.any(per_vertex > 2.0 * rhs + 1e-12):
             v = int(np.argmax(per_vertex - 2.0 * rhs)) + 1
             return _fail("factor-2 bound violated",

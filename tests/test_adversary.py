@@ -10,8 +10,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
 import mixbound as mb
-from mixbound.adversary import _pair_table, _redraw, ratio_floor
-from mixbound.chains import _sample_tails
+from mixbound.adversary import _grouped_fsums, _pair_table, _redraw, ratio_floor
+from mixbound.chains import _path_probability, _sample_tails
 from mixbound.graphs import _bfs
 from mixbound.errors import CapabilityError, InputError
 from mixbound.staircase import StaircaseParams
@@ -109,6 +109,14 @@ def test_relation_parameter_mismatch(k3_chain, k3_params):
     a = mb.make_instance(mb.make_walk(k3_chain, (1, 2, 3)), 0, k3_params)
     b = mb.make_instance(mb.make_walk(k3_chain, (1, 2, 3, 1)), 1, other_params)
     with pytest.raises(InputError):
+        mb.relation_weight(a, b)
+
+
+def test_relation_chain_mismatch(k3_chain, k3_params):
+    other_chain = mb.lazy_simple_walk(mb.complete_graph(3))
+    a = mb.make_instance(mb.make_walk(k3_chain, (1, 2, 3)), 0, k3_params)
+    b = mb.make_instance(mb.make_walk(other_chain, (1, 3, 2)), 1, k3_params)
+    with pytest.raises(InputError, match="chains"):
         mb.relation_weight(a, b)
 
 
@@ -239,7 +247,7 @@ def _exact_system(name):
     return P, mb.custom_params(P, T=1, L=3)
 
 
-@pytest.mark.parametrize("name", ["K3", "K4"])
+@pytest.mark.parametrize("name", ["K3", "K4", "cycle7", "metropolis6"])
 def test_pair_table_matches_relation_weight(name):
     family = mb.enumerate_family(*_exact_system(name))
     table = _pair_table(family)
@@ -250,6 +258,71 @@ def test_pair_table_matches_relation_weight(name):
     insts = family.instances
     for (i, a), (k, b) in itertools.product(enumerate(insts), repeat=2):
         assert weights.get((i, k), 0.0) == mb.relation_weight(a, b)
+
+
+@pytest.mark.parametrize("name", ["K3", "K4", "cycle7", "metropolis6"])
+def test_relation_data_matches_walk_probabilities(name):
+    # the cached heads are the walk probabilities of the heads, bit for bit
+    P, params = _exact_system(name)
+    T, m = params.T, params.m
+    for inst in mb.enumerate_family(P, params).instances:
+        data = inst.relation_data
+        verts = inst.walk.vertices
+        assert data.good == mb.is_good_walk(inst.walk, T)
+        assert data.heads == tuple(_path_probability(P, verts[:j * T + 1])
+                                   for j in range(m + 1))
+        assert data.heads[-1] == inst.walk.probability()
+        assert data.segments == tuple(mb.tail_segment(inst.walk, j, j + 1, T)
+                                      for j in range(m))
+
+
+_positive_doubles = hst.one_of(
+    hst.floats(min_value=5e-324, max_value=2.0 ** 900),
+    hst.floats(min_value=5e-324, max_value=2.2250738585072014e-308))  # subnormals
+
+
+@settings(max_examples=200, deadline=None)
+@given(hst.lists(hst.tuples(_positive_doubles, hst.integers(0, 2 ** 40)), max_size=12))
+def test_grouped_fsums_is_the_exactly_rounded_sum(groups):
+    # math.fsum rounds the exact sum once, as float(Fraction) does; the
+    # multiset is too large to expand
+    values = np.array([v for v, _ in groups], dtype=float)
+    counts = np.array([[c for _, c in groups]], dtype=np.int64)
+    exact = sum((Fraction(v) * c for v, c in groups), Fraction(0))
+    assert _grouped_fsums(values, counts) == [float(exact)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(hst.lists(hst.tuples(_positive_doubles, hst.integers(0, 40)), max_size=12))
+def test_grouped_fsums_equals_fsum_of_the_expanded_multiset(groups):
+    values = np.array([v for v, _ in groups], dtype=float)
+    counts = np.array([[c for _, c in groups], [c // 2 for _, c in groups]],
+                      dtype=np.int64)
+    expanded = [[v for v, c in groups for _ in range(c)],
+                [v for v, c in groups for _ in range(c // 2)]]
+    assert _grouped_fsums(values, counts) == [math.fsum(row) for row in expanded]
+
+
+def test_grouped_fsums_of_nothing_is_zero():
+    assert _grouped_fsums(np.zeros(0), np.zeros((1, 0), dtype=np.int64)) == [0.0]
+    assert _grouped_fsums(np.array([0.5, 3.0]), np.zeros((2, 2), dtype=np.int64)) == [0.0, 0.0]
+
+
+def test_exact_lower_bound_memory():
+    # the table is about pairs * (n + 9) bytes and building the weights
+    # about pairs * 24; pairs * (n + 32) leaves slack above both
+    P = mb.lazy_simple_walk(mb.complete_graph(6))
+    params = mb.custom_params(P, T=2, L=4)
+    table = _pair_table(mb.enumerate_family(P, params))
+    pairs = table.rows.size * table.cols.size
+    del table
+    tracemalloc.start()
+    try:
+        mb.exact_lower_bound(P, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= pairs * (P.n + 32)
 
 
 def test_exact_pair_cap_refuses(monkeypatch):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import mixbound as mb
-from mixbound.chains import MAX_DENSE_N, _sample_tails, _top_ritz
+from mixbound.chains import MAX_DENSE_N, MAX_JSON_N, _sample_tails, _top_ritz
 from mixbound.errors import CapabilityError, InputError
 from mixbound.graphs import _bfs
 
@@ -1027,6 +1027,14 @@ def test_dense_cap_refuses_before_allocating():
         P.matrix
     with pytest.raises(CapabilityError, match="dense"):
         mb.worst_case_tv(P, 1)
+
+
+def test_chain_json_cap_refuses_before_the_dense_view():
+    P = mb.lazy_simple_walk(mb.path_graph(MAX_JSON_N + 1))
+    with pytest.raises(CapabilityError, match="dense"):
+        mb.chain_to_json(P)
+    assert "matrix" not in P.__dict__
+    assert mb.chain_to_json(mb.lazy_simple_walk(mb.path_graph(4)))["n"] == 4
 
 
 def test_dense_view_is_cached_and_read_only(path3_chain):

@@ -9,7 +9,7 @@ import jsonschema
 import pytest
 
 import mixbound as mb
-from mixbound.chains import MAX_DENSE_N
+from mixbound.chains import MAX_DENSE_N, MAX_JSON_N
 from mixbound.cli import analyze_report, main
 from mixbound.config import ExperimentConfig
 from mixbound.errors import InputError
@@ -102,6 +102,12 @@ def test_chain_build_above_dense_cap_exits_2():
     code, out, err = run_cli("chain", "build", "--graph", f"path:{MAX_DENSE_N + 1}")
     assert (code, out) == (2, "")
     assert "dense" in err
+
+
+def test_chain_build_above_json_cap_exits_2():
+    code, out, err = run_cli("chain", "build", "--graph", f"path:{MAX_JSON_N + 1}")
+    assert (code, out) == (2, "")
+    assert str(MAX_JSON_N) in err
 
 
 def test_chain_build_roundtrip(tmp_path):
