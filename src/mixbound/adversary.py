@@ -176,7 +176,7 @@ class _PairTable:
     walks: np.ndarray  # (family size, L + 1) walk vertices
     rows: np.ndarray  # family positions of the good bit-0 instances
     cols: np.ndarray  # family positions of the good bit-1 instances
-    J: np.ndarray  # (rows, cols) shared head index
+    J: np.ndarray  # (rows, cols) shared head index, narrowest unsigned dtype
     values: np.ndarray  # the distinct relation weights, ascending
     ids: np.ndarray  # (rows, cols) index of each pair's weight in values
     diff: np.ndarray  # (n, rows, cols): the decision functions differ at v
@@ -211,28 +211,30 @@ def _pair_table(family: FunctionFamily) -> _PairTable:
         [np.ones((size, 1)), np.cumprod(steps, axis=1)[:, T - 1::T]], axis=1)
     # Heads through milestone j are equal iff their ids are, and equal
     # heads through j imply equal heads before it.
-    J = np.zeros((rows.size, cols.size), dtype=np.int64)
+    J = np.zeros((rows.size, cols.size), dtype=np.min_scalar_type(m))
     for j in range(1, m + 1):
         head_ids = np.unique(walks[:, :j * T + 1], axis=0, return_inverse=True)[1].reshape(-1)
         J += head_ids[rows, None] == head_ids[cols]
     probs = heads[:, -1]
-    r = probs[rows, None] * probs[cols]
-    r /= heads[cols, J]
-    r[J == m] = 0.0  # the same walk under both bits
+
+    def weights(b: slice) -> np.ndarray:
+        r = probs[rows[b], None] * probs[cols] / heads[cols, J[b]]
+        r[J[b] == m] = 0.0  # the same walk under both bits
+        return r
+
     # A family's weights take few distinct values, so the table keeps each
     # pair's as a small index, and a sum over pairs is a count per index
-    # (see _grouped_fsums). Both passes take a block of rows at a time, so
-    # that their temporaries stay small next to r.
+    # (see _grouped_fsums). Both passes build the weights of a block of
+    # rows at a time, so that no pairs-sized float array is ever held.
     step = max(1, _SUM_BLOCK_CELLS // max(cols.size, 1))
     blocks = [slice(i, i + step) for i in range(0, rows.size, step)]
     values = np.zeros(0)
     for b in blocks:
-        values = np.union1d(values, r[b])
+        values = np.union1d(values, weights(b))
     width = values.size
-    ids = np.empty(r.shape, dtype=np.min_scalar_type(max(width - 1, 0)))
+    ids = np.empty(J.shape, dtype=np.min_scalar_type(max(width - 1, 0)))
     for b in blocks:
-        ids[b] = np.searchsorted(values, r[b])
-    del r
+        ids[b] = np.searchsorted(values, weights(b))
     # the mass of an instance sums its row or its column of weights
     mass = np.zeros(size)
     for members, cells in ((rows, ids), (cols, ids.T)):

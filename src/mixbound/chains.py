@@ -75,6 +75,10 @@ class TransitionMatrix:
     padding has index 0 and weight 0. One step of a distribution x is
     ``(x[index] * weight).sum(axis=1)``.
 
+    ``sampling_guide`` is the guide table of the running sums, built the
+    first time a batch of walks is sampled and kept; see `_guide` and
+    `_sample_tails`.
+
     ``matrix`` is the dense n x n view, scattered from ``in_neighbours``
     the first time it is read and kept; it is read-only. Dense algorithms
     and single-entry lookups on small chains read it. Above MAX_DENSE_N it
@@ -101,6 +105,10 @@ class TransitionMatrix:
         m = _dense(self.n, self.in_neighbours)
         m.setflags(write=False)
         return m
+
+    @cached_property
+    def sampling_guide(self) -> np.ndarray:
+        return _guide(self.sampling_table[1])
 
     def prob(self, u: int, v: int) -> float:
         _check_vertex(self.graph, u)
@@ -159,6 +167,30 @@ def _tables_from(n: int, src: np.ndarray, dst: np.ndarray, value: np.ndarray):
     for table in (out_index, cumulative, in_index, weight):
         table.setflags(write=False)
     return (out_index, cumulative), (in_index, weight)
+
+
+def _guide(cum: np.ndarray) -> np.ndarray:
+    """Guide table (Chen & Asau 1974) of the running sums ``cum``, n x
+    width: cell [u, b] holds the flat position u*width + k of the first
+    slot k of row u whose sum exceeds b/B. So k counts the slots whose sum
+    is at most b/B, a prefix of the row, and slot k is counted from
+    bucket ceil(sum*B) on; sum*B is exact, B being a power of two. The
+    table takes the narrowest unsigned dtype holding n*width - 1 and the
+    largest B with B x itemsize <= 8 x width, so it never holds more
+    bytes than the int64 index table."""
+    n, width = cum.shape
+    dtype = np.min_scalar_type(n * width - 1)
+    buckets = 1 << (8 * width // dtype.itemsize).bit_length() - 1
+    guide = np.zeros((n, buckets), dtype)
+    rows = np.arange(n)
+    for k in range(width):
+        first = np.ceil(cum[:, k] * buckets)
+        inside = first < buckets
+        guide[rows[inside], first[inside].astype(np.intp)] += 1
+    np.cumsum(guide, axis=1, dtype=dtype, out=guide)
+    guide += (rows * width).astype(dtype)[:, None]
+    guide.setflags(write=False)
+    return guide
 
 
 def _slots(row: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -771,15 +803,25 @@ def _sample_tails(P: TransitionMatrix, walks: np.ndarray, start: int,
     One step rule: a step takes the first `sampling_table` slot whose sum
     exceeds a uniform. One block rule: uniforms are drawn step by step,
     walker by walker, in blocks of whole steps, so the stream does not
-    depend on the block size. Two loops apply them. A 2-D batch steps all
-    rows at once in numpy. A single walk steps in plain Python, since a
-    numpy call per step costs several times the step itself: it bisects
-    the current row of the table through memoryviews, which read single
-    entries without converting the whole table on every call. Bisection
-    finds the same slot as the numpy scan because ``sum > u`` reads
+    depend on the block size. Both rest on ``sum > u`` reading
     False...False True...True along every row for u < 1: the sums never
     decrease except where one rounded above 1.0 drops to the pinned 1.0
-    after it.
+    after it. So any search that finds the first True finds the same slot.
+
+    Two loops apply them. A 2-D batch steps all rows at once in numpy
+    through the chain's guide table (`sampling_guide`, Chen & Asau 1974):
+    a walker at vertex v with uniform u starts at cell [v, floor(u*B)],
+    the first slot whose sum exceeds floor(u*B)/B <= u, and moves forward
+    while its sum is at most u. All walkers move in one vectorised pass at
+    a time, and one pass usually suffices. A step costs 0.33-0.67x the
+    time of an argmax scan of each walker's whole row (BENCH_20.json).
+    A single walk steps in plain Python, since a numpy call per step costs several times the
+    step itself: it bisects the current row of the table through
+    memoryviews, which read single entries without converting the whole
+    table on every call. It keeps bisection, at 370-750 ns per step,
+    because a guide step in plain Python took 470-930 ns (hypercube:11
+    and random-regular:256,4, 200 000 steps, three runs each); so a chain
+    that only walks single walks never builds the guide.
     """
     index, cum = P.sampling_table
     if walks.ndim == 1:
@@ -793,13 +835,23 @@ def _sample_tails(P: TransitionMatrix, walks: np.ndarray, start: int,
                 tail.append(cur + 1)
         walks[start + 1:] = tail
         return
+    guide = P.sampling_guide
+    buckets = guide.shape[1]
+    flat_guide, flat_cum, flat_index = guide.ravel(), cum.ravel(), index.ravel()
     cur = walks[..., start] - 1
-    per_block = max(1, _WALK_BLOCK_CELLS // max(1, cur.size))
+    # a block's uniforms and their buckets take _WALK_BLOCK_CELLS together
+    per_block = max(1, _WALK_BLOCK_CELLS // 2 // max(1, cur.size))
     for lo in range(start + 1, walks.shape[-1], per_block):
         draws = rng.random((min(per_block, walks.shape[-1] - lo),) + cur.shape)
-        for s, u in enumerate(draws, lo):
-            cur = index[cur, (cum[cur] > u[..., None]).argmax(axis=-1)]
-            walks[..., s] = cur + 1
+        cells = np.empty(draws.shape, dtype=np.intp)
+        np.multiply(draws, buckets, out=cells, casting="unsafe")  # floor, u >= 0
+        for s, (u, cell) in enumerate(zip(draws, cells), lo):
+            cell += cur * buckets
+            pos = flat_guide[cell].astype(np.intp)
+            while np.count_nonzero(short := flat_cum[pos] <= u):
+                pos += short
+            cur = flat_index[pos]
+            np.add(cur, 1, out=walks[..., s])
 
 
 def _walk_vertices(P: TransitionMatrix, vertices) -> tuple[int, ...]:

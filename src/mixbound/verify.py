@@ -280,7 +280,7 @@ def check_a5_difference_localization(ctx: _Context) -> Outcome:
         # adds its weight to the vertices of k's tail after the shared head
         table = adv._pair_table(family)
         last = adv._last_occurrence(table.walks, P.n)
-        head_end = (table.J * T)[:, :, None]
+        head_end = (table.J.astype(np.int64) * T)[:, :, None]
         covered = ((last[table.cols][None] > head_end).astype(float)
                    + (last[table.rows][:, None] > head_end))
         rhs = (table.r[:, :, None] * covered).sum(axis=(0, 1))

@@ -325,6 +325,24 @@ def test_exact_lower_bound_memory():
     assert peak <= pairs * (P.n + 32)
 
 
+def test_exact_lower_bound_holds_no_pairs_sized_weights():
+    # the head index and the weight ids take a byte per pair and the
+    # difference flags n; the weights are built a block of rows at a time
+    P = mb.lazy_simple_walk(mb.complete_graph(6))
+    params = mb.custom_params(P, T=2, L=4)
+    table = _pair_table(mb.enumerate_family(P, params))
+    pairs = table.rows.size * table.cols.size
+    assert table.J.dtype == table.ids.dtype == np.uint8
+    del table
+    tracemalloc.start()
+    try:
+        mb.exact_lower_bound(P, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= pairs * (P.n + 8)
+
+
 def test_exact_pair_cap_refuses(monkeypatch):
     P, params = _exact_system("K4")
     family = mb.enumerate_family(P, params)

@@ -690,8 +690,8 @@ def test_rows_summing_past_one_step_alike_in_both_loops():
     # Rows 1-3 of this K5 chain end in a 1e-18 entry, so rounding can lift
     # the running sum above 1.0 at the fourth slot, before the last slot
     # is pinned back to 1.0. A single walk bisects the row and a batch
-    # scans it; both must take the first slot whose sum exceeds u, ties
-    # included.
+    # scans it from its guide cell; both must take the first slot whose
+    # sum exceeds u, ties included.
     rng = np.random.default_rng(0)
     rows = []
     while len(rows) < 3:
@@ -705,7 +705,8 @@ def test_rows_summing_past_one_step_alike_in_both_loops():
     assert np.all(cum[:3, 3] > 1.0) and np.all(cum[:, 4] == 1.0)
 
     top = np.nextafter(1.0, 0.0)
-    ties = cum[cum < 1.0].tolist()  # uniforms equal to a running sum
+    # uniforms equal to a running sum, and at the guide's bucket edges
+    ties = cum[cum < 1.0].tolist() + _bucket_edges(P)
     uniforms = [u for other in ties + rng.random(200 - len(ties)).tolist()
                 for u in (top, other)]
     for start in range(1, 6):
@@ -743,6 +744,125 @@ def test_sampled_walks_do_not_depend_on_block_size(block_cells, monkeypatch):
     want = draw()
     monkeypatch.setattr("mixbound.chains._WALK_BLOCK_CELLS", block_cells)
     assert draw() == want
+
+
+# ---------------------------------------------------------------------------
+# The batch loop's guide table
+# ---------------------------------------------------------------------------
+
+def _argmax_scan_tails(P, walks, start, rng):
+    """Reference batch loop: scan every walker's whole row for the first
+    sum above its uniform, with the same block rule as _sample_tails."""
+    index, cum = P.sampling_table
+    cur = walks[..., start] - 1
+    per_block = max(1, (1 << 16) // max(1, cur.size))
+    for lo in range(start + 1, walks.shape[-1], per_block):
+        draws = rng.random((min(per_block, walks.shape[-1] - lo),) + cur.shape)
+        for s, u in enumerate(draws, lo):
+            cur = index[cur, (cum[cur] > u[..., None]).argmax(axis=-1)]
+            walks[..., s] = cur + 1
+
+
+def _bucket_edges(P):
+    # every k/B, and the largest double below each, 1.0's included
+    buckets = P.sampling_guide.shape[1]
+    edges = np.arange(buckets + 1) / buckets
+    return edges[:-1].tolist() + np.nextafter(edges[1:], 0.0).tolist()
+
+
+def _assert_loops_match_dense(P, uniforms):
+    for start in range(1, P.n + 1):
+        one = np.full(len(uniforms) + 1, start)
+        _sample_tails(P, one, 0, _Scripted(uniforms))
+        batch = np.full((1, len(uniforms) + 1), start)
+        _sample_tails(P, batch, 0, _Scripted(uniforms))
+        want = [start]
+        for u in uniforms:
+            want.append(_dense_inverse_cdf(P.matrix[want[-1] - 1], u) + 1)
+        assert one.tolist() == batch[0].tolist() == want
+
+
+def _guide_chains():
+    from mixbound.verify import VerifyCaps, _Context
+    chains = [P for _, _, P in _Context(VerifyCaps(), seed=0).test_chains()]
+    return chains + [mb.lazy_simple_walk(mb.graph_from_spec("hypercube:8")),
+                     mb.lazy_simple_walk(mb.random_regular_graph(256, 4, seed=0))]
+
+
+def test_guide_cells_hold_the_first_slot_above_their_bucket():
+    for P in _guide_chains():
+        index, cum = P.sampling_table
+        guide = P.sampling_guide
+        n, width = cum.shape
+        buckets = guide.shape[1]
+        assert buckets & (buckets - 1) == 0 and buckets >= width
+        assert guide.nbytes <= index.nbytes and not guide.flags.writeable
+        bounds = np.arange(buckets) / buckets
+        first = (cum[:, :, None] > bounds).argmax(axis=1)  # n x buckets
+        assert np.array_equal(guide, np.arange(n)[:, None] * width + first)
+
+
+def test_guide_steps_at_bucket_edges_and_in_padded_rows():
+    # path:5 and barbell:6 pad some rows; a uniform at k/B sits on the
+    # edge of a bucket, and the double below it at the top of the one before
+    padded = (mb.lazy_simple_walk(mb.graph_from_spec("path:5")),
+              mb.max_degree_walk(mb.graph_from_spec("barbell:6")))
+    for P in padded + (mb.lazy_simple_walk(mb.complete_graph(4)),):
+        if P in padded:
+            assert np.any(P.sampling_table[1][:, -2] == 1.0)
+        edges = _bucket_edges(P)
+        uniforms = [u for pair in zip(edges, edges[::-1]) for u in pair]
+        _assert_loops_match_dense(P, uniforms + np.random.default_rng(1).random(100).tolist())
+
+
+def test_guide_scan_passes_several_breakpoints_in_one_bucket():
+    # vertex 1's row puts four breakpoints inside one bucket, so the
+    # forward scan from the guide cell moves more than one slot
+    rows = np.full((5, 5), 0.2)
+    rows[0] = [0.5, 0.001, 0.001, 0.001, 0.497]
+    P = mb.make_chain(mb.complete_graph(5), rows)
+    cum = P.sampling_table[1]
+    buckets = P.sampling_guide.shape[1]
+    cell = int(0.5 * buckets)
+    assert np.count_nonzero((cum[0] >= cell / buckets) & (cum[0] < (cell + 1) / buckets)) >= 4
+    uniforms = (cum[0, :4].tolist() + np.nextafter(cum[0, :4], 1.0).tolist()
+                + [0.5 + 0.75 / buckets] + _bucket_edges(P))
+    moved = max(_dense_inverse_cdf(P.matrix[0], u) - int(P.sampling_guide[0, int(u * buckets)])
+                for u in uniforms)
+    assert moved >= 3
+    _assert_loops_match_dense(P, uniforms)
+
+
+def test_guide_is_built_only_for_batches():
+    P = mb.lazy_simple_walk(mb.graph_from_spec("hypercube:6"))
+    params = mb.default_params(P)
+    mb.sample_walk(P, 1, 50, seed=0)
+    mb.sample_instance(P, params, seed=0)
+    assert "sampling_guide" not in P.__dict__
+    mb.estimate_lower_bound(P, params, samples=4, seed=0)
+    assert "sampling_guide" in P.__dict__
+
+
+def _skewed_metropolis():
+    g = mb.random_regular_graph(128, 5, seed=3)
+    target = np.random.default_rng(3).pareto(1.0, g.n) + 1e-3
+    return mb.metropolis_walk(g, target / target.sum())
+
+
+@pytest.mark.parametrize("make", [
+    lambda: mb.lazy_simple_walk(mb.graph_from_spec("hypercube:8")),
+    lambda: mb.lazy_simple_walk(mb.random_regular_graph(256, 4, seed=0)),
+    _skewed_metropolis,
+], ids=["hypercube8", "random-regular256", "skewed-metropolis"])
+def test_guide_batches_equal_the_argmax_scan(make):
+    P = make()
+    starts = np.random.default_rng(5).integers(1, P.n + 1, 2000)
+    got = np.zeros((2000, 201), dtype=np.int32)
+    got[:, 0] = starts
+    want = got.copy()
+    _sample_tails(P, got, 0, np.random.default_rng(7))
+    _argmax_scan_tails(P, want, 0, np.random.default_rng(7))
+    assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
