@@ -13,6 +13,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
@@ -40,7 +41,7 @@ MAX_DENSE_N = 1 << 14
 # 130 bytes per cell: `chain build` peaks at 574 MB RSS at n = 2048 and
 # at 2 141 MB at n = 4096 (one run each, in-process ru_maxrss).
 MAX_JSON_N = 1 << 11
-_ROW_SUM_CELLS = 1 << 20  # cells of the scratch block that row sums are taken in
+_FSUM_ROWS = 1 << 12  # rows whose entries _row_fsums converts to Python floats at once
 
 
 @dataclass(frozen=True)
@@ -262,12 +263,16 @@ def _chain(graph: Graph, src: np.ndarray, dst: np.ndarray, value: np.ndarray,
            pi, kind: str, vertex_transitive: bool) -> TransitionMatrix:
     """The one construction path: the chain on graph whose entries are
     value at (src, dst), listed in row-major order, each row summing to 1
-    within ROW_SUM_TOL. The rows are renormalized, entries left at zero
-    are dropped, the support is checked against the graph's edges, and
-    the tables, stationary vector and flags are built from the entries. No
-    n x n array is formed unless the stationary vector must be solved for."""
+    within ROW_SUM_TOL. Each row is divided by its `_row_fsums` sum, so two
+    rows holding the same entries in any order are divided alike. Entries
+    left at zero are dropped, the support is checked against the graph's
+    edges, and the tables, stationary vector and flags are built from the
+    entries. No n x n array is formed unless pi must be solved for."""
     n = graph.n
-    row_sums = _dense_row_sums(n, src, dst, value)
+    try:
+        row_sums = _row_fsums(n, src, value)
+    except OverflowError:  # a row sums past the largest float: numpy rounds it to inf
+        row_sums = np.bincount(src, value, minlength=n)
     bad = np.argmax(np.abs(row_sums - 1.0))  # the first NaN sum, if any
     if not abs(row_sums[bad] - 1.0) <= ROW_SUM_TOL:  # negated, so NaN fails
         raise InputError(
@@ -306,26 +311,16 @@ def _chain(graph: Graph, src: np.ndarray, dst: np.ndarray, value: np.ndarray,
                             kind=kind, vertex_transitive=vertex_transitive)
 
 
-def _dense_row_sums(n: int, src: np.ndarray, dst: np.ndarray,
-                    value: np.ndarray) -> np.ndarray:
-    """Row sums of the n x n matrix whose entries are value at (src, dst),
-    listed in row-major order, bit for bit as ``m.sum(axis=1)`` gives them.
-
-    numpy sums a dense row pairwise, so the rounding depends on where the
-    zero cells fall, and a sum over the entries alone differs in the last
-    bit on many rows (25 of 64 on the lazy walk of hypercube:6). Every
-    chain's rows are divided by these sums, so to keep each chain equal to
-    its dense construction the rows are summed dense, a block at a time,
-    in one zeroed scratch of at most _ROW_SUM_CELLS cells (or one row)."""
-    rows = max(1, min(n, _ROW_SUM_CELLS // n))
-    scratch = np.zeros((rows, n))
-    sums = np.empty(n)
-    bounds = np.searchsorted(src, np.arange(0, n + rows, rows))
-    for lo, a, b in zip(range(0, n, rows), bounds[:-1], bounds[1:]):
-        block = scratch[:min(rows, n - lo)]
-        block[src[a:b] - lo, dst[a:b]] = value[a:b]
-        sums[lo:lo + len(block)] = block.sum(axis=1)
-        block[src[a:b] - lo, dst[a:b]] = 0.0
+def _row_fsums(n: int, src: np.ndarray, value: np.ndarray) -> np.ndarray:
+    """Exactly rounded sums (``math.fsum``; Shewchuk, Discrete Comput. Geom.
+    18, 1997) of the rows' entries value, in row-major order with row
+    indices src, read as Python floats _FSUM_ROWS rows at a time."""
+    counts = np.bincount(src, minlength=n).tolist()
+    sums, start = np.empty(n), 0
+    for lo in range(0, n, _FSUM_ROWS):
+        block = counts[lo:lo + _FSUM_ROWS]
+        entries = iter(value[start:(start := start + sum(block))].tolist())
+        sums[lo:lo + len(block)] = [math.fsum(islice(entries, c)) for c in block]
     return sums
 
 
@@ -414,9 +409,9 @@ def max_degree_walk(g: Graph) -> TransitionMatrix:
 
 def metropolis_walk(g: Graph, target) -> TransitionMatrix:
     """Metropolis filter on the lazy simple walk: propose a neighbor with
-    probability 1/(2 deg), accept with min(1, t(v) d(u) / (t(u) d(v))),
-    rejected mass joins the self-loop. Lazy and reversible with stationary
-    distribution equal to the target."""
+    probability 1/(2 deg), accept with min(1, t(v) d(u) / (t(u) d(v))); the
+    self-loop is 1 minus the exactly rounded sum of the moves. Lazy and
+    reversible with stationary distribution equal to the target."""
     n = g.n
     t = np.array(target, dtype=float)
     if t.shape != (n,):
@@ -429,7 +424,7 @@ def metropolis_walk(g: Graph, target) -> TransitionMatrix:
     src, dst, degrees = _edge_entries(g)
     accept = np.minimum(1.0, t[dst] * degrees[src] / (t[src] * degrees[dst]))
     move = accept / (2 * degrees[src])
-    entries = _with_loops(g, src, dst, move, 1.0 - _dense_row_sums(n, src, dst, move))
+    entries = _with_loops(g, src, dst, move, 1.0 - _row_fsums(n, src, move))
     return _chain(g, *entries, t, "metropolis", vertex_transitive=False)
 
 
@@ -474,23 +469,20 @@ def _tv_from_pi(power: np.ndarray, pi: np.ndarray) -> float:
 
 
 def mixing_time(P: TransitionMatrix, eps: float,
-                cap: int = DEFAULT_CAPS["mixing_steps"],
-                method: str = "doubling") -> int:
+                cap: int = DEFAULT_CAPS["mixing_steps"]) -> int:
     """Smallest t with worst-case TV distance to stationarity at most eps.
-    A mixing time above cap raises CapabilityError under either method.
+    A mixing time above cap raises CapabilityError.
 
-    The worst-case TV distance is nonincreasing in t, so the default
-    squares the dense matrix until P^(2^K) is within eps, then lifts: for
-    k = K-1 down to 0 it multiplies the running power by P^(2^k) and
-    keeps the product while its TV stays above eps. The running exponent
-    ends one step short of the threshold. The "linear" method scans
-    t = 0, 1, 2, ... with all n starts on the full matrix and exists as an
-    independent cross-check.
+    The worst-case TV distance is nonincreasing in t, so this squares the
+    dense matrix until P^(2^K) is within eps, then lifts: for k = K-1 down
+    to 0 it multiplies the running power by P^(2^k) and keeps the product
+    while its TV stays above eps. The running exponent ends one step short
+    of the threshold.
 
     For a chain marked `vertex_transitive` (the lazy simple and max-degree
-    walks on cycle, complete, hypercube and torus graphs) the default
-    instead runs that scan on the single row of vertex 1 through the
-    sparse `in_neighbours` table, O(nnz) per step. That is exact, not an
+    walks on cycle, complete, hypercube and torus graphs) it instead scans
+    t = 0, 1, 2, ... on the single row of vertex 1 through the sparse
+    `in_neighbours` table, O(nnz) per step. That is exact, not an
     approximation: an automorphism mapping u to w and preserving the chain
     carries the t-step law from u onto the one from w and fixes the
     stationary distribution, so every start is at the same TV distance
@@ -498,21 +490,17 @@ def mixing_time(P: TransitionMatrix, eps: float,
     """
     if not 0 < eps < 0.5:
         raise InputError(f"eps must lie in (0, 1/2), got {eps}")
-    if method not in ("doubling", "linear"):
-        raise InputError(f"unknown mixing time method {method!r}")
     if not P.flags.irreducible:
         raise CapabilityError("mixing time requires an irreducible chain")
     pi = P._pi_or_raise()
     over_cap = CapabilityError(f"mixing time exceeds cap {cap} at eps={eps}")
-    if method == "linear" or P.vertex_transitive:
-        # All n start rows, or vertex 1's row kept one-dimensional: a
-        # (1, n) row steps through the table markedly slower.
-        x = np.eye(P.n) if method == "linear" else np.eye(1, P.n)[0]
+    if P.vertex_transitive:
+        x = np.eye(1, P.n)[0]  # 1-D: a (1, n) row steps through the table slower
         index, weight = P.in_neighbours
         for t in range(cap + 1):
             if _tv_from_pi(x, pi) <= eps:
                 return t
-            x = x @ P.matrix if x.ndim == 2 else (x[index] * weight).sum(axis=1)
+            x = (x[index] * weight).sum(axis=1)
         raise over_cap
 
     # TV(P^0) = 1 - min pi >= 1/2 > eps, since n >= 2.

@@ -298,8 +298,8 @@ def sample_instance(P: TransitionMatrix, params: StaircaseParams, seed,
     rng = np.random.default_rng(seed)
     walk = sample_good_walk(P, params, rng, retry_cap=retry_cap)
     bit = int(rng.integers(2))
-    stored_seed = seed if isinstance(seed, int) else None
-    return make_instance(walk, bit, params, seed=stored_seed)
+    integer = isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
+    return make_instance(walk, bit, params, seed=int(seed) if integer else None)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import mixbound as mb
 from mixbound.chains import MAX_DENSE_N, MAX_JSON_N, _sample_tails, _top_ritz
 from mixbound.errors import CapabilityError, InputError
 from mixbound.graphs import _bfs
+from mixbound.verify import _linear_mixing_time
 
 
 def solve_stationary_oracle(matrix):
@@ -166,6 +167,7 @@ def test_make_chain_rejects_bad_rows():
     ([[np.nan, np.nan], [0.5, 0.5]], None, r"^row 1 sums to nan"),
     ([[0.5, 0.5], [np.inf, 0.5]], None, r"^row 2 sums to inf"),
     ([[0.5, 0.5], [0.5, 0.5]], [np.nan, np.nan], "stationary vector"),
+    ([[1e308, 1e308], [0.5, 0.5]], None, r"^row 1 sums to inf"),  # past the largest float
 ])
 def test_make_chain_refuses_non_finite_input(capfd, rows, pi, match):
     # a NaN row passed the row-sum tolerance test and reached the
@@ -219,7 +221,7 @@ def test_mixing_time_cycle_matches_scan_oracle():
     P = mb.lazy_simple_walk(mb.cycle_graph(8))
     expected = tv_scan_oracle(P.matrix, P.pi, 1 / 16)
     assert mb.mixing_time(P, 1 / 16) == expected
-    assert mb.mixing_time(P, 1 / 16, method="linear") == expected
+    assert _linear_mixing_time(P, 1 / 16) == expected
 
 
 @pytest.mark.parametrize("eps", [0.4, 0.125, 0.03, 1 / 64])
@@ -230,7 +232,7 @@ def test_mixing_time_methods_agree(eps):
               mb.lazy_simple_walk(mb.torus_graph(3, 3)),
               *(mb.build_chain(regular, kind)
                 for kind in ("lazy-simple", "metropolis", "max-degree"))):
-        assert mb.mixing_time(P, eps) == mb.mixing_time(P, eps, method="linear")
+        assert mb.mixing_time(P, eps) == _linear_mixing_time(P, eps)
 
 
 @pytest.mark.parametrize("spec", ["cycle:15", "complete:20", "hypercube:6", "torus2d:5x7"])
@@ -239,7 +241,7 @@ def test_mixing_time_single_start_matches_linear(spec, build):
     P = build(mb.graph_from_spec(spec))
     assert P.vertex_transitive
     for eps in (0.25, 1 / (2 * P.n)):
-        assert mb.mixing_time(P, eps) == mb.mixing_time(P, eps, method="linear")
+        assert mb.mixing_time(P, eps) == _linear_mixing_time(P, eps)
 
 
 def test_in_neighbours_step_matches_dense_product():
@@ -265,7 +267,7 @@ def test_mixing_time_non_invariant_chains_on_transitive_graph():
     for P in (metropolis, relabelled):
         assert not P.vertex_transitive
         for eps in (0.25, 1 / (2 * g.n)):
-            assert mb.mixing_time(P, eps) == mb.mixing_time(P, eps, method="linear")
+            assert mb.mixing_time(P, eps) == _linear_mixing_time(P, eps)
 
 
 def test_chain_flag_only_from_invariant_constructions():
@@ -290,12 +292,14 @@ def test_mixing_time_cap():
 @pytest.mark.parametrize("method", ["doubling", "linear"])
 def test_mixing_time_cap_holds_for_every_method(graph, t, method):
     # path:12 needs t = 125 at eps 0.05: the search's last square is
-    # P^128, past a cap of 124, yet the threshold itself is what counts
+    # P^128, past a cap of 124, yet the threshold itself is what counts.
+    # cycle:9 takes the single-start scan; "linear" is verify's reference.
     P = mb.lazy_simple_walk(graph)
+    scan = mb.mixing_time if method == "doubling" else _linear_mixing_time
     with pytest.raises(CapabilityError,
                        match=rf"^mixing time exceeds cap {t - 1} at eps=0.05$"):
-        mb.mixing_time(P, 0.05, cap=t - 1, method=method)
-    assert mb.mixing_time(P, 0.05, cap=t, method=method) == t
+        scan(P, 0.05, cap=t - 1)
+    assert scan(P, 0.05, cap=t) == t
 
 
 @pytest.mark.parametrize("spec,seed,kind,at_default,at_005", [
@@ -697,7 +701,7 @@ def test_rows_summing_past_one_step_alike_in_both_loops():
     while len(rows) < 3:
         row = np.append(rng.random(4), 1e-18)
         row /= row.sum()
-        if np.cumsum(row / row.sum())[3] > 1.0:  # as make_chain renormalises
+        if np.cumsum(row / math.fsum(row))[3] > 1.0:  # as make_chain renormalises
             rows.append(row)
     rows += [row / row.sum() for row in rng.random((2, 5))]
     P = mb.make_chain(mb.complete_graph(5), rows)
@@ -1032,7 +1036,7 @@ def _metropolis_loops(g, target):
         for v in g.neighbors(u):
             accept = min(1.0, t[v - 1] * du / (t[u - 1] * g.degree(v)))
             m[u - 1, v - 1] = accept / (2 * du)
-        m[u - 1, u - 1] = 1.0 - m[u - 1].sum()
+        m[u - 1, u - 1] = 1.0 - math.fsum(m[u - 1])
     return m, t
 
 
@@ -1055,9 +1059,13 @@ def test_named_walks_match_loop_oracles(spec):
         assert P.flags == ref.flags == _flags_oracle(ref.matrix, ref.pi)
 
 
+def _fsum_rows(m):
+    return np.array([math.fsum(row) for row in m])
+
+
 def _dense_reference(g, kind, target):
     # the named chain built dense: scatter the entries into an n x n array,
-    # then divide each row by numpy's dense row sum
+    # then divide each row by the exactly rounded sum of its entries
     n = g.n
     degrees = np.diff(g.indptr)
     src, dst = np.repeat(np.arange(n), degrees), g.indices
@@ -1074,8 +1082,8 @@ def _dense_reference(g, kind, target):
         pi = target / target.sum()
         accept = np.minimum(1.0, pi[dst] * degrees[src] / (pi[src] * degrees[dst]))
         m[src, dst] = accept / (2 * degrees[src])
-        np.fill_diagonal(m, 1.0 - m.sum(axis=1))
-    m /= m.sum(axis=1)[:, None]
+        np.fill_diagonal(m, 1.0 - _fsum_rows(m))
+    m /= _fsum_rows(m)[:, None]
     return m, pi
 
 
@@ -1105,10 +1113,10 @@ _VERIFY_FAMILY = ["cycle:9", "path:8", "complete:9", "hypercube:3", "torus2d:3x3
 @pytest.mark.parametrize("spec", ["hypercube:6", "hypercube:9", "random-regular:64,3",
                                   "complete:6", *_VERIFY_FAMILY])
 def test_named_chains_equal_dense_construction_bit_for_bit(spec):
-    # The chain is built from its entries without an n x n array, yet each
-    # row must be divided by the dense row sum: numpy sums a dense row
-    # pairwise, and a sum over the entries alone differs in the last bit on
-    # 25 of 64 rows of hypercube:6 and 4 of 10 of barbell:10 max-degree.
+    # The chain is built from its entries without an n x n array, and each
+    # row is divided by math.fsum of its entries, which is exactly rounded
+    # and so the same in any order: numpy's pairwise dense row sum is not,
+    # and differs from it in the last bit on 25 of 64 rows of hypercube:6.
     g = mb.graph_from_spec(spec, seed=0)
     skewed = np.random.default_rng(g.n).uniform(1.0, 4.0, g.n)
     for kind, target in [("lazy-simple", None), ("max-degree", None),
@@ -1124,15 +1132,74 @@ def test_named_chains_equal_dense_construction_bit_for_bit(spec):
             assert got.tobytes() == want.tobytes(), (kind, target is skewed)
 
 
+@pytest.mark.parametrize("spec", ["barbell:10", "random-regular:64,3", "path:8"])
+def test_row_sums_do_not_depend_on_the_block_size(spec, monkeypatch):
+    # rows of unequal entries, summed a few rows at a time
+    monkeypatch.setattr("mixbound.chains._FSUM_ROWS", 3)
+    g = mb.graph_from_spec(spec, seed=0)
+    skewed = np.random.default_rng(g.n).uniform(1.0, 4.0, g.n)
+    for kind, target in [("lazy-simple", None), ("metropolis", skewed / skewed.sum())]:
+        m, _ = _dense_reference(g, kind, target)
+        assert mb.build_chain(g, kind, target).matrix.tobytes() == m.tobytes()
+
+
 def test_named_chain_build_allocates_no_dense_matrix():
     g = mb.hypercube_graph(12)
     tracemalloc.start()
     try:
-        mb.lazy_simple_walk(g)
+        P = mb.lazy_simple_walk(g)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < g.n * g.n * 8 / 4  # the dense array alone is n * n * 8 bytes
+    # O(entries), with no n-column scratch: 139 bytes per entry here, and
+    # 191 when each row was summed in a zeroed dense block of 2^20 cells
+    assert peak < 160 * np.count_nonzero(P.in_neighbours[1])
+
+
+def _automorphisms(spec, n, rng):
+    # 0-based vertex permutations that preserve the generator's graph
+    v = np.arange(n)
+    family, size = spec.split(":")
+    if family == "cycle":
+        return [(v + rng.integers(1, n)) % n, (-v) % n]
+    if family == "complete":
+        return [rng.permutation(n) for _ in range(3)]
+    if family == "hypercube":
+        bits = rng.permutation(int(size))
+        shuffled = sum(((v >> b) & 1) << k for k, b in enumerate(bits))
+        return [v ^ rng.integers(1, n), shuffled]
+    rows, cols = map(int, size.split("x"))
+    i, j = np.divmod(v, cols)
+    return [(i + rng.integers(rows)) % rows * cols + (j + rng.integers(1, cols)) % cols,
+            (-i) % rows * cols + j]
+
+
+@pytest.mark.parametrize("spec", ["cycle:9", "complete:6", "complete:9", "hypercube:6",
+                                  "hypercube:9", "torus2d:3x5", "torus2d:6x6"])
+@pytest.mark.parametrize("build", [mb.lazy_simple_walk, mb.max_degree_walk])
+def test_transitive_chains_map_entries_to_equal_entries(spec, build):
+    # An automorphism sends each entry to one the maths makes equal, and a
+    # row sum that does not depend on the order keeps them equal bit for
+    # bit, as does the symmetry P = P^T of a walk on a regular graph.
+    P = build(mb.graph_from_spec(spec))
+    assert P.vertex_transitive
+    m = P.matrix
+    for perm in _automorphisms(spec, P.n, np.random.default_rng(P.n)):
+        assert np.array_equal(m[np.ix_(perm, perm)], m)
+    assert np.array_equal(m, m.T)
+
+
+@pytest.mark.parametrize("d", range(1, 17))
+def test_lazy_hypercube_stores_two_weights_and_is_symmetric(d):
+    P = mb.lazy_simple_walk(mb.hypercube_graph(d))
+    src, dst, value = mb.chains._stored_entries(P.in_neighbours)
+    assert set(value.tolist()) == {0.5, 0.5 / d}
+    forward, backward = np.lexsort((dst, src)), np.lexsort((src, dst))
+    assert np.array_equal(src[forward], dst[backward])
+    assert np.array_equal(dst[forward], src[backward])
+    assert np.array_equal(value[forward], value[backward])  # P == P^T, bit for bit
+    if d <= 10:
+        assert np.array_equal(P.matrix, P.matrix.T)
 
 
 def test_dense_cap_refuses_before_allocating():

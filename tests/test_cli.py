@@ -80,13 +80,13 @@ def test_graph_gen_requires_seed_for_random():
     assert "seed" in err
 
 
-# sha256 of `chain build` stdout, taken while every chain stored its dense
-# matrix and renormalised by the dense row sum. Both chains have rows whose
-# sum over the table's entries differs in the last bit from the dense sum,
-# so the neighbour-table build must reproduce the dense-order sum.
+# sha256 of `chain build` stdout, with each row divided by the exactly
+# rounded sum of its entries. Both chains have rows whose dense-order
+# (numpy pairwise) sum differs from that in the last bit, which once gave
+# hypercube:6 two distinct off-diagonal weights; it now stores 0.5 and 1/12.
 _CHAIN_BUILD_SHA256 = {
-    ("hypercube:6", "lazy-simple"): "b893bdce46e349738388c6b46601648321cc1811502aa1639e2bf276e7b7daaa",
-    ("barbell:10", "max-degree"): "eb85a4a84bb00d11c9c450c98bf2e1613d0bc4e0f627f7ff420b8e2ec45977e2",
+    ("hypercube:6", "lazy-simple"): "19c265b60deccdb0dccc07f92c86e7e3316ee2ecc114364dce40de2e70c9adaa",
+    ("barbell:10", "max-degree"): "a01076f2a32a11946c486454ab1d0e29d75dd5a49ee84104503808ab3d1b3dde",
 }
 
 

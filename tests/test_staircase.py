@@ -176,6 +176,19 @@ def test_f_minimum_is_walk_end(k3_chain, k3_params):
         assert values.count(-inst.params.L) == 1
 
 
+def test_sample_instance_keeps_integer_seeds_only(k3_chain, k3_params):
+    # a numpy integer seed was stored as None, and True was stored as True
+    # and written out as "seed": true
+    plain = mb.sample_instance(k3_chain, k3_params, 3)
+    for seed in (3, np.int64(3), np.uint8(3)):
+        inst = mb.sample_instance(k3_chain, k3_params, seed)
+        assert type(inst.seed) is int and inst.seed == 3
+        assert inst.walk.vertices == plain.walk.vertices and inst.bit == plain.bit
+        assert mb.instance_to_json(inst, "complete:3", "lazy-simple")["seed"] == 3
+    for seed in (True, np.random.default_rng(3), None):
+        assert mb.sample_instance(k3_chain, k3_params, seed).seed is None
+
+
 def test_g_values(k3_chain, k3_params):
     inst = make_k3_instance(k3_chain, k3_params, bit=1)
     assert inst.decision_value(3) == (-2, 1)
