@@ -453,7 +453,7 @@ def _redraw(P: TransitionMatrix, xs: np.ndarray, J: np.ndarray, T: int,
     L - J[i]*T as its tail: a prefix of a longer walk has the law of the
     shorter one. A constant J draws exactly a plain redraw's steps."""
     L, lo = xs.shape[1] - 1, int(J.min())
-    zs = np.empty_like(xs)
+    zs = np.empty(xs.shape, dtype=xs.dtype)  # C order, also for a broadcast xs
     zs[:, :lo * T] = xs[:, :lo * T]
     zs[:, lo * T] = xs[np.arange(len(xs)), J * T]
     _sample_tails(P, zs, lo * T, rng)
@@ -577,15 +577,12 @@ def milestone_escape_estimates(P: TransitionMatrix, params: StaircaseParams,
     samples = _check_count("samples", samples)
     rng = np.random.default_rng(seed)
     T, m = params.T, params.m
-    x = np.array(sample_good_walk(P, params, rng).vertices, dtype=np.int64)
-    xs = np.tile(x, (samples, 1))
-    out = []
-    for j in range(m):
-        hits = _redraw(P, xs, np.full(samples, j), T, rng)[1].astype(float)
-        p = float(hits.mean())
-        se = float(hits.std(ddof=1)) / math.sqrt(samples) if samples > 1 else math.inf
-        out.append((p, se))
-    return out
+    # _redraw only reads xs, so every row can be a view of the one walk
+    x = np.array(sample_good_walk(P, params, rng).vertices, dtype=np.int32)
+    xs = np.broadcast_to(x, (samples, x.size))
+    return [_credited_mean(int(_redraw(P, xs, np.full(samples, j), T, rng)[1].sum()),
+                           samples, 1.0)
+            for j in range(m)]
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import filterfalse
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from .staircase import StaircaseInstance
 class CountingOracle:
     """Memoizing query counter around a vertex -> value function.
 
-    ``total_queries`` counts every call, ``distinct_queries`` only first
+    ``total_queries`` counts every query, ``distinct_queries`` only first
     touches; replays return the cached value.
     """
 
@@ -33,26 +34,46 @@ class CountingOracle:
         self.memo: dict[int, object] = {}
 
     def query(self, v: int):
-        if type(v) is bool or not isinstance(v, (int, np.integer)) or not 1 <= v <= self.n:
-            raise InputError(f"vertex {v!r} out of range 1..{self.n}")
-        v = int(v)
-        self.total_queries += 1
-        if v not in self.memo:
-            self.distinct_queries += 1
-            self.memo[v] = self._fn(v)
-        return self.memo[v]
+        return self.query_many((v,))[0]
+
+    def query_many(self, vertices) -> list:
+        """The vertices' values in order. Counters and memo end as after one query
+        per vertex in order, and fn runs once per new vertex. An invalid vertex raises
+        InputError once the ones before it are queried; only that path goes one by one."""
+        vs = list(vertices)
+        types = set(map(type, vs)) - {int}
+        # sorted's compares are specialised to int: it finds both ends faster than min, max
+        if types and not all(t is not bool and issubclass(t, (int, np.integer))
+                             for t in types) \
+                or vs and not (1 <= (ends := sorted(vs))[0] and ends[-1] <= self.n):
+            for i, v in enumerate(vs):
+                if type(v) is bool or not isinstance(v, (int, np.integer)) \
+                        or not 1 <= v <= self.n:
+                    self.query_many(vs[:i])
+                    raise InputError(f"vertex {v!r} out of range 1..{self.n}")
+        vs = list(map(int, vs)) if types else vs
+        fresh = dict.fromkeys(vs)
+        new = list(filterfalse(self.memo.__contains__, fresh) if self.memo else fresh)
+        values = list(map(self._fn, new))
+        self.memo.update(zip(new, values))
+        self.total_queries += len(vs)
+        self.distinct_queries += len(new)
+        # with no repeat and no memo hit, new is vs and values are already in order
+        return values if len(new) == len(vs) else list(map(self.memo.__getitem__, vs))
 
 
 def search_oracle(inst: StaircaseInstance) -> CountingOracle:
-    """Oracle over the instance's value function (the search problem)."""
-    return CountingOracle(inst.value, inst.graph.n)
+    """Oracle over the value table (the search problem); the oracle has checked v."""
+    values = inst.values
+    return CountingOracle(lambda v: values[v - 1], inst.graph.n)
 
 
 def decision_oracle(inst: StaircaseInstance) -> CountingOracle:
     """Oracle over (value, tag) pairs; the hidden bit sits at the unique
     local minimum and every other tag is -1. Pairs compare like the plain
     values, so the search solvers run unchanged."""
-    return CountingOracle(inst.decision_value, inst.graph.n)
+    values, end, bit = inst.values, inst.minimum, inst.bit
+    return CountingOracle(lambda v: (values[v - 1], bit if v == end else -1), inst.graph.n)
 
 
 def function_oracle(g: Graph, f) -> CountingOracle:
@@ -77,17 +98,15 @@ def steepest_descent(oracle: CountingOracle, g: Graph, start: int) -> SolverResu
     value = oracle.query(current)
     moves = 0
     while True:
-        best_vertex, best_value = None, value
-        for u in (g.indices[g.indptr[current - 1]:g.indptr[current]] + 1).tolist():
-            u_value = oracle.query(u)
-            if u_value < best_value:
-                best_vertex, best_value = u, u_value
-        if best_vertex is None:
+        nbrs = (g.indices[g.indptr[current - 1]:g.indptr[current]] + 1).tolist()
+        values = oracle.query_many(nbrs)
+        best = min(values)
+        if not best < value:
             return SolverResult(vertex=current,
                                 total_queries=oracle.total_queries,
                                 distinct_queries=oracle.distinct_queries,
                                 moves=moves)
-        current, value = best_vertex, best_value
+        current, value = nbrs[values.index(best)], best
         moves += 1
 
 
@@ -101,24 +120,15 @@ def warm_start_descent(oracle: CountingOracle, g: Graph, m: int | None = None,
     if m < 1:
         raise InputError(f"sample count must be >= 1, got {m}")
     rng = np.random.default_rng(seed)
-    best_vertex, best_value = None, None
-    for v in rng.integers(1, g.n + 1, size=m):
-        v = int(v)
-        value = oracle.query(v)
-        if best_value is None or value < best_value or \
-                (value == best_value and v < best_vertex):
-            best_vertex, best_value = v, value
+    samples = rng.integers(1, g.n + 1, size=m).tolist()
+    _, best_vertex = min(zip(oracle.query_many(samples), samples))
     return steepest_descent(oracle, g, best_vertex)
 
 
 def exhaustive_search(oracle: CountingOracle, g: Graph) -> SolverResult:
     """Query every vertex and return the global minimum."""
-    best_vertex, best_value = None, None
-    for v in range(1, g.n + 1):
-        value = oracle.query(v)
-        if best_value is None or value < best_value:
-            best_vertex, best_value = v, value
-    return SolverResult(vertex=best_vertex,
+    values = oracle.query_many(range(1, g.n + 1))
+    return SolverResult(vertex=values.index(min(values)) + 1,
                         total_queries=oracle.total_queries,
                         distinct_queries=oracle.distinct_queries)
 

@@ -254,8 +254,10 @@ def check_a5_difference_localization(ctx: _Context) -> Outcome:
                         for inst in insts])
         walks = list(index)
         J = np.zeros((len(walks), len(walks)), dtype=np.int64)
-        for i, k in itertools.combinations(range(len(walks)), 2):
-            J[i, k] = J[k, i] = st.shared_head_index(walks[i], walks[k], T)
+        # triu_indices runs row-major, in the order of combinations
+        J[np.triu_indices(len(walks), 1)] = [
+            st.shared_head_index(a, b, T) for a, b in itertools.combinations(walks, 2)]
+        J += J.T
         # equal decision values get equal codes
         codes: dict = {}
         decisions = np.array([[codes.setdefault(inst.decision_value(v), len(codes))
@@ -504,7 +506,9 @@ def check_adversary_symmetry(ctx: _Context) -> Outcome:
         family = adv.enumerate_family(P, params)
         insts = family.instances
         T = params.T
-        R = np.array([[adv.relation_weight(a, b) for b in insts] for a in insts])
+        R = np.empty((len(insts), len(insts)))
+        for i, a in enumerate(insts):
+            R[i] = [adv.relation_weight(a, b) for b in insts]
         pairs += R.size
         bits = np.array([inst.bit for inst in insts])
         good = np.array([st.is_good_walk(inst.walk, T) for inst in insts])

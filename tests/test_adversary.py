@@ -10,7 +10,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
 import mixbound as mb
-from mixbound.adversary import _grouped_fsums, _pair_table, _redraw, ratio_floor
+from mixbound.adversary import (_credited_mean, _grouped_fsums, _pair_table, _redraw,
+                                ratio_floor)
 from mixbound.chains import _path_probability, _sample_tails
 from mixbound.graphs import _bfs
 from mixbound.errors import CapabilityError, InputError
@@ -618,27 +619,28 @@ def test_estimate_no_good_walks_error():
 
 # Seeded outputs pinned to the repr: a rewrite of the sampler or of the
 # difference counting must reproduce them bit for bit.
+# The escape standard errors are _credited_mean's, as the estimate's are.
 ESTIMATE_GOLDEN = {
     ("rr32", 11): (
         "(0.6933333333333334, 0.26666666666666666, 0.1301652609918719, "
         "0.08304856584173284, 16)",
-        "[(0.24, 0.03027512038907301), (0.365, 0.034127679271557736), "
+        "[(0.24, 0.030275120389073013), (0.365, 0.034127679271557736), "
         "(0.405, 0.03479841445010399), (0.735, 0.0312852815908872)]"),
     ("rr32", (3, 5)): (
         "(0.7466666666666667, 0.24, 0.13458498356085022, "
         "0.07892250972825193, 5)",
-        "[(0.19, 0.027809473820460076), (0.335, 0.0334585170294358), "
-        "(0.42, 0.0349874349304872), (0.645, 0.033920910080708584)]"),
+        "[(0.19, 0.027809473820460076), (0.335, 0.033458517029435794), "
+        "(0.42, 0.03498743493048719), (0.645, 0.03392091008070859)]"),
     ("metropolis", 11): (
         "(0.06666666666666667, 0.06666666666666667, 0.047061555869701094, "
         "0.047061555869701094, 5)",
-        "[(0.04, 0.013891177924157585), (0.055, 0.016161092305986408), "
-        "(0.08, 0.019231465004808025), (0.195, 0.028085923439997242), "
+        "[(0.04, 0.013891177924157585), (0.055, 0.016161092305986405), "
+        "(0.08, 0.019231465004808025), (0.195, 0.028085923439997253), "
         "(0.515, 0.035428106832977174)]"),
     ("metropolis", (3, 5)): (
         "(0.1, 0.06666666666666667, 0.057541609199757864, "
         "0.047061555869701094, 9)",
-        "[(0.03, 0.012092607484694706), (0.04, 0.013891177924157585), "
+        "[(0.03, 0.012092607484694708), (0.04, 0.013891177924157585), "
         "(0.09, 0.02028688711815402), (0.19, 0.027809473820460076), "
         "(0.26, 0.031093957143700307)]"),
 }
@@ -786,6 +788,22 @@ def test_milestone_escape_estimates_shape():
     for p, se in estimates:
         assert 0.0 <= p <= 1.0
         assert p >= 2.0 ** (-4 * params.sigma) - 3 * se
+        # one standard-error rule for both estimators
+        assert (p, se) == _credited_mean(round(p * 2_000), 2_000, 1.0)
+
+
+def test_milestone_escape_redraws_from_a_view_of_the_one_walk():
+    # x is broadcast, not tiled, and the redraws are int32; an int64 tile
+    # of x with int64 redraws peaks at 21 bytes per walk cell here
+    P = mb.lazy_simple_walk(mb.hypercube_graph(8))
+    params = mb.default_params(P)
+    tracemalloc.start()
+    try:
+        mb.milestone_escape_estimates(P, params, samples=500, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 500 * (params.L + 1)
 
 
 # ---------------------------------------------------------------------------
