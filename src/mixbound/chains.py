@@ -76,9 +76,11 @@ class TransitionMatrix:
     padding has index 0 and weight 0. One step of a distribution x is
     ``(x[index] * weight).sum(axis=1)``.
 
-    ``sampling_guide`` is the guide table of the running sums, built the
-    first time a batch of walks is sampled and kept; see `_guide` and
-    `_sample_tails`.
+    ``sampling_guide`` is (guide, step, passes): the guide table of the
+    running sums, the next guide row offset of every slot, and the most
+    forward moves a uniform needs from its guide cell, which is 0 when
+    every running sum is a multiple of 1/B. It is built the first time a
+    batch of walks is sampled and kept; see `_guide` and `_sample_tails`.
 
     ``matrix`` is the dense n x n view, scattered from ``in_neighbours``
     the first time it is read and kept; it is read-only. Dense algorithms
@@ -108,8 +110,8 @@ class TransitionMatrix:
         return m
 
     @cached_property
-    def sampling_guide(self) -> np.ndarray:
-        return _guide(self.sampling_table[1])
+    def sampling_guide(self) -> tuple[np.ndarray, np.ndarray, int]:
+        return _guide(*self.sampling_table)
 
     def prob(self, u: int, v: int) -> float:
         _check_vertex(self.graph, u)
@@ -170,15 +172,30 @@ def _tables_from(n: int, src: np.ndarray, dst: np.ndarray, value: np.ndarray):
     return (out_index, cumulative), (in_index, weight)
 
 
-def _guide(cum: np.ndarray) -> np.ndarray:
-    """Guide table (Chen & Asau 1974) of the running sums ``cum``, n x
-    width: cell [u, b] holds the flat position u*width + k of the first
+def _guide(index: np.ndarray, cum: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """(guide, step, passes) of the sampling table (index, cum), n x width.
+
+    ``guide`` is the guide table (Chen & Asau 1974) of the running sums,
+    n x B: cell [u, b] holds the flat position u*width + k of the first
     slot k of row u whose sum exceeds b/B. So k counts the slots whose sum
     is at most b/B, a prefix of the row, and slot k is counted from
     bucket ceil(sum*B) on; sum*B is exact, B being a power of two. The
     table takes the narrowest unsigned dtype holding n*width - 1 and the
     largest B with B x itemsize <= 8 x width, so it never holds more
-    bytes than the int64 index table."""
+    bytes than the int64 index table.
+
+    ``step`` is ``index`` times B: the offset of the next vertex's guide
+    row, in the narrowest unsigned dtype holding n*B - 1, so it is no
+    larger than the index table either.
+
+    ``passes`` bounds the forward moves from a guide cell: the largest
+    number of running sums strictly inside one bucket (b/B, (b+1)/B) of
+    one row. A uniform u in bucket b starts at the first slot whose sum
+    exceeds b/B and passes only sums in (b/B, u], and some u, the largest
+    such sum, passes all of them. It is 0 when every sum is a multiple of
+    1/B, as for a lazy walk whose degrees divide B/2 (hypercube:8 and
+    :16, torus2d:16x16, random-regular:256,4), and 1 when no probability
+    is narrower than a bucket, 1/B (hypercube:11 and :12)."""
     n, width = cum.shape
     dtype = np.min_scalar_type(n * width - 1)
     buckets = 1 << (8 * width // dtype.itemsize).bit_length() - 1
@@ -190,8 +207,15 @@ def _guide(cum: np.ndarray) -> np.ndarray:
         guide[rows[inside], first[inside].astype(np.intp)] += 1
     np.cumsum(guide, axis=1, dtype=dtype, out=guide)
     guide += (rows * width).astype(dtype)[:, None]
+    scaled = cum * buckets
+    floor = np.floor(scaled)
+    strict = (floor < scaled) & (scaled < buckets)
+    cells = np.flatnonzero(strict) // width * buckets + floor[strict].astype(np.intp)
+    passes = int(np.bincount(cells).max(initial=0))
+    step = (index * buckets).astype(np.min_scalar_type(n * buckets - 1))
     guide.setflags(write=False)
-    return guide
+    step.setflags(write=False)
+    return guide, step, passes
 
 
 def _slots(row: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -797,12 +821,18 @@ def _sample_tails(P: TransitionMatrix, walks: np.ndarray, start: int,
     after it. So any search that finds the first True finds the same slot.
 
     Two loops apply them. A 2-D batch steps all rows at once in numpy
-    through the chain's guide table (`sampling_guide`, Chen & Asau 1974):
-    a walker at vertex v with uniform u starts at cell [v, floor(u*B)],
-    the first slot whose sum exceeds floor(u*B)/B <= u, and moves forward
-    while its sum is at most u. All walkers move in one vectorised pass at
-    a time, and one pass usually suffices. A step costs 0.33-0.67x the
-    time of an argmax scan of each walker's whole row (BENCH_20.json).
+    through the chain's guide tables (`sampling_guide`, Chen & Asau 1974):
+    a walker carries its vertex's guide row offset, v*B, so its uniform u
+    selects cell v*B + floor(u*B), the first slot whose sum exceeds
+    floor(u*B)/B <= u. It moves forward while its sum is at most u, all
+    walkers in one vectorised pass at a time, for at most the guide's
+    `passes` passes; then one gather of the step table gives the next
+    offset. `passes` is 0 on every chain whose sums are multiples of 1/B,
+    such as the lazy walk on a d-regular graph with d dividing B/2, and
+    there a step is three numpy calls. Each block's offsets are turned
+    into vertices once, at its end. A step costs 26-58 ns per walker-step
+    at 250 walkers and 16-25 ns at 2 000 (random-regular:256,4,
+    hypercube:11 and :12, 1 344 steps, medians of 7 runs, two series).
     A single walk steps in plain Python, since a numpy call per step costs several times the
     step itself: it bisects the current row of the table through
     memoryviews, which read single entries without converting the whole
@@ -823,23 +853,30 @@ def _sample_tails(P: TransitionMatrix, walks: np.ndarray, start: int,
                 tail.append(cur + 1)
         walks[start + 1:] = tail
         return
-    guide = P.sampling_guide
+    guide, step, passes = P.sampling_guide
     buckets = guide.shape[1]
-    flat_guide, flat_cum, flat_index = guide.ravel(), cum.ravel(), index.ravel()
-    cur = walks[..., start] - 1
-    # a block's uniforms and their buckets take _WALK_BLOCK_CELLS together
-    per_block = max(1, _WALK_BLOCK_CELLS // 2 // max(1, cur.size))
-    for lo in range(start + 1, walks.shape[-1], per_block):
-        draws = rng.random((min(per_block, walks.shape[-1] - lo),) + cur.shape)
-        cells = np.empty(draws.shape, dtype=np.intp)
+    flat_cum = cum.ravel()
+    state = ((walks[:, start] - 1) * buckets).astype(step.dtype)
+    # a block's uniforms and their cells take _WALK_BLOCK_CELLS together
+    per_block = max(1, _WALK_BLOCK_CELLS // 2 // max(1, state.size))
+    for lo in range(start + 1, walks.shape[1], per_block):
+        draws = rng.random((min(per_block, walks.shape[1] - lo), state.size))
+        cells = np.empty(draws.shape, dtype=step.dtype)
         np.multiply(draws, buckets, out=cells, casting="unsafe")  # floor, u >= 0
-        for s, (u, cell) in enumerate(zip(draws, cells), lo):
-            cell += cur * buckets
-            pos = flat_guide[cell].astype(np.intp)
-            while np.count_nonzero(short := flat_cum[pos] <= u):
-                pos += short
-            cur = flat_index[pos]
-            np.add(cur, 1, out=walks[..., s])
+        for u, cell in zip(draws, cells):
+            cell += state
+            pos = guide.take(cell)
+            if passes:  # numpy indexes faster with intp positions than narrow ones
+                pos = pos.astype(np.intp)
+                for _ in range(passes):
+                    short = flat_cum[pos] <= u
+                    if not np.count_nonzero(short):
+                        break
+                    pos += short
+            state = step.take(pos, out=cell)
+        vertices = cells // buckets  # a new array: the next block starts from state, a row of cells
+        vertices += 1
+        walks[:, lo:lo + len(cells)] = vertices.T
 
 
 def _walk_vertices(P: TransitionMatrix, vertices) -> tuple[int, ...]:

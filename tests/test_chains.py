@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -769,7 +770,7 @@ def _argmax_scan_tails(P, walks, start, rng):
 
 def _bucket_edges(P):
     # every k/B, and the largest double below each, 1.0's included
-    buckets = P.sampling_guide.shape[1]
+    buckets = P.sampling_guide[0].shape[1]
     edges = np.arange(buckets + 1) / buckets
     return edges[:-1].tolist() + np.nextafter(edges[1:], 0.0).tolist()
 
@@ -793,17 +794,27 @@ def _guide_chains():
                      mb.lazy_simple_walk(mb.random_regular_graph(256, 4, seed=0))]
 
 
+def _assert_guide_tables_are_small_and_frozen(P):
+    index = P.sampling_table[0]
+    guide, step = P.sampling_guide[:2]
+    for table in (guide, step):
+        assert table.nbytes <= index.nbytes and not table.flags.writeable
+
+
 def test_guide_cells_hold_the_first_slot_above_their_bucket():
     for P in _guide_chains():
         index, cum = P.sampling_table
-        guide = P.sampling_guide
+        guide, step, _ = P.sampling_guide
         n, width = cum.shape
         buckets = guide.shape[1]
         assert buckets & (buckets - 1) == 0 and buckets >= width
-        assert guide.nbytes <= index.nbytes and not guide.flags.writeable
+        _assert_guide_tables_are_small_and_frozen(P)
         bounds = np.arange(buckets) / buckets
         first = (cum[:, :, None] > bounds).argmax(axis=1)  # n x buckets
         assert np.array_equal(guide, np.arange(n)[:, None] * width + first)
+        # a slot's step table entry is its vertex's guide row offset
+        assert step.dtype == np.min_scalar_type(n * buckets - 1)
+        assert np.array_equal(step, index * buckets)
 
 
 def test_guide_steps_at_bucket_edges_and_in_padded_rows():
@@ -826,14 +837,15 @@ def test_guide_scan_passes_several_breakpoints_in_one_bucket():
     rows[0] = [0.5, 0.001, 0.001, 0.001, 0.497]
     P = mb.make_chain(mb.complete_graph(5), rows)
     cum = P.sampling_table[1]
-    buckets = P.sampling_guide.shape[1]
+    guide, _, passes = P.sampling_guide
+    buckets = guide.shape[1]
     cell = int(0.5 * buckets)
     assert np.count_nonzero((cum[0] >= cell / buckets) & (cum[0] < (cell + 1) / buckets)) >= 4
     uniforms = (cum[0, :4].tolist() + np.nextafter(cum[0, :4], 1.0).tolist()
                 + [0.5 + 0.75 / buckets] + _bucket_edges(P))
-    moved = max(_dense_inverse_cdf(P.matrix[0], u) - int(P.sampling_guide[0, int(u * buckets)])
+    moved = max(_dense_inverse_cdf(P.matrix[0], u) - int(guide[0, int(u * buckets)])
                 for u in uniforms)
-    assert moved >= 3
+    assert moved >= 3 and moved == passes
     _assert_loops_match_dense(P, uniforms)
 
 
@@ -842,9 +854,11 @@ def test_guide_is_built_only_for_batches():
     params = mb.default_params(P)
     mb.sample_walk(P, 1, 50, seed=0)
     mb.sample_instance(P, params, seed=0)
-    assert "sampling_guide" not in P.__dict__
+    # no cached table at all, so none of the guide's
+    assert set(P.__dict__) == {f.name for f in dataclasses.fields(P)}
     mb.estimate_lower_bound(P, params, samples=4, seed=0)
     assert "sampling_guide" in P.__dict__
+    _assert_guide_tables_are_small_and_frozen(P)
 
 
 def _skewed_metropolis():
@@ -853,13 +867,19 @@ def _skewed_metropolis():
     return mb.metropolis_walk(g, target / target.sum())
 
 
-@pytest.mark.parametrize("make", [
-    lambda: mb.lazy_simple_walk(mb.graph_from_spec("hypercube:8")),
-    lambda: mb.lazy_simple_walk(mb.random_regular_graph(256, 4, seed=0)),
-    _skewed_metropolis,
-], ids=["hypercube8", "random-regular256", "skewed-metropolis"])
-def test_guide_batches_equal_the_argmax_scan(make):
+def _random_regular_256():
+    return mb.lazy_simple_walk(mb.random_regular_graph(256, 4, seed=0))
+
+
+@pytest.mark.parametrize("make, passes", [
+    (lambda: mb.lazy_simple_walk(mb.graph_from_spec("hypercube:8")), 0),
+    (_random_regular_256, 0),
+    (lambda: mb.lazy_simple_walk(mb.complete_graph(16)), 1),
+    (_skewed_metropolis, 5),
+], ids=["hypercube8", "random-regular256", "complete16", "skewed-metropolis"])
+def test_guide_batches_equal_the_argmax_scan(make, passes):
     P = make()
+    assert P.sampling_guide[2] == passes
     starts = np.random.default_rng(5).integers(1, P.n + 1, 2000)
     got = np.zeros((2000, 201), dtype=np.int32)
     got[:, 0] = starts
@@ -867,6 +887,74 @@ def test_guide_batches_equal_the_argmax_scan(make):
     _sample_tails(P, got, 0, np.random.default_rng(7))
     _argmax_scan_tails(P, want, 0, np.random.default_rng(7))
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("block_cells", [1, 3, 1 << 16, 1 << 30])
+@pytest.mark.parametrize("make", [_random_regular_256, _skewed_metropolis],
+                         ids=["random-regular256", "skewed-metropolis"])
+def test_guide_batches_continue_a_walk_across_blocks(make, block_cells, monkeypatch):
+    # as _redraw does: the batch starts mid-walk, and each block of steps
+    # must start from the vertices where the one before it ended
+    P = make()
+    monkeypatch.setattr("mixbound.chains._WALK_BLOCK_CELLS", block_cells)
+    got = np.random.default_rng(5).integers(1, P.n + 1, (250, 1345)).astype(np.int32)
+    want = got.copy()
+    _sample_tails(P, got, 9, np.random.default_rng(7))
+    _argmax_scan_tails(P, want, 9, np.random.default_rng(7))
+    assert np.array_equal(got, want)
+
+
+def _forward_moves(P, v, u):
+    """Slots a uniform u passes in row v from its guide cell."""
+    cum = P.sampling_table[1]
+    guide = P.sampling_guide[0]
+    slot = v * cum.shape[1] + int(np.argmax(cum[v] > u))
+    return slot - int(guide[v, int(u * guide.shape[1])])
+
+
+def _probe_uniforms(P, v):
+    # each running sum and its neighbours, each bucket edge and the double below it
+    sums = P.sampling_table[1][v]
+    probes = np.concatenate([sums, np.nextafter(sums, 0.0), np.nextafter(sums, 2.0)])
+    return sorted({*probes[probes < 1.0].tolist(), *_bucket_edges(P)})
+
+
+@settings(max_examples=60, deadline=None)
+@given(hst.data())
+def test_guide_pass_bound_is_the_most_forward_moves(data):
+    # random rows, rows of multiples of 1/2^j whose sums land on bucket
+    # edges, and rows with several sums crowded into one bucket
+    n = data.draw(hst.integers(min_value=2, max_value=8), label="n")
+    kinds = data.draw(hst.lists(hst.sampled_from(["random", "dyadic", "crowded"]),
+                                min_size=n, max_size=n), label="kinds")
+    rng = np.random.default_rng(data.draw(hst.integers(0, 10_000), label="seed"))
+    rows = np.zeros((n, n))
+    for row, kind in zip(rows, kinds):
+        if kind == "dyadic":
+            total = 1 << int(rng.integers(1, 8))
+            row[:] = rng.multinomial(total, np.full(n, 1.0 / n)) / total
+        else:
+            row[:] = rng.random(n) * (rng.random(n) < 0.8)
+            if kind == "crowded":
+                first = int(rng.integers(0, n - 1))
+                row[first + 1:] = 10.0 ** -rng.integers(3, 7)
+            row /= row.sum() if row.sum() > 0.0 else 1.0
+            row[-1] += 1.0 - row.sum()
+    P = mb.make_chain(mb.complete_graph(n), rows)
+    passes = P.sampling_guide[2]
+    probes = [_probe_uniforms(P, v) for v in range(n)]
+    moves = [_forward_moves(P, v, u) for v in range(n) for u in probes[v]]
+    assert min(moves) >= 0 and max(moves) == passes
+    _assert_loops_match_dense(P, sorted(set().union(*probes)))
+
+
+@pytest.mark.parametrize("spec, passes", [
+    ("random-regular:256,4", 0), ("hypercube:8", 0), ("torus2d:16x16", 0),
+    ("hypercube:11", 1),
+])
+def test_guide_pass_bound_of_lazy_walks(spec, passes):
+    # their probabilities are multiples of 1/B, or none is narrower than a bucket
+    assert mb.lazy_simple_walk(mb.graph_from_spec(spec, seed=0)).sampling_guide[2] == passes
 
 
 # ---------------------------------------------------------------------------
