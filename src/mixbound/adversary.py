@@ -27,6 +27,7 @@ from .graphs import _bfs
 from .staircase import (
     StaircaseInstance,
     StaircaseParams,
+    _milestone_heads,
     is_good_walk,
     make_instance,
     sample_good_walk,
@@ -97,9 +98,14 @@ class AdversaryReport:
 # The relation
 # ---------------------------------------------------------------------------
 
+_UNDERFLOW = ("a head probability underflows to 0.0: the relation weight "
+              "p(x) p(y) / p(shared head) cannot be computed in floats")
+
+
 def relation_weight(a: StaircaseInstance, b: StaircaseInstance) -> float:
     """Similarity weight r between two instances; exactly symmetric because
-    the shared head is the same sequence in both walks."""
+    the shared head is the same sequence in both walks. A shared head whose
+    probability underflowed to 0.0 raises CapabilityError."""
     if a.params is not b.params and a.params != b.params:
         raise InputError("instances come from different parameter sets")
     if a.walk.chain is not b.walk.chain:
@@ -118,6 +124,8 @@ def relation_weight(a: StaircaseInstance, b: StaircaseInstance) -> float:
         if seg_x != seg_y:
             break
         j += 1
+    if y.heads[j] == 0.0:
+        raise CapabilityError(_UNDERFLOW)
     return x.heads[-1] * y.heads[-1] / y.heads[j]
 
 
@@ -190,7 +198,10 @@ class _PairTable:
 
 def _pair_table(family: FunctionFamily) -> _PairTable:
     """Build the pair table of a family. Refuses before allocating any
-    pair array when the good instances squared pass EXACT_PAIR_CAP."""
+    pair array when the good instances squared pass EXACT_PAIR_CAP. Heads
+    and head ids are formed for the good instances only, the table's rows
+    and columns; a head of one that underflowed to 0.0 raises
+    CapabilityError before any weight is divided."""
     T, m, L = family.params.T, family.params.m, family.params.L
     size = len(family)
     walks = np.array([inst.walk.vertices for inst in family.instances],
@@ -204,21 +215,21 @@ def _pair_table(family: FunctionFamily) -> _PairTable:
             f"{EXACT_PAIR_CAP}; use the Monte Carlo estimator")
     rows = np.flatnonzero(good & (bits == 0))
     cols = np.flatnonzero(good & (bits == 1))
-    # heads[i, j]: probability of walk i through milestone j, multiplied
-    # step by step from the start like walk_probability.
-    steps = family.chain.matrix[walks[:, :-1] - 1, walks[:, 1:] - 1]
-    heads = np.concatenate(
-        [np.ones((size, 1)), np.cumprod(steps, axis=1)[:, T - 1::T]], axis=1)
+    members = walks[np.concatenate((rows, cols))]  # the rows' walks, then the cols'
+    heads = _milestone_heads(family.chain, members, T)
+    if np.any(heads == 0.0):
+        raise CapabilityError(_UNDERFLOW)
     # Heads through milestone j are equal iff their ids are, and equal
     # heads through j imply equal heads before it.
     J = np.zeros((rows.size, cols.size), dtype=np.min_scalar_type(m))
     for j in range(1, m + 1):
-        head_ids = np.unique(walks[:, :j * T + 1], axis=0, return_inverse=True)[1].reshape(-1)
-        J += head_ids[rows, None] == head_ids[cols]
-    probs = heads[:, -1]
+        head_ids = np.unique(members[:, :j * T + 1], axis=0, return_inverse=True)[1].reshape(-1)
+        J += head_ids[:rows.size, None] == head_ids[rows.size:]
+    # row_probs: the rows' walk probabilities; col_heads[j]: the cols' heads through j
+    row_probs, col_heads = heads[:rows.size, -1], heads[rows.size:].T
 
     def weights(b: slice) -> np.ndarray:
-        r = probs[rows[b], None] * probs[cols] / heads[cols, J[b]]
+        r = row_probs[b, None] * col_heads[-1] / np.take_along_axis(col_heads, J[b], 0)
         r[J[b] == m] = 0.0  # the same walk under both bits
         return r
 
@@ -673,21 +684,25 @@ def bound_values(n: int, t_mix: float, sigma: float,
     (drops the sigma factor), "spectral_log_squared" (the older log^2
     shape), and "expansion" (beta sqrt(n) / (d_max ln^2 n)).
     """
-    if n < 2:
-        raise InputError(f"need n >= 2, got {n}")
-    if t_mix <= 0:
-        raise InputError(f"mixing time must be positive, got {t_mix}")
-    if sigma <= 0:
-        raise InputError(f"sigma must be positive, got {sigma}")
+    # each check negated, so NaN fails; infinities fail the upper ends
+    if not 2 <= n < math.inf:
+        raise InputError(f"need a finite n >= 2, got {n}")
+    if not 0 < t_mix < math.inf:
+        raise InputError(f"mixing time must be positive and finite, got {t_mix}")
+    if not 0 < sigma < math.inf:
+        raise InputError(f"sigma must be positive and finite, got {sigma}")
     if lambda2 is not None and not -1.0 <= lambda2 < 1.0:
         raise InputError(f"lambda2 must lie in [-1, 1), got {lambda2}")
-    if beta is not None and beta <= 0:
-        raise InputError(f"edge expansion must be positive, got {beta}")
-    if d_max is not None and d_max < 1:
-        raise InputError(f"d_max must be at least 1, got {d_max}")
+    if beta is not None and not 0 < beta < math.inf:
+        raise InputError(f"edge expansion must be positive and finite, got {beta}")
+    if d_max is not None and not 1 <= d_max < math.inf:
+        raise InputError(f"d_max must be at least 1 and finite, got {d_max}")
     root = math.sqrt(n)
     log_n = math.log(n)
-    blowup = math.exp(3.0 * sigma)
+    try:
+        blowup = math.exp(3.0 * sigma)
+    except OverflowError:  # past the largest float: the shapes that divide by it read 0.0
+        blowup = math.inf
     values = {"mixing": root / (t_mix * blowup)}
     if lambda2 is not None:
         gap = 1.0 - lambda2

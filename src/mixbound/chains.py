@@ -83,8 +83,8 @@ class TransitionMatrix:
     batch of walks is sampled and kept; see `_guide` and `_sample_tails`.
 
     ``matrix`` is the dense n x n view, scattered from ``in_neighbours``
-    the first time it is read and kept; it is read-only. Dense algorithms
-    and single-entry lookups on small chains read it. Above MAX_DENSE_N it
+    the first time it is read and kept; it is read-only; only dense
+    algorithms read it (walks: `_step_probabilities`). Above MAX_DENSE_N it
     raises CapabilityError before allocating.
 
     ``vertex_transitive`` marks a chain that every automorphism of a
@@ -114,9 +114,7 @@ class TransitionMatrix:
         return _guide(*self.sampling_table)
 
     def prob(self, u: int, v: int) -> float:
-        _check_vertex(self.graph, u)
-        _check_vertex(self.graph, v)
-        return float(self.matrix[u - 1, v - 1])
+        return walk_probability(self, (u, v))
 
     def _pi_or_raise(self) -> np.ndarray:
         if self.pi is None:
@@ -247,15 +245,15 @@ class Walk:
         return self.vertices[-1]
 
     def probability(self) -> float:
-        return _path_probability(self.chain, self.vertices)
+        return walk_probability(self.chain, self)
 
 
 def make_walk(chain: TransitionMatrix, vertices) -> Walk:
     verts = _walk_vertices(chain, vertices)
-    m = chain.matrix
-    for a, b in zip(verts, verts[1:]):
-        if m[a - 1, b - 1] <= 0.0:
-            raise InputError(f"walk uses unsupported transition {a}->{b}")
+    bad = np.flatnonzero(_step_probabilities(chain, np.array(verts)) <= 0.0)
+    if bad.size:
+        a, b = verts[bad[0]:bad[0] + 2]
+        raise InputError(f"walk uses unsupported transition {a}->{b}")
     return Walk(vertices=verts, chain=chain)
 
 
@@ -891,23 +889,21 @@ def _walk_vertices(P: TransitionMatrix, vertices) -> tuple[int, ...]:
 
 
 def walk_probability(P: TransitionMatrix, vertices) -> float:
-    """Product of transition probabilities along the vertex sequence; zero
-    if any step is unsupported. A single vertex has probability 1."""
+    """Product of the step probabilities along the vertex sequence, taken
+    in order; 0.0 if any step is unsupported. A single vertex gives 1.0."""
     verts = (vertices.vertices if isinstance(vertices, Walk)
              else _walk_vertices(P, vertices))
-    return _path_probability(P, verts)
+    return math.prod(_step_probabilities(P, np.array(verts)).tolist(), start=1.0)
 
 
-def _path_probability(P: TransitionMatrix, verts: tuple[int, ...]) -> float:
-    """walk_probability of vertices already checked, such as a Walk's."""
-    prob = 1.0
-    m = P.matrix
-    for a, b in zip(verts, verts[1:]):
-        step = m[a - 1, b - 1]
-        if step <= 0.0:
-            return 0.0
-        prob *= step
-    return float(prob)
+def _step_probabilities(P: TransitionMatrix, walks: np.ndarray) -> np.ndarray:
+    """P[u, v] of each step (u, v) along the last axis of walks, 1-based
+    vertices, and 0.0 off the support: the weight at u's slot of v's
+    in-neighbour row, the very float the dense view is scattered from."""
+    index, weight = P.in_neighbours
+    dst = walks[..., 1:] - 1
+    at = index[dst] == walks[..., :-1, None] - 1
+    return np.where(at, weight[dst], 0.0).sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------

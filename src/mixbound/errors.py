@@ -1,6 +1,6 @@
 """Error and warning types shared across the package, the one reader of
-JSON input files, and the integer and number checks for the values in
-them.
+JSON input files, and the integer, number and string checks for the
+values in them.
 
 The CLI maps these onto exit codes: InputError -> 1, CapabilityError -> 2.
 """
@@ -39,6 +39,14 @@ def json_integer(value) -> int:
     a JSON document raises TypeError."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def json_string(value) -> str:
+    """value itself if it is a string; any other JSON value raises
+    TypeError."""
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
     return value
 
 

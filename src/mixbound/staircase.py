@@ -25,6 +25,7 @@ import numpy as np
 from .chains import (
     TransitionMatrix,
     Walk,
+    _step_probabilities,
     chain_from_spec,
     make_walk,
     mixing_time,
@@ -37,6 +38,7 @@ from .errors import (
     InputError,
     VacuousRegimeWarning,
     json_integer,
+    json_string,
     read_json,
 )
 from .graphs import Graph, _check_vertex, bfs_distances, graph_from_spec
@@ -166,6 +168,14 @@ def tail_segment(w, j1: int, j2: int, T: int) -> tuple[int, ...]:
     return verts[j1 * T + 1: j2 * T + 1]
 
 
+def _milestone_heads(P: TransitionMatrix, walks: np.ndarray, T: int) -> np.ndarray:
+    """heads[..., j]: the probability of the head through milestone j of
+    each walk along the last axis of walks, multiplied one step at a time
+    from the start as by walk_probability, so the last head equals it."""
+    heads = np.cumprod(_step_probabilities(P, walks), axis=-1)[..., T - 1::T]
+    return np.concatenate((np.ones(heads.shape[:-1] + (1,)), heads), axis=-1)
+
+
 def shared_head_index(x, y, T: int) -> int:
     """Largest j with equal heads. Both walks must have the same length and
     the same start, so the result is always >= 0."""
@@ -240,24 +250,14 @@ class StaircaseInstance:
     @cached_property
     def relation_data(self) -> RelationData:
         """Goodness, head probabilities and segments, computed once for
-        the relation weight. The heads come from one left-to-right product
-        of the steps, as in chains._path_probability, so heads[j] equals
-        the probability of the head through milestone j bit for bit and
-        heads[m] equals the walk's probability."""
+        the relation weight. The heads are `_milestone_heads` of the walk,
+        so heads[j] equals the probability of the head through milestone j
+        bit for bit and heads[m] equals the walk's probability."""
         T = self.params.T
-        good = is_good_walk(self.walk, T)
         verts = self.walk.vertices
-        m = self.chain.matrix
-        prob = 1.0
-        heads = [1.0]
-        for i, (a, b) in enumerate(zip(verts, verts[1:]), 1):
-            step = m[a - 1, b - 1]
-            # an unsupported step zeroes this head and every later one
-            prob = prob * step if step > 0.0 else 0.0
-            if i % T == 0:
-                heads.append(float(prob))
+        heads = _milestone_heads(self.chain, np.array(verts), T)
         segments = tuple(verts[j + 1:j + T + 1] for j in range(0, len(verts) - 1, T))
-        return RelationData(good, tuple(heads), segments)
+        return RelationData(is_good_walk(self.walk, T), tuple(heads.tolist()), segments)
 
     def value(self, v: int) -> int:
         """Search-problem value: minus the last occurrence index on the
@@ -367,19 +367,23 @@ def instance_to_json(inst: StaircaseInstance, graph_ref: str, chain_ref: str,
 
 
 def instance_from_json(doc: dict) -> StaircaseInstance:
+    """Parse a document of instance_to_json: "graph" and "chain" strings,
+    integers "T", "L", "b" and "walk" vertices, and "seed" an integer or
+    null; any other field shape is a malformed document."""
     try:
-        graph_ref = doc["graph"]
-        chain_ref = doc["chain"]
+        graph_ref, chain_ref = json_string(doc["graph"]), json_string(doc["chain"])
         T, L = json_integer(doc["T"]), json_integer(doc["L"])
         walk_vertices = [json_integer(v) for v in doc["walk"]]
         bit = json_integer(doc["b"])
+        seed = doc.get("seed")
+        seed = None if seed is None else json_integer(seed)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed instance document: {exc}") from exc
-    g = graph_from_spec(graph_ref, seed=doc.get("seed"))
+    g = graph_from_spec(graph_ref, seed=seed)
     chain = chain_from_spec(chain_ref, g)
     params = custom_params(chain, T=T, L=L)
     walk = make_walk(chain, walk_vertices)
-    return make_instance(walk, bit, params, seed=doc.get("seed"))
+    return make_instance(walk, bit, params, seed=seed)
 
 
 def load_instance(path: str) -> StaircaseInstance:

@@ -12,7 +12,7 @@ from hypothesis import strategies as hst
 import mixbound as mb
 from mixbound.adversary import (_credited_mean, _grouped_fsums, _pair_table, _redraw,
                                 ratio_floor)
-from mixbound.chains import _path_probability, _sample_tails
+from mixbound.chains import _sample_tails
 from mixbound.graphs import _bfs
 from mixbound.errors import CapabilityError, InputError
 from mixbound.staircase import StaircaseParams
@@ -270,7 +270,7 @@ def test_relation_data_matches_walk_probabilities(name):
         data = inst.relation_data
         verts = inst.walk.vertices
         assert data.good == mb.is_good_walk(inst.walk, T)
-        assert data.heads == tuple(_path_probability(P, verts[:j * T + 1])
+        assert data.heads == tuple(mb.walk_probability(P, verts[:j * T + 1])
                                    for j in range(m + 1))
         assert data.heads[-1] == inst.walk.probability()
         assert data.segments == tuple(mb.tail_segment(inst.walk, j, j + 1, T)
@@ -501,6 +501,19 @@ def test_witness_pair_golden(label):
     params = mb.default_params(P) if sizes is None else mb.custom_params(P, *sizes)
     x, y = mb.witness_pair(P, params).instances
     assert (x.walk.vertices, y.walk.vertices) == WITNESS_GOLDEN[label]
+
+
+def test_underflowed_head_refuses_the_relation_weight():
+    # the witness walks of hypercube:10 at default parameters (L = 2 400)
+    # have heads that underflow to 0.0, so p(x) p(y) / p(shared head) is 0/0
+    P = mb.lazy_simple_walk(mb.hypercube_graph(10))
+    pair = mb.witness_pair(P, mb.default_params(P))
+    x, y = pair.instances
+    assert y.relation_data.heads[-2] == 0.0
+    with pytest.raises(CapabilityError, match="underflows to 0.0"):
+        mb.relation_weight(x, y)
+    with pytest.raises(CapabilityError, match="underflows to 0.0"):
+        mb.distinguishing_mass(pair)
 
 
 def test_witness_pair_requires_room():
@@ -862,3 +875,18 @@ def test_bound_values_validation():
         mb.bound_values(16, 2, 1.0, lambda2=1.5)
     with pytest.raises(InputError):
         mb.bound_values(16, 2, 1.0, beta=0.0, d_max=3)
+    # NaN and the infinities once passed every check but lambda2's
+    args = {"n": 100, "t_mix": 5.0, "sigma": 1.0, "lambda2": 0.5, "beta": 1.5, "d_max": 6.0}
+    assert all(map(math.isfinite, mb.bound_values(**args).values()))
+    for name, value in itertools.product(args, (math.nan, math.inf, -math.inf)):
+        with pytest.raises(InputError):
+            mb.bound_values(**{**args, name: value})
+
+
+def test_bound_values_saturate_a_huge_sigma():
+    # e^(3 sigma) overflows a float above sigma ~ 236.6: the shapes that
+    # divide by it read 0.0, and those that compute keep their bits
+    vals = mb.bound_values(100, 5, 300.0, lambda2=0.5)
+    assert vals["mixing"] == vals["spectral"] == 0.0
+    assert vals["spectral_bounded_ratio"] == 0.5 * 10 / math.log(100)
+    assert mb.bound_values(100, 5, 236.0)["mixing"] == 10 / (5 * math.exp(708.0))

@@ -10,7 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import mixbound as mb
-from mixbound.chains import MAX_DENSE_N, MAX_JSON_N, _sample_tails, _top_ritz
+from mixbound.chains import (
+    MAX_DENSE_N,
+    MAX_JSON_N,
+    _sample_tails,
+    _step_probabilities,
+    _top_ritz,
+)
 from mixbound.errors import CapabilityError, InputError
 from mixbound.graphs import _bfs
 from mixbound.verify import _linear_mixing_time
@@ -617,9 +623,10 @@ def _dense_inverse_cdf(row: np.ndarray, u: float) -> int:
     return int(above[0]) if above.size else int(np.flatnonzero(row > 0.0)[-1])
 
 
-@settings(max_examples=60, deadline=None)
-@given(hst.data())
-def test_samplers_match_dense_inverse_cdf(data):
+def _draw_chain(data) -> tuple[mb.TransitionMatrix, np.random.Generator, int]:
+    """(P, rng, seed): a random make_chain chain on a random connected
+    graph of 2-8 vertices, with some edges weighted zero in one direction,
+    and the seeded generator that drew it, left where the chain ends."""
     n = data.draw(hst.integers(min_value=2, max_value=8), label="n")
     seed = data.draw(hst.integers(min_value=0, max_value=10_000), label="seed")
     rng = np.random.default_rng(seed)
@@ -633,7 +640,14 @@ def test_samplers_match_dense_inverse_cdf(data):
     off = m.sum(axis=1, keepdims=True)
     m = np.divide(m, off, out=np.zeros_like(m), where=off > 0.0) * rng.uniform(0.0, 0.5, (n, 1))
     m[np.arange(n), np.arange(n)] = 1.0 - m.sum(axis=1)
-    P = mb.make_chain(g, m)
+    return mb.make_chain(g, m), rng, seed
+
+
+@settings(max_examples=60, deadline=None)
+@given(hst.data())
+def test_samplers_match_dense_inverse_cdf(data):
+    P, rng, seed = _draw_chain(data)
+    n = P.n
 
     count = data.draw(hst.integers(min_value=1, max_value=6), label="count")
     steps = data.draw(hst.integers(min_value=0, max_value=12), label="steps")
@@ -659,6 +673,28 @@ def test_samplers_match_dense_inverse_cdf(data):
     walk = mb.sample_walk(P, int(starts[0]), steps, seed=seed)
     assert walk.vertices == tuple(single)
     assert walk.probability() > 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(hst.data())
+def test_step_probabilities_equal_the_dense_entries(data):
+    P, rng, _ = _draw_chain(data)
+    n = P.n
+    # every pair (u, v), as one-step walks: the dense view's cells in
+    # row-major order, bit for bit, and 0.0 where P has no transition
+    pairs = np.array(list(itertools.product(range(1, n + 1), repeat=2)))
+    assert _step_probabilities(P, pairs).tobytes() == P.matrix.tobytes()
+    walks = rng.integers(1, n + 1, size=(3, 2, 7))  # steps on the last axis
+    steps = _step_probabilities(P, walks)
+    want = P.matrix[walks[..., :-1] - 1, walks[..., 1:] - 1]
+    assert steps.shape == (3, 2, 6)
+    assert steps.tobytes() == want.tobytes()
+    for walk in walks.reshape(-1, 7).tolist():
+        prob = 1.0
+        for a, b in zip(walk, walk[1:]):
+            prob *= P.matrix[a - 1, b - 1]
+        assert mb.walk_probability(P, walk) == prob
+        assert P.prob(walk[0], walk[1]) == P.matrix[walk[0] - 1, walk[1] - 1]
 
 
 def test_sampler_tie_takes_the_next_slot(k2_chain):
@@ -1310,6 +1346,58 @@ def test_chain_json_cap_refuses_before_the_dense_view():
         mb.chain_to_json(P)
     assert "matrix" not in P.__dict__
     assert mb.chain_to_json(mb.lazy_simple_walk(mb.path_graph(4)))["n"] == 4
+
+
+def _reloaded(P):
+    params = mb.default_params(P)
+    walk = mb.sample_walk(P, 1, params.L, seed=0)
+    doc = mb.instance_to_json(mb.make_instance(walk, 0, params), "hypercube:4", "lazy-simple")
+    return mb.instance_from_json(doc)  # on a chain of its own, built from the spec
+
+
+# Each reads entries along walks of a chain on n <= MAX_DENSE_N.
+_WALK_READERS = {
+    "prob": lambda P: P.prob(1, 2),
+    "make_walk": lambda P: mb.make_walk(P, (1, 1, 2, 4)),
+    "Walk.probability": lambda P: mb.sample_walk(P, 1, 8, seed=0).probability(),
+    "walk_probability": lambda P: mb.walk_probability(P, (1, 2, 4, 1)),
+    "relation_weight": lambda P: mb.relation_weight(
+        *mb.witness_pair(P, mb.default_params(P)).instances),
+    "witness_pair": lambda P: mb.witness_pair(P, mb.default_params(P)),
+    "instance_from_json": _reloaded,
+    "exact_lower_bound": lambda P: mb.exact_lower_bound(P, mb.custom_params(P, 1, 3)),
+}
+
+
+@pytest.mark.parametrize("reader", list(_WALK_READERS))
+def test_walk_readers_never_form_the_dense_view(reader):
+    P = mb.lazy_simple_walk(mb.hypercube_graph(4))
+    out = _WALK_READERS[reader](P)
+    for chain in (P, getattr(out, "chain", P)):
+        assert "matrix" not in chain.__dict__
+
+
+def test_walk_readers_run_above_the_dense_cap():
+    P = mb.lazy_simple_walk(mb.hypercube_graph(15))
+    assert P.n > MAX_DENSE_N
+    params = mb.custom_params(P, T=4, L=16)
+    x, y = mb.witness_pair(P, params).instances
+    walk = mb.make_walk(P, x.walk.vertices)
+    loops = sum(a == b for a, b in zip(walk.vertices, walk.vertices[1:]))
+    assert walk.probability() == mb.walk_probability(P, walk.vertices)
+    assert walk.probability() == pytest.approx(0.5 ** loops * (0.5 / 15) ** (16 - loops),
+                                               rel=1e-12)
+    assert x.relation_data.heads[-1] == walk.probability()
+    shared = y.relation_data.heads[params.m - 1]  # the witness shares all but one segment
+    assert mb.relation_weight(x, y) == walk.probability() * y.walk.probability() / shared > 0.0
+    doc = mb.instance_to_json(x, "hypercube:15", "lazy-simple")
+    assert mb.instance_from_json(doc).walk.vertices == walk.vertices
+    assert P.prob(1, 2) == 0.5 / 15 and P.prob(1, 4) == 0.0
+    # 4 -> 7 flips two bits, the first of two such steps
+    with pytest.raises(InputError, match="^walk uses unsupported transition 4->7$"):
+        mb.make_walk(P, (1, 2, 4, 7, 1))
+    with pytest.raises(CapabilityError, match="dense"):
+        P.matrix
 
 
 def test_dense_view_is_cached_and_read_only(path3_chain):

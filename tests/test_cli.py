@@ -1,5 +1,6 @@
 import hashlib
 import io
+import itertools
 import json
 import math
 from contextlib import redirect_stderr, redirect_stdout
@@ -20,6 +21,14 @@ def run_cli(*argv):
     with redirect_stdout(out), redirect_stderr(err):
         code = main(list(argv))
     return code, out.getvalue(), err.getvalue()
+
+
+def strict_json(text: str):
+    """json.loads that refuses the NaN, Infinity and -Infinity tokens
+    Python's parser admits: they are not JSON."""
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=refuse)
 
 
 def load_schema():
@@ -428,15 +437,35 @@ def test_missing_input_file_message(tmp_path):
 def test_bound_numeric():
     code, out, _ = run_cli("bound", "--n", "16", "--t-mix", "2", "--sigma", "1")
     assert code == 0
-    doc = json.loads(out)
+    doc = strict_json(out)
     assert doc["values"]["mixing"] == pytest.approx(0.09957, abs=5e-6)
+
+
+@pytest.mark.parametrize("option", ["--t-mix", "--sigma", "--beta", "--d-max"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_bound_refuses_non_finite_inputs(option, value):
+    args = {"--n": "100", "--t-mix": "5", "--sigma": "1", "--lambda2": "0.5",
+            "--beta": "1.5", "--d-max": "6"}
+    code, out, _ = run_cli("bound", *itertools.chain(*args.items()))
+    assert code == 0
+    strict_json(out)
+    code, out, err = run_cli("bound", *itertools.chain(*{**args, option: value}.items()))
+    assert (code, out) == (1, "")
+    assert err.startswith("input error: ")
+
+
+def test_bound_with_a_huge_sigma_reads_zero():
+    # e^(3 * 300) is past the largest float; it once escaped as OverflowError
+    code, out, err = run_cli("bound", "--n", "100", "--t-mix", "5", "--sigma", "300")
+    assert (code, err) == (0, "")
+    assert strict_json(out)["values"] == {"mixing": 0.0}
 
 
 def test_bound_from_graph():
     code, out, _ = run_cli("bound", "--graph", "complete:16",
                            "--chain", "lazy-simple")
     assert code == 0
-    doc = json.loads(out)
+    doc = strict_json(out)
     assert doc["inputs"]["n"] == 16
     assert set(doc["values"]) >= {"mixing", "spectral", "expansion"}
 
@@ -529,6 +558,26 @@ def test_effort_and_cap_options_must_be_positive(argv):
     assert code == 1
     assert out == ""
     assert f"input error: argument {argv[-2]}: expected a positive integer" in err
+
+
+# The commands of acceptance criterion 7 (tests/test_acceptance.py).
+_DETERMINISM_COMMANDS = [
+    ("graph", "gen", "--graph", "random-regular:8,3", "--seed", "5"),
+    ("chain", "analyze", "--graph", "hypercube:3", "--chain", "max-degree"),
+    ("chain", "analyze", "--graph", "random-regular:64,4", "--seed", "2"),
+    ("instance", "sample", "--graph", "complete:16", "--chain", "lazy-simple", "--seed", "3"),
+    ("bench", "--graph", "complete:9", "--chain", "lazy-simple", "--trials", "3", "--seed", "11"),
+    ("verify", "--checks", "A7_monotone_grid,B2_expansion_bound", "--seed", "0"),
+    ("bound", "--graph", "complete:16", "--chain", "lazy-simple"),
+]
+
+
+@pytest.mark.parametrize("argv", _DETERMINISM_COMMANDS, ids=lambda argv: argv[0])
+def test_documents_are_strict_json(argv):
+    code, out, err = run_cli(*argv)
+    assert code == 0
+    # bench writes CSV rows to stdout and its JSON summary to stderr
+    strict_json(err if argv[0] == "bench" else out)
 
 
 def test_verify_deterministic_output():

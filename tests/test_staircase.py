@@ -362,10 +362,11 @@ def test_load_instance_malformed_file(tmp_path):
 
 # Each of these once parsed by truncation or coercion: T = 1 from 1.9,
 # L = 2 from 2.2, the walk (1, 2, 3) from [1, 2.7, 3], and bit 1 from true
-# or "1".
+# or "1"; a seed that is not an integer was stored on the instance.
 @pytest.mark.parametrize("field,value", [
     ("T", 1.9), ("L", 2.2), ("T", "1"), ("walk", [1, 2.7, 3]), ("walk", [1, True, 3]),
-    ("b", True), ("b", "1"), ("b", 1.0)])
+    ("b", True), ("b", "1"), ("b", 1.0),
+    ("seed", "x"), ("seed", 1.5), ("seed", [1, 2]), ("seed", True)])
 def test_instance_file_numbers_must_be_integers(tmp_path, field, value):
     doc = {"graph": "complete:3", "chain": "lazy-simple", "T": 1, "L": 2,
            "walk": [1, 2, 3], "b": 0, "seed": None}
@@ -375,6 +376,16 @@ def test_instance_file_numbers_must_be_integers(tmp_path, field, value):
     path.write_text(json.dumps({**doc, field: value}))
     with pytest.raises(InputError, match="^malformed instance document: expected an integer"):
         mb.staircase.load_instance(str(path))
+
+
+# A number for the graph spec once raised AttributeError.
+@pytest.mark.parametrize("field,value", [("graph", 5), ("chain", ["lazy-simple"])])
+def test_instance_file_specs_must_be_strings(field, value):
+    doc = {"graph": "complete:3", "chain": "lazy-simple", "T": 1, "L": 2,
+           "walk": [1, 2, 3], "b": 0, "seed": None}
+    assert mb.instance_from_json(doc).walk.vertices == (1, 2, 3)
+    with pytest.raises(InputError, match="^malformed instance document: expected a string"):
+        mb.instance_from_json({**doc, field: value})
 
 
 def test_instance_json_reveal(k3_chain, k3_params):
