@@ -483,10 +483,14 @@ def _redraw(P: TransitionMatrix, xs: np.ndarray, J: np.ndarray, T: int,
 def _last_occurrence(walks: np.ndarray, n: int) -> np.ndarray:
     """(rows, n) array of the last position of vertex v + 1 in each row,
     -1 where absent. maximum.at is order-independent under repeated
-    indices, which a fancy-index assignment is not."""
+    indices, which a fancy-index assignment is not. Its positions are a
+    flat tiled copy, not one broadcast row: numpy 2.4 takes maximum.at's
+    fast path only for a 1-D index with as many values, so a row passed
+    through np.broadcast_to runs 3-5 times slower, and a bare row against
+    a 2-D index reads past the row's end (wrong, varying results)."""
     count, width = walks.shape
     last = np.full(count * n, -1, dtype=np.int64)
-    keys = walks - 1 + (np.arange(count) * n)[:, None]
+    keys = (np.arange(count) * n - 1)[:, None] + walks  # the row offsets carry the -1
     np.maximum.at(last, keys.ravel(), np.tile(np.arange(width), count))
     return last.reshape(count, n)
 
@@ -497,20 +501,28 @@ _DIFF_CHUNK_CELLS = 1 << 18
 
 
 def _difference_counts(rows: np.ndarray, xs: np.ndarray, zs: np.ndarray,
-                       n: int) -> np.ndarray:
+                       J: np.ndarray, T: int, n: int) -> np.ndarray:
     """counts[v - 1]: how many rows i in rows have decision functions of
     x_i and z_i that disagree at vertex v, that is where v's last
-    occurrence differs or v ends either walk. Works in chunks of rows, so
-    memory stays O(_DIFF_CHUNK_CELLS)."""
+    occurrence differs or v ends either walk. x_i and z_i share columns
+    0..J[i]*T, so only their tails, from column J[i]*T + 1 on, are read: a
+    vertex in neither tail has the same last occurrence in both walks, and
+    one in a single tail differs, as it is absent (-1) from the other.
+    Rows are taken by milestone, in chunks, so memory stays
+    O(_DIFF_CHUNK_CELLS)."""
     counts = np.zeros(n, dtype=np.int64)
     chunk = max(1, _DIFF_CHUNK_CELLS // max(n, xs.shape[1]))
-    for lo in range(0, rows.size, chunk):
-        part = rows[lo:lo + chunk]
-        diff = _last_occurrence(xs[part], n) != _last_occurrence(zs[part], n)
-        # Two distinct ends already differ in last occurrence (one walk
-        # sits there at step L, the other does not); a shared end does not.
-        diff[np.arange(part.size), xs[part, -1] - 1] = True
-        counts += diff.sum(axis=0)
+    milestones = J[rows]
+    # bincount, not np.unique, whose first call imports numpy.ma (about 10 ms)
+    for j in np.flatnonzero(np.bincount(milestones)).tolist():
+        group, tail = rows[milestones == j], slice(j * T + 1, None)
+        for lo in range(0, group.size, chunk):
+            part = group[lo:lo + chunk]
+            diff = _last_occurrence(xs[part, tail], n) != _last_occurrence(zs[part, tail], n)
+            # Two distinct ends already differ in last occurrence (one walk
+            # sits there at step L, the other does not); a shared end does not.
+            diff[np.arange(part.size), xs[part, -1] - 1] = True
+            counts += diff.sum(axis=0)
     return counts
 
 
@@ -558,12 +570,13 @@ def estimate_lower_bound(P: TransitionMatrix, params: StaircaseParams,
             "zero effective samples: no good walk was drawn; increase the "
             "sample count or check the parameters")
 
-    zs, hit = _redraw(P, xs, rng.integers(0, m, samples), T, rng)
+    J = rng.integers(0, m, samples)
+    zs, hit = _redraw(P, xs, J, T, rng)
     hit &= x_good
     m_hat, m_se = _credited_mean(int(hit.sum()), samples, 2.0 * m)
 
     # vertex_hits[v - 1]: hits whose x and z are told apart at vertex v
-    vertex_hits = _difference_counts(np.flatnonzero(hit), xs, zs, P.n)
+    vertex_hits = _difference_counts(np.flatnonzero(hit), xs, zs, J, T, P.n)
     if not vertex_hits.any():
         raise CapabilityError(
             "zero effective samples: no distinguishing event observed")

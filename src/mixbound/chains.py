@@ -76,11 +76,13 @@ class TransitionMatrix:
     padding has index 0 and weight 0. One step of a distribution x is
     ``(x[index] * weight).sum(axis=1)``.
 
-    ``sampling_guide`` is (guide, step, passes): the guide table of the
-    running sums, the next guide row offset of every slot, and the most
+    ``sampling_guide`` is (guide, step, passes, jump): the guide table of
+    the running sums, the next guide row offset of every slot, the most
     forward moves a uniform needs from its guide cell, which is 0 when
-    every running sum is a multiple of 1/B. It is built the first time a
-    batch of walks is sampled and kept; see `_guide` and `_sample_tails`.
+    every running sum is a multiple of 1/B, and, only when it is 0, the
+    next guide row offset of every guide cell (else None). It is built
+    the first time a batch of walks is sampled and kept, so every later
+    batch on the chain reuses it; see `_guide` and `_sample_tails`.
 
     ``matrix`` is the dense n x n view, scattered from ``in_neighbours``
     the first time it is read and kept; it is read-only; only dense
@@ -110,7 +112,7 @@ class TransitionMatrix:
         return m
 
     @cached_property
-    def sampling_guide(self) -> tuple[np.ndarray, np.ndarray, int]:
+    def sampling_guide(self) -> tuple[np.ndarray, np.ndarray, int, np.ndarray | None]:
         return _guide(*self.sampling_table)
 
     def prob(self, u: int, v: int) -> float:
@@ -170,8 +172,9 @@ def _tables_from(n: int, src: np.ndarray, dst: np.ndarray, value: np.ndarray):
     return (out_index, cumulative), (in_index, weight)
 
 
-def _guide(index: np.ndarray, cum: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """(guide, step, passes) of the sampling table (index, cum), n x width.
+def _guide(index: np.ndarray, cum: np.ndarray) -> tuple[np.ndarray, np.ndarray, int,
+                                                        np.ndarray | None]:
+    """(guide, step, passes, jump) of the sampling table (index, cum), n x width.
 
     ``guide`` is the guide table (Chen & Asau 1974) of the running sums,
     n x B: cell [u, b] holds the flat position u*width + k of the first
@@ -193,7 +196,14 @@ def _guide(index: np.ndarray, cum: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     such sum, passes all of them. It is 0 when every sum is a multiple of
     1/B, as for a lazy walk whose degrees divide B/2 (hypercube:8 and
     :16, torus2d:16x16, random-regular:256,4), and 1 when no probability
-    is narrower than a bucket, 1/B (hypercube:11 and :12)."""
+    is narrower than a bucket, 1/B (hypercube:11 and :12).
+
+    ``jump`` is built only when ``passes`` is 0, since then a uniform's
+    guide cell is its slot: ``jump[u, b]`` is ``step.flat[guide[u, b]]``,
+    the next guide row offset of cell [u, b], and a batch step is one
+    lookup in it. Its n x B entries take step's dtype, at most twice as
+    wide as the guide's, so it holds at most twice the guide's bytes, and
+    as many on hypercube:16 and random-regular:256,4."""
     n, width = cum.shape
     dtype = np.min_scalar_type(n * width - 1)
     buckets = 1 << (8 * width // dtype.itemsize).bit_length() - 1
@@ -213,7 +223,11 @@ def _guide(index: np.ndarray, cum: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     step = (index * buckets).astype(np.min_scalar_type(n * buckets - 1))
     guide.setflags(write=False)
     step.setflags(write=False)
-    return guide, step, passes
+    if passes:
+        return guide, step, passes, None
+    jump = step.ravel()[guide]
+    jump.setflags(write=False)
+    return guide, step, passes, jump
 
 
 def _slots(row: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -826,11 +840,14 @@ def _sample_tails(P: TransitionMatrix, walks: np.ndarray, start: int,
     walkers in one vectorised pass at a time, for at most the guide's
     `passes` passes; then one gather of the step table gives the next
     offset. `passes` is 0 on every chain whose sums are multiples of 1/B,
-    such as the lazy walk on a d-regular graph with d dividing B/2, and
-    there a step is three numpy calls. Each block's offsets are turned
-    into vertices once, at its end. A step costs 26-58 ns per walker-step
-    at 250 walkers and 16-25 ns at 2 000 (random-regular:256,4,
-    hypercube:11 and :12, 1 344 steps, medians of 7 runs, two series).
+    such as the lazy walk on a d-regular graph with d dividing B/2; there
+    the guide cell is the slot, and a step is one add and one lookup in
+    the guide's jump table, which holds the next offset of every cell.
+    Each block's offsets are turned into vertices once, at its end. A
+    step costs 15-39 ns per walker-step at 250 walkers and 11-32 ns at
+    2 000 through the jump table (random-regular:256,4, torus2d:16x16,
+    hypercube:16), and 32-61 and 21-34 ns with forward passes
+    (hypercube:11 and :12); 1 344 steps, medians of 7 runs, two series.
     A single walk steps in plain Python, since a numpy call per step costs several times the
     step itself: it bisects the current row of the table through
     memoryviews, which read single entries without converting the whole
@@ -851,7 +868,7 @@ def _sample_tails(P: TransitionMatrix, walks: np.ndarray, start: int,
                 tail.append(cur + 1)
         walks[start + 1:] = tail
         return
-    guide, step, passes = P.sampling_guide
+    guide, step, passes, jump = P.sampling_guide
     buckets = guide.shape[1]
     flat_cum = cum.ravel()
     state = ((walks[:, start] - 1) * buckets).astype(step.dtype)
@@ -861,17 +878,21 @@ def _sample_tails(P: TransitionMatrix, walks: np.ndarray, start: int,
         draws = rng.random((min(per_block, walks.shape[1] - lo), state.size))
         cells = np.empty(draws.shape, dtype=step.dtype)
         np.multiply(draws, buckets, out=cells, casting="unsafe")  # floor, u >= 0
-        for u, cell in zip(draws, cells):
-            cell += state
-            pos = guide.take(cell)
-            if passes:  # numpy indexes faster with intp positions than narrow ones
-                pos = pos.astype(np.intp)
+        if jump is not None:  # passes == 0: each guide cell is its uniform's slot
+            for cell in cells:
+                cell += state
+                state = jump.take(cell, out=cell)  # out is buffered: cell may alias
+        else:
+            for u, cell in zip(draws, cells):
+                cell += state
+                # numpy indexes faster with intp positions than narrow ones
+                pos = guide.take(cell).astype(np.intp)
                 for _ in range(passes):
                     short = flat_cum[pos] <= u
                     if not np.count_nonzero(short):
                         break
                     pos += short
-            state = step.take(pos, out=cell)
+                state = step.take(pos, out=cell)
         vertices = cells // buckets  # a new array: the next block starts from state, a row of cells
         vertices += 1
         walks[:, lo:lo + len(cells)] = vertices.T

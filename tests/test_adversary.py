@@ -10,8 +10,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
 import mixbound as mb
-from mixbound.adversary import (_credited_mean, _grouped_fsums, _pair_table, _redraw,
-                                ratio_floor)
+from mixbound.adversary import (_credited_mean, _difference_counts, _grouped_fsums,
+                                _last_occurrence, _pair_table, _redraw, ratio_floor)
 from mixbound.chains import _sample_tails
 from mixbound.graphs import _bfs
 from mixbound.errors import CapabilityError, InputError
@@ -711,6 +711,86 @@ def test_estimate_tiny_sample_sweep():
                 lines.append(str(exc))
     assert len(lines) == 1_800
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == TINY_SWEEP_SHA256
+
+
+# The benchmark's own configuration (perfbench mc-regular256): random-
+# regular:256,4 from graph seed 0 at default parameters (T = 84, L = 1 344)
+# and 250 samples, by seed: the repr of (M, q, std_error, q_std_error,
+# argmax_vertex).
+RR256_GOLDEN = {
+    1: "(13.568, 11.136, 1.002177099997319, 0.9659701908643735, 66)",
+    2: "(14.336, 11.904, 1.0084604035569114, 0.9801704302258646, 201)",
+    3: "(13.184, 10.88, 0.9981310728327302, 0.9606423553746518, 41)",
+    4: "(12.416, 10.112, 0.9881932399678073, 0.9428050431545169, 8)",
+}
+
+
+def test_estimate_golden_at_the_benchmark_configuration():
+    P = mb.lazy_simple_walk(mb.graph_from_spec("random-regular:256,4", seed=0))
+    params = mb.default_params(P)
+    assert (params.T, params.L) == (84, 1_344)
+    for seed, want in RR256_GOLDEN.items():
+        est = mb.estimate_lower_bound(P, params, samples=250, seed=seed)
+        assert repr((est.M, est.q, est.std_error, est.q_std_error,
+                     est.argmax_vertex)) == want
+
+
+def _full_difference_counts(rows, xs, zs, n):
+    """Reference: the difference counts from last occurrences over the
+    whole walks, in one pass over every row."""
+    diff = _last_occurrence(xs[rows], n) != _last_occurrence(zs[rows], n)
+    diff[np.arange(rows.size), xs[rows, -1] - 1] = True
+    return diff.sum(axis=0)
+
+
+def test_last_occurrence_equals_a_loop():
+    walks = np.random.default_rng(0).integers(1, 8, (6, 11))
+    want = np.full((6, 9), -1)
+    for i, walk in enumerate(walks.tolist()):
+        for pos, v in enumerate(walk):
+            want[i, v - 1] = pos
+    got = _last_occurrence(walks, 9)
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("cells", [None, 1, 200])
+@pytest.mark.parametrize("milestones", ["random", "first", "last"])
+def test_tail_difference_counts_equal_the_full_rows(milestones, cells, monkeypatch):
+    # x and z share columns 0..J*T, so counting over the redrawn tails
+    # alone gives the same counts, on hit sets of every size, at J = 0
+    # and J = m - 1, with shared and distinct ends, and in small chunks
+    P, params, xs = _redraw_inputs()
+    T, m = params.T, params.m
+    if cells is not None:
+        monkeypatch.setattr("mixbound.adversary._DIFF_CHUNK_CELLS", cells)
+    J = {"random": np.random.default_rng(4).integers(0, m, len(xs)),
+         "first": np.zeros(len(xs), dtype=np.int64),
+         "last": np.full(len(xs), m - 1)}[milestones]
+    zs, hit = _redraw(P, xs, J, T, np.random.default_rng(9))
+    shared = xs[:, -1] == zs[:, -1]
+    assert shared.any() and not shared.all()
+    rng = np.random.default_rng(2)
+    for rows in (np.flatnonzero(hit), np.arange(len(xs)), np.flatnonzero(shared),
+                 np.flatnonzero(~shared), np.sort(rng.choice(len(xs), 17, replace=False)),
+                 np.array([int(rng.integers(len(xs)))])):
+        assert rows.size
+        got = _difference_counts(rows, xs, zs, J, T, P.n)
+        assert np.array_equal(got, _full_difference_counts(rows, xs, zs, P.n))
+    empty = _difference_counts(np.array([], dtype=np.intp), xs, zs, J, T, P.n)
+    assert empty.dtype == np.int64 and np.array_equal(empty, np.zeros(P.n))
+
+
+def test_estimate_without_hits_has_no_distinguishing_event(monkeypatch):
+    # no hit leaves no row to count, so every vertex count is zero and
+    # the estimate refuses rather than dividing by a zero q
+    def no_hits(*args):
+        zs, hit = _redraw(*args)
+        return zs, np.zeros_like(hit)
+
+    P, params = _golden_system("rr32")
+    monkeypatch.setattr("mixbound.adversary._redraw", no_hits)
+    with pytest.raises(CapabilityError, match="no distinguishing event"):
+        mb.estimate_lower_bound(P, params, samples=50, seed=11)
 
 
 def _redraw_inputs():

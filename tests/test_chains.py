@@ -13,6 +13,7 @@ import mixbound as mb
 from mixbound.chains import (
     MAX_DENSE_N,
     MAX_JSON_N,
+    _guide,
     _sample_tails,
     _step_probabilities,
     _top_ritz,
@@ -832,15 +833,19 @@ def _guide_chains():
 
 def _assert_guide_tables_are_small_and_frozen(P):
     index = P.sampling_table[0]
-    guide, step = P.sampling_guide[:2]
+    guide, step, passes, jump = P.sampling_guide
     for table in (guide, step):
         assert table.nbytes <= index.nbytes and not table.flags.writeable
+    # the jump table exists only where a guide cell is its own slot
+    assert (jump is None) == (passes > 0)
+    if jump is not None:
+        assert jump.nbytes <= 2 * guide.nbytes and not jump.flags.writeable
 
 
 def test_guide_cells_hold_the_first_slot_above_their_bucket():
     for P in _guide_chains():
         index, cum = P.sampling_table
-        guide, step, _ = P.sampling_guide
+        guide, step, passes, jump = P.sampling_guide
         n, width = cum.shape
         buckets = guide.shape[1]
         assert buckets & (buckets - 1) == 0 and buckets >= width
@@ -851,6 +856,10 @@ def test_guide_cells_hold_the_first_slot_above_their_bucket():
         # a slot's step table entry is its vertex's guide row offset
         assert step.dtype == np.min_scalar_type(n * buckets - 1)
         assert np.array_equal(step, index * buckets)
+        # a guide cell's jump entry is its slot's step entry
+        if passes == 0:
+            assert jump.dtype == step.dtype and jump.shape == guide.shape
+            assert np.array_equal(jump, step.ravel()[guide])
 
 
 def test_guide_steps_at_bucket_edges_and_in_padded_rows():
@@ -873,7 +882,7 @@ def test_guide_scan_passes_several_breakpoints_in_one_bucket():
     rows[0] = [0.5, 0.001, 0.001, 0.001, 0.497]
     P = mb.make_chain(mb.complete_graph(5), rows)
     cum = P.sampling_table[1]
-    guide, _, passes = P.sampling_guide
+    guide, _, passes, _ = P.sampling_guide
     buckets = guide.shape[1]
     cell = int(0.5 * buckets)
     assert np.count_nonzero((cum[0] >= cell / buckets) & (cum[0] < (cell + 1) / buckets)) >= 4
@@ -991,6 +1000,92 @@ def test_guide_pass_bound_is_the_most_forward_moves(data):
 def test_guide_pass_bound_of_lazy_walks(spec, passes):
     # their probabilities are multiples of 1/B, or none is narrower than a bucket
     assert mb.lazy_simple_walk(mb.graph_from_spec(spec, seed=0)).sampling_guide[2] == passes
+
+
+def _guide_step_tails(P, walks, start, rng):
+    """Reference batch loop, without the jump table: each step gathers the
+    guide cell, moves forward for `passes` passes and gathers the step
+    table, with the same block rule as _sample_tails."""
+    guide, step, passes, _ = P.sampling_guide
+    buckets = guide.shape[1]
+    flat_cum = P.sampling_table[1].ravel()
+    state = ((walks[:, start] - 1) * buckets).astype(step.dtype)
+    per_block = max(1, (1 << 16) // 2 // max(1, state.size))
+    for lo in range(start + 1, walks.shape[1], per_block):
+        draws = rng.random((min(per_block, walks.shape[1] - lo), state.size))
+        for s, u in enumerate(draws, lo):
+            pos = guide.take((u * buckets).astype(np.intp) + state)
+            for _ in range(passes):
+                pos += flat_cum[pos] <= u
+            state = step.take(pos)
+            walks[:, s] = state // buckets + 1
+
+
+def _edge_uniforms(P):
+    # every bucket edge k/B and the double below it, each followed by the
+    # largest double below 1.0
+    top = np.nextafter(1.0, 0.0)
+    return [u for edge in _bucket_edges(P) for u in (edge, top)]
+
+
+def _assert_batches_equal_the_guide_and_step_loop(P, rng):
+    # seeded batches from column 0 and from a later column, of 250 rows
+    # and of one row; then scripted edge uniforms for one walker per
+    # vertex and for a one-row batch
+    for count, start in ((250, 0), (250, 37), (1, 0), (1, 37)):
+        got = rng.integers(1, P.n + 1, (count, 300)).astype(np.int32)
+        want = got.copy()
+        _sample_tails(P, got, start, np.random.default_rng(count + start))
+        _guide_step_tails(P, want, start, np.random.default_rng(count + start))
+        assert np.array_equal(got, want)
+    uniforms = _edge_uniforms(P)
+    for starts in (np.arange(1, P.n + 1), [P.n]):
+        got = np.zeros((len(starts), len(uniforms) + 1), dtype=np.int64)
+        got[:, 0] = starts
+        want = got.copy()
+        values = np.repeat(uniforms, len(starts)).tolist()  # one uniform per step
+        _sample_tails(P, got, 0, _Scripted(values))
+        _guide_step_tails(P, want, 0, _Scripted(values))
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("spec", ["hypercube:8", "torus2d:16x16", "random-regular:256,4",
+                                  "hypercube:11"])
+def test_jump_table_steps_equal_the_guide_and_step_loop(spec):
+    # hypercube:11 (passes 1) has no jump table and keeps the loop with
+    # forward passes, whose walks must not change either
+    P = mb.lazy_simple_walk(mb.graph_from_spec(spec, seed=0))
+    assert (P.sampling_guide[3] is None) == (spec == "hypercube:11")
+    _assert_batches_equal_the_guide_and_step_loop(P, np.random.default_rng(3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(hst.data())
+def test_jump_table_steps_on_dyadic_chains(data):
+    # rows of multiples of 1/8 put every running sum on a bucket edge, as
+    # the guides of these chains have at least 8 buckets
+    n = data.draw(hst.integers(min_value=2, max_value=8), label="n")
+    rng = np.random.default_rng(data.draw(hst.integers(0, 10_000), label="seed"))
+    rows = [rng.multinomial(total, np.full(n, 1.0 / n)) / total
+            for total in (1 << rng.integers(0, 4, n)).tolist()]
+    P = mb.make_chain(mb.complete_graph(n), rows)
+    assert P.sampling_guide[2] == 0 and P.sampling_guide[3] is not None
+    _assert_batches_equal_the_guide_and_step_loop(P, rng)
+    _assert_loops_match_dense(P, _edge_uniforms(P))
+
+
+def test_jump_table_is_built_once_per_chain(monkeypatch):
+    # milestone_escape_estimates redraws once per milestone; only the
+    # first batch on the chain builds the guide and its jump table
+    P = mb.lazy_simple_walk(mb.graph_from_spec("hypercube:8"))
+    params = mb.default_params(P)
+    calls = []
+    monkeypatch.setattr("mixbound.chains._guide", lambda *args: calls.append(args) or _guide(*args))
+    mb.milestone_escape_estimates(P, params, samples=20, seed=0)
+    mb.estimate_lower_bound(P, params, samples=20, seed=0)
+    assert params.m > 1 and len(calls) == 1
+    jump = P.sampling_guide[3]
+    assert jump is not None and P.sampling_guide[3] is jump
 
 
 # ---------------------------------------------------------------------------
