@@ -1,6 +1,6 @@
 """Transition matrices on graphs and their analytics: stationary
 distribution, stationary ratio, mixing time, spectral gap, bottleneck
-ratio, visiting probabilities, and seeded walk sampling.
+ratio, and seeded walk sampling.
 
 A chain lives on a Graph: off-diagonal entries may be positive only on
 edges (support condition); self-loops are always allowed. Chains are
@@ -37,10 +37,6 @@ _EPS = float(np.finfo(float).eps)
 _PIVMIN = 1e-300  # stands in for a zero pivot of a tridiagonal factorization
 # Largest n for which a chain forms its dense n x n matrix (2 GiB at the cap).
 MAX_DENSE_N = 1 << 14
-# Largest n that chain_to_json writes out. Its nested lists take about
-# 130 bytes per cell: `chain build` peaks at 574 MB RSS at n = 2048 and
-# at 2 141 MB at n = 4096 (one run each, in-process ru_maxrss).
-MAX_JSON_N = 1 << 11
 _FSUM_ROWS = 1 << 12  # rows whose entries _row_fsums converts to Python floats at once
 
 
@@ -85,9 +81,11 @@ class TransitionMatrix:
     batch on the chain reuses it; see `_guide` and `_sample_tails`.
 
     ``matrix`` is the dense n x n view, scattered from ``in_neighbours``
-    the first time it is read and kept; it is read-only; only dense
-    algorithms read it (walks: `_step_probabilities`). Above MAX_DENSE_N it
-    raises CapabilityError before allocating.
+    the first time it is read and kept; it is read-only. In the library
+    only the doubling `mixing_time`, `bottleneck_ratio` and the stationary
+    solve of a chain built without pi read it (walks read
+    `_step_probabilities`, chain files `chain_to_json`'s entries). Above
+    MAX_DENSE_N it raises CapabilityError before allocating.
 
     ``vertex_transitive`` marks a chain that every automorphism of a
     vertex-transitive graph preserves, so the distance to stationarity
@@ -282,7 +280,8 @@ def make_chain(graph: Graph, matrix, pi=None, kind: str = "custom") -> Transitio
     positive off-diagonal entry must sit on a graph edge. The stationary
     distribution is verified when supplied, solved for otherwise; it is
     left unset for reducible chains. A graph above MAX_DENSE_N vertices
-    raises CapabilityError before the matrix is read.
+    raises CapabilityError before the matrix is read; a chain file is read
+    from its entries by `chain_from_json` instead, at any size.
     """
     n = graph.n
     _check_dense(n)
@@ -296,14 +295,16 @@ def make_chain(graph: Graph, matrix, pi=None, kind: str = "custom") -> Transitio
 
 
 def _chain(graph: Graph, src: np.ndarray, dst: np.ndarray, value: np.ndarray,
-           pi, kind: str, vertex_transitive: bool) -> TransitionMatrix:
+           pi, kind: str, vertex_transitive: bool, stored: bool = False) -> TransitionMatrix:
     """The one construction path: the chain on graph whose entries are
     value at (src, dst), listed in row-major order, each row summing to 1
     within ROW_SUM_TOL. Each row is divided by its `_row_fsums` sum, so two
-    rows holding the same entries in any order are divided alike. Entries
-    left at zero are dropped, the support is checked against the graph's
-    edges, and the tables, stationary vector and flags are built from the
-    entries. No n x n array is formed unless pi must be solved for."""
+    rows holding the same entries in any order are divided alike, unless
+    they are a chain's `stored` floats read back: a stored row can sum to
+    1 within an ulp, and dividing by that sum would move its last bits.
+    Entries left at zero are dropped, the support is checked against the
+    graph's edges, and the tables, stationary vector and flags are built
+    from the entries. No n x n array is formed unless pi must be solved for."""
     n = graph.n
     try:
         row_sums = _row_fsums(n, src, value)
@@ -313,7 +314,8 @@ def _chain(graph: Graph, src: np.ndarray, dst: np.ndarray, value: np.ndarray,
     if not abs(row_sums[bad] - 1.0) <= ROW_SUM_TOL:  # negated, so NaN fails
         raise InputError(
             f"row {bad + 1} sums to {row_sums[bad]:.15g}, not 1 within {ROW_SUM_TOL}")
-    value = value / row_sums[src]
+    if not stored:
+        value = value / row_sums[src]
     real = value > 0.0  # a Metropolis move can underflow to 0
     src, dst, value = src[real], dst[real], value[real]
     edge_src, edge_dst = _edge_entries(graph)[:2]
@@ -470,10 +472,15 @@ def metropolis_walk(g: Graph, target) -> TransitionMatrix:
 
 def check_properties(P: TransitionMatrix) -> ChainFlags:
     """Recompute (lazy, irreducible, reversible) from the neighbour tables."""
-    src, dst, value = _stored_entries(P.in_neighbours)
-    order = np.lexsort((dst, src))  # row-major
-    return _flags(P.n, src[order], dst[order], value[order], P.pi,
+    return _flags(P.n, *_row_major_entries(P), P.pi,
                   _irreducible((P.sampling_table, P.in_neighbours)))
+
+
+def _row_major_entries(P: TransitionMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(src, dst, value) of every stored entry, in row-major order."""
+    src, dst, value = _stored_entries(P.in_neighbours)
+    order = np.lexsort((dst, src))
+    return src[order], dst[order], value[order]
 
 
 def stationary(P: TransitionMatrix) -> np.ndarray:
@@ -487,15 +494,6 @@ def stationary_ratio(P: TransitionMatrix) -> float:
     """max pi / min pi, the heterogeneity of the stationary distribution."""
     pi = P._pi_or_raise()
     return float(pi.max() / pi.min())
-
-
-def worst_case_tv(P: TransitionMatrix, t: int) -> float:
-    """max over starting vertices of the total-variation distance between
-    the t-step distribution and the stationary distribution."""
-    if t < 0:
-        raise InputError("t must be nonnegative")
-    power = np.linalg.matrix_power(P.matrix, t)
-    return _tv_from_pi(power, P._pi_or_raise())
 
 
 def _tv_from_pi(power: np.ndarray, pi: np.ndarray) -> float:
@@ -766,45 +764,6 @@ def bottleneck_ratio(P: TransitionMatrix,
     return float((escape[keep] / mass[keep]).min())
 
 
-@dataclass(frozen=True)
-class VisitStats:
-    """Hit/visit statistics of a fixed-length walk; the start counts as
-    step 0 and is excluded, so visits happen at steps 1..length."""
-
-    p_visit: float
-    expected_visits: float
-    p_end: float
-
-
-def visit_probabilities(P: TransitionMatrix, u: int, v: int, length: int) -> VisitStats:
-    """(P_visit, E_visit, P_end) for a length-step walk from u against
-    target v. P_visit uses dynamic programming with v made absorbing."""
-    _check_vertex(P.graph, u)
-    return VisitStats(*(float(x[0]) for x in _visit_dp(P, np.eye(1, P.n, u - 1), v, length)))
-
-
-def visit_probability_all_starts(P: TransitionMatrix, v: int, length: int) -> np.ndarray:
-    """Vector of P_visit(u, v, length) over all starting vertices u."""
-    return _visit_dp(P, np.eye(P.n), v, length)[0]
-
-
-def _visit_dp(P: TransitionMatrix, starts: np.ndarray, v: int, length: int):
-    """(P_visit, E_visit, P_end) against target v for a length-step walk
-    from each start distribution, one per row of `starts`."""
-    _check_vertex(P.graph, v)
-    if length < 0:
-        raise InputError("walk length must be nonnegative")
-    free, alive = starts, starts.copy()
-    expected, captured = np.zeros((2, starts.shape[0]))
-    for _ in range(length):
-        free = free @ P.matrix
-        expected += free[:, v - 1]
-        alive = alive @ P.matrix
-        captured += alive[:, v - 1]
-        alive[:, v - 1] = 0.0
-    return captured, expected, free[:, v - 1]
-
-
 def sample_walk(P: TransitionMatrix, start: int, length: int, seed) -> Walk:
     """Seeded trajectory of the chain; deterministic for a fixed seed."""
     _check_vertex(P.graph, start)
@@ -949,37 +908,57 @@ def build_chain(g: Graph, kind: str, target=None) -> TransitionMatrix:
 
 
 def chain_to_json(P: TransitionMatrix) -> dict:
-    """{"n": int, "rows": [[p,...],...], "pi": [p,...]?}, the dense matrix
-    as nested lists. An n above MAX_JSON_N raises CapabilityError before
-    the dense matrix is formed."""
-    if P.n > MAX_JSON_N:
-        raise CapabilityError(
-            f"a dense {P.n} x {P.n} matrix document is above the cap of n={MAX_JSON_N}")
-    doc = {"n": P.n, "rows": [[float(x) for x in row] for row in P.matrix]}
+    """{"n": int, "entries": [[u, v, p], ...], "pi": [p, ...]?}: every
+    stored entry P[u, v] = p > 0, 1-based, in row-major order, with p the
+    stored float, so `chain_from_json` rebuilds the same tables. It takes
+    O(entries) and never forms the dense view."""
+    src, dst, value = _row_major_entries(P)
+    doc = {"n": P.n, "entries": [[u, v, p] for u, v, p in zip(
+        (src + 1).tolist(), (dst + 1).tolist(), value.tolist())]}
     if P.pi is not None:
-        doc["pi"] = [float(x) for x in P.pi]
+        doc["pi"] = P.pi.tolist()
     return doc
 
 
 def chain_from_json(doc: dict, graph: Graph | None = None) -> TransitionMatrix:
-    """Parse {"n": int, "rows": [[p,...],...], "pi": [p,...]?}, whose
-    entries must be JSON numbers. Without an explicit graph, the edge set
-    is inferred from the support. An n above MAX_DENSE_N raises
-    CapabilityError before any row is read."""
+    """Parse `chain_to_json`'s document: u and v JSON integers in 1..n, p a
+    JSON number, no (u, v) twice, each p kept as given. As in `make_chain`,
+    a p below -1e-15 is refused and one at or below 0 dropped. Without a
+    graph, the edges are the positive off-diagonal pairs. It takes
+    O(entries), and forms an n x n array only to solve for an absent pi."""
     try:
         n = json_integer(doc["n"])
-        _check_dense(n)
-        rows = np.array([[json_number(p) for p in row] for row in doc["rows"]])
         pi = doc.get("pi")
         if pi is not None:
             pi = [json_number(p) for p in pi]
+        entries = np.array([(json_integer(u), json_integer(v), json_number(p))
+                            for u, v, p in doc["entries"]], dtype=float).reshape(-1, 3)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed chain document: {exc}") from exc
+    if graph is not None and n != graph.n:
+        raise InputError(f"chain document has n={n}, but the graph has n={graph.n}")
+    if n > len(entries):  # so nothing n-sized is built for a short document
+        raise InputError(f"{len(entries)} entries cannot fill the {n} rows of a chain")
+    u, v, p = entries.T
+    outside = (np.minimum(u, v) < 1) | (np.maximum(u, v) > n)
+    for bad, what in ((outside, f"has a vertex outside 1..{n}"), (p < -1e-15, "is negative")):
+        if np.any(bad):
+            a, b, x = entries[np.argmax(bad)].tolist()
+            raise InputError(f"entry [{int(a)}, {int(b)}, {x!r}] {what}")
+    src, dst = u.astype(np.intp) - 1, v.astype(np.intp) - 1
+    order = np.lexsort((dst, src))  # row-major
+    key = (src * n + dst)[order]
+    twice = np.flatnonzero(key[1:] == key[:-1])
+    if twice.size:
+        first = order[twice[0]]
+        raise InputError(f"pair ({src[first] + 1}, {dst[first] + 1}) is listed twice")
+    order = order[p[order] > 0.0]
+    src, dst, value = src[order], dst[order], p[order]
     if graph is None:
-        if rows.shape != (n, n):
-            raise InputError(f"rows shape {rows.shape} does not match n={n}")
-        graph = make_graph(n, np.argwhere(np.triu((rows > 0.0) | (rows.T > 0.0), 1)) + 1)
-    return make_chain(graph, rows, pi=pi)
+        off = src != dst
+        pairs = np.unique(np.minimum(src, dst)[off] * n + np.maximum(src, dst)[off])
+        graph = make_graph(n, np.stack((pairs // n, pairs % n), axis=1) + 1)
+    return _chain(graph, src, dst, value, pi, "custom", vertex_transitive=False, stored=True)
 
 
 def chain_from_spec(text: str, g: Graph | None = None) -> TransitionMatrix:

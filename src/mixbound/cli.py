@@ -57,7 +57,10 @@ def analyze_report(P: ch.TransitionMatrix, eps: float | None = None,
         sigma = ch.stationary_ratio(P)
         doc["sigma"] = sigma
         if flags.reversible:
-            doc["lambda2"], doc["gap"] = ch.spectral_gap(P)
+            try:
+                doc["lambda2"], doc["gap"] = ch.spectral_gap(P)
+            except CapabilityError as exc:
+                omitted["lambda2"] = omitted["gap"] = str(exc)
         else:
             omitted["lambda2"] = "chain is not reversible"
             omitted["gap"] = "chain is not reversible"
@@ -71,11 +74,14 @@ def analyze_report(P: ch.TransitionMatrix, eps: float | None = None,
                 doc["t_mix"] = ch.mixing_time(P, eps_val)
             except CapabilityError as exc:
                 omitted["t_mix"] = str(exc)
-            try:
-                doc["t_mix_bracket"] = list(
-                    ch.t_mix_bracket(P, eps_val, doc.get("gap")))
-            except CapabilityError as exc:
-                omitted["t_mix_bracket"] = str(exc)
+            if flags.reversible and "gap" not in doc:  # the bracket would solve it again
+                omitted["t_mix_bracket"] = omitted["gap"]
+            else:
+                try:
+                    doc["t_mix_bracket"] = list(
+                        ch.t_mix_bracket(P, eps_val, doc.get("gap")))
+                except CapabilityError as exc:
+                    omitted["t_mix_bracket"] = str(exc)
         if P.n <= expansion_cap:
             doc["phi_star"] = ch.bottleneck_ratio(P, cap=expansion_cap)
         else:
@@ -242,10 +248,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     chain = sub.add_parser("chain", help="chain utilities")
     chain_sub = chain.add_subparsers(dest="chain_command", required=True)
-    build = chain_sub.add_parser("build", help="build a chain and emit matrix JSON")
+    build = chain_sub.add_parser("build", help="build a chain and emit its entries as JSON")
     build.add_argument("--graph", required=True)
     build.add_argument("--chain", default="lazy-simple",
-                       help="lazy-simple | metropolis | max-degree | matrix file")
+                       help="lazy-simple | metropolis | max-degree | chain file")
     _add_common(build)
     build.set_defaults(func=_cmd_chain_build)
     analyze = chain_sub.add_parser("analyze", help="chain analytics JSON")

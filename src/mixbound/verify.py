@@ -206,13 +206,25 @@ def check_a3_visit_sum(ctx: _Context) -> Outcome:
             dtype=float)
         for v in range(1, n + 1):
             for ell in range(VISIT_SUM_LEN + 1):
-                visits = ch.visit_probability_all_starts(P, v, ell)
+                visits = _visit_probability_all_starts(P, v, ell)
                 worst = float((subset_matrix @ visits).max())
                 if worst > ell * sigma + 1e-9:
                     return _fail("subset visit sum exceeds len*sigma",
                                  {"graph": gname, "chain": kind, "v": v,
                                   "len": ell, "sum": worst, "limit": ell * sigma})
     return _ok(f"{len(chains)} chains, all subsets within bound")
+
+
+def _visit_probability_all_starts(P: ch.TransitionMatrix, v: int, length: int) -> np.ndarray:
+    """P_visit(u, v, length) over every start u: the chance that a
+    length-step walk from u is at v at one of steps 1..length, by dynamic
+    programming on the dense matrix with v made absorbing."""
+    alive, captured = np.eye(P.n), np.zeros(P.n)
+    for _ in range(length):
+        alive = alive @ P.matrix
+        captured += alive[:, v - 1]
+        alive[:, v - 1] = 0.0
+    return captured
 
 
 def check_a4_milestone_escape(ctx: _Context) -> Outcome:

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import math
 import tracemalloc
 from collections import deque
@@ -12,7 +13,6 @@ from hypothesis import strategies as hst
 import mixbound as mb
 from mixbound.chains import (
     MAX_DENSE_N,
-    MAX_JSON_N,
     _guide,
     _sample_tails,
     _step_probabilities,
@@ -20,7 +20,7 @@ from mixbound.chains import (
 )
 from mixbound.errors import CapabilityError, InputError
 from mixbound.graphs import _bfs
-from mixbound.verify import _linear_mixing_time
+from mixbound.verify import _linear_mixing_time, _visit_probability_all_starts
 
 
 def solve_stationary_oracle(matrix):
@@ -215,7 +215,7 @@ def test_sigma(k2_chain, path3_chain):
 
 def test_mixing_time_k2(k2_chain):
     assert mb.mixing_time(k2_chain, 0.1) == 1
-    assert mb.worst_case_tv(k2_chain, 1) == 0.0
+    assert mb.chains._tv_from_pi(k2_chain.matrix, k2_chain.pi) == 0.0
 
 
 def test_mixing_time_eps_validation(k2_chain):
@@ -511,70 +511,49 @@ def test_cheeger_sandwich_small():
 # ---------------------------------------------------------------------------
 
 def test_visit_k2_one_step(k2_chain):
-    stats = mb.visit_probabilities(k2_chain, 1, 2, 1)
-    assert stats.p_visit == pytest.approx(0.5)
-    assert stats.expected_visits == pytest.approx(0.5)
-    assert stats.p_end == pytest.approx(0.5)
+    assert _visit_probability_all_starts(k2_chain, 2, 1)[0] == pytest.approx(0.5)
 
 
 def test_visit_zero_steps(k3_chain):
-    stats = mb.visit_probabilities(k3_chain, 1, 2, 0)
-    assert stats.p_visit == 0.0 and stats.expected_visits == 0.0 and stats.p_end == 0.0
-    assert mb.visit_probabilities(k3_chain, 2, 2, 0).p_end == 1.0
+    # the start is step 0 and never counts as a visit
+    assert np.array_equal(_visit_probability_all_starts(k3_chain, 2, 0), np.zeros(3))
 
 
 def test_visit_k2_two_steps(k2_chain):
-    # enumeration of the four two-step trajectories gives 3/4 and 1
-    stats = mb.visit_probabilities(k2_chain, 1, 2, 2)
-    assert stats.expected_visits == pytest.approx(1.0)
-    assert stats.p_visit == pytest.approx(0.75)
+    # enumeration of the four two-step trajectories gives 3/4
+    assert _visit_probability_all_starts(k2_chain, 2, 2)[0] == pytest.approx(0.75)
 
 
 def test_visit_enumeration_oracle(path3_chain):
     # brute-force every trajectory of length 4 on the lazy path walk
     P = path3_chain.matrix
     length, u, v = 4, 1, 3
-    p_visit = e_visit = p_end = 0.0
+    p_visit = 0.0
     for steps in itertools.product(range(3), repeat=length):
         prob, cur, visits = 1.0, u - 1, 0
         for nxt in steps:
             prob *= P[cur, nxt]
             cur = nxt
             visits += cur == v - 1
-        if prob == 0.0:
-            continue
-        e_visit += prob * visits
         p_visit += prob * (visits > 0)
-        p_end += prob * (cur == v - 1)
-    stats = mb.visit_probabilities(path3_chain, u, v, length)
-    assert stats.p_visit == pytest.approx(p_visit, abs=1e-12)
-    assert stats.expected_visits == pytest.approx(e_visit, abs=1e-12)
-    assert stats.p_end == pytest.approx(p_end, abs=1e-12)
+    assert _visit_probability_all_starts(path3_chain, v, length)[u - 1] == pytest.approx(
+        p_visit, abs=1e-12)
 
 
 def test_visit_bounds_and_all_starts():
+    # P_visit = 1 - Q^len 1, Q the matrix with v's column zeroed: the walks
+    # that avoid v for len steps
     P = mb.lazy_simple_walk(mb.barbell_graph(8))
-    for ell in (0, 1, 3, 7):
-        for v in (1, 4, 8):
-            vec = mb.chains.visit_probability_all_starts(P, v, ell)
-            for u in range(1, 9):
-                stats = mb.visit_probabilities(P, u, v, ell)
-                assert stats.p_visit == pytest.approx(vec[u - 1], abs=1e-12)
-                assert 0.0 <= stats.p_visit <= 1.0 + 1e-12
-                assert stats.p_visit <= stats.expected_visits + 1e-12
-                assert stats.expected_visits <= ell + 1e-12
-
-
-def test_time_reversal_identity():
-    for P in (mb.lazy_simple_walk(mb.barbell_graph(6)),
-              mb.metropolis_walk(mb.cycle_graph(5), [0.1, 0.1, 0.2, 0.3, 0.3])):
-        pi = mb.stationary(P)
-        for ell in (1, 2, 5):
-            for u in range(1, P.n + 1):
-                for v in range(1, P.n + 1):
-                    fwd = mb.visit_probabilities(P, u, v, ell).expected_visits
-                    bwd = mb.visit_probabilities(P, v, u, ell).expected_visits
-                    assert fwd * pi[u - 1] == pytest.approx(bwd * pi[v - 1], abs=1e-10)
+    for v in (1, 4, 8):
+        avoid = P.matrix.copy()
+        avoid[:, v - 1] = 0.0
+        previous = np.zeros(8)
+        for ell in range(8):
+            vec = _visit_probability_all_starts(P, v, ell)
+            oracle = 1.0 - np.linalg.matrix_power(avoid, ell).sum(axis=1)
+            assert np.allclose(vec, oracle, rtol=0.0, atol=1e-12)
+            assert np.all(vec >= previous - 1e-15) and np.all(vec <= 1.0 + 1e-12)
+            previous = vec
 
 
 # ---------------------------------------------------------------------------
@@ -1425,22 +1404,10 @@ def test_dense_cap_refuses_before_allocating():
     big = mb.path_graph(MAX_DENSE_N + 1)
     with pytest.raises(CapabilityError, match="dense"):
         mb.make_chain(big, [[1.0]])  # refused before the shape check
-    with pytest.raises(CapabilityError, match="dense"):
-        mb.chain_from_json({"n": MAX_DENSE_N + 1, "rows": []})
     P = mb.lazy_simple_walk(big)  # the tables alone are small
     assert P.flags == mb.ChainFlags(lazy=True, irreducible=True, reversible=True)
     with pytest.raises(CapabilityError, match="dense"):
         P.matrix
-    with pytest.raises(CapabilityError, match="dense"):
-        mb.worst_case_tv(P, 1)
-
-
-def test_chain_json_cap_refuses_before_the_dense_view():
-    P = mb.lazy_simple_walk(mb.path_graph(MAX_JSON_N + 1))
-    with pytest.raises(CapabilityError, match="dense"):
-        mb.chain_to_json(P)
-    assert "matrix" not in P.__dict__
-    assert mb.chain_to_json(mb.lazy_simple_walk(mb.path_graph(4)))["n"] == 4
 
 
 def _reloaded(P):
@@ -1461,6 +1428,7 @@ _WALK_READERS = {
     "witness_pair": lambda P: mb.witness_pair(P, mb.default_params(P)),
     "instance_from_json": _reloaded,
     "exact_lower_bound": lambda P: mb.exact_lower_bound(P, mb.custom_params(P, 1, 3)),
+    "chain_from_json": lambda P: _round_trip(P),
 }
 
 
@@ -1468,7 +1436,7 @@ _WALK_READERS = {
 def test_walk_readers_never_form_the_dense_view(reader):
     P = mb.lazy_simple_walk(mb.hypercube_graph(4))
     out = _WALK_READERS[reader](P)
-    for chain in (P, getattr(out, "chain", P)):
+    for chain in (P, out if isinstance(out, mb.TransitionMatrix) else getattr(out, "chain", P)):
         assert "matrix" not in chain.__dict__
 
 
@@ -1536,16 +1504,98 @@ def test_walks_refuse_what_is_not_a_vertex(k3_chain, vertices):
 # JSON
 # ---------------------------------------------------------------------------
 
+def _round_trip(P, graph=None):
+    return mb.chain_from_json(json.loads(json.dumps(mb.chain_to_json(P))), graph=graph)
+
+
+def _assert_same_chain(P, Q):
+    for a, b in zip(P.sampling_table + P.in_neighbours, Q.sampling_table + Q.in_neighbours):
+        assert np.array_equal(a, b)
+    assert (P.pi is None and Q.pi is None) or np.array_equal(P.pi, Q.pi)
+    assert P.flags == Q.flags
+
+
 def test_chain_json_roundtrip(path3_chain):
     doc = mb.chain_to_json(path3_chain)
+    assert doc["entries"] == [[1, 1, 0.5], [1, 2, 0.5], [2, 1, 0.25], [2, 2, 0.5],
+                              [2, 3, 0.25], [3, 2, 0.5], [3, 3, 0.5]]
     back = mb.chain_from_json(doc)
-    assert np.allclose(back.matrix, path3_chain.matrix)
-    assert np.allclose(back.pi, path3_chain.pi)
+    _assert_same_chain(back, path3_chain)
     assert back.graph.edges.tolist() == path3_chain.graph.edges.tolist()
 
 
+@settings(max_examples=80, deadline=None)
+@given(hst.data())
+def test_chain_json_round_trip_is_bit_for_bit(data):
+    # Random targets give Metropolis rows whose stored entries sum to 1
+    # plus or minus an ulp; read back, they must not be divided again.
+    n = data.draw(hst.integers(min_value=2, max_value=12), label="n")
+    seed = data.draw(hst.integers(min_value=0, max_value=10_000), label="seed")
+    kind = data.draw(hst.sampled_from(["lazy-simple", "max-degree", "metropolis"]),
+                     label="kind")
+    rng = np.random.default_rng(seed)
+    tree = {(int(rng.integers(1, v)), v) for v in range(2, n + 1)}
+    extra = {(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)
+             if rng.random() < 0.4}
+    g = mb.make_graph(n, tree | extra)
+    target = rng.random(n) ** rng.uniform(0.1, 8.0) + 1e-3
+    P = mb.build_chain(g, kind, target=target / target.sum())
+    for graph in (None, g):
+        _assert_same_chain(P, _round_trip(P, graph))
+
+
+def test_chain_json_round_trip_reducible_and_biased():
+    g = mb.path_graph(3)
+    eye = mb.make_chain(g, np.eye(3))
+    assert "pi" not in mb.chain_to_json(eye)
+    _assert_same_chain(eye, _round_trip(eye, g))
+    with pytest.raises(InputError, match="not connected"):  # no edge to infer
+        _round_trip(eye)
+    c3 = mb.cycle_graph(3)
+    biased = mb.make_chain(c3, [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
+    assert biased.flags == mb.ChainFlags(lazy=True, irreducible=True, reversible=False)
+    for graph in (None, c3):
+        _assert_same_chain(biased, _round_trip(biased, graph))
+
+
+def test_chain_json_round_trip_on_verify_families():
+    from mixbound.verify import VerifyCaps, _Context
+    for _, _, P in _Context(VerifyCaps(), seed=0).test_chains():
+        for graph in (None, P.graph):
+            Q = _round_trip(P, graph)
+            _assert_same_chain(P, Q)
+            assert "matrix" not in P.__dict__ and "matrix" not in Q.__dict__
+
+
+def test_chain_json_round_trip_at_hypercube_12():
+    P = mb.lazy_simple_walk(mb.hypercube_graph(12))
+    Q = _round_trip(P)
+    _assert_same_chain(P, Q)
+    assert mb.spectral_gap(Q) == mb.spectral_gap(P)
+    assert "matrix" not in P.__dict__ and "matrix" not in Q.__dict__
+
+
+def test_chain_json_round_trip_above_the_dense_cap():
+    g = mb.path_graph(MAX_DENSE_N + 1)
+    P = mb.lazy_simple_walk(g)
+    for graph in (None, g):
+        Q = _round_trip(P, graph)
+        _assert_same_chain(P, Q)
+        assert "matrix" not in P.__dict__ and "matrix" not in Q.__dict__
+
+
+def test_chain_json_drops_entries_at_zero():
+    doc = {"n": 2, "entries": [[1, 1, 1.0], [1, 2, -1e-16], [2, 1, 0.0], [2, 2, 1.0]]}
+    P = mb.chain_from_json(doc, graph=mb.path_graph(2))
+    assert mb.chain_to_json(P)["entries"] == [[1, 1, 1.0], [2, 2, 1.0]]
+    with pytest.raises(InputError, match="^chain document has n=2, but the graph has n=3$"):
+        mb.chain_from_json(doc, graph=mb.path_graph(3))
+    with pytest.raises(InputError, match="^3 entries cannot fill the 4 rows of a chain$"):
+        mb.chain_from_json({**doc, "n": 4, "entries": doc["entries"][1:]})
+
+
 def test_chain_json_infers_graph():
-    doc = {"n": 2, "rows": [[0.5, 0.5], [0.5, 0.5]]}
+    doc = {"n": 2, "entries": [[1, 1, 0.5], [1, 2, 0.5], [2, 1, 0.5], [2, 2, 0.5]]}
     P = mb.chain_from_json(doc)
     assert P.graph.edges.tolist() == [[1, 2]]
     assert P.flags.reversible

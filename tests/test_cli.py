@@ -7,10 +7,12 @@ from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 
 import jsonschema
+import numpy as np
 import pytest
 
 import mixbound as mb
-from mixbound.chains import MAX_DENSE_N, MAX_JSON_N
+from mixbound import chains
+from mixbound.chains import MAX_DENSE_N
 from mixbound.cli import analyze_report, main
 from mixbound.config import ExperimentConfig
 from mixbound.errors import InputError
@@ -89,13 +91,20 @@ def test_graph_gen_requires_seed_for_random():
     assert "seed" in err
 
 
-# sha256 of `chain build` stdout, with each row divided by the exactly
-# rounded sum of its entries. Both chains have rows whose dense-order
-# (numpy pairwise) sum differs from that in the last bit, which once gave
-# hypercube:6 two distinct off-diagonal weights; it now stores 0.5 and 1/12.
+def assert_same_tables(P, Q):
+    for a, b in zip(P.sampling_table + P.in_neighbours, Q.sampling_table + Q.in_neighbours):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert np.array_equal(P.pi, Q.pi) and P.flags == Q.flags
+
+
+# sha256 of `chain build` stdout, the chain's stored entries, with each row
+# divided by the exactly rounded sum of its entries. Both chains have rows
+# whose dense-order (numpy pairwise) sum differs from that in the last bit,
+# which once gave hypercube:6 two distinct off-diagonal weights; it now
+# stores 0.5 and 1/12.
 _CHAIN_BUILD_SHA256 = {
-    ("hypercube:6", "lazy-simple"): "19c265b60deccdb0dccc07f92c86e7e3316ee2ecc114364dce40de2e70c9adaa",
-    ("barbell:10", "max-degree"): "a01076f2a32a11946c486454ab1d0e29d75dd5a49ee84104503808ab3d1b3dde",
+    ("hypercube:6", "lazy-simple"): "e11f941fea830ea36d9b356b2e1d591808299ba5849f599c3e510cbd0e12a18a",
+    ("barbell:10", "max-degree"): "3944d0618151745e624112f63f2bf434db784a6a40927c0430bf08fef2c3ae47",
 }
 
 
@@ -103,20 +112,17 @@ _CHAIN_BUILD_SHA256 = {
 def test_chain_build_golden(spec, kind):
     code, out, err = run_cli("chain", "build", "--graph", spec, "--chain", kind)
     assert (code, err) == (0, "")
+    g = mb.graph_from_spec(spec)
+    assert_same_tables(mb.chain_from_json(strict_json(out)), mb.build_chain(g, kind))
     assert hashlib.sha256(out.encode()).hexdigest() == _CHAIN_BUILD_SHA256[spec, kind]
 
 
-def test_chain_build_above_dense_cap_exits_2():
-    # the chain builds from its tables; emitting its rows needs the dense view
-    code, out, err = run_cli("chain", "build", "--graph", f"path:{MAX_DENSE_N + 1}")
-    assert (code, out) == (2, "")
-    assert "dense" in err
-
-
-def test_chain_build_above_json_cap_exits_2():
-    code, out, err = run_cli("chain", "build", "--graph", f"path:{MAX_JSON_N + 1}")
-    assert (code, out) == (2, "")
-    assert str(MAX_JSON_N) in err
+def test_chain_build_above_the_dense_cap():
+    # the document is the stored entries, so no size needs the dense view
+    g = mb.path_graph(MAX_DENSE_N + 1)
+    code, out, err = run_cli("chain", "build", "--graph", f"path:{g.n}")
+    assert (code, err) == (0, "")
+    assert_same_tables(mb.chain_from_json(strict_json(out)), mb.lazy_simple_walk(g))
 
 
 def test_chain_build_roundtrip(tmp_path):
@@ -125,7 +131,7 @@ def test_chain_build_roundtrip(tmp_path):
                          "--chain", "max-degree", "--out", str(out_file))
     assert code == 0
     doc = json.loads(out_file.read_text())
-    assert doc["rows"][0][0] == pytest.approx(0.75)
+    assert doc["entries"][0] == [1, 1, 0.75]
     # a chain file is accepted wherever a chain kind is
     code, out, _ = run_cli("chain", "analyze", "--graph", "path:3",
                            "--chain", str(out_file))
@@ -167,7 +173,8 @@ def test_analyze_expansion_cap_override():
 
 
 def test_analyze_reports_limited_for_nonreversible(tmp_path):
-    chain_doc = {"n": 3, "rows": [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]}
+    chain_doc = {"n": 3, "entries": [[1, 1, 0.5], [1, 2, 0.5], [2, 2, 0.5], [2, 3, 0.5],
+                                     [3, 1, 0.5], [3, 3, 0.5]]}
     path = tmp_path / "biased.json"
     path.write_text(json.dumps(chain_doc))
     code, out, _ = run_cli("chain", "analyze", "--graph", "cycle:3",
@@ -181,8 +188,23 @@ def test_analyze_reports_limited_for_nonreversible(tmp_path):
     assert "t_mix" in doc  # still computable
 
 
+def test_analyze_lists_a_capped_lanczos_basis_under_omitted(monkeypatch):
+    # spectral_gap's CapabilityError once escaped, and the command exited 2
+    # with no document
+    monkeypatch.setattr(chains, "MAX_DENSE_N", 8)
+    solves, spectral_gap = [], chains.spectral_gap
+    monkeypatch.setattr(chains, "spectral_gap", lambda P: solves.append(P) or spectral_gap(P))
+    doc = analyze_report(mb.lazy_simple_walk(mb.path_graph(64)))
+    jsonschema.validate(doc, load_schema())
+    assert len(solves) == 1  # the bracket does not solve for lambda2 again
+    for key in ("lambda2", "gap", "t_mix_bracket"):
+        assert key not in doc
+        assert doc["omitted"][key] == ("Lanczos basis of 40 x 64 after 19 steps is above "
+                                       "the dense cap of 8^2 cells")
+    assert doc["omitted"]["t_mix"] == "a dense 64 x 64 matrix is above the cap of n=8"
+
+
 def test_analyze_report_reducible():
-    import numpy as np
     g = mb.path_graph(3)
     P = mb.make_chain(g, np.eye(3))
     doc = analyze_report(P)
@@ -333,7 +355,7 @@ _CONFIG = {"graph": "complete:9", "chain": "lazy-simple", "seed": 1, "trials": 1
     pytest.param("graph gen --graph", '{"n": 4, "edges": [[1, 2]', id="graph-truncated"),
     pytest.param("graph gen --graph", '{"n": 4, "edges": [["a", 1]]}', id="edge-string"),
     pytest.param("graph gen --graph", '{"n": 4, "edges": 5}', id="edges-int"),
-    pytest.param("chain build --graph cycle:4 --chain", '{"n": 4, "rows": ',
+    pytest.param("chain build --graph cycle:4 --chain", '{"n": 4, "entries": ',
                  id="chain-truncated"),
 ])
 def test_malformed_input_file_is_an_input_error(tmp_path, command, content):
@@ -349,7 +371,8 @@ def test_malformed_input_file_is_an_input_error(tmp_path, command, content):
     assert "Traceback" not in err
 
 
-_PATH3_ROWS = [[0.5, 0.5, 0.0], [0.25, 0.5, 0.25], [0.0, 0.5, 0.5]]
+_PATH3_ENTRIES = [[1, 1, 0.5], [1, 2, 0.5], [2, 1, 0.25], [2, 2, 0.5], [2, 3, 0.25],
+                  [3, 2, 0.5], [3, 3, 0.5]]
 
 
 # Each of these once parsed by truncation: n = 3.9 and the ends 1.9, 3.2
@@ -362,9 +385,9 @@ _PATH3_ROWS = [[0.5, 0.5, 0.0], [0.25, 0.5, 0.25], [0.0, 0.5, 0.5]]
     pytest.param("graph gen --graph", {"n": True, "edges": [[1, 2]]}, "graph",
                  id="graph-bool-n"),
     pytest.param("chain analyze --graph path:3 --chain",
-                 {"n": 3.9, "rows": _PATH3_ROWS}, "chain", id="chain-float-n"),
+                 {"n": 3.9, "entries": _PATH3_ENTRIES}, "chain", id="chain-float-n"),
     pytest.param("chain build --graph path:3 --chain",
-                 {"n": "3", "rows": _PATH3_ROWS}, "chain", id="chain-string-n"),
+                 {"n": "3", "entries": _PATH3_ENTRIES}, "chain", id="chain-string-n"),
 ])
 def test_file_numbers_must_be_integers(tmp_path, command, doc, kind):
     path = tmp_path / "input.json"
@@ -380,18 +403,21 @@ def test_file_numbers_must_be_integers(tmp_path, command, doc, kind):
 # row ended in a LinAlgError traceback.
 @pytest.mark.parametrize("command,doc", [
     pytest.param("chain analyze --graph complete:2 --chain",
-                 {"n": 2, "rows": [["0.5", "0.5"], [True, 0.0]]}, id="string-and-bool-rows"),
+                 {"n": 2, "entries": [[1, 1, "0.5"], [1, 2, "0.5"], [2, 1, True], [2, 2, 0.0]]},
+                 id="string-and-bool-rows"),
     pytest.param("chain build --graph complete:2 --chain",
-                 {"n": 2, "rows": [[0.5, 0.5], [True, 0.0]]}, id="bool-row"),
+                 {"n": 2, "entries": [[1, 1, 0.5], [1, 2, 0.5], [2, 1, True], [2, 2, 0.0]]},
+                 id="bool-row"),
     pytest.param("chain analyze --graph path:3 --chain",
-                 {"n": 3, "rows": _PATH3_ROWS, "pi": ["0.25", "0.5", "0.25"]},
+                 {"n": 3, "entries": _PATH3_ENTRIES, "pi": ["0.25", "0.5", "0.25"]},
                  id="string-pi"),
     pytest.param("chain build --graph path:3 --chain",
-                 {"n": 3, "rows": _PATH3_ROWS, "pi": [0.25, 0.5, False]}, id="bool-pi"),
+                 {"n": 3, "entries": _PATH3_ENTRIES, "pi": [0.25, 0.5, False]}, id="bool-pi"),
     pytest.param("chain build --graph complete:2 --chain",
-                 {"n": 2, "rows": [[math.nan, math.nan], [0.5, 0.5]]}, id="nan-row"),
+                 {"n": 2, "entries": [[1, 1, math.nan], [1, 2, math.nan], [2, 1, 0.5],
+                                      [2, 2, 0.5]]}, id="nan-row"),
     pytest.param("chain analyze --graph path:3 --chain",
-                 {"n": 3, "rows": _PATH3_ROWS, "pi": [0.25, math.inf, 0.25]},
+                 {"n": 3, "entries": _PATH3_ENTRIES, "pi": [0.25, math.inf, 0.25]},
                  id="infinite-pi"),
 ])
 def test_chain_file_entries_must_be_numbers(tmp_path, command, doc):
@@ -401,6 +427,24 @@ def test_chain_file_entries_must_be_numbers(tmp_path, command, doc):
     assert code == 1
     assert out == ""
     assert err.startswith("input error: malformed chain document: expected a number")
+
+
+@pytest.mark.parametrize("doc,message", [
+    pytest.param({"n": 3, "entries": [*_PATH3_ENTRIES[:-1], [3, 4, 0.5]]},
+                 "entry [3, 4, 0.5] has a vertex outside 1..3", id="vertex-out-of-range"),
+    pytest.param({"n": 3, "entries": [*_PATH3_ENTRIES, [2, 3, 0.25]]},
+                 "pair (2, 3) is listed twice", id="repeated-pair"),
+    pytest.param({"n": 3, "entries": [*_PATH3_ENTRIES, [1, 3, -0.5]]},
+                 "entry [1, 3, -0.5] is negative", id="negative-entry"),
+    # the dense form that chain build wrote before the entries form
+    pytest.param({"n": 3, "rows": [[0.5, 0.5, 0.0], [0.25, 0.5, 0.25], [0.0, 0.5, 0.5]]},
+                 "malformed chain document: 'entries'", id="rows-document"),
+])
+def test_chain_file_entries_are_checked(tmp_path, doc, message):
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli("chain", "analyze", "--graph", "path:3", "--chain", str(path))
+    assert (code, out, err) == (1, "", f"input error: {message}\n")
 
 
 def test_bench_config_unknown_key_is_an_input_error(tmp_path):
@@ -471,8 +515,9 @@ def test_bound_from_graph():
 
 
 # sigma = 180, so eps = sigma/(2n) = 30 leaves no default mixing time
-_HETEROGENEOUS_CHAIN = {"n": 3, "rows": [[0.975, 0.025, 0.0], [0.45, 0.5, 0.05],
-                                         [0.0, 0.5, 0.5]]}
+_HETEROGENEOUS_CHAIN = {"n": 3, "entries": [[1, 1, 0.975], [1, 2, 0.025], [2, 1, 0.45],
+                                            [2, 2, 0.5], [2, 3, 0.05], [3, 2, 0.5],
+                                            [3, 3, 0.5]]}
 
 
 def test_heterogeneous_chain_with_explicit_T_L(tmp_path):
