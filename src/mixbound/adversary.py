@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chains import TransitionMatrix, Walk, _sample_tails, make_walk
+from .chains import TransitionMatrix, Walk, _distinct, _sample_tails, make_walk
 from .errors import DEFAULT_CAPS, CapabilityError, InputError
 from .graphs import _bfs
 from .staircase import (
@@ -179,7 +179,9 @@ class _PairTable:
     """The pairs of good opposite-bit instances of a family as arrays:
     rows are the good bit-0 instances, columns the good bit-1 ones. The
     weight and the difference set are symmetric in the pair, so this half
-    stands for both orders."""
+    stands for both orders. Every pair-shaped array takes O(1) bytes per
+    pair: J and ids a byte or two, and diff n bits, packed eight columns
+    to a byte (read it with np.unpackbits(diff, axis=-1, count=cols.size))."""
 
     walks: np.ndarray  # (family size, L + 1) walk vertices
     rows: np.ndarray  # family positions of the good bit-0 instances
@@ -187,7 +189,7 @@ class _PairTable:
     J: np.ndarray  # (rows, cols) shared head index, narrowest unsigned dtype
     values: np.ndarray  # the distinct relation weights, ascending
     ids: np.ndarray  # (rows, cols) index of each pair's weight in values
-    diff: np.ndarray  # (n, rows, cols): the decision functions differ at v
+    diff: np.ndarray  # (n, rows, ceil(cols / 8)) packed bits: the decision functions differ at v
     mass: tuple[float, ...]  # relation mass of each instance, family order
 
     @property
@@ -241,7 +243,7 @@ def _pair_table(family: FunctionFamily) -> _PairTable:
     blocks = [slice(i, i + step) for i in range(0, rows.size, step)]
     values = np.zeros(0)
     for b in blocks:
-        values = np.union1d(values, weights(b))
+        values = _distinct(np.concatenate((values, weights(b).ravel())))
     width = values.size
     ids = np.empty(J.shape, dtype=np.min_scalar_type(max(width - 1, 0)))
     for b in blocks:
@@ -251,12 +253,17 @@ def _pair_table(family: FunctionFamily) -> _PairTable:
     for members, cells in ((rows, ids), (cols, ids.T)):
         counts = np.array([np.bincount(c, minlength=width) for c in cells], dtype=np.int64)
         mass[members] = _grouped_fsums(values, counts.reshape(members.size, width))
-    last = _last_occurrence(walks, family.chain.n)
-    # C order, so that _distinguishing reads each vertex's cells in one run
-    diff = np.empty((family.chain.n, rows.size, cols.size), dtype=bool)
-    np.not_equal(last[rows].T[:, :, None], last[cols].T[:, None, :], out=diff)
-    # A shared end is told apart by its tag; distinct ends already differ.
-    diff[walks[rows, -1] - 1, np.arange(rows.size)] = True
+    n = family.chain.n
+    last = _last_occurrence(walks, n)
+    ends = walks[rows, -1] - 1
+    # One vertex at a time, so that only one (rows, cols) bool array exists.
+    diff = np.empty((n, rows.size, -(-cols.size // 8)), dtype=np.uint8)
+    told = np.empty((rows.size, cols.size), dtype=bool)
+    for v in range(n):
+        np.not_equal(last[rows, v, None], last[cols, v], out=told)
+        # A shared end is told apart by its tag; distinct ends already differ.
+        told[ends == v] = True
+        diff[v] = np.packbits(told, axis=-1)
     return _PairTable(walks=walks, rows=rows, cols=cols, J=J, values=values,
                       ids=ids, diff=diff, mass=tuple(mass.tolist()))
 
@@ -291,7 +298,7 @@ def relation_mass(Z, X: FunctionFamily) -> MassResult:
 
 
 # Pair cells in one block, when the weights are indexed and when q is
-# counted; a block's counting keys take n * 8 bytes per cell.
+# counted; a block's unpacked flags take n bytes per cell.
 _SUM_BLOCK_CELLS = 1 << 14
 
 
@@ -320,21 +327,24 @@ def _distinguishing(table: _PairTable, inside: np.ndarray) -> DistinguishingMass
     (a mask over the family) that are told apart at the vertex. Each sum
     is counted per distinct weight and rounded once by _grouped_fsums, so
     it is exactly rounded, and doubling the half-table sum counts both
-    orders bit for bit. A zero weight adds nothing to a sum."""
-    n, width = len(table.diff), table.values.size
-    keep = (inside[table.rows, None] & inside[table.cols]).ravel()
-    told = table.diff.reshape(n, -1)
-    ids = table.ids.ravel()
-    # counts[v * width + k]: kept cells told apart at vertex v + 1 whose
-    # weight is values[k]; counts add exactly across blocks
-    offsets = (width * np.arange(n))[:, None]
-    counts = np.zeros(n * width, dtype=np.int64)
-    for s in range(0, ids.size, _SUM_BLOCK_CELLS):
-        b = slice(s, s + _SUM_BLOCK_CELLS)
-        counts += np.bincount((offsets + ids[b])[told[:, b] & keep[b]],
-                              minlength=counts.size)
-    per_vertex = tuple(2.0 * total for total in
-                       _grouped_fsums(table.values, counts.reshape(n, width)))
+    orders bit for bit. A zero weight adds nothing to a sum. The flags
+    are unpacked a block of whole rows at a time, one byte per cell and
+    vertex, so memory beyond the table stays O(_SUM_BLOCK_CELLS * n)
+    bytes."""
+    n, width, cols = len(table.diff), table.values.size, table.cols.size
+    keep_rows, keep_cols = inside[table.rows], inside[table.cols]
+    # counts[v, k]: kept cells told apart at vertex v + 1 whose weight is
+    # values[k]; counts add exactly across blocks
+    counts = np.zeros((n, width), dtype=np.int64)
+    step = max(1, _SUM_BLOCK_CELLS // max(cols, 1))
+    for s in range(0, table.rows.size, step):
+        b = slice(s, s + step)
+        told = np.unpackbits(table.diff[:, b], axis=-1, count=cols).view(bool)
+        told &= keep_rows[b, None] & keep_cols
+        ids = table.ids[b]
+        for v in range(n):
+            counts[v] += np.bincount(ids[told[v]], minlength=width)
+    per_vertex = tuple(2.0 * total for total in _grouped_fsums(table.values, counts))
     best = max(per_vertex)
     return DistinguishingMass(q=best, argmax_vertex=per_vertex.index(best) + 1,
                               per_vertex=per_vertex)

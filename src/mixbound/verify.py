@@ -10,7 +10,6 @@ CLI exposes the suite as `mixbound verify`.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import asdict, dataclass
@@ -252,7 +251,8 @@ def check_a5_difference_localization(ctx: _Context) -> Outcome:
     """(i) Two distinct-walk functions can only disagree inside the two
     tails after their shared head; (ii) the per-vertex distinguishing mass
     is at most twice the weight of pairs whose second tail covers the
-    vertex. Exhaustive over the micro-systems."""
+    vertex. Exhaustive over the micro-systems, one vertex at a time, so
+    every pair-shaped array is 2-D: O(pairs) bytes with no factor of n."""
     pair_count = 0
     for P, params in ctx.micro_systems():
         T = params.T
@@ -265,26 +265,32 @@ def check_a5_difference_localization(ctx: _Context) -> Outcome:
         wid = np.array([index.setdefault(inst.walk.vertices, len(index))
                         for inst in insts])
         walks = list(index)
-        J = np.zeros((len(walks), len(walks)), dtype=np.int64)
-        # triu_indices runs row-major, in the order of combinations
-        J[np.triu_indices(len(walks), 1)] = [
-            st.shared_head_index(a, b, T) for a, b in itertools.combinations(walks, 2)]
+        J = np.zeros((len(walks), len(walks)), dtype=np.int32)
+        for w, x in enumerate(walks):  # row by row, in the order of combinations
+            J[w, w + 1:] = [st.shared_head_index(x, y, T) for y in walks[w + 1:]]
         J += J.T
+        head_end = J * T
         # equal decision values get equal codes
         codes: dict = {}
         decisions = np.array([[codes.setdefault(inst.decision_value(v), len(codes))
                                for v in range(1, P.n + 1)] for inst in insts])
-        # v lies in tail(a, J, T) or tail(b, J, T) iff its last occurrence
-        # in a or in b comes after position J*T
-        last = adv._last_occurrence(np.array(walks, dtype=np.int64), P.n)[wid]
-        head_end = (J * T)[wid[:, None], wid][:, :, None]
-        outside = (last[:, None, :] <= head_end) & (last[None, :, :] <= head_end)
-        distinct = (wid[:, None] != wid)[:, :, None]
-        escaped = (decisions[:, None, :] != decisions[None, :, :]) & outside & distinct
+        last = adv._last_occurrence(np.array(walks, dtype=np.int64), P.n).astype(np.int32)
         pair_count += len(insts) ** 2 - int((np.bincount(wid) ** 2).sum())
-        if escaped.any():
-            # the first (a, b, v) in row-major order, i.e. itertools.product order
-            i, k, v = np.unravel_index(int(np.argmax(escaped)), escaped.shape)
+        first = None  # the least failing (i, k, v): the first in row-major order
+        for v in range(P.n):
+            # v lies in tail(a, J, T) or tail(b, J, T) iff its last
+            # occurrence in a or in b comes after position J*T
+            outside = last[:, v, None] <= head_end
+            outside &= last[:, v] <= head_end
+            np.fill_diagonal(outside, False)  # distinct walks only
+            escaped = outside[wid[:, None], wid]
+            escaped &= decisions[:, v, None] != decisions[:, v]
+            if escaped.any():
+                i, k = np.unravel_index(int(np.argmax(escaped)), escaped.shape)
+                if first is None or (i, k) < first[:2]:
+                    first = (i, k, v)
+        if first is not None:
+            i, k, v = first
             a, b = insts[i], insts[k]
             return _fail("difference outside the two tails",
                          {"x": list(a.walk.vertices), "y": list(b.walk.vertices),
@@ -294,10 +300,14 @@ def check_a5_difference_localization(ctx: _Context) -> Outcome:
         # adds its weight to the vertices of k's tail after the shared head
         table = adv._pair_table(family)
         last = adv._last_occurrence(table.walks, P.n)
-        head_end = (table.J.astype(np.int64) * T)[:, :, None]
-        covered = ((last[table.cols][None] > head_end).astype(float)
-                   + (last[table.rows][:, None] > head_end))
-        rhs = (table.r[:, :, None] * covered).sum(axis=(0, 1))
+        head_end = table.J.astype(np.int64) * T
+        r = table.r
+        rhs = np.zeros(P.n)
+        for v in range(P.n):
+            covered = ((last[table.cols, v] > head_end).astype(float)
+                       + (last[table.rows, v, None] > head_end))
+            if r.size:  # added one pair at a time in row-major order
+                rhs[v] = np.add.accumulate((r * covered).ravel())[-1]
         per_vertex = np.array(
             adv._distinguishing(table, np.ones(len(family), dtype=bool)).per_vertex)
         if np.any(per_vertex > 2.0 * rhs + 1e-12):
@@ -512,7 +522,8 @@ def check_chain_construction(ctx: _Context) -> Outcome:
 
 def check_adversary_symmetry(ctx: _Context) -> Outcome:
     """The relation is exactly symmetric, zero on the diagonal, zero for
-    equal bits, and zero when either walk is bad."""
+    equal bits, and zero when either walk is bad. The condition masks are
+    built one at a time, each ORed into one failing mask."""
     pairs = 0
     for P, params in ctx.micro_systems():
         family = adv.enumerate_family(P, params)
@@ -527,16 +538,19 @@ def check_adversary_symmetry(ctx: _Context) -> Outcome:
         nonzero = R != 0.0
         # in the order each pair is tested: the first message that applies
         conditions = [
-            ("relation not symmetric", R != R.T),
-            ("relation nonzero on the diagonal", np.eye(len(insts), dtype=bool) & nonzero),
-            ("relation nonzero for equal bits", (bits[:, None] == bits) & nonzero),
-            ("relation nonzero for a bad walk", ~(good[:, None] & good) & nonzero),
+            ("relation not symmetric", lambda: R != R.T),
+            ("relation nonzero on the diagonal",
+             lambda: np.eye(len(insts), dtype=bool) & nonzero),
+            ("relation nonzero for equal bits", lambda: (bits[:, None] == bits) & nonzero),
+            ("relation nonzero for a bad walk", lambda: ~(good[:, None] & good) & nonzero),
         ]
-        failing = np.logical_or.reduce([mask for _, mask in conditions])
+        failing = np.zeros(R.shape, dtype=bool)
+        for _, mask in conditions:
+            failing |= mask()
         if failing.any():
             i, k = np.unravel_index(int(np.argmax(failing)), failing.shape)
             a, b = insts[i], insts[k]
-            message = next(message for message, mask in conditions if mask[i, k])
+            message = next(message for message, mask in conditions if mask()[i, k])
             pair = {"x": list(a.walk.vertices), "y": list(b.walk.vertices)}
             if message == "relation nonzero on the diagonal":
                 pair = {"x": pair["x"]}

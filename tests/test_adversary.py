@@ -10,8 +10,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
 import mixbound as mb
-from mixbound.adversary import (_credited_mean, _difference_counts, _grouped_fsums,
-                                _last_occurrence, _pair_table, _redraw, ratio_floor)
+from mixbound.adversary import (_credited_mean, _difference_counts, _distinguishing,
+                                _grouped_fsums, _last_occurrence, _pair_table, _redraw,
+                                _SUM_BLOCK_CELLS, ratio_floor)
 from mixbound.chains import _sample_tails
 from mixbound.graphs import _bfs
 from mixbound.errors import CapabilityError, InputError
@@ -212,7 +213,8 @@ def test_q_linear_in_relation(k3_family):
     table = _pair_table(k3_family)
     dm = mb.distinguishing_mass(k3_family)
     doubled = {}
-    for (v, a, b), told_apart in np.ndenumerate(table.diff):
+    diff = np.unpackbits(table.diff, axis=-1, count=table.cols.size)
+    for (v, a, b), told_apart in np.ndenumerate(diff):
         if told_apart:  # a table entry stands for both orders of its pair
             doubled[v + 1] = doubled.get(v + 1, 0.0) + 2 * 2.0 * table.r[a, b]
     assert max(doubled.values()) == pytest.approx(2 * dm.q, abs=1e-15)
@@ -310,8 +312,7 @@ def test_grouped_fsums_of_nothing_is_zero():
 
 
 def test_exact_lower_bound_memory():
-    # the table is about pairs * (n + 9) bytes and building the weights
-    # about pairs * 24; pairs * (n + 32) leaves slack above both
+    # a loose bound; the test below holds the peak to pairs * (n/8 + 8)
     P = mb.lazy_simple_walk(mb.complete_graph(6))
     params = mb.custom_params(P, T=2, L=4)
     table = _pair_table(mb.enumerate_family(P, params))
@@ -328,20 +329,24 @@ def test_exact_lower_bound_memory():
 
 def test_exact_lower_bound_holds_no_pairs_sized_weights():
     # the head index and the weight ids take a byte per pair and the
-    # difference flags n; the weights are built a block of rows at a time
-    P = mb.lazy_simple_walk(mb.complete_graph(6))
-    params = mb.custom_params(P, T=2, L=4)
-    table = _pair_table(mb.enumerate_family(P, params))
-    pairs = table.rows.size * table.cols.size
-    assert table.J.dtype == table.ids.dtype == np.uint8
-    del table
-    tracemalloc.start()
-    try:
-        mb.exact_lower_bound(P, params)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= pairs * (P.n + 8)
+    # difference flags n bits; the weights are built a block of rows at a
+    # time and the flags filled one vertex at a time. With a byte of flags
+    # per vertex, K6 peaked at 13.1 bytes per pair and K12 at 18.5.
+    for n, T, L in ((6, 2, 4), (12, 1, 3)):
+        P = mb.lazy_simple_walk(mb.complete_graph(n))
+        params = mb.custom_params(P, T=T, L=L)
+        table = _pair_table(mb.enumerate_family(P, params))
+        pairs = table.rows.size * table.cols.size
+        assert table.J.dtype == table.ids.dtype == table.diff.dtype == np.uint8
+        assert table.diff.shape == (n, table.rows.size, math.ceil(table.cols.size / 8))
+        del table
+        tracemalloc.start()
+        try:
+            mb.exact_lower_bound(P, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= pairs * (math.ceil(n / 8) + 8)
 
 
 def test_exact_pair_cap_refuses(monkeypatch):
@@ -395,6 +400,42 @@ def test_exact_golden_outputs(name, block_cells, monkeypatch):
     want_exact, want_ratio = EXACT_GOLDEN[name]
     assert repr((report.M, report.q, report.argmax_vertex, per_vertex)) == want_exact
     assert repr(mb.ratio_property_check(P, params, subsets=200, seed=0)) == want_ratio
+
+
+def _told_apart_by_loops(table, n: int) -> dict:
+    """{(a, b): vertices told apart}, cell by cell: v's last occurrence
+    differs, or both walks end at v and their tags (bits) differ."""
+    walks = table.walks.tolist()
+    last = [{x: t for t, x in enumerate(w)} for w in walks]
+    told = {}
+    for (a, i), (b, k) in itertools.product(enumerate(table.rows.tolist()),
+                                            enumerate(table.cols.tolist())):
+        told[a, b] = [v for v in range(1, n + 1)
+                      if last[i].get(v, -1) != last[k].get(v, -1)
+                      or walks[i][-1] == walks[k][-1] == v]
+    return told
+
+
+@pytest.mark.parametrize("name", ["K3", "K4", "cycle7", "metropolis6"])
+def test_packed_flags_equal_a_loop_over_cells(name, monkeypatch):
+    # column counts 2, 96, 26 and 60: three leave padding bits in the last byte
+    P, params = _exact_system(name)
+    family = mb.enumerate_family(P, params)
+    table = _pair_table(family)
+    told = _told_apart_by_loops(table, P.n)
+    rng = np.random.default_rng(0)
+    masks = [np.ones(len(family), dtype=bool)] + [
+        rng.random(len(family)) < p for p in (0.3, 0.6, 0.9)]
+    for inside in masks:
+        want = [[] for _ in range(P.n)]
+        for (a, b), vertices in told.items():
+            if inside[table.rows[a]] and inside[table.cols[b]]:
+                for v in vertices:
+                    want[v - 1].append(float(table.r[a, b]))
+        want = tuple(2.0 * math.fsum(terms) for terms in want)
+        for cells in (1, 7, _SUM_BLOCK_CELLS):
+            monkeypatch.setattr("mixbound.adversary._SUM_BLOCK_CELLS", cells)
+            assert _distinguishing(table, inside).per_vertex == want
 
 
 def test_exact_lower_bound_degenerate():

@@ -1,8 +1,13 @@
 import gc
+import os
+import subprocess
+import sys
+import tracemalloc
 import weakref
 
 import pytest
 
+import mixbound
 from mixbound import adversary as adv
 from mixbound import chains as ch
 from mixbound import graphs as gr
@@ -83,13 +88,19 @@ def test_pair_checks_golden():
     # the faulty instance is y of an earlier pair
     ((1, 2, 2), 3, {"x": [1, 1, 1], "y": [1, 2, 2], "bits": [0, 0],
                     "vertex": 3, "J": 0}),
+    # two faults on K4 (walks, then their vertices): the first pair in
+    # row-major order differs at vertex 4, a later pair already at vertex 2
+    pytest.param(((1, 1, 1, 1, 1), (1, 1, 1, 1, 3)), (4, 2),
+                 {"x": [1, 1, 1, 1, 1], "y": [1, 1, 1, 1, 2], "bits": [0, 0],
+                  "vertex": 4, "J": 1}, id="K4-two-faults"),
 ])
 def test_a5_catches_difference_outside_tails(monkeypatch, walk, vertex, expected):
     original = st.StaircaseInstance.decision_value
+    faults = set(zip(walk, vertex)) if isinstance(vertex, tuple) else {(walk, vertex)}
 
     def faulty(self, v):
         val, tag = original(self, v)
-        if self.walk.vertices == walk and self.bit == 0 and v == vertex:
+        if (self.walk.vertices, v) in faults and self.bit == 0:
             return val, 1
         return val, tag
 
@@ -110,6 +121,11 @@ def test_a5_catches_difference_outside_tails(monkeypatch, walk, vertex, expected
      "relation nonzero for equal bits", {"x": [1, 2, 3], "y": [1, 3, 2]}),
     ([(((1, 1, 2), 0), ((1, 2, 3), 1)), (((1, 2, 3), 1), ((1, 1, 2), 0))], 0.5,
      "relation nonzero for a bad walk", {"x": [1, 1, 2], "y": [1, 2, 3]}),
+    # two faults: the earlier pair carries the later message
+    pytest.param([(((1, 1, 2), 0), ((1, 2, 3), 1)), (((1, 2, 3), 1), ((1, 1, 2), 0)),
+                  (((1, 2, 3), 0), ((1, 3, 2), 1))], 0.5,
+                 "relation nonzero for a bad walk", {"x": [1, 1, 2], "y": [1, 2, 3]},
+                 id="bad-walk-before-asymmetry"),
 ])
 def test_symmetry_catches_faulty_relation(monkeypatch, faulty_pairs, shift,
                                           details, expected):
@@ -126,6 +142,48 @@ def test_symmetry_catches_faulty_relation(monkeypatch, faulty_pairs, shift,
     assert not result.passed
     assert result.details == details
     assert result.counterexample == expected
+
+
+@pytest.mark.parametrize("check, multiple", [
+    ("A5_difference_localization", 8), ("adversary_symmetry", 16)])
+def test_pair_checks_hold_no_vertex_sized_pair_arrays(check, multiple):
+    # pair masks are built one vertex and one condition at a time: A5 peaks
+    # at about 5.3 size**2 bytes on K4 (23.7 with (size, size, n) masks),
+    # the symmetry check at about 12.7 (19.2 with all four masks held),
+    # most of it the float64 relation matrix R
+    ctx = _Context(VerifyCaps(), seed=0)
+    ctx._micro_systems = ctx.micro_systems()[1:]  # K4 at default parameters
+    size = len(adv.enumerate_family(*ctx.micro_systems()[0]))
+    run = CHECKS[check][1]
+    assert run(ctx)[0]  # caches warm, so only the check is measured
+    tracemalloc.start()
+    try:
+        assert run(ctx)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= multiple * size ** 2
+
+
+def test_library_never_imports_numpy_ma():
+    # plain np.unique and np.union1d import numpy.ma on their first call
+    # (about 10 ms and 1.2 MB); the verify suite, the exact adversary and a
+    # chain file round trip must not
+    code = """
+import sys
+import mixbound as mb
+from mixbound.verify import run_verify
+run_verify(seed=0)
+P = mb.lazy_simple_walk(mb.complete_graph(6))
+mb.exact_lower_bound(P, mb.custom_params(P, T=2, L=4))
+mb.chain_from_json(mb.chain_to_json(P))
+print("numpy.ma" in sys.modules)
+"""
+    src = os.path.dirname(os.path.dirname(mixbound.__file__))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="ignore")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.split() == ["False"]
 
 
 def test_b1_catches_lambda2_off_the_dense_reference(monkeypatch):
