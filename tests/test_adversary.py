@@ -312,7 +312,7 @@ def test_grouped_fsums_of_nothing_is_zero():
 
 
 def test_exact_lower_bound_memory():
-    # a loose bound; the test below holds the peak to pairs * (n/8 + 8)
+    # a loose bound; the test below holds the peak to pairs * (ceil(n / 8) + 8)
     P = mb.lazy_simple_walk(mb.complete_graph(6))
     params = mb.custom_params(P, T=2, L=4)
     table = _pair_table(mb.enumerate_family(P, params))
@@ -391,7 +391,7 @@ EXACT_GOLDEN = {
     *(pytest.param(name, None, id=name) for name in EXACT_GOLDEN),
     *(pytest.param(name, 7, id=f"{name}-block7") for name in EXACT_GOLDEN)])
 def test_exact_golden_outputs(name, block_cells, monkeypatch):
-    # q sums are the same whether a block holds many rows or part of one
+    # q sums are the same whether a block holds many rows or one
     if block_cells is not None:
         monkeypatch.setattr("mixbound.adversary._SUM_BLOCK_CELLS", block_cells)
     P, params = _exact_system(name)
