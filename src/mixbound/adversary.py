@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -102,31 +103,81 @@ _UNDERFLOW = ("a head probability underflows to 0.0: the relation weight "
               "p(x) p(y) / p(shared head) cannot be computed in floats")
 
 
+class _Relation(NamedTuple):
+    """What the relation reads of a list of instances, one row each."""
+
+    walks: np.ndarray  # (size, L + 1) walk vertices
+    bits: np.ndarray  # hidden bits
+    good: np.ndarray  # the milestones at params.T are all distinct
+    heads: np.ndarray  # (size, m + 1): heads[i, j] the probability of the head through milestone j
+    ids: np.ndarray  # (size, m): ids[:, j - 1] equal iff the heads through milestone j are
+
+    def take(self, index) -> _Relation:
+        """The rows at index, an integer array or a slice."""
+        return _Relation(*(a[index] for a in self))
+
+
+def _relation_arrays(instances) -> _Relation:
+    """The relation's arrays for instances of one chain and one parameter
+    set. The heads come from one _milestone_heads call on the 2-D walks,
+    so heads[i, j] equals the probability of row i's head through
+    milestone j bit for bit, and heads[i, m] its walk's probability."""
+    first = instances[0]
+    T, m, L = first.params.T, first.params.m, first.params.L
+    walks = np.array([inst.walk.vertices for inst in instances],
+                     dtype=np.int64).reshape(len(instances), L + 1)
+    bits = np.array([inst.bit for inst in instances], dtype=np.int8)
+    ids = np.empty((len(instances), m), dtype=np.min_scalar_type(len(instances)))
+    for j in range(1, m + 1):
+        # this form of np.unique does not import numpy.ma
+        ids[:, j - 1] = np.unique(walks[:, :j * T + 1], axis=0, return_inverse=True)[1].reshape(-1)
+    return _Relation(walks, bits, _good_rows(walks, T),
+                     _milestone_heads(first.chain, walks, T), ids)
+
+
+def _head_index(A: _Relation, B: _Relation) -> np.ndarray:
+    """J[a, b]: the shared head index of row a of A and row b of B, as
+    shared_head_index finds it, in the narrowest unsigned dtype. Heads
+    through milestone j are equal iff their ids are, and equal heads
+    through j imply equal heads before it, so J counts the equal ids."""
+    m = A.ids.shape[1]
+    J = np.zeros((len(A.bits), len(B.bits)), dtype=np.min_scalar_type(m))
+    for j in range(m):
+        J += A.ids[:, j, None] == B.ids[:, j]
+    return J
+
+
+def _relation_block(A: _Relation, B: _Relation) -> tuple[np.ndarray, np.ndarray]:
+    """(J, r) for every row a of A against every row b of B: J from
+    _head_index and r the relation weight p(a) p(b) / p(shared head),
+    computed in that order. r is 0.0 where the bits are equal, where
+    J = m (the same walk) or where either walk is bad; elsewhere the pair
+    is related, and a related pair whose shared head underflowed to 0.0
+    raises CapabilityError. The library's only relation path."""
+    J = _head_index(A, B)
+    related = A.bits[:, None] != B.bits
+    related &= J < A.ids.shape[1]
+    related &= A.good[:, None] & B.good
+    shared = np.take_along_axis(B.heads.T, J, 0)
+    shared[~related] = np.inf  # so that an unrelated pair's weight is 0.0
+    if np.any(shared == 0.0):
+        raise CapabilityError(_UNDERFLOW)
+    r = A.heads[:, -1, None] * B.heads[:, -1]
+    r /= shared
+    return J, r
+
+
 def relation_weight(a: StaircaseInstance, b: StaircaseInstance) -> float:
-    """Similarity weight r between two instances; exactly symmetric because
-    the shared head is the same sequence in both walks. A shared head whose
-    probability underflowed to 0.0 raises CapabilityError."""
+    """Similarity weight r between two instances, the one cell of
+    _relation_block; exactly symmetric because the shared head is the same
+    sequence in both walks. A shared head whose probability underflowed to
+    0.0 raises CapabilityError."""
     if a.params is not b.params and a.params != b.params:
         raise InputError("instances come from different parameter sets")
     if a.walk.chain is not b.walk.chain:
         raise InputError("instances come from different chains")
-    if a.bit == b.bit or a.walk.vertices == b.walk.vertices:
-        return 0.0
-    x = a.relation_data
-    if not x.good:
-        return 0.0
-    y = b.relation_data
-    if not y.good:
-        return 0.0
-    # the shared head index, as shared_head_index finds it
-    j = 0
-    for seg_x, seg_y in zip(x.segments, y.segments):
-        if seg_x != seg_y:
-            break
-        j += 1
-    if y.heads[j] == 0.0:
-        raise CapabilityError(_UNDERFLOW)
-    return x.heads[-1] * y.heads[-1] / y.heads[j]
+    rel = _relation_arrays((a, b))
+    return float(_relation_block(rel.take([0]), rel.take([1]))[1][0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -200,39 +251,27 @@ class _PairTable:
 
 def _pair_table(family: FunctionFamily) -> _PairTable:
     """Build the pair table of a family. Refuses before allocating any
-    pair array when the good instances squared pass EXACT_PAIR_CAP. Heads
-    and head ids are formed for the good instances only, the table's rows
-    and columns; a head of one that underflowed to 0.0 raises
-    CapabilityError before any weight is divided."""
-    T, m, L = family.params.T, family.params.m, family.params.L
+    pair array when the good instances squared pass EXACT_PAIR_CAP, and
+    before any weight is divided when a head of a good instance underflowed
+    to 0.0. J and the weights come from _relation_block, a block of rows
+    against all columns at a time."""
     size = len(family)
-    walks = np.array([inst.walk.vertices for inst in family.instances],
-                     dtype=np.int64).reshape(size, L + 1)
-    bits = np.array([inst.bit for inst in family.instances])
-    good = _good_rows(walks, T)
-    pairs = int(good.sum()) ** 2
+    rel = _relation_arrays(family.instances)
+    pairs = int(rel.good.sum()) ** 2
     if pairs > EXACT_PAIR_CAP:
         raise CapabilityError(
             f"exact pair table needs {pairs} pair evaluations, over the cap "
             f"{EXACT_PAIR_CAP}; use the Monte Carlo estimator")
-    rows = np.flatnonzero(good & (bits == 0))
-    cols = np.flatnonzero(good & (bits == 1))
-    members = walks[np.concatenate((rows, cols))]  # the rows' walks, then the cols'
-    heads = _milestone_heads(family.chain, members, T)
-    if np.any(heads == 0.0):
+    rows = np.flatnonzero(rel.good & (rel.bits == 0))
+    cols = np.flatnonzero(rel.good & (rel.bits == 1))
+    if np.any(rel.heads[rel.good] == 0.0):
         raise CapabilityError(_UNDERFLOW)
-    # Heads through milestone j are equal iff their ids are, and equal
-    # heads through j imply equal heads before it.
-    J = np.zeros((rows.size, cols.size), dtype=np.min_scalar_type(m))
-    for j in range(1, m + 1):
-        head_ids = np.unique(members[:, :j * T + 1], axis=0, return_inverse=True)[1].reshape(-1)
-        J += head_ids[:rows.size, None] == head_ids[rows.size:]
-    # row_probs: the rows' walk probabilities; col_heads[j]: the cols' heads through j
-    row_probs, col_heads = heads[:rows.size, -1], heads[rows.size:].T
+    row_rel, col_rel, walks = rel.take(rows), rel.take(cols), rel.walks
+    del rel
+    J = np.empty((rows.size, cols.size), dtype=np.min_scalar_type(family.params.m))
 
     def weights(b: slice) -> np.ndarray:
-        r = row_probs[b, None] * col_heads[-1] / np.take_along_axis(col_heads, J[b], 0)
-        r[J[b] == m] = 0.0  # the same walk under both bits
+        J[b], r = _relation_block(row_rel.take(b), col_rel)
         return r
 
     # A family's weights take few distinct values, so the table keeps each
@@ -248,6 +287,7 @@ def _pair_table(family: FunctionFamily) -> _PairTable:
     ids = np.empty(J.shape, dtype=np.min_scalar_type(max(width - 1, 0)))
     for b in blocks:
         ids[b] = np.searchsorted(values, weights(b))
+    del weights, row_rel, col_rel  # from here on only the walks are read
     # the mass of an instance sums its row or its column of weights
     mass = np.zeros(size)
     for members, cells in ((rows, ids), (cols, ids.T)):
@@ -311,8 +351,13 @@ def _grouped_fsums(values: np.ndarray, counts: np.ndarray) -> list[float]:
     counts = np.asarray(counts, dtype=np.int64)
     digits = np.arange(int(counts.max(initial=0)).bit_length())
     terms = np.ldexp(np.asarray(values, dtype=float)[:, None], digits)
-    return [math.fsum(terms[(row[:, None] >> digits) & 1 == 1].tolist())
-            for row in counts]
+    # the digits of a block of rows at once, about _SUM_BLOCK_CELLS of them
+    step = max(1, _SUM_BLOCK_CELLS // max(terms.size, 1))
+    sums = []
+    for s in range(0, len(counts), step):
+        picked = (counts[s:s + step, :, None] >> digits) & 1 == 1
+        sums += [math.fsum(terms[row].tolist()) for row in picked]
+    return sums
 
 
 @dataclass(frozen=True)
@@ -418,38 +463,75 @@ def ratio_property_check(P: TransitionMatrix, params: StaircaseParams,
                          subsets: int, seed,
                          cap: int = DEFAULT_CAPS["enumeration"]) -> RatioCheckResult:
     """Check M(Z)/q(Z) against the theoretical floor on random subsets Z
-    of the enumerated family with q(Z) > 0."""
+    of the enumerated family with q(Z) > 0. Each attempt draws the subset
+    size with rng.integers, then its members with rng.choice; a draw with
+    q(Z) = 0 is rejected, and the check gives up after max(20 * subsets,
+    100) attempts.
+
+    q is counted for a chunk of at most max(1, _SUM_BLOCK_CELLS // size)
+    draws at once. The packed flags are unpacked once, into the cells told
+    apart at each vertex, sorted by weight id; a chunk's counts[s, v, k],
+    the cells inside draw s told apart at vertex v + 1 with weight
+    values[k], are integer sums (np.add.reduceat) over each id's run of
+    the chunk's (cells, draws) inside mask. Each q is then rounded once by
+    _grouped_fsums, as _distinguishing rounds it, so the result equals one
+    _distinguishing call per draw bit for bit. Beyond the table, memory is
+    O(n * pairs) for the sorted cells and O(chunk * pairs) bytes per chunk."""
     subsets = _check_count("subsets", subsets)
     family = enumerate_family(P, params, cap=cap)
     table = _pair_table(family)
     threshold = ratio_floor(params)
     rng = np.random.default_rng(seed)
     size = len(family)
-    checked = 0
+    mass = np.array(table.mass)
+    n, width = len(table.diff), table.values.size
+    # groups[v]: the flat (row, col) cells told apart at vertex v + 1 in
+    # order of weight id, where each id's run starts, and that id
+    flat_ids = table.ids.ravel()
+    by_id = np.argsort(flat_ids, kind="stable")
+    told = np.unpackbits(table.diff, axis=-1, count=table.cols.size).view(bool)
+    groups = []
+    for flags in told.reshape(n, -1):
+        cells = by_id[flags[by_id]]
+        starts = np.flatnonzero(np.diff(flat_ids[cells], prepend=-1))
+        groups.append((cells, starts, flat_ids[cells[starts]]))
+    del told
+    step = max(1, _SUM_BLOCK_CELLS // size)
+    checked = attempts = worst_size = 0
     min_ratio = math.inf
-    worst_size = 0
-    attempts = 0
     max_attempts = max(subsets * 20, 100)
     while checked < subsets:
-        attempts += 1
-        if attempts > max_attempts:
+        # no more draws than could be needed or allowed
+        chunk = min(step, subsets - checked, max_attempts - attempts)
+        if chunk == 0:
             if checked == 0:
                 raise CapabilityError(
                     f"no subset with positive q found in {max_attempts} draws")
             break
-        k = int(rng.integers(2, size + 1))
-        members = rng.choice(size, size=k, replace=False)
-        inside = np.zeros(size, dtype=bool)
-        inside[members] = True
-        q = _distinguishing(table, inside).q
-        if q <= 0.0:
-            continue
-        m_total = math.fsum(table.mass[i] for i in members.tolist())
-        ratio = m_total / q
-        checked += 1
-        if ratio < min_ratio:
-            min_ratio = ratio
-            worst_size = k
+        attempts += chunk
+        # per attempt, as before the draws were chunked: the size, then the members
+        draws = [rng.choice(size, size=int(rng.integers(2, size + 1)), replace=False)
+                 for _ in range(chunk)]
+        inside = np.zeros((chunk, size), dtype=bool)
+        for s, members in enumerate(draws):
+            inside[s, members] = True
+        # pairs[c, s]: cell c has both instances inside draw s
+        pairs = inside[:, table.rows].T[:, None] & inside[:, table.cols].T
+        pairs = pairs.reshape(-1, chunk)
+        counts = np.zeros((chunk, n, width), dtype=np.int64)
+        for v, (cells, starts, ks) in enumerate(groups):
+            if cells.size:
+                counts[:, v, ks] = np.add.reduceat(pairs[cells], starts, axis=0, dtype=np.int64).T
+        sums = _grouped_fsums(table.values, counts.reshape(chunk * n, width))
+        for s, members in enumerate(draws):
+            q = 2.0 * max(sums[s * n:(s + 1) * n])  # both orders of each cell
+            if q <= 0.0:
+                continue
+            ratio = math.fsum(mass[members].tolist()) / q
+            checked += 1
+            if ratio < min_ratio:
+                min_ratio = ratio
+                worst_size = members.size
     return RatioCheckResult(passed=min_ratio >= threshold, threshold=threshold,
                             min_ratio=min_ratio, subsets_checked=checked,
                             worst_subset_size=worst_size)

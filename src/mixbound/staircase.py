@@ -18,7 +18,6 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -195,14 +194,6 @@ def shared_head_index(x, y, T: int) -> int:
 # Instances
 # ---------------------------------------------------------------------------
 
-class RelationData(NamedTuple):
-    """What the relational adversary reads of one instance."""
-
-    good: bool  # the milestones at params.T are all distinct
-    heads: tuple[float, ...]  # heads[j]: probability of the head through milestone j
-    segments: tuple[tuple[int, ...], ...]  # segment j: vertices j*T+1 .. (j+1)*T
-
-
 @dataclass(frozen=True)
 class StaircaseInstance:
     """A hidden walk with a hidden bit, evaluable as a query oracle.
@@ -246,18 +237,6 @@ class StaircaseInstance:
         for i, v in enumerate(self.walk.vertices):
             vals[v - 1] = -i
         return tuple(vals)
-
-    @cached_property
-    def relation_data(self) -> RelationData:
-        """Goodness, head probabilities and segments, computed once for
-        the relation weight. The heads are `_milestone_heads` of the walk,
-        so heads[j] equals the probability of the head through milestone j
-        bit for bit and heads[m] equals the walk's probability."""
-        T = self.params.T
-        verts = self.walk.vertices
-        heads = _milestone_heads(self.chain, np.array(verts), T)
-        segments = tuple(verts[j + 1:j + T + 1] for j in range(0, len(verts) - 1, T))
-        return RelationData(is_good_walk(self.walk, T), tuple(heads.tolist()), segments)
 
     def value(self, v: int) -> int:
         """Search-problem value: minus the last occurrence index on the
@@ -316,23 +295,25 @@ def is_valid_value_function(g: Graph, walk, f) -> bool:
     """Check the three conditions tying a value function to a walk:
     strictly decreasing in last-occurrence order along the walk, equal to
     the distance from the walk's start (and positive) off the walk, and
-    nonpositive on the walk."""
+    nonpositive on the walk. f is evaluated once per vertex; the distances
+    come from a BFS from the walk's start, independent of the instance's
+    stored values."""
     verts = _vertices(walk)
     fn = _as_function(f, g.n)
+    vals = {v: fn(v) for v in range(1, g.n + 1)}
     last: dict[int, int] = {}
     for i, v in enumerate(verts):
         last[v] = i
     by_last = sorted(last, key=last.get)
     for a, b in zip(by_last, by_last[1:]):
-        if not fn(a) > fn(b):  # a's last occurrence precedes b's
+        if not vals[a] > vals[b]:  # a's last occurrence precedes b's
             return False
     dist = bfs_distances(g, verts[0])
-    on_walk = set(verts)
-    for v in range(1, g.n + 1):
-        if v in on_walk:
-            if fn(v) > 0:
+    for v, val in vals.items():
+        if v in last:
+            if val > 0:
                 return False
-        elif fn(v) != dist[v - 1] or fn(v) <= 0:
+        elif val != dist[v - 1] or val <= 0:
             return False
     return True
 

@@ -82,6 +82,7 @@ class _Context:
         self._params: dict[ch.TransitionMatrix, st.StaircaseParams] = {}
         self._instances: list[st.StaircaseInstance] | None = None
         self._micro_systems: list[tuple[ch.TransitionMatrix, st.StaircaseParams]] | None = None
+        self._micro_families: list[tuple[adv.FunctionFamily, adv._Relation]] | None = None
 
     def family_graphs(self) -> list[tuple[str, gr.Graph]]:
         candidates = [
@@ -148,6 +149,15 @@ class _Context:
                 p4 = st.default_params(P4)
             self._micro_systems = [(P3, p3), (P4, p4)]
         return self._micro_systems
+
+    def micro_families(self) -> list[tuple[adv.FunctionFamily, adv._Relation]]:
+        """Each micro system's enumerated family with its relation arrays,
+        built once for A5 and the symmetry check."""
+        if self._micro_families is None:
+            families = [adv.enumerate_family(P, params) for P, params in self.micro_systems()]
+            self._micro_families = [(family, adv._relation_arrays(family.instances))
+                                    for family in families]
+        return self._micro_families
 
 
 # What a check returns: (passed, details, counterexample or None).
@@ -252,29 +262,26 @@ def check_a5_difference_localization(ctx: _Context) -> Outcome:
     tails after their shared head; (ii) the per-vertex distinguishing mass
     is at most twice the weight of pairs whose second tail covers the
     vertex. Exhaustive over the micro-systems, one vertex at a time, so
-    every pair-shaped array is 2-D: O(pairs) bytes with no factor of n."""
+    every pair-shaped array is 2-D: O(pairs) bytes with no factor of n.
+    decision_value fills the decision array once per instance and vertex;
+    J comes from the relation's head ids over the distinct walks."""
     pair_count = 0
-    for P, params in ctx.micro_systems():
-        T = params.T
-        family = adv.enumerate_family(P, params)
+    for family, rel in ctx.micro_families():
+        P, T = family.chain, family.params.T
         insts = family.instances
         # (i) over every ordered instance pair (a, b) with distinct walks and
-        # every vertex v, as arrays: decision_value is called once per
-        # instance and vertex, shared_head_index once per pair of walks.
-        index: dict[tuple[int, ...], int] = {}
-        wid = np.array([index.setdefault(inst.walk.vertices, len(index))
-                        for inst in insts])
-        walks = list(index)
-        J = np.zeros((len(walks), len(walks)), dtype=np.int32)
-        for w, x in enumerate(walks):  # row by row, in the order of combinations
-            J[w, w + 1:] = [st.shared_head_index(x, y, T) for y in walks[w + 1:]]
-        J += J.T
-        head_end = J * T
+        # every vertex v, as arrays over the distinct walks: wid[i] is the
+        # walk of instance i, and reps[w] the first instance of walk w
+        _, reps, wid = np.unique(rel.walks, axis=0, return_index=True, return_inverse=True)
+        wid = wid.reshape(-1)
+        walks = rel.take(reps)
+        J = adv._head_index(walks, walks)
+        head_end = J.astype(np.int32) * T
         # equal decision values get equal codes
         codes: dict = {}
         decisions = np.array([[codes.setdefault(inst.decision_value(v), len(codes))
                                for v in range(1, P.n + 1)] for inst in insts])
-        last = adv._last_occurrence(np.array(walks, dtype=np.int64), P.n).astype(np.int32)
+        last = adv._last_occurrence(walks.walks, P.n).astype(np.int32)
         pair_count += len(insts) ** 2 - int((np.bincount(wid) ** 2).sum())
         first = None  # the least failing (i, k, v): the first in row-major order
         for v in range(P.n):
@@ -522,39 +529,49 @@ def check_chain_construction(ctx: _Context) -> Outcome:
 
 def check_adversary_symmetry(ctx: _Context) -> Outcome:
     """The relation is exactly symmetric, zero on the diagonal, zero for
-    equal bits, and zero when either walk is bad. The condition masks are
-    built one at a time, each ORed into one failing mask."""
+    equal bits, and zero when either walk is bad, on every ordered pair of
+    each micro family. The weights come from the library's relation path,
+    _relation_block, for a block of rows against the whole family at a
+    time: R from (rows, all) and its mirror from (all, rows), transposed,
+    so no size-squared float array is held. The bits and goodness are read
+    from the instances. The condition masks are built one at a time per
+    block, each ORed into one failing mask; the first failing cell in
+    row-major order is reported, with the first message that holds there."""
     pairs = 0
-    for P, params in ctx.micro_systems():
-        family = adv.enumerate_family(P, params)
+    for family, rel in ctx.micro_families():
         insts = family.instances
-        T = params.T
-        R = np.empty((len(insts), len(insts)))
-        for i, a in enumerate(insts):
-            R[i] = [adv.relation_weight(a, b) for b in insts]
-        pairs += R.size
+        size = len(insts)
         bits = np.array([inst.bit for inst in insts])
-        good = np.array([st.is_good_walk(inst.walk, T) for inst in insts])
-        nonzero = R != 0.0
-        # in the order each pair is tested: the first message that applies
-        conditions = [
-            ("relation not symmetric", lambda: R != R.T),
-            ("relation nonzero on the diagonal",
-             lambda: np.eye(len(insts), dtype=bool) & nonzero),
-            ("relation nonzero for equal bits", lambda: (bits[:, None] == bits) & nonzero),
-            ("relation nonzero for a bad walk", lambda: ~(good[:, None] & good) & nonzero),
-        ]
-        failing = np.zeros(R.shape, dtype=bool)
-        for _, mask in conditions:
-            failing |= mask()
-        if failing.any():
-            i, k = np.unravel_index(int(np.argmax(failing)), failing.shape)
-            a, b = insts[i], insts[k]
-            message = next(message for message, mask in conditions if mask()[i, k])
-            pair = {"x": list(a.walk.vertices), "y": list(b.walk.vertices)}
-            if message == "relation nonzero on the diagonal":
-                pair = {"x": pair["x"]}
-            return _fail(message, pair)
+        good = np.array([st.is_good_walk(inst.walk, family.params.T) for inst in insts])
+        step = max(1, adv._SUM_BLOCK_CELLS // size)
+        for s in range(0, size, step):
+            block = rel.take(slice(s, s + step))
+            R = adv._relation_block(block, rel)[1]
+            mirror = adv._relation_block(rel, block)[1].T
+            pairs += R.size
+            rows = np.arange(s, s + len(R))
+            nonzero = R != 0.0
+            # in the order each pair is tested: the first message that applies
+            conditions = [
+                ("relation not symmetric", lambda: R != mirror),
+                ("relation nonzero on the diagonal",
+                 lambda: (rows[:, None] == np.arange(size)) & nonzero),
+                ("relation nonzero for equal bits",
+                 lambda: (bits[rows, None] == bits) & nonzero),
+                ("relation nonzero for a bad walk",
+                 lambda: ~(good[rows, None] & good) & nonzero),
+            ]
+            failing = np.zeros(R.shape, dtype=bool)
+            for _, mask in conditions:
+                failing |= mask()
+            if failing.any():
+                i, k = np.unravel_index(int(np.argmax(failing)), failing.shape)
+                a, b = insts[s + i], insts[k]
+                message = next(message for message, mask in conditions if mask()[i, k])
+                pair = {"x": list(a.walk.vertices), "y": list(b.walk.vertices)}
+                if message == "relation nonzero on the diagonal":
+                    pair = {"x": pair["x"]}
+                return _fail(message, pair)
     return _ok(f"{pairs} ordered pairs checked")
 
 

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import math
@@ -10,8 +11,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
 import mixbound as mb
-from mixbound.adversary import (_credited_mean, _difference_counts, _distinguishing,
-                                _grouped_fsums, _last_occurrence, _pair_table, _redraw,
+from mixbound.adversary import (RatioCheckResult, _credited_mean, _difference_counts,
+                                _distinguishing, _grouped_fsums, _last_occurrence,
+                                _pair_table, _redraw, _relation_arrays, _relation_block,
                                 _SUM_BLOCK_CELLS, ratio_floor)
 from mixbound.chains import _sample_tails
 from mixbound.graphs import _bfs
@@ -250,33 +252,82 @@ def _exact_system(name):
     return P, mb.custom_params(P, T=1, L=3)
 
 
-@pytest.mark.parametrize("name", ["K3", "K4", "cycle7", "metropolis6"])
-def test_pair_table_matches_relation_weight(name):
-    family = mb.enumerate_family(*_exact_system(name))
-    table = _pair_table(family)
-    weights = {}
-    for (a, b), r in np.ndenumerate(table.r):
-        i, k = int(table.rows[a]), int(table.cols[b])
-        weights[i, k] = weights[k, i] = float(r)
-    insts = family.instances
+EXACT_FAMILIES = ["K3", "K4", "cycle7", "metropolis6"]
+
+
+def _reference_relation(P, insts) -> np.ndarray:
+    """The relation weight of every ordered pair of instances, in plain
+    Python: 0.0 for equal bits, the same walk or a bad walk, and otherwise
+    p(x) p(y) / p(shared head), each probability from walk_probability and
+    the head's end from shared_head_index."""
+    T = insts[0].params.T
+    prob = functools.cache(lambda verts: mb.walk_probability(P, verts))
+    good = [mb.is_good_walk(inst.walk, T) for inst in insts]
+    out = np.zeros((len(insts), len(insts)))
     for (i, a), (k, b) in itertools.product(enumerate(insts), repeat=2):
-        assert weights.get((i, k), 0.0) == mb.relation_weight(a, b)
+        x, y = a.walk.vertices, b.walk.vertices
+        if a.bit == b.bit or x == y or not (good[i] and good[k]):
+            continue
+        j = mb.shared_head_index(x, y, T)
+        out[i, k] = prob(x) * prob(y) / prob(y[:j * T + 1])
+    return out
 
 
-@pytest.mark.parametrize("name", ["K3", "K4", "cycle7", "metropolis6"])
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("name", EXACT_FAMILIES)
+def test_relation_block_equals_a_plain_python_reference(name):
+    P, params = _exact_system(name)
+    insts = mb.enumerate_family(P, params).instances
+    rel = _relation_arrays(insts)
+    assert _same_bits(_relation_block(rel, rel)[1], _reference_relation(P, insts))
+
+
+@pytest.mark.parametrize("name", EXACT_FAMILIES)
+def test_head_ids_give_the_shared_head_index(name):
+    # every pair of distinct walks, each walk once (bit 0)
+    P, params = _exact_system(name)
+    insts = [inst for inst in mb.enumerate_family(P, params).instances if inst.bit == 0]
+    rel = _relation_arrays(insts)
+    want = np.array([[mb.shared_head_index(a.walk, b.walk, params.T) if a is not b
+                      else params.m for b in insts] for a in insts])
+    assert np.array_equal(_relation_block(rel, rel)[0], want)
+
+
+@pytest.mark.parametrize("name", EXACT_FAMILIES)
+def test_pair_table_matches_relation_weight(name):
+    # the half table, mirrored to both orders, is the whole relation
+    P, params = _exact_system(name)
+    family = mb.enumerate_family(P, params)
+    insts = family.instances
+    table = _pair_table(family)
+    full = np.zeros((len(family), len(family)))
+    full[np.ix_(table.rows, table.cols)] = table.r
+    full[np.ix_(table.cols, table.rows)] = table.r.T
+    want = _reference_relation(P, insts)
+    assert _same_bits(full, want)
+    rng = np.random.default_rng(0)
+    for i, k in rng.integers(len(family), size=(100, 2)).tolist():
+        assert _same_bits(np.array(mb.relation_weight(insts[i], insts[k])), want[i, k])
+
+
+@pytest.mark.parametrize("name", EXACT_FAMILIES)
 def test_relation_data_matches_walk_probabilities(name):
-    # the cached heads are the walk probabilities of the heads, bit for bit
+    # the relation's heads are the walk probabilities of the heads, bit for
+    # bit, and its goodness is is_good_walk's
     P, params = _exact_system(name)
     T, m = params.T, params.m
-    for inst in mb.enumerate_family(P, params).instances:
-        data = inst.relation_data
+    insts = mb.enumerate_family(P, params).instances
+    rel = _relation_arrays(insts)
+    assert rel.walks.tolist() == [list(inst.walk.vertices) for inst in insts]
+    assert rel.bits.tolist() == [inst.bit for inst in insts]
+    for inst, good, heads in zip(insts, rel.good.tolist(), rel.heads.tolist()):
         verts = inst.walk.vertices
-        assert data.good == mb.is_good_walk(inst.walk, T)
-        assert data.heads == tuple(mb.walk_probability(P, verts[:j * T + 1])
-                                   for j in range(m + 1))
-        assert data.heads[-1] == inst.walk.probability()
-        assert data.segments == tuple(mb.tail_segment(inst.walk, j, j + 1, T)
-                                      for j in range(m))
+        assert good == mb.is_good_walk(inst.walk, T)
+        assert heads == [mb.walk_probability(P, verts[:j * T + 1]) for j in range(m + 1)]
+        assert heads[-1] == inst.walk.probability()
 
 
 _positive_doubles = hst.one_of(
@@ -471,6 +522,66 @@ def test_ratio_property_check_refuses_no_subsets(k3_chain, k3_params, subsets):
         mb.ratio_property_check(k3_chain, k3_params, subsets=subsets, seed=0)
 
 
+def _ratio_by_loop(P, params, subsets: int, seed):
+    """ratio_property_check as a loop of one _distinguishing call per
+    draw, as it ran before its draws were counted in chunks; also returns
+    how many draws were rejected for q = 0."""
+    family = mb.enumerate_family(P, params)
+    table = _pair_table(family)
+    rng = np.random.default_rng(seed)
+    size = len(family)
+    checked = attempts = rejected = worst_size = 0
+    min_ratio = math.inf
+    max_attempts = max(subsets * 20, 100)
+    while checked < subsets:
+        attempts += 1
+        if attempts > max_attempts:
+            if checked == 0:
+                raise CapabilityError(
+                    f"no subset with positive q found in {max_attempts} draws")
+            break
+        k = int(rng.integers(2, size + 1))
+        members = rng.choice(size, size=k, replace=False)
+        inside = np.zeros(size, dtype=bool)
+        inside[members] = True
+        q = _distinguishing(table, inside).q
+        if q <= 0.0:
+            rejected += 1
+            continue
+        ratio = math.fsum(table.mass[i] for i in members.tolist()) / q
+        checked += 1
+        if ratio < min_ratio:
+            min_ratio = ratio
+            worst_size = k
+    threshold = ratio_floor(params)
+    return RatioCheckResult(passed=min_ratio >= threshold, threshold=threshold,
+                            min_ratio=min_ratio, subsets_checked=checked,
+                            worst_subset_size=worst_size), rejected
+
+
+@pytest.mark.parametrize("name", EXACT_FAMILIES)
+def test_batched_ratio_check_equals_the_loop(name):
+    P, params = _exact_system(name)
+    rejected = 0
+    for seed, subsets in itertools.product(range(5), (1, 7, 200)):
+        want, missed = _ratio_by_loop(P, params, subsets, seed)
+        assert repr(mb.ratio_property_check(P, params, subsets, seed)) == repr(want)
+        rejected += missed
+    if name == "K3":
+        assert rejected > 0  # some draws have q = 0 and are drawn past
+
+
+def test_ratio_check_refuses_a_family_without_positive_q():
+    P = mb.lazy_simple_walk(mb.complete_graph(2))
+    params = mb.custom_params(P, T=1, L=2)  # every walk repeats a milestone
+    for subsets, draws in ((1, 100), (7, 140)):
+        message = f"^no subset with positive q found in {draws} draws$"
+        with pytest.raises(CapabilityError, match=message):
+            _ratio_by_loop(P, params, subsets, seed=0)
+        with pytest.raises(CapabilityError, match=message):
+            mb.ratio_property_check(P, params, subsets=subsets, seed=0)
+
+
 def test_ratio_property_check_k3(k3_chain, k3_params):
     result = mb.ratio_property_check(k3_chain, k3_params, subsets=60, seed=3)
     assert result.passed
@@ -550,7 +661,7 @@ def test_underflowed_head_refuses_the_relation_weight():
     P = mb.lazy_simple_walk(mb.hypercube_graph(10))
     pair = mb.witness_pair(P, mb.default_params(P))
     x, y = pair.instances
-    assert y.relation_data.heads[-2] == 0.0
+    assert _relation_arrays(pair.instances).heads[1, -2] == 0.0
     with pytest.raises(CapabilityError, match="underflows to 0.0"):
         mb.relation_weight(x, y)
     with pytest.raises(CapabilityError, match="underflows to 0.0"):

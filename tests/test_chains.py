@@ -18,6 +18,7 @@ from mixbound.chains import (
     _step_probabilities,
     _top_ritz,
 )
+from mixbound.adversary import _relation_arrays
 from mixbound.errors import CapabilityError, InputError
 from mixbound.graphs import _bfs
 from mixbound.verify import _linear_mixing_time, _visit_probability_all_starts
@@ -1450,8 +1451,9 @@ def test_walk_readers_run_above_the_dense_cap():
     assert walk.probability() == mb.walk_probability(P, walk.vertices)
     assert walk.probability() == pytest.approx(0.5 ** loops * (0.5 / 15) ** (16 - loops),
                                                rel=1e-12)
-    assert x.relation_data.heads[-1] == walk.probability()
-    shared = y.relation_data.heads[params.m - 1]  # the witness shares all but one segment
+    heads = _relation_arrays((x, y)).heads
+    assert heads[0, -1] == walk.probability()
+    shared = heads[1, params.m - 1]  # the witness shares all but one segment
     assert mb.relation_weight(x, y) == walk.probability() * y.walk.probability() / shared > 0.0
     doc = mb.instance_to_json(x, "hypercube:15", "lazy-simple")
     assert mb.instance_from_json(doc).walk.vertices == walk.vertices

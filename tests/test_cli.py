@@ -625,7 +625,61 @@ def test_documents_are_strict_json(argv):
     strict_json(err if argv[0] == "bench" else out)
 
 
+# `mixbound verify --seed 0`, every check and the caps block, as the
+# whole-suite run prints it
+VERIFY_SEED0_GOLDEN = {
+    "caps": {
+        "enumeration_cap": 10000000, "escape_samples": 10000, "escape_sizes": [16, 25],
+        "expansion_cap": 20, "instances": 500, "max_n": 12, "mc_samples": 20000,
+        "mixing_cap": 1000000, "ratio_subsets": 200, "reversal_len": 10,
+        "reversal_n": 10, "visit_sum_len": 8, "visit_sum_n": 8
+    },
+    "checks": [
+        {"name": "A1_validity", "passed": True,
+         "details": "500 instances valid"},
+        {"name": "A2_mixing_concentration", "passed": True,
+         "details": "21 chains concentrated"},
+        {"name": "A3_visit_sum", "passed": True,
+         "details": "9 chains, all subsets within bound"},
+        {"name": "A4_milestone_escape", "passed": True,
+         "details": "n=16: min 0.453; n=25: min 0.498 vs floor 0.0625"},
+        {"name": "A5_difference_localization", "passed": True,
+         "details": "261408 ordered pairs localized; factor-2 bound holds"},
+        {"name": "A6_witness_existence", "passed": True,
+         "details": "3 chains produced positive-mass witnesses"},
+        {"name": "A7_monotone_grid", "passed": True,
+         "details": "nondecreasing on all grid lines"},
+        {"name": "A8_time_reversal", "passed": True,
+         "details": "21 chains, max asymmetry 5.55e-17"},
+        {"name": "A9_unique_minimum", "passed": True,
+         "details": "500 instances with unique minimum"},
+        {"name": "B1_cheeger_sandwich", "passed": True,
+         "details": "21 chains sandwiched"},
+        {"name": "B2_expansion_bound", "passed": True,
+         "details": "7 lazy simple walks bounded"},
+        {"name": "B_spectral_mixing", "passed": True,
+         "details": "21 chains within the spectral bound"},
+        {"name": "graph_invariants", "passed": True,
+         "details": "7 generated graphs pass"},
+        {"name": "chain_construction", "passed": True,
+         "details": "21 constructions validated"},
+        {"name": "adversary_symmetry", "passed": True,
+         "details": "262468 ordered pairs checked"},
+        {"name": "adversary_ratio_floor", "passed": True,
+         "details": "min ratio 1.2343 vs floor 0.0104 over 200 subsets"},
+        {"name": "adversary_exact_mc", "passed": True,
+         "details": "n=3: M within 0.32 se; n=4: M within 0.60 se"},
+        {"name": "solver_invariants", "passed": True,
+         "details": "60 instances solved by all solvers"},
+    ],
+    "passed": True,
+    "seed": 0,
+    "suite": "all",
+}
+
+
 def test_verify_deterministic_output():
     runs = [run_cli("verify", "--seed", "0") for _ in range(2)]
     assert runs[0][0] == 0
     assert runs[0][1] == runs[1][1]
+    assert strict_json(runs[0][1]) == VERIFY_SEED0_GOLDEN
