@@ -287,7 +287,7 @@ def _pair_table(family: FunctionFamily) -> _PairTable:
     ids = np.empty(J.shape, dtype=np.min_scalar_type(max(width - 1, 0)))
     for b in blocks:
         ids[b] = np.searchsorted(values, weights(b))
-    del weights, row_rel, col_rel  # from here on only the walks are read
+    del weights, row_rel, col_rel  # freed before the flags below, which set the peak
     # the mass of an instance sums its row or its column of weights
     mass = np.zeros(size)
     for members, cells in ((rows, ids), (cols, ids.T)):
@@ -520,8 +520,7 @@ def ratio_property_check(P: TransitionMatrix, params: StaircaseParams,
         pairs = pairs.reshape(-1, chunk)
         counts = np.zeros((chunk, n, width), dtype=np.int64)
         for v, (cells, starts, ks) in enumerate(groups):
-            if cells.size:
-                counts[:, v, ks] = np.add.reduceat(pairs[cells], starts, axis=0, dtype=np.int64).T
+            counts[:, v, ks] = np.add.reduceat(pairs[cells], starts, axis=0, dtype=np.int64).T
         sums = _grouped_fsums(table.values, counts.reshape(chunk * n, width))
         for s, members in enumerate(draws):
             q = 2.0 * max(sums[s * n:(s + 1) * n])  # both orders of each cell
