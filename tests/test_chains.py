@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import mixbound as mb
+from mixbound.adversary import _relation_arrays
 from mixbound.chains import (
     MAX_DENSE_N,
     _guide,
@@ -18,7 +19,6 @@ from mixbound.chains import (
     _step_probabilities,
     _top_ritz,
 )
-from mixbound.adversary import _relation_arrays
 from mixbound.errors import CapabilityError, InputError
 from mixbound.graphs import _bfs
 from mixbound.verify import _linear_mixing_time, _visit_probability_all_starts
