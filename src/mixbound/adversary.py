@@ -249,14 +249,16 @@ class _PairTable:
         return self.values[self.ids]
 
 
-def _pair_table(family: FunctionFamily) -> _PairTable:
-    """Build the pair table of a family. Refuses before allocating any
-    pair array when the good instances squared pass EXACT_PAIR_CAP, and
-    before any weight is divided when a head of a good instance underflowed
-    to 0.0. J and the weights come from _relation_block, a block of rows
-    against all columns at a time."""
+def _pair_table(family: FunctionFamily, rel: _Relation | None = None) -> _PairTable:
+    """Build the pair table of a family, from its relation arrays rel when
+    the caller holds them. Refuses before allocating any pair array when
+    the good instances squared pass EXACT_PAIR_CAP, and before any weight
+    is divided when a head of a good instance underflowed to 0.0. J and
+    the weights come from _relation_block, a block of rows against all
+    columns at a time."""
     size = len(family)
-    rel = _relation_arrays(family.instances)
+    if rel is None:
+        rel = _relation_arrays(family.instances)
     pairs = int(rel.good.sum()) ** 2
     if pairs > EXACT_PAIR_CAP:
         raise CapabilityError(
@@ -411,9 +413,17 @@ def exact_lower_bound(P: TransitionMatrix, params: StaircaseParams,
                       cap: int = DEFAULT_CAPS["enumeration"]) -> AdversaryReport:
     """Evaluate M, q, and the 0.01 * M/q bound on the full enumerated
     family. This reports one witness value of the adversary minimand (the
-    whole family), not the minimum over subsets."""
+    whole family), not the minimum over subsets. Enumerates the family,
+    builds its pair table and reads both with _exact_report, which a
+    caller holding a family's table calls directly."""
     family = enumerate_family(P, params, cap=cap)
-    table = _pair_table(family)
+    return _exact_report(family, _pair_table(family))
+
+
+def _exact_report(family: FunctionFamily, table: _PairTable) -> AdversaryReport:
+    """exact_lower_bound's report on an enumerated family and its pair
+    table."""
+    P, params = family.chain, family.params
     M = math.fsum(table.mass)
     dmass = _distinguishing(table, np.ones(len(family), dtype=bool))
     if dmass.q <= 0.0:
@@ -466,7 +476,9 @@ def ratio_property_check(P: TransitionMatrix, params: StaircaseParams,
     of the enumerated family with q(Z) > 0. Each attempt draws the subset
     size with rng.integers, then its members with rng.choice; a draw with
     q(Z) = 0 is rejected, and the check gives up after max(20 * subsets,
-    100) attempts.
+    100) attempts. The count is checked before the family is enumerated;
+    the family's pair table is then read by _ratio_check, which a caller
+    holding a family's table calls directly.
 
     q is counted for a chunk of at most max(1, _SUM_BLOCK_CELLS // size)
     draws at once. The packed flags are unpacked once, into the cells told
@@ -479,8 +491,14 @@ def ratio_property_check(P: TransitionMatrix, params: StaircaseParams,
     O(n * pairs) for the sorted cells and O(chunk * pairs) bytes per chunk."""
     subsets = _check_count("subsets", subsets)
     family = enumerate_family(P, params, cap=cap)
-    table = _pair_table(family)
-    threshold = ratio_floor(params)
+    return _ratio_check(family, _pair_table(family), subsets, seed)
+
+
+def _ratio_check(family: FunctionFamily, table: _PairTable, subsets: int,
+                 seed) -> RatioCheckResult:
+    """ratio_property_check on an enumerated family and its pair table."""
+    subsets = _check_count("subsets", subsets)
+    threshold = ratio_floor(family.params)
     rng = np.random.default_rng(seed)
     size = len(family)
     mass = np.array(table.mass)

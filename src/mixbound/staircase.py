@@ -297,18 +297,23 @@ def is_valid_value_function(g: Graph, walk, f) -> bool:
     the distance from the walk's start (and positive) off the walk, and
     nonpositive on the walk. f is evaluated once per vertex; the distances
     come from a BFS from the walk's start, independent of the instance's
-    stored values."""
-    verts = _vertices(walk)
+    stored values, run by _valid_for_distances once the order holds."""
+    return _valid_for_distances(g, _vertices(walk), f, None)
+
+
+def _valid_for_distances(g: Graph, verts: tuple[int, ...], f, dist) -> bool:
+    """is_valid_value_function with dist, the BFS distances from verts[0]
+    as a list indexed by vertex - 1, passed in by a caller that checks
+    many walks from one start; None runs the BFS."""
     fn = _as_function(f, g.n)
     vals = {v: fn(v) for v in range(1, g.n + 1)}
-    last: dict[int, int] = {}
-    for i, v in enumerate(verts):
-        last[v] = i
-    by_last = sorted(last, key=last.get)
+    last = dict.fromkeys(reversed(verts))  # latest last occurrence first
+    by_last = list(last)[::-1]
     for a, b in zip(by_last, by_last[1:]):
         if not vals[a] > vals[b]:  # a's last occurrence precedes b's
             return False
-    dist = bfs_distances(g, verts[0])
+    if dist is None:
+        dist = bfs_distances(g, verts[0])
     for v, val in vals.items():
         if v in last:
             if val > 0:

@@ -71,34 +71,58 @@ class CheckResult:
         return doc
 
 
+# Walks drawn per instance still wanted, so that one round of rejecting
+# bad walks usually leaves enough good ones.
+_DRAW_MULTIPLE = 4
+
+
 class _Context:
-    """Shared lazily-built fixtures so checks do not redo expensive work."""
+    """The fixtures of one run, each built the first time a check asks for
+    it and then read by every check that needs it: the family graphs and
+    their test chains, each chain's default parameters, spectral gap and
+    bottleneck ratio, each graph's edge expansion and BFS distances, the
+    seeded instances, and the micro systems with their enumerated
+    families, relation arrays and pair tables. A value per graph or chain
+    is keyed by the object itself, which hashes by identity, and is
+    computed through the library's module function, so a patched function
+    is the one that runs."""
 
     def __init__(self, caps: VerifyCaps, seed: int):
         self.caps = caps
         self.seed = seed
+        self._graphs: list[tuple[str, gr.Graph]] | None = None
         self._chains: list[tuple[str, str, ch.TransitionMatrix]] | None = None
-        # chains compare by identity, so each key is one chain object
-        self._params: dict[ch.TransitionMatrix, st.StaircaseParams] = {}
+        # (function name, graph or chain, further arguments) -> value
+        self._memo: dict[tuple, object] = {}
         self._instances: list[st.StaircaseInstance] | None = None
         self._micro_systems: list[tuple[ch.TransitionMatrix, st.StaircaseParams]] | None = None
         self._micro_families: list[tuple[adv.FunctionFamily, adv._Relation]] | None = None
+        self._micro_tables: list[adv._PairTable] | None = None
+
+    def cached(self, module, name: str, *args):
+        """module.name(*args), looked up and called the first time these
+        arguments are asked for, then kept."""
+        key = (name, *args)
+        if key not in self._memo:
+            self._memo[key] = getattr(module, name)(*args)
+        return self._memo[key]
 
     def family_graphs(self) -> list[tuple[str, gr.Graph]]:
-        candidates = [
-            ("cycle", gr.cycle_graph(9)),
-            ("path", gr.path_graph(8)),
-            ("complete", gr.complete_graph(9)),
-            ("hypercube", gr.hypercube_graph(3)),
-            ("torus2d", gr.torus_graph(3, 3)),
-            ("barbell", gr.barbell_graph(10)),
-            ("random_regular", gr.random_regular_graph(8, 3, seed=self.seed)),
-        ]
-        fitting = [(name, g) for name, g in candidates if g.n <= self.caps.max_n]
-        if not fitting:
-            raise InputError(f"max_n={self.caps.max_n} admits no family graph; "
-                             f"the smallest has n={min(g.n for _, g in candidates)}")
-        return fitting
+        if self._graphs is None:
+            candidates = [
+                ("cycle", gr.cycle_graph(9)),
+                ("path", gr.path_graph(8)),
+                ("complete", gr.complete_graph(9)),
+                ("hypercube", gr.hypercube_graph(3)),
+                ("torus2d", gr.torus_graph(3, 3)),
+                ("barbell", gr.barbell_graph(10)),
+                ("random_regular", gr.random_regular_graph(8, 3, seed=self.seed)),
+            ]
+            self._graphs = [(name, g) for name, g in candidates if g.n <= self.caps.max_n]
+            if not self._graphs:
+                raise InputError(f"max_n={self.caps.max_n} admits no family graph; "
+                                 f"the smallest has n={min(g.n for _, g in candidates)}")
+        return self._graphs
 
     def test_chains(self) -> list[tuple[str, str, ch.TransitionMatrix]]:
         if self._chains is None:
@@ -112,28 +136,30 @@ class _Context:
         return self._chains
 
     def default_params(self, P: ch.TransitionMatrix) -> st.StaircaseParams:
-        if P not in self._params:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", VacuousRegimeWarning)
-                self._params[P] = st.default_params(P)
-        return self._params[P]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", VacuousRegimeWarning)
+            return self.cached(st, "default_params", P)
 
     def instances(self) -> list[st.StaircaseInstance]:
         """`caps.instances` seeded staircase instances spread over every
-        (family, chain construction) combination."""
+        (family, chain construction) combination: ceil(instances / chains)
+        per chain in order until the count is reached. A chain's share
+        comes from one generator, default_rng((seed, chain index)): its
+        good walks by _good_walks, then one bit per walk."""
         if self._instances is None:
             chains = self.test_chains()
             per = math.ceil(self.caps.instances / len(chains))
             out = []
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", VacuousRegimeWarning)
-                for idx, (_, _, P) in enumerate(chains):
-                    params = self.default_params(P)
-                    for k in range(per):
-                        if len(out) >= self.caps.instances:
-                            break
-                        rng = np.random.default_rng((self.seed, idx, k))
-                        out.append(st.sample_instance(P, params, rng))
+            for idx, (_, _, P) in enumerate(chains):
+                share = min(per, self.caps.instances - len(out))
+                if share <= 0:
+                    break
+                params = self.default_params(P)
+                rng = np.random.default_rng((self.seed, idx))
+                walks = _good_walks(P, params, share, rng)
+                bits = rng.integers(2, size=share)
+                out += [st.make_instance(ch.Walk(vertices=tuple(w), chain=P), bit, params)
+                        for w, bit in zip(walks.tolist(), bits.tolist())]
             self._instances = out
         return self._instances
 
@@ -152,12 +178,45 @@ class _Context:
 
     def micro_families(self) -> list[tuple[adv.FunctionFamily, adv._Relation]]:
         """Each micro system's enumerated family with its relation arrays,
-        built once for A5 and the symmetry check."""
+        built once for A5, the symmetry, ratio and exact checks."""
         if self._micro_families is None:
             families = [adv.enumerate_family(P, params) for P, params in self.micro_systems()]
             self._micro_families = [(family, adv._relation_arrays(family.instances))
                                     for family in families]
         return self._micro_families
+
+    def micro_tables(self) -> list[adv._PairTable]:
+        """Each micro family's pair table, built once for A5 (ii), the
+        ratio floor and the exact check."""
+        if self._micro_tables is None:
+            self._micro_tables = [adv._pair_table(family, rel)
+                                  for family, rel in self.micro_families()]
+        return self._micro_tables
+
+
+def _good_walks(P: ch.TransitionMatrix, params: st.StaircaseParams, count: int,
+                rng: np.random.Generator) -> np.ndarray:
+    """count good walks of the chain law from vertex 1, as rows in the
+    order drawn: the chain conditioned on distinct milestones, as
+    st.sample_good_walk draws it one walk at a time. Each round draws
+    _DRAW_MULTIPLE times the shortfall as one 2-D batch through
+    ch._sample_tails and rejects the bad rows with adv._good_rows; after
+    count * the good-walk retry cap walks without enough good ones it
+    raises CapabilityError."""
+    found, have, drawn = [], 0, 0
+    retries = DEFAULT_CAPS["good_walk_retries"]
+    while have < count:
+        if drawn >= count * retries:
+            raise CapabilityError(
+                f"no good walk found in {retries} attempts per walk "
+                f"(L={params.L}, T={params.T})")
+        walks = np.ones((_DRAW_MULTIPLE * (count - have), params.L + 1), dtype=np.int64)
+        ch._sample_tails(P, walks, 0, rng)
+        drawn += len(walks)
+        good = walks[adv._good_rows(walks, params.T)][:count - have]
+        found.append(good)
+        have += len(good)
+    return np.concatenate(found)
 
 
 # What a check returns: (passed, details, counterexample or None).
@@ -178,9 +237,13 @@ def _ok(details: str) -> Outcome:
 # ---------------------------------------------------------------------------
 
 def check_a1_validity(ctx: _Context) -> Outcome:
-    """Sampled instance value functions are valid for their walks."""
+    """Sampled instance value functions are valid for their walks. The
+    oracle is a BFS from the walk's start over the graph's CSR arrays,
+    independent of the instance's stored distances; it runs once per
+    graph and start, not once per instance."""
     for inst in ctx.instances():
-        if not st.is_valid_value_function(inst.graph, inst.walk, inst.value):
+        dist = ctx.cached(gr, "bfs_distances", inst.graph, inst.walk.start)
+        if not st._valid_for_distances(inst.graph, inst.walk.vertices, inst.value, dist):
             return _fail("instance value function failed validity",
                          {"walk": list(inst.walk.vertices), "bit": inst.bit})
     return _ok(f"{len(ctx.instances())} instances valid")
@@ -205,7 +268,8 @@ def check_a2_mixing_concentration(ctx: _Context) -> Outcome:
 
 def check_a3_visit_sum(ctx: _Context) -> Outcome:
     """Sum of visit probabilities into a fixed vertex over any start subset
-    is at most len * sigma."""
+    is at most len * sigma. One visit DP per (chain, v), read at every
+    length."""
     chains = [(g, k, P) for g, k, P in ctx.test_chains() if P.n <= VISIT_SUM_N]
     for gname, kind, P in chains:
         sigma = ch.stationary_ratio(P)
@@ -214,8 +278,7 @@ def check_a3_visit_sum(ctx: _Context) -> Outcome:
             [[(mask >> u) & 1 for u in range(n)] for mask in range(1, 1 << n)],
             dtype=float)
         for v in range(1, n + 1):
-            for ell in range(VISIT_SUM_LEN + 1):
-                visits = _visit_probability_all_starts(P, v, ell)
+            for ell, visits in enumerate(_visit_probabilities(P, v, VISIT_SUM_LEN)):
                 worst = float((subset_matrix @ visits).max())
                 if worst > ell * sigma + 1e-9:
                     return _fail("subset visit sum exceeds len*sigma",
@@ -224,14 +287,16 @@ def check_a3_visit_sum(ctx: _Context) -> Outcome:
     return _ok(f"{len(chains)} chains, all subsets within bound")
 
 
-def _visit_probability_all_starts(P: ch.TransitionMatrix, v: int, length: int) -> np.ndarray:
-    """P_visit(u, v, length) over every start u: the chance that a
-    length-step walk from u is at v at one of steps 1..length, by dynamic
-    programming on the dense matrix with v made absorbing."""
-    alive, captured = np.eye(P.n), np.zeros(P.n)
-    for _ in range(length):
+def _visit_probabilities(P: ch.TransitionMatrix, v: int, length: int) -> np.ndarray:
+    """Row ell, for ell = 0..length: P_visit(u, v, ell) over every start
+    u, the chance that an ell-step walk from u is at v at one of steps
+    1..ell, by dynamic programming on the dense matrix with v made
+    absorbing. Row ell is the DP after ell steps, so it equals a DP run
+    for ell steps alone bit for bit."""
+    alive, captured = np.eye(P.n), np.zeros((length + 1, P.n))
+    for ell in range(1, length + 1):
         alive = alive @ P.matrix
-        captured += alive[:, v - 1]
+        captured[ell] = captured[ell - 1] + alive[:, v - 1]
         alive[:, v - 1] = 0.0
     return captured
 
@@ -266,7 +331,7 @@ def check_a5_difference_localization(ctx: _Context) -> Outcome:
     decision_value fills the decision array once per instance and vertex;
     J comes from the relation's head ids over the distinct walks."""
     pair_count = 0
-    for family, rel in ctx.micro_families():
+    for index, (family, rel) in enumerate(ctx.micro_families()):
         P, T = family.chain, family.params.T
         insts = family.instances
         # (i) over every ordered instance pair (a, b) with distinct walks and
@@ -290,7 +355,7 @@ def check_a5_difference_localization(ctx: _Context) -> Outcome:
             outside = last[:, v, None] <= head_end
             outside &= last[:, v] <= head_end
             np.fill_diagonal(outside, False)  # distinct walks only
-            escaped = outside[wid[:, None], wid]
+            escaped = outside.take(wid, 0).take(wid, 1)
             escaped &= decisions[:, v, None] != decisions[:, v]
             if escaped.any():
                 i, k = np.unravel_index(int(np.argmax(escaped)), escaped.shape)
@@ -305,7 +370,7 @@ def check_a5_difference_localization(ctx: _Context) -> Outcome:
                           "J": int(J[wid[i], wid[k]])})
         # factor-2 bound, on the full family: each ordered pair (i, k)
         # adds its weight to the vertices of k's tail after the shared head
-        table = adv._pair_table(family)
+        table = ctx.micro_tables()[index]
         last = adv._last_occurrence(table.walks, P.n)
         head_end = table.J.astype(np.int64) * T
         r = table.r
@@ -408,23 +473,30 @@ def _dense_lambda2(P: ch.TransitionMatrix) -> float:
     return float(np.linalg.eigvalsh((sym + sym.T) / 2)[-2])
 
 
-def _linear_mixing_time(P: ch.TransitionMatrix, eps: float,
-                        cap: int = DEFAULT_CAPS["mixing_steps"]) -> int:
-    """Reference t_mix: the full-matrix scan of P^t over every start."""
+def _linear_mixing_times(P: ch.TransitionMatrix, eps_values,
+                         cap: int = DEFAULT_CAPS["mixing_steps"]) -> list[int]:
+    """Reference t_mix at each eps: one full-matrix scan of P^t over every
+    start, t = 0, 1, ..., read at every eps until each has its time."""
+    times: dict[float, int] = {}
     power = np.eye(P.n)
     for t in range(cap + 1):
-        if ch._tv_from_pi(power, P.pi) <= eps:
-            return t
+        tv = ch._tv_from_pi(power, P.pi)
+        for eps in eps_values:
+            if eps not in times and tv <= eps:
+                times[eps] = t
+        if all(eps in times for eps in eps_values):
+            return [times[eps] for eps in eps_values]
         power = power @ P.matrix
-    raise CapabilityError(f"mixing time exceeds cap {cap} at eps={eps}")
+    missing = next(eps for eps in eps_values if eps not in times)
+    raise CapabilityError(f"mixing time exceeds cap {cap} at eps={missing}")
 
 
 def check_b1_cheeger_sandwich(ctx: _Context) -> Outcome:
     """Phi^2/2 <= 1 - lambda2 <= 2 Phi for every lazy test chain, with the
     Lanczos lambda2 within 1e-12 of a dense eigensolve."""
     for gname, kind, P in ctx.test_chains():
-        phi = ch.bottleneck_ratio(P)
-        lambda2, gap = ch.spectral_gap(P)
+        phi = ctx.cached(ch, "bottleneck_ratio", P)
+        lambda2, gap = ctx.cached(ch, "spectral_gap", P)
         reference = _dense_lambda2(P)
         if abs(lambda2 - reference) > 1e-12:
             return _fail("Lanczos lambda2 differs from the dense eigensolve",
@@ -443,8 +515,8 @@ def check_b2_expansion_bound(ctx: _Context) -> Outcome:
                    if kind == "lazy-simple"]
     for gname, P in lazy_simple:
         g = P.graph
-        phi = ch.bottleneck_ratio(P)
-        beta = gr.edge_expansion(g)
+        phi = ctx.cached(ch, "bottleneck_ratio", P)
+        beta = ctx.cached(gr, "edge_expansion", g)
         d_min, d_max, _ = gr.degree_stats(g)
         ratio = d_max / d_min
         limit = beta * ratio * ratio / d_max
@@ -460,12 +532,12 @@ def check_b_spectral_mixing(ctx: _Context) -> Outcome:
     pi)) / (1 - lambda2) at eps in {1/8, 1/(2n)}: the `t_mix_bracket`
     ends, the upper one before it is rounded up. The default mixing time
     (single-start on vertex-transitive chains) also equals the
-    full-matrix linear scan."""
+    full-matrix linear scan, one scan per chain for both eps."""
     for gname, kind, P in ctx.test_chains():
-        _, gap = ch.spectral_gap(P)
-        for eps in (0.125, 1.0 / (2 * P.n)):
+        _, gap = ctx.cached(ch, "spectral_gap", P)
+        eps_values = (0.125, 1.0 / (2 * P.n))
+        for eps, t_linear in zip(eps_values, _linear_mixing_times(P, eps_values)):
             t = ch.mixing_time(P, eps)
-            t_linear = _linear_mixing_time(P, eps)
             if t != t_linear:
                 return _fail("mixing time differs from the linear scan",
                              {"graph": gname, "chain": kind, "eps": eps,
@@ -488,11 +560,11 @@ def check_graph_invariants(ctx: _Context) -> Outcome:
     triangle inequality on sampled triples."""
     rng = np.random.default_rng(ctx.seed)
     for gname, g in ctx.family_graphs():
-        dist_rows = [gr.bfs_distances(g, s) for s in range(1, g.n + 1)]
+        dist_rows = [ctx.cached(gr, "bfs_distances", g, s) for s in range(1, g.n + 1)]
         if any(d < 0 for d in dist_rows[0]):
             return _fail("graph not connected", {"graph": gname})
         if g.n <= 10:
-            beta = gr.edge_expansion(g)
+            beta = ctx.cached(gr, "edge_expansion", g)
             oracle, _ = gr._min_cut_set(g)
             if abs(beta - oracle) > 1e-12:
                 return _fail("edge expansion disagrees with subset oracle",
@@ -578,9 +650,9 @@ def check_adversary_symmetry(ctx: _Context) -> Outcome:
 def check_adversary_ratio_floor(ctx: _Context) -> Outcome:
     """Random subsets of an enumerable family keep M(Z)/q(Z) above the
     theoretical floor."""
-    P, params = ctx.micro_systems()[1]  # K4 at default parameters
-    result = adv.ratio_property_check(P, params, subsets=ctx.caps.ratio_subsets,
-                                      seed=ctx.seed)
+    family, _ = ctx.micro_families()[1]  # K4 at default parameters
+    result = adv._ratio_check(family, ctx.micro_tables()[1], ctx.caps.ratio_subsets,
+                              ctx.seed)
     if not result.passed:
         return _fail("subset ratio fell below the floor", asdict(result))
     return _ok(f"min ratio {result.min_ratio:.4f} vs floor "
@@ -591,8 +663,10 @@ def check_adversary_exact_mc(ctx: _Context) -> Outcome:
     """Monte Carlo estimates agree with exact enumeration within three
     standard errors on every enumerable configuration."""
     details = []
-    for idx, (P, params) in enumerate(ctx.micro_systems()):
-        exact = adv.exact_lower_bound(P, params)
+    for idx, ((family, _), table) in enumerate(zip(ctx.micro_families(),
+                                                   ctx.micro_tables())):
+        P, params = family.chain, family.params
+        exact = adv._exact_report(family, table)
         est = adv.estimate_lower_bound(P, params, samples=ctx.caps.mc_samples,
                                        seed=(ctx.seed, idx))
         if abs(est.M - exact.M) > 3.0 * est.std_error:

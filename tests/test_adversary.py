@@ -12,9 +12,10 @@ from hypothesis import strategies as hst
 
 import mixbound as mb
 from mixbound.adversary import (RatioCheckResult, _credited_mean, _difference_counts,
-                                _distinguishing, _grouped_fsums, _last_occurrence,
-                                _pair_table, _redraw, _relation_arrays, _relation_block,
-                                _SUM_BLOCK_CELLS, ratio_floor)
+                                _distinguishing, _exact_report, _grouped_fsums,
+                                _last_occurrence, _pair_table, _ratio_check, _redraw,
+                                _relation_arrays, _relation_block, _SUM_BLOCK_CELLS,
+                                ratio_floor)
 from mixbound.chains import _sample_tails
 from mixbound.graphs import _bfs
 from mixbound.errors import CapabilityError, InputError
@@ -569,6 +570,20 @@ def test_batched_ratio_check_equals_the_loop(name):
         rejected += missed
     if name == "K3":
         assert rejected > 0  # some draws have q = 0 and are drawn past
+
+
+@pytest.mark.parametrize("name", EXACT_FAMILIES)
+def test_cores_on_a_prebuilt_table_equal_the_public_calls(name):
+    # one family and one table, built from its relation arrays as verify
+    # builds them, serve every call
+    P, params = _exact_system(name)
+    family = mb.enumerate_family(P, params)
+    table = _pair_table(family, _relation_arrays(family.instances))
+    assert repr(_exact_report(family, table)) == repr(mb.exact_lower_bound(P, params))
+    for seed, subsets in itertools.product(range(5), (1, 7, 200)):
+        assert repr(_ratio_check(family, table, subsets, seed)) == repr(
+            mb.ratio_property_check(P, params, subsets, seed))
+    assert repr(_exact_report(family, table)) == repr(mb.exact_lower_bound(P, params))
 
 
 def test_ratio_check_refuses_a_family_without_positive_q():

@@ -18,10 +18,19 @@ from mixbound.chains import (
     _sample_tails,
     _step_probabilities,
     _top_ritz,
+    _tv_from_pi,
 )
 from mixbound.errors import CapabilityError, InputError
 from mixbound.graphs import _bfs
-from mixbound.verify import _linear_mixing_time, _visit_probability_all_starts
+from mixbound.errors import DEFAULT_CAPS
+from mixbound.verify import (
+    VISIT_SUM_LEN,
+    VISIT_SUM_N,
+    VerifyCaps,
+    _Context,
+    _linear_mixing_times,
+    _visit_probabilities,
+)
 
 
 def solve_stationary_oracle(matrix):
@@ -32,6 +41,27 @@ def solve_stationary_oracle(matrix):
     b[-1] = 1.0
     pi, *_ = np.linalg.lstsq(a, b, rcond=None)
     return pi
+
+
+def _linear_mixing_time(P, eps, cap=DEFAULT_CAPS["mixing_steps"]):
+    # reference t_mix: the full-matrix scan of P^t over every start
+    power = np.eye(P.n)
+    for t in range(cap + 1):
+        if _tv_from_pi(power, P.pi) <= eps:
+            return t
+        power = power @ P.matrix
+    raise CapabilityError(f"mixing time exceeds cap {cap} at eps={eps}")
+
+
+def _visit_probability_all_starts(P, v, length):
+    # reference P_visit(u, v, length) over every start u: the DP on the
+    # dense matrix with v made absorbing, run for this length alone
+    alive, captured = np.eye(P.n), np.zeros(P.n)
+    for _ in range(length):
+        alive = alive @ P.matrix
+        captured += alive[:, v - 1]
+        alive[:, v - 1] = 0.0
+    return captured
 
 
 def tv_scan_oracle(matrix, pi, eps, limit=5000):
@@ -304,7 +334,11 @@ def test_mixing_time_cap_holds_for_every_method(graph, t, method):
     # P^128, past a cap of 124, yet the threshold itself is what counts.
     # cycle:9 takes the single-start scan; "linear" is verify's reference.
     P = mb.lazy_simple_walk(graph)
-    scan = mb.mixing_time if method == "doubling" else _linear_mixing_time
+    if method == "doubling":
+        scan = mb.mixing_time
+    else:
+        def scan(P, eps, cap):
+            return _linear_mixing_times(P, (eps,), cap)[0]
     with pytest.raises(CapabilityError,
                        match=rf"^mixing time exceeds cap {t - 1} at eps=0.05$"):
         scan(P, 0.05, cap=t - 1)
@@ -512,17 +546,17 @@ def test_cheeger_sandwich_small():
 # ---------------------------------------------------------------------------
 
 def test_visit_k2_one_step(k2_chain):
-    assert _visit_probability_all_starts(k2_chain, 2, 1)[0] == pytest.approx(0.5)
+    assert _visit_probabilities(k2_chain, 2, 1)[1, 0] == pytest.approx(0.5)
 
 
 def test_visit_zero_steps(k3_chain):
     # the start is step 0 and never counts as a visit
-    assert np.array_equal(_visit_probability_all_starts(k3_chain, 2, 0), np.zeros(3))
+    assert np.array_equal(_visit_probabilities(k3_chain, 2, 0), np.zeros((1, 3)))
 
 
 def test_visit_k2_two_steps(k2_chain):
     # enumeration of the four two-step trajectories gives 3/4
-    assert _visit_probability_all_starts(k2_chain, 2, 2)[0] == pytest.approx(0.75)
+    assert _visit_probabilities(k2_chain, 2, 2)[2, 0] == pytest.approx(0.75)
 
 
 def test_visit_enumeration_oracle(path3_chain):
@@ -537,7 +571,7 @@ def test_visit_enumeration_oracle(path3_chain):
             cur = nxt
             visits += cur == v - 1
         p_visit += prob * (visits > 0)
-    assert _visit_probability_all_starts(path3_chain, v, length)[u - 1] == pytest.approx(
+    assert _visit_probabilities(path3_chain, v, length)[length, u - 1] == pytest.approx(
         p_visit, abs=1e-12)
 
 
@@ -549,12 +583,39 @@ def test_visit_bounds_and_all_starts():
         avoid = P.matrix.copy()
         avoid[:, v - 1] = 0.0
         previous = np.zeros(8)
-        for ell in range(8):
-            vec = _visit_probability_all_starts(P, v, ell)
+        for ell, vec in enumerate(_visit_probabilities(P, v, 7)):
             oracle = 1.0 - np.linalg.matrix_power(avoid, ell).sum(axis=1)
             assert np.allclose(vec, oracle, rtol=0.0, atol=1e-12)
             assert np.all(vec >= previous - 1e-15) and np.all(vec <= 1.0 + 1e-12)
             previous = vec
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def test_one_visit_dp_equals_a_dp_per_length():
+    # A3 reads one DP per (chain, v) at every length; each row must equal a
+    # DP run for that length alone, bit for bit, on A3's nine chains
+    chains = [P for _, _, P in _Context(VerifyCaps(), seed=0).test_chains()
+              if P.n <= VISIT_SUM_N]
+    assert len(chains) == 9
+    for P in chains:
+        for v in range(1, P.n + 1):
+            rows = _visit_probabilities(P, v, VISIT_SUM_LEN)
+            for ell in range(VISIT_SUM_LEN + 1):
+                assert np.array_equal(_bits(rows[ell]),
+                                      _bits(_visit_probability_all_starts(P, v, ell)))
+
+
+def test_one_linear_scan_equals_a_scan_per_eps():
+    # B_spectral_mixing reads both eps from one scan of P^t
+    chains = [P for _, _, P in _Context(VerifyCaps(), seed=0).test_chains()]
+    assert len(chains) == 21
+    for P in chains:
+        for eps_values in ((0.125, 1.0 / (2 * P.n)), (1.0 / (2 * P.n), 0.125)):
+            assert _linear_mixing_times(P, eps_values) == [
+                _linear_mixing_time(P, eps) for eps in eps_values]
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,18 @@
 import gc
+import io
 import itertools
+import json
+import math
 import os
+import warnings
+from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 import subprocess
 import sys
 import tracemalloc
 import weakref
 
+import numpy as np
 import pytest
 
 import mixbound
@@ -13,8 +20,9 @@ from mixbound import adversary as adv
 from mixbound import chains as ch
 from mixbound import graphs as gr
 from mixbound import staircase as st
-from mixbound.errors import InputError
-from mixbound.verify import CHECKS, VerifyCaps, _Context, run_verify
+from mixbound.cli import main
+from mixbound.errors import InputError, VacuousRegimeWarning
+from mixbound.verify import CHECKS, VerifyCaps, _Context, _good_walks, run_verify
 
 LEMMA_NAMES = [
     "A1_validity", "A2_mixing_concentration", "A3_visit_sum",
@@ -228,3 +236,139 @@ def test_context_params_cache_keeps_chain_alive():
     gc.collect()
     assert ref() is not None
     assert ctx.default_params(ref()) is params
+
+
+# ---------------------------------------------------------------------------
+# Shared fixtures: the instances, and each fixture built once per run
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("caps, shares", [
+    (VerifyCaps(), [24] * 20 + [20]),
+    (VerifyCaps(instances=5), [1] * 5 + [0] * 16),
+    (VerifyCaps(max_n=8), [56] * 8 + [52]),
+])
+def test_instances_keep_the_per_chain_shares(caps, shares):
+    ctx = _Context(caps, seed=0)
+    instances = ctx.instances()
+    assert len(instances) == caps.instances
+    chains = [P for _, _, P in ctx.test_chains()]
+    assert [sum(inst.chain is P for inst in instances) for P in chains] == shares
+    # each chain's share is one run, in chain order
+    assert [inst.chain for inst in instances] == sorted(
+        (inst.chain for inst in instances), key=lambda P: chains.index(P))
+    for inst in instances:
+        assert inst.params is ctx.default_params(inst.chain)
+        assert inst.walk.start == 1 and inst.walk.probability() > 0.0
+        assert st.is_good_walk(inst.walk, inst.params.T)
+        # the public check, with its own BFS
+        assert st.is_valid_value_function(inst.graph, inst.walk, inst.value)
+
+
+def test_instances_follow_the_seed():
+    def draw(seed):
+        return [(inst.walk.vertices, inst.bit)
+                for inst in _Context(VerifyCaps(), seed=seed).instances()]
+
+    first = draw(0)
+    assert first == draw(0)
+    assert first != draw(1)
+    assert {bit for _, bit in first} == {0, 1}
+
+
+def test_good_walks_follow_the_chain_law_conditioned_on_good():
+    # every good walk of K4 at its default parameters, against its share of
+    # the good walks' probability
+    P = ch.lazy_simple_walk(gr.complete_graph(4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", VacuousRegimeWarning)
+        params = st.default_params(P)
+    samples = 20_000
+    walks = _good_walks(P, params, samples, np.random.default_rng(0))
+    assert walks.shape == (samples, params.L + 1)
+    law = {inst.walk.vertices: inst.walk.probability()
+           for inst in adv.enumerate_family(P, params).instances
+           if inst.bit == 0 and st.is_good_walk(inst.walk, params.T)}
+    total = math.fsum(law.values())
+    counts = Counter(map(tuple, walks.tolist()))
+    assert set(counts) <= set(law)
+    for walk, p in law.items():
+        p /= total
+        z = (counts[walk] - samples * p) / math.sqrt(samples * p * (1.0 - p))
+        assert abs(z) < 5.0, (walk, counts[walk], samples * p)
+
+
+@pytest.mark.parametrize("argv", [("--instances", "5"), ("--max-n", "8")])
+def test_verify_passes_with_fewer_instances_or_smaller_graphs(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["verify", "--seed", "0", *argv])
+    assert code == 0
+    assert json.loads(out.getvalue())["passed"] is True
+
+
+def test_run_verify_builds_each_fixture_once(monkeypatch):
+    # each wrapped call is counted by what it is built from
+    calls = Counter()
+
+    def count(module, name, key):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name, key(*args)] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(adv, "enumerate_family", lambda P, *_: P)
+    count(adv, "_relation_arrays", lambda instances: instances[0].chain)
+    count(adv, "_pair_table", lambda family, *_: family.chain)
+    count(gr, "bfs_distances", lambda g, source: (g, source))
+    count(ch, "spectral_gap", lambda P: P)
+    count(ch, "bottleneck_ratio", lambda P: P)
+    assert all(r.passed for r in run_verify(seed=0))
+
+    def counts(name):
+        return [c for (what, _), c in calls.items() if what == name]
+
+    micro = [P for what, P in calls if what == "enumerate_family"]
+    assert counts("enumerate_family") == [1, 1]
+    # A6's witness pairs build tables of their own
+    for name in ("_relation_arrays", "_pair_table"):
+        assert [calls[name, P] for P in micro] == [1, 1]
+    # once per family graph and source, so once per graph from vertex 1
+    assert set(counts("bfs_distances")) == {1}
+    assert sum(what == "bfs_distances" and key[1] == 1 for what, key in calls) == 7
+    for name in ("spectral_gap", "bottleneck_ratio"):
+        assert counts(name) == [1] * 21
+
+
+def test_a1_catches_a_shifted_off_walk_value():
+    ctx = _Context(VerifyCaps(), seed=0)
+    # the first instance past the first chain whose walk misses a vertex
+    inst = next(inst for inst in ctx.instances()[30:]
+                if len(set(inst.walk.vertices)) < inst.graph.n)
+    v = min(set(range(1, inst.graph.n + 1)) - set(inst.walk.vertices))
+    values = list(inst.values)
+    values[v - 1] += 1
+    inst.__dict__["values"] = tuple(values)  # the cached value table
+    passed, details, counterexample = CHECKS["A1_validity"][1](ctx)
+    assert not passed
+    assert details == "instance value function failed validity"
+    assert counterexample == {"walk": list(inst.walk.vertices), "bit": inst.bit}
+
+
+def test_a1_oracle_is_a_bfs_not_the_stored_distances():
+    # the stored distances of path8 are off at vertex 8, so every path8
+    # instance whose walk misses vertex 8 carries a wrong value there
+    ctx = _Context(VerifyCaps(), seed=0)
+    name, g = ctx.family_graphs()[1]
+    assert (name, g.n) == ("path", 8)
+    shifted = g.start_distances.copy()
+    shifted[-1] += 1
+    object.__setattr__(g, "start_distances", shifted)
+    passed, details, counterexample = CHECKS["A1_validity"][1](ctx)
+    assert not passed
+    assert details == "instance value function failed validity"
+    inst = next(inst for inst in ctx.instances()
+                if inst.graph is g and 8 not in inst.walk.vertices)
+    assert counterexample == {"walk": list(inst.walk.vertices), "bit": inst.bit}
