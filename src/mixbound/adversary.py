@@ -42,7 +42,11 @@ LOWER_BOUND_CONSTANT = 0.01
 @dataclass(frozen=True)
 class FunctionFamily:
     """A collection of staircase instances over one chain and one parameter
-    set. ``exhaustive`` marks families produced by full enumeration."""
+    set. ``exhaustive`` marks families produced by full enumeration. A
+    family builds its relation arrays and its pair table the first time
+    an exact reader asks for them and holds them, read-only, while it
+    lives: relation_mass, distinguishing_mass, the exact report and the
+    ratio check of one family share one build."""
 
     instances: tuple[StaircaseInstance, ...]
     params: StaircaseParams
@@ -63,6 +67,14 @@ class FunctionFamily:
 
     def __len__(self) -> int:
         return len(self.instances)
+
+    @functools.cached_property
+    def _relation(self) -> _Relation:
+        return _relation_arrays(self.instances)
+
+    @functools.cached_property
+    def _table(self) -> _PairTable:
+        return _pair_table(self)
 
 
 @dataclass(frozen=True)
@@ -131,8 +143,11 @@ def _relation_arrays(instances) -> _Relation:
     for j in range(1, m + 1):
         # this form of np.unique does not import numpy.ma
         ids[:, j - 1] = np.unique(walks[:, :j * T + 1], axis=0, return_inverse=True)[1].reshape(-1)
-    return _Relation(walks, bits, _good_rows(walks, T),
-                     _milestone_heads(first.chain, walks, T), ids)
+    rel = _Relation(walks, bits, _good_rows(walks, T),
+                    _milestone_heads(first.chain, walks, T), ids)
+    for a in rel:
+        a.setflags(write=False)
+    return rel
 
 
 def _head_index(A: _Relation, B: _Relation) -> np.ndarray:
@@ -171,7 +186,10 @@ def relation_weight(a: StaircaseInstance, b: StaircaseInstance) -> float:
     """Similarity weight r between two instances, the one cell of
     _relation_block; exactly symmetric because the shared head is the same
     sequence in both walks. A shared head whose probability underflowed to
-    0.0 raises CapabilityError."""
+    0.0 raises CapabilityError. Each call builds the relation arrays of
+    its two instances, 320-400 us per call on K4 (a 2-vCPU VM), so a
+    caller looping over the pairs of a family reads family._relation once
+    and passes blocks of its rows to _relation_block instead."""
     if a.params is not b.params and a.params != b.params:
         raise InputError("instances come from different parameter sets")
     if a.walk.chain is not b.walk.chain:
@@ -227,14 +245,14 @@ def enumerate_family(P: TransitionMatrix, params: StaircaseParams,
 
 @dataclass(frozen=True)
 class _PairTable:
-    """The pairs of good opposite-bit instances of a family as arrays:
-    rows are the good bit-0 instances, columns the good bit-1 ones. The
-    weight and the difference set are symmetric in the pair, so this half
-    stands for both orders. Every pair-shaped array takes O(1) bytes per
-    pair: J and ids a byte or two, and diff n bits, packed eight columns
-    to a byte (read it with np.unpackbits(diff, axis=-1, count=cols.size))."""
+    """The pairs of good opposite-bit instances of a family as read-only
+    arrays: rows are the good bit-0 instances, columns the good bit-1
+    ones. The weight and the difference set are symmetric in the pair, so
+    this half stands for both orders. Every pair-shaped array takes O(1)
+    bytes per pair: J and ids a byte or two, and diff n bits, packed eight
+    columns to a byte (read it with np.unpackbits(diff, axis=-1,
+    count=cols.size)). The walks are the family's relation arrays'."""
 
-    walks: np.ndarray  # (family size, L + 1) walk vertices
     rows: np.ndarray  # family positions of the good bit-0 instances
     cols: np.ndarray  # family positions of the good bit-1 instances
     J: np.ndarray  # (rows, cols) shared head index, narrowest unsigned dtype
@@ -249,16 +267,14 @@ class _PairTable:
         return self.values[self.ids]
 
 
-def _pair_table(family: FunctionFamily, rel: _Relation | None = None) -> _PairTable:
-    """Build the pair table of a family, from its relation arrays rel when
-    the caller holds them. Refuses before allocating any pair array when
-    the good instances squared pass EXACT_PAIR_CAP, and before any weight
-    is divided when a head of a good instance underflowed to 0.0. J and
-    the weights come from _relation_block, a block of rows against all
-    columns at a time."""
-    size = len(family)
-    if rel is None:
-        rel = _relation_arrays(family.instances)
+def _pair_table(family: FunctionFamily) -> _PairTable:
+    """Build the pair table of a family from its relation arrays; an exact
+    reader takes it from family._table, which calls this once per family.
+    Refuses before allocating any pair array when the good instances
+    squared pass EXACT_PAIR_CAP, and before any weight is divided when a
+    head of a good instance underflowed to 0.0. J and the weights come
+    from _relation_block, a block of rows against all columns at a time."""
+    size, rel = len(family), family._relation
     pairs = int(rel.good.sum()) ** 2
     if pairs > EXACT_PAIR_CAP:
         raise CapabilityError(
@@ -268,8 +284,7 @@ def _pair_table(family: FunctionFamily, rel: _Relation | None = None) -> _PairTa
     cols = np.flatnonzero(rel.good & (rel.bits == 1))
     if np.any(rel.heads[rel.good] == 0.0):
         raise CapabilityError(_UNDERFLOW)
-    row_rel, col_rel, walks = rel.take(rows), rel.take(cols), rel.walks
-    del rel
+    row_rel, col_rel = rel.take(rows), rel.take(cols)
     J = np.empty((rows.size, cols.size), dtype=np.min_scalar_type(family.params.m))
 
     def weights(b: slice) -> np.ndarray:
@@ -296,8 +311,8 @@ def _pair_table(family: FunctionFamily, rel: _Relation | None = None) -> _PairTa
         counts = np.array([np.bincount(c, minlength=width) for c in cells], dtype=np.int64)
         mass[members] = _grouped_fsums(values, counts.reshape(members.size, width))
     n = family.chain.n
-    last = _last_occurrence(walks, n)
-    ends = walks[rows, -1] - 1
+    last = _last_occurrence(rel.walks, n)
+    ends = rel.walks[rows, -1] - 1
     # One vertex at a time, so that only one (rows, cols) bool array exists.
     diff = np.empty((n, rows.size, -(-cols.size // 8)), dtype=np.uint8)
     told = np.empty((rows.size, cols.size), dtype=bool)
@@ -306,8 +321,10 @@ def _pair_table(family: FunctionFamily, rel: _Relation | None = None) -> _PairTa
         # A shared end is told apart by its tag; distinct ends already differ.
         told[ends == v] = True
         diff[v] = np.packbits(told, axis=-1)
-    return _PairTable(walks=walks, rows=rows, cols=cols, J=J, values=values,
-                      ids=ids, diff=diff, mass=tuple(mass.tolist()))
+    for a in (rows, cols, J, values, ids, diff):
+        a.setflags(write=False)
+    return _PairTable(rows=rows, cols=cols, J=J, values=values, ids=ids, diff=diff,
+                      mass=tuple(mass.tolist()))
 
 
 def _indices_in(family: FunctionFamily, subset) -> list[int]:
@@ -334,7 +351,7 @@ def relation_mass(Z, X: FunctionFamily) -> MassResult:
     family, plus the per-instance contributions."""
     if not X.exhaustive:
         raise InputError("the reference family must be exhaustive")
-    mass = _pair_table(X).mass
+    mass = X._table.mass
     picked = [mass[i] for i in _indices_in(X, Z)]
     return MassResult(total=math.fsum(picked), per_instance=tuple(picked))
 
@@ -406,24 +423,22 @@ def distinguishing_mass(Z, X: FunctionFamily | None = None) -> DistinguishingMas
         X = Z
     inside = np.zeros(len(X), dtype=bool)
     inside[_indices_in(X, Z)] = True
-    return _distinguishing(_pair_table(X), inside)
+    return _distinguishing(X._table, inside)
 
 
 def exact_lower_bound(P: TransitionMatrix, params: StaircaseParams,
                       cap: int = DEFAULT_CAPS["enumeration"]) -> AdversaryReport:
     """Evaluate M, q, and the 0.01 * M/q bound on the full enumerated
     family. This reports one witness value of the adversary minimand (the
-    whole family), not the minimum over subsets. Enumerates the family,
-    builds its pair table and reads both with _exact_report, which a
-    caller holding a family's table calls directly."""
-    family = enumerate_family(P, params, cap=cap)
-    return _exact_report(family, _pair_table(family))
+    whole family), not the minimum over subsets. Enumerates the family
+    and reads its pair table with _exact_report, which a caller holding
+    an enumerated family calls directly."""
+    return _exact_report(enumerate_family(P, params, cap=cap))
 
 
-def _exact_report(family: FunctionFamily, table: _PairTable) -> AdversaryReport:
-    """exact_lower_bound's report on an enumerated family and its pair
-    table."""
-    P, params = family.chain, family.params
+def _exact_report(family: FunctionFamily) -> AdversaryReport:
+    """exact_lower_bound's report on an enumerated family."""
+    P, params, table = family.chain, family.params, family._table
     M = math.fsum(table.mass)
     dmass = _distinguishing(table, np.ones(len(family), dtype=bool))
     if dmass.q <= 0.0:
@@ -478,7 +493,7 @@ def ratio_property_check(P: TransitionMatrix, params: StaircaseParams,
     q(Z) = 0 is rejected, and the check gives up after max(20 * subsets,
     100) attempts. The count is checked before the family is enumerated;
     the family's pair table is then read by _ratio_check, which a caller
-    holding a family's table calls directly.
+    holding an enumerated family calls directly.
 
     q is counted for a chunk of at most max(1, _SUM_BLOCK_CELLS // size)
     draws at once. The packed flags are unpacked once, into the cells told
@@ -490,14 +505,13 @@ def ratio_property_check(P: TransitionMatrix, params: StaircaseParams,
     _distinguishing call per draw bit for bit. Beyond the table, memory is
     O(n * pairs) for the sorted cells and O(chunk * pairs) bytes per chunk."""
     subsets = _check_count("subsets", subsets)
-    family = enumerate_family(P, params, cap=cap)
-    return _ratio_check(family, _pair_table(family), subsets, seed)
+    return _ratio_check(enumerate_family(P, params, cap=cap), subsets, seed)
 
 
-def _ratio_check(family: FunctionFamily, table: _PairTable, subsets: int,
-                 seed) -> RatioCheckResult:
-    """ratio_property_check on an enumerated family and its pair table."""
+def _ratio_check(family: FunctionFamily, subsets: int, seed) -> RatioCheckResult:
+    """ratio_property_check on an enumerated family."""
     subsets = _check_count("subsets", subsets)
+    table = family._table
     threshold = ratio_floor(family.params)
     rng = np.random.default_rng(seed)
     size = len(family)

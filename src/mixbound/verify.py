@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -33,13 +34,18 @@ ESCAPE_SIZES = (16, 25)
 
 @dataclass(frozen=True)
 class VerifyCaps:
-    """Size and effort limits for the verification suite."""
+    """Size and effort limits for the verification suite. Each is a
+    positive integer, so that no check can pass by checking nothing."""
 
     max_n: int = 12
     instances: int = 500
     escape_samples: int = 10_000
     ratio_subsets: int = 200
     mc_samples: int = 20_000
+
+    def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, adv._check_count(f.name, getattr(self, f.name)))
 
     def to_json(self) -> dict:
         """Every limit the suite ran under, fixed ones and library caps
@@ -81,23 +87,17 @@ class _Context:
     it and then read by every check that needs it: the family graphs and
     their test chains, each chain's default parameters, spectral gap and
     bottleneck ratio, each graph's edge expansion and BFS distances, the
-    seeded instances, and the micro systems with their enumerated
-    families, relation arrays and pair tables. A value per graph or chain
-    is keyed by the object itself, which hashes by identity, and is
-    computed through the library's module function, so a patched function
-    is the one that runs."""
+    seeded instances, and the micro families, which hold their own
+    relation arrays and pair tables. A value per graph or chain is keyed
+    by the object itself, which hashes by identity, and is computed
+    through the library's module function, so a patched function is the
+    one that runs."""
 
     def __init__(self, caps: VerifyCaps, seed: int):
         self.caps = caps
         self.seed = seed
-        self._graphs: list[tuple[str, gr.Graph]] | None = None
-        self._chains: list[tuple[str, str, ch.TransitionMatrix]] | None = None
         # (function name, graph or chain, further arguments) -> value
         self._memo: dict[tuple, object] = {}
-        self._instances: list[st.StaircaseInstance] | None = None
-        self._micro_systems: list[tuple[ch.TransitionMatrix, st.StaircaseParams]] | None = None
-        self._micro_families: list[tuple[adv.FunctionFamily, adv._Relation]] | None = None
-        self._micro_tables: list[adv._PairTable] | None = None
 
     def cached(self, module, name: str, *args):
         """module.name(*args), looked up and called the first time these
@@ -107,91 +107,72 @@ class _Context:
             self._memo[key] = getattr(module, name)(*args)
         return self._memo[key]
 
+    @cached_property
     def family_graphs(self) -> list[tuple[str, gr.Graph]]:
-        if self._graphs is None:
-            candidates = [
-                ("cycle", gr.cycle_graph(9)),
-                ("path", gr.path_graph(8)),
-                ("complete", gr.complete_graph(9)),
-                ("hypercube", gr.hypercube_graph(3)),
-                ("torus2d", gr.torus_graph(3, 3)),
-                ("barbell", gr.barbell_graph(10)),
-                ("random_regular", gr.random_regular_graph(8, 3, seed=self.seed)),
-            ]
-            self._graphs = [(name, g) for name, g in candidates if g.n <= self.caps.max_n]
-            if not self._graphs:
-                raise InputError(f"max_n={self.caps.max_n} admits no family graph; "
-                                 f"the smallest has n={min(g.n for _, g in candidates)}")
-        return self._graphs
+        candidates = [
+            ("cycle", gr.cycle_graph(9)),
+            ("path", gr.path_graph(8)),
+            ("complete", gr.complete_graph(9)),
+            ("hypercube", gr.hypercube_graph(3)),
+            ("torus2d", gr.torus_graph(3, 3)),
+            ("barbell", gr.barbell_graph(10)),
+            ("random_regular", gr.random_regular_graph(8, 3, seed=self.seed)),
+        ]
+        graphs = [(name, g) for name, g in candidates if g.n <= self.caps.max_n]
+        if not graphs:
+            raise InputError(f"max_n={self.caps.max_n} admits no family graph; "
+                             f"the smallest has n={min(g.n for _, g in candidates)}")
+        return graphs
 
+    @cached_property
     def test_chains(self) -> list[tuple[str, str, ch.TransitionMatrix]]:
-        if self._chains is None:
-            out = []
-            for gname, g in self.family_graphs():
-                out.append((gname, "lazy-simple", ch.lazy_simple_walk(g)))
-                out.append((gname, "metropolis", ch.metropolis_walk(
-                    g, np.full(g.n, 1.0 / g.n))))
-                out.append((gname, "max-degree", ch.max_degree_walk(g)))
-            self._chains = out
-        return self._chains
+        out = []
+        for gname, g in self.family_graphs:
+            out.append((gname, "lazy-simple", ch.lazy_simple_walk(g)))
+            out.append((gname, "metropolis", ch.metropolis_walk(
+                g, np.full(g.n, 1.0 / g.n))))
+            out.append((gname, "max-degree", ch.max_degree_walk(g)))
+        return out
 
     def default_params(self, P: ch.TransitionMatrix) -> st.StaircaseParams:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", VacuousRegimeWarning)
             return self.cached(st, "default_params", P)
 
+    @cached_property
     def instances(self) -> list[st.StaircaseInstance]:
         """`caps.instances` seeded staircase instances spread over every
         (family, chain construction) combination: ceil(instances / chains)
         per chain in order until the count is reached. A chain's share
         comes from one generator, default_rng((seed, chain index)): its
         good walks by _good_walks, then one bit per walk."""
-        if self._instances is None:
-            chains = self.test_chains()
-            per = math.ceil(self.caps.instances / len(chains))
-            out = []
-            for idx, (_, _, P) in enumerate(chains):
-                share = min(per, self.caps.instances - len(out))
-                if share <= 0:
-                    break
-                params = self.default_params(P)
-                rng = np.random.default_rng((self.seed, idx))
-                walks = _good_walks(P, params, share, rng)
-                bits = rng.integers(2, size=share)
-                out += [st.make_instance(ch.Walk(vertices=tuple(w), chain=P), bit, params)
-                        for w, bit in zip(walks.tolist(), bits.tolist())]
-            self._instances = out
-        return self._instances
+        chains = self.test_chains
+        per = math.ceil(self.caps.instances / len(chains))
+        out = []
+        for idx, (_, _, P) in enumerate(chains):
+            share = min(per, self.caps.instances - len(out))
+            if share <= 0:
+                break
+            params = self.default_params(P)
+            rng = np.random.default_rng((self.seed, idx))
+            walks = _good_walks(P, params, share, rng)
+            bits = rng.integers(2, size=share)
+            out += [st.make_instance(ch.Walk(vertices=tuple(w), chain=P), bit, params)
+                    for w, bit in zip(walks.tolist(), bits.tolist())]
+        return out
 
-    def micro_systems(self) -> list[tuple[ch.TransitionMatrix, st.StaircaseParams]]:
-        """Enumerable adversary systems: K3 with T=1, L=2 and K4 at its
-        default parameters."""
-        if self._micro_systems is None:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", VacuousRegimeWarning)
-                P3 = ch.lazy_simple_walk(gr.complete_graph(3))
-                p3 = st.custom_params(P3, T=1, L=2)
-                P4 = ch.lazy_simple_walk(gr.complete_graph(4))
-                p4 = st.default_params(P4)
-            self._micro_systems = [(P3, p3), (P4, p4)]
-        return self._micro_systems
-
-    def micro_families(self) -> list[tuple[adv.FunctionFamily, adv._Relation]]:
-        """Each micro system's enumerated family with its relation arrays,
-        built once for A5, the symmetry, ratio and exact checks."""
-        if self._micro_families is None:
-            families = [adv.enumerate_family(P, params) for P, params in self.micro_systems()]
-            self._micro_families = [(family, adv._relation_arrays(family.instances))
-                                    for family in families]
-        return self._micro_families
-
-    def micro_tables(self) -> list[adv._PairTable]:
-        """Each micro family's pair table, built once for A5 (ii), the
-        ratio floor and the exact check."""
-        if self._micro_tables is None:
-            self._micro_tables = [adv._pair_table(family, rel)
-                                  for family, rel in self.micro_families()]
-        return self._micro_tables
+    @cached_property
+    def micro_families(self) -> list[adv.FunctionFamily]:
+        """The enumerated families of two adversary systems, K3 with T=1,
+        L=2 and K4 at its default parameters. Each family builds its
+        relation arrays and pair table once, for A5, the symmetry, ratio
+        and exact checks."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", VacuousRegimeWarning)
+            P3 = ch.lazy_simple_walk(gr.complete_graph(3))
+            P4 = ch.lazy_simple_walk(gr.complete_graph(4))
+            systems = [(P3, st.custom_params(P3, T=1, L=2)), (P4, st.default_params(P4))]
+        return [adv.enumerate_family(P, params) for P, params in systems]
 
 
 def _good_walks(P: ch.TransitionMatrix, params: st.StaircaseParams, count: int,
@@ -241,18 +222,18 @@ def check_a1_validity(ctx: _Context) -> Outcome:
     oracle is a BFS from the walk's start over the graph's CSR arrays,
     independent of the instance's stored distances; it runs once per
     graph and start, not once per instance."""
-    for inst in ctx.instances():
+    for inst in ctx.instances:
         dist = ctx.cached(gr, "bfs_distances", inst.graph, inst.walk.start)
         if not st._valid_for_distances(inst.graph, inst.walk.vertices, inst.value, dist):
             return _fail("instance value function failed validity",
                          {"walk": list(inst.walk.vertices), "bit": inst.bit})
-    return _ok(f"{len(ctx.instances())} instances valid")
+    return _ok(f"{len(ctx.instances)} instances valid")
 
 
 def check_a2_mixing_concentration(ctx: _Context) -> Outcome:
     """After T = t_mix(sigma/2n) steps no vertex holds more than 2 sigma/n
     probability, from any start."""
-    for gname, kind, P in ctx.test_chains():
+    for gname, kind, P in ctx.test_chains:
         sigma = ch.stationary_ratio(P)
         T = ctx.default_params(P).T
         power = np.linalg.matrix_power(P.matrix, T)
@@ -263,14 +244,14 @@ def check_a2_mixing_concentration(ctx: _Context) -> Outcome:
                          {"graph": gname, "chain": kind, "u": int(u + 1),
                           "v": int(v + 1), "value": float(power.max()),
                           "limit": limit})
-    return _ok(f"{len(ctx.test_chains())} chains concentrated")
+    return _ok(f"{len(ctx.test_chains)} chains concentrated")
 
 
 def check_a3_visit_sum(ctx: _Context) -> Outcome:
     """Sum of visit probabilities into a fixed vertex over any start subset
     is at most len * sigma. One visit DP per (chain, v), read at every
     length."""
-    chains = [(g, k, P) for g, k, P in ctx.test_chains() if P.n <= VISIT_SUM_N]
+    chains = [(g, k, P) for g, k, P in ctx.test_chains if P.n <= VISIT_SUM_N]
     for gname, kind, P in chains:
         sigma = ch.stationary_ratio(P)
         n = P.n
@@ -331,8 +312,8 @@ def check_a5_difference_localization(ctx: _Context) -> Outcome:
     decision_value fills the decision array once per instance and vertex;
     J comes from the relation's head ids over the distinct walks."""
     pair_count = 0
-    for index, (family, rel) in enumerate(ctx.micro_families()):
-        P, T = family.chain, family.params.T
+    for family in ctx.micro_families:
+        P, T, rel = family.chain, family.params.T, family._relation
         insts = family.instances
         # (i) over every ordered instance pair (a, b) with distinct walks and
         # every vertex v, as arrays over the distinct walks: wid[i] is the
@@ -370,8 +351,8 @@ def check_a5_difference_localization(ctx: _Context) -> Outcome:
                           "J": int(J[wid[i], wid[k]])})
         # factor-2 bound, on the full family: each ordered pair (i, k)
         # adds its weight to the vertices of k's tail after the shared head
-        table = ctx.micro_tables()[index]
-        last = adv._last_occurrence(table.walks, P.n)
+        table = family._table
+        last = adv._last_occurrence(rel.walks, P.n)
         head_end = table.J.astype(np.int64) * T
         r = table.r
         rhs = np.zeros(P.n)
@@ -432,7 +413,7 @@ def check_a7_monotone_grid(ctx: _Context) -> Outcome:
 def check_a8_time_reversal(ctx: _Context) -> Outcome:
     """pi(u) E_visit(u,v,len) = pi(v) E_visit(v,u,len) for every pair and
     every length, on all chain constructions."""
-    chains = [(g, k, P) for g, k, P in ctx.test_chains() if P.n <= REVERSAL_N]
+    chains = [(g, k, P) for g, k, P in ctx.test_chains if P.n <= REVERSAL_N]
     worst = 0.0
     for gname, kind, P in chains:
         pi = ch.stationary(P)
@@ -453,12 +434,12 @@ def check_a8_time_reversal(ctx: _Context) -> Outcome:
 def check_a9_unique_minimum(ctx: _Context) -> Outcome:
     """Every sampled instance has exactly one local minimum: the end of
     its walk."""
-    for inst in ctx.instances():
+    for inst in ctx.instances:
         minima = st.local_minima(inst.graph, inst.value)
         if minima != [inst.minimum]:
             return _fail("local minima differ from the walk end",
                          {"walk": list(inst.walk.vertices), "minima": minima})
-    return _ok(f"{len(ctx.instances())} instances with unique minimum")
+    return _ok(f"{len(ctx.instances)} instances with unique minimum")
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +475,7 @@ def _linear_mixing_times(P: ch.TransitionMatrix, eps_values,
 def check_b1_cheeger_sandwich(ctx: _Context) -> Outcome:
     """Phi^2/2 <= 1 - lambda2 <= 2 Phi for every lazy test chain, with the
     Lanczos lambda2 within 1e-12 of a dense eigensolve."""
-    for gname, kind, P in ctx.test_chains():
+    for gname, kind, P in ctx.test_chains:
         phi = ctx.cached(ch, "bottleneck_ratio", P)
         lambda2, gap = ctx.cached(ch, "spectral_gap", P)
         reference = _dense_lambda2(P)
@@ -505,13 +486,13 @@ def check_b1_cheeger_sandwich(ctx: _Context) -> Outcome:
         if not (phi * phi / 2.0 <= gap + 1e-12 and gap <= 2.0 * phi + 1e-12):
             return _fail("Cheeger sandwich violated",
                          {"graph": gname, "chain": kind, "phi": phi, "gap": gap})
-    return _ok(f"{len(ctx.test_chains())} chains sandwiched")
+    return _ok(f"{len(ctx.test_chains)} chains sandwiched")
 
 
 def check_b2_expansion_bound(ctx: _Context) -> Outcome:
     """Phi <= beta * C^2 / d_max for the lazy simple walk, with
     C = d_max/d_min."""
-    lazy_simple = [(gname, P) for gname, kind, P in ctx.test_chains()
+    lazy_simple = [(gname, P) for gname, kind, P in ctx.test_chains
                    if kind == "lazy-simple"]
     for gname, P in lazy_simple:
         g = P.graph
@@ -533,7 +514,7 @@ def check_b_spectral_mixing(ctx: _Context) -> Outcome:
     ends, the upper one before it is rounded up. The default mixing time
     (single-start on vertex-transitive chains) also equals the
     full-matrix linear scan, one scan per chain for both eps."""
-    for gname, kind, P in ctx.test_chains():
+    for gname, kind, P in ctx.test_chains:
         _, gap = ctx.cached(ch, "spectral_gap", P)
         eps_values = (0.125, 1.0 / (2 * P.n))
         for eps, t_linear in zip(eps_values, _linear_mixing_times(P, eps_values)):
@@ -548,7 +529,7 @@ def check_b_spectral_mixing(ctx: _Context) -> Outcome:
                 return _fail("mixing time outside the spectral bracket",
                              {"graph": gname, "chain": kind, "eps": eps,
                               "t_mix": t, "lower": lower, "upper": upper})
-    return _ok(f"{len(ctx.test_chains())} chains within the spectral bound")
+    return _ok(f"{len(ctx.test_chains)} chains within the spectral bound")
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +540,7 @@ def check_graph_invariants(ctx: _Context) -> Outcome:
     """Connectivity, brute-force expansion agreement (n <= 10), and the
     triangle inequality on sampled triples."""
     rng = np.random.default_rng(ctx.seed)
-    for gname, g in ctx.family_graphs():
+    for gname, g in ctx.family_graphs:
         dist_rows = [ctx.cached(gr, "bfs_distances", g, s) for s in range(1, g.n + 1)]
         if any(d < 0 for d in dist_rows[0]):
             return _fail("graph not connected", {"graph": gname})
@@ -574,13 +555,13 @@ def check_graph_invariants(ctx: _Context) -> Outcome:
             if dist_rows[a - 1][c - 1] > dist_rows[a - 1][b - 1] + dist_rows[b - 1][c - 1]:
                 return _fail("triangle inequality violated",
                              {"graph": gname, "triple": [a, b, c]})
-    return _ok(f"{len(ctx.family_graphs())} generated graphs pass")
+    return _ok(f"{len(ctx.family_graphs)} generated graphs pass")
 
 
 def check_chain_construction(ctx: _Context) -> Outcome:
     """Constructed chains are lazy, reversible, irreducible; stationary
     vectors match their closed forms and the generic solver."""
-    for gname, kind, P in ctx.test_chains():
+    for gname, kind, P in ctx.test_chains:
         flags = ch.check_properties(P)
         if not (flags.lazy and flags.irreducible and flags.reversible):
             return _fail("constructed chain missing a property",
@@ -596,7 +577,7 @@ def check_chain_construction(ctx: _Context) -> Outcome:
         if kind == "max-degree" and np.abs(P.pi - 1.0 / P.n).max() > 1e-12:
             return _fail("max-degree stationary not uniform",
                          {"graph": gname})
-    return _ok(f"{len(ctx.test_chains())} constructions validated")
+    return _ok(f"{len(ctx.test_chains)} constructions validated")
 
 
 def check_adversary_symmetry(ctx: _Context) -> Outcome:
@@ -610,8 +591,8 @@ def check_adversary_symmetry(ctx: _Context) -> Outcome:
     block, each ORed into one failing mask; the first failing cell in
     row-major order is reported, with the first message that holds there."""
     pairs = 0
-    for family, rel in ctx.micro_families():
-        insts = family.instances
+    for family in ctx.micro_families:
+        insts, rel = family.instances, family._relation
         size = len(insts)
         bits = np.array([inst.bit for inst in insts])
         good = np.array([st.is_good_walk(inst.walk, family.params.T) for inst in insts])
@@ -650,9 +631,8 @@ def check_adversary_symmetry(ctx: _Context) -> Outcome:
 def check_adversary_ratio_floor(ctx: _Context) -> Outcome:
     """Random subsets of an enumerable family keep M(Z)/q(Z) above the
     theoretical floor."""
-    family, _ = ctx.micro_families()[1]  # K4 at default parameters
-    result = adv._ratio_check(family, ctx.micro_tables()[1], ctx.caps.ratio_subsets,
-                              ctx.seed)
+    family = ctx.micro_families[1]  # K4 at default parameters
+    result = adv._ratio_check(family, ctx.caps.ratio_subsets, ctx.seed)
     if not result.passed:
         return _fail("subset ratio fell below the floor", asdict(result))
     return _ok(f"min ratio {result.min_ratio:.4f} vs floor "
@@ -663,10 +643,9 @@ def check_adversary_exact_mc(ctx: _Context) -> Outcome:
     """Monte Carlo estimates agree with exact enumeration within three
     standard errors on every enumerable configuration."""
     details = []
-    for idx, ((family, _), table) in enumerate(zip(ctx.micro_families(),
-                                                   ctx.micro_tables())):
+    for idx, family in enumerate(ctx.micro_families):
         P, params = family.chain, family.params
-        exact = adv._exact_report(family, table)
+        exact = adv._exact_report(family)
         est = adv.estimate_lower_bound(P, params, samples=ctx.caps.mc_samples,
                                        seed=(ctx.seed, idx))
         if abs(est.M - exact.M) > 3.0 * est.std_error:
@@ -685,7 +664,7 @@ def check_solver_invariants(ctx: _Context) -> Outcome:
     """All solvers land on the instance minimum, repeat deterministically
     under a fixed seed, reveal the hidden bit in decision mode, and respect
     the steepest-descent query budget."""
-    sample = ctx.instances()[:60]
+    sample = ctx.instances[:60]
     for inst in sample:
         g = inst.graph
         _, d_max, _ = gr.degree_stats(g)

@@ -454,10 +454,10 @@ def test_exact_golden_outputs(name, block_cells, monkeypatch):
     assert repr(mb.ratio_property_check(P, params, subsets=200, seed=0)) == want_ratio
 
 
-def _told_apart_by_loops(table, n: int) -> dict:
+def _told_apart_by_loops(table, walks, n: int) -> dict:
     """{(a, b): vertices told apart}, cell by cell: v's last occurrence
     differs, or both walks end at v and their tags (bits) differ."""
-    walks = table.walks.tolist()
+    walks = walks.tolist()
     last = [{x: t for t, x in enumerate(w)} for w in walks]
     told = {}
     for (a, i), (b, k) in itertools.product(enumerate(table.rows.tolist()),
@@ -474,7 +474,7 @@ def test_packed_flags_equal_a_loop_over_cells(name, monkeypatch):
     P, params = _exact_system(name)
     family = mb.enumerate_family(P, params)
     table = _pair_table(family)
-    told = _told_apart_by_loops(table, P.n)
+    told = _told_apart_by_loops(table, family._relation.walks, P.n)
     rng = np.random.default_rng(0)
     masks = [np.ones(len(family), dtype=bool)] + [
         rng.random(len(family)) < p for p in (0.3, 0.6, 0.9)]
@@ -573,17 +573,34 @@ def test_batched_ratio_check_equals_the_loop(name):
 
 
 @pytest.mark.parametrize("name", EXACT_FAMILIES)
-def test_cores_on_a_prebuilt_table_equal_the_public_calls(name):
-    # one family and one table, built from its relation arrays as verify
-    # builds them, serve every call
+def test_cores_on_a_prebuilt_table_equal_the_public_calls(name, monkeypatch):
+    # one family builds its relation arrays and its pair table once, and
+    # every exact reader of it reads those; each reads as on a fresh family
     P, params = _exact_system(name)
     family = mb.enumerate_family(P, params)
-    table = _pair_table(family, _relation_arrays(family.instances))
-    assert repr(_exact_report(family, table)) == repr(mb.exact_lower_bound(P, params))
+    built = []
+    for build in (_relation_arrays, _pair_table):
+        monkeypatch.setattr(f"mixbound.adversary.{build.__name__}",
+                            lambda arg, build=build: built.append((build, arg)) or build(arg))
+    other = mb.enumerate_family(P, params)
+    assert repr(mb.relation_mass(family, family)) == repr(mb.relation_mass(other, other))
+    assert repr(mb.distinguishing_mass(family)) == repr(mb.distinguishing_mass(other))
+    assert repr(_exact_report(family)) == repr(mb.exact_lower_bound(P, params))
     for seed, subsets in itertools.product(range(5), (1, 7, 200)):
-        assert repr(_ratio_check(family, table, subsets, seed)) == repr(
+        assert repr(_ratio_check(family, subsets, seed)) == repr(
             mb.ratio_property_check(P, params, subsets, seed))
-    assert repr(_exact_report(family, table)) == repr(mb.exact_lower_bound(P, params))
+    assert repr(_exact_report(family)) == repr(mb.exact_lower_bound(P, params))
+    ours = [build for build, arg in built if arg is family or arg is family.instances]
+    assert sorted(b.__name__ for b in ours) == ["_pair_table", "_relation_arrays"]
+
+
+def test_a_family_holds_read_only_relation_arrays_and_table(k3_family):
+    # both outlive the call that builds them, so no reader may write into them
+    table = k3_family._table
+    for a in (*k3_family._relation, table.rows, table.cols, table.J, table.values,
+              table.ids, table.diff):
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = a[(0,) * a.ndim]
 
 
 def test_ratio_check_refuses_a_family_without_positive_q():

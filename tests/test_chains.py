@@ -597,7 +597,7 @@ def _bits(a):
 def test_one_visit_dp_equals_a_dp_per_length():
     # A3 reads one DP per (chain, v) at every length; each row must equal a
     # DP run for that length alone, bit for bit, on A3's nine chains
-    chains = [P for _, _, P in _Context(VerifyCaps(), seed=0).test_chains()
+    chains = [P for _, _, P in _Context(VerifyCaps(), seed=0).test_chains
               if P.n <= VISIT_SUM_N]
     assert len(chains) == 9
     for P in chains:
@@ -610,7 +610,7 @@ def test_one_visit_dp_equals_a_dp_per_length():
 
 def test_one_linear_scan_equals_a_scan_per_eps():
     # B_spectral_mixing reads both eps from one scan of P^t
-    chains = [P for _, _, P in _Context(VerifyCaps(), seed=0).test_chains()]
+    chains = [P for _, _, P in _Context(VerifyCaps(), seed=0).test_chains]
     assert len(chains) == 21
     for P in chains:
         for eps_values in ((0.125, 1.0 / (2 * P.n)), (1.0 / (2 * P.n), 0.125)):
@@ -644,7 +644,7 @@ def test_sample_walk_deterministic(k3_chain):
 def test_sampling_table_pin_last_positive_slot():
     from mixbound.verify import VerifyCaps, _Context
     u = np.nextafter(1.0, 0.0)
-    for _, _, P in _Context(VerifyCaps(), seed=0).test_chains():
+    for _, _, P in _Context(VerifyCaps(), seed=0).test_chains:
         index, cum = P.sampling_table
         assert np.all(np.diff(cum, axis=1) >= 0.0)
         for r in range(P.n):
@@ -867,7 +867,7 @@ def _assert_loops_match_dense(P, uniforms):
 
 def _guide_chains():
     from mixbound.verify import VerifyCaps, _Context
-    chains = [P for _, _, P in _Context(VerifyCaps(), seed=0).test_chains()]
+    chains = [P for _, _, P in _Context(VerifyCaps(), seed=0).test_chains]
     return chains + [mb.lazy_simple_walk(mb.graph_from_spec("hypercube:8")),
                      mb.lazy_simple_walk(mb.random_regular_graph(256, 4, seed=0))]
 
@@ -1623,7 +1623,7 @@ def test_chain_json_round_trip_reducible_and_biased():
 
 def test_chain_json_round_trip_on_verify_families():
     from mixbound.verify import VerifyCaps, _Context
-    for _, _, P in _Context(VerifyCaps(), seed=0).test_chains():
+    for _, _, P in _Context(VerifyCaps(), seed=0).test_chains:
         for graph in (None, P.graph):
             Q = _round_trip(P, graph)
             _assert_same_chain(P, Q)

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import io
 import itertools
@@ -48,6 +49,16 @@ def test_suite_selection():
         run_verify(suite="everything")
     with pytest.raises(InputError):
         run_verify(checks=["bogus"])
+
+
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(VerifyCaps)])
+@pytest.mark.parametrize("value", [0, -1, True, 2.5])
+def test_caps_refuse_what_is_not_a_positive_integer(field, value):
+    # 0 or -3 instances passed A1, A9 and solver_invariants on no instance,
+    # and True ran one
+    with pytest.raises(InputError, match=f"^{field} must be a positive integer"):
+        VerifyCaps(**{field: value})
+    assert getattr(VerifyCaps(**{field: np.int64(2)}), field) == 2
 
 
 def test_lemma_suite_passes_fast_caps():
@@ -166,8 +177,8 @@ def test_pair_checks_hold_no_vertex_sized_pair_arrays(check, multiple):
     # the symmetry check takes its weights a block of rows at a time and
     # peaks at about 3.3 (12.7 with the whole float64 relation matrix held)
     ctx = _Context(VerifyCaps(), seed=0)
-    ctx._micro_systems = ctx.micro_systems()[1:]  # K4 at default parameters
-    size = len(adv.enumerate_family(*ctx.micro_systems()[0]))
+    ctx.micro_families = ctx.micro_families[1:]  # K4 at default parameters
+    size = len(ctx.micro_families[0])
     run = CHECKS[check][1]
     assert run(ctx)[0]  # caches warm, so only the check is measured
     tracemalloc.start()
@@ -249,9 +260,9 @@ def test_context_params_cache_keeps_chain_alive():
 ])
 def test_instances_keep_the_per_chain_shares(caps, shares):
     ctx = _Context(caps, seed=0)
-    instances = ctx.instances()
+    instances = ctx.instances
     assert len(instances) == caps.instances
-    chains = [P for _, _, P in ctx.test_chains()]
+    chains = [P for _, _, P in ctx.test_chains]
     assert [sum(inst.chain is P for inst in instances) for P in chains] == shares
     # each chain's share is one run, in chain order
     assert [inst.chain for inst in instances] == sorted(
@@ -267,7 +278,7 @@ def test_instances_keep_the_per_chain_shares(caps, shares):
 def test_instances_follow_the_seed():
     def draw(seed):
         return [(inst.walk.vertices, inst.bit)
-                for inst in _Context(VerifyCaps(), seed=seed).instances()]
+                for inst in _Context(VerifyCaps(), seed=seed).instances]
 
     first = draw(0)
     assert first == draw(0)
@@ -321,7 +332,7 @@ def test_run_verify_builds_each_fixture_once(monkeypatch):
 
     count(adv, "enumerate_family", lambda P, *_: P)
     count(adv, "_relation_arrays", lambda instances: instances[0].chain)
-    count(adv, "_pair_table", lambda family, *_: family.chain)
+    count(adv, "_pair_table", lambda family: family.chain)
     count(gr, "bfs_distances", lambda g, source: (g, source))
     count(ch, "spectral_gap", lambda P: P)
     count(ch, "bottleneck_ratio", lambda P: P)
@@ -345,7 +356,7 @@ def test_run_verify_builds_each_fixture_once(monkeypatch):
 def test_a1_catches_a_shifted_off_walk_value():
     ctx = _Context(VerifyCaps(), seed=0)
     # the first instance past the first chain whose walk misses a vertex
-    inst = next(inst for inst in ctx.instances()[30:]
+    inst = next(inst for inst in ctx.instances[30:]
                 if len(set(inst.walk.vertices)) < inst.graph.n)
     v = min(set(range(1, inst.graph.n + 1)) - set(inst.walk.vertices))
     values = list(inst.values)
@@ -361,7 +372,7 @@ def test_a1_oracle_is_a_bfs_not_the_stored_distances():
     # the stored distances of path8 are off at vertex 8, so every path8
     # instance whose walk misses vertex 8 carries a wrong value there
     ctx = _Context(VerifyCaps(), seed=0)
-    name, g = ctx.family_graphs()[1]
+    name, g = ctx.family_graphs[1]
     assert (name, g.n) == ("path", 8)
     shifted = g.start_distances.copy()
     shifted[-1] += 1
@@ -369,6 +380,6 @@ def test_a1_oracle_is_a_bfs_not_the_stored_distances():
     passed, details, counterexample = CHECKS["A1_validity"][1](ctx)
     assert not passed
     assert details == "instance value function failed validity"
-    inst = next(inst for inst in ctx.instances()
+    inst = next(inst for inst in ctx.instances
                 if inst.graph is g and 8 not in inst.walk.vertices)
     assert counterexample == {"walk": list(inst.walk.vertices), "bit": inst.bit}
