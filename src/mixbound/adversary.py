@@ -22,13 +22,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chains import TransitionMatrix, Walk, _distinct, _sample_tails, make_walk
+from .chains import (TransitionMatrix, Walk, _distinct, _sample_tails, _step_probabilities,
+                     make_walk)
 from .errors import DEFAULT_CAPS, CapabilityError, InputError
 from .graphs import _bfs
 from .staircase import (
     StaircaseInstance,
     StaircaseParams,
-    _milestone_heads,
     is_good_walk,
     make_instance,
     sample_good_walk,
@@ -39,38 +39,58 @@ WITNESS_EXPANSION_CAP = 10 ** 5
 LOWER_BOUND_CONSTANT = 0.01
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FunctionFamily:
-    """A collection of staircase instances over one chain and one parameter
-    set. ``exhaustive`` marks families produced by full enumeration. A
-    family builds its relation arrays and its pair table the first time
+    """Staircase instances over one chain and one parameter set: row i of
+    ``walks`` (size, L + 1) is instance i's walk and ``bits[i]`` its hidden
+    bit, int64 and int8 arrays that the family marks read-only (an array
+    of another dtype, or a list, is copied first). ``exhaustive`` marks
+    families produced by full enumeration. Families compare by identity.
+    A family builds its relation arrays and its pair table the first time
     an exact reader asks for them and holds them, read-only, while it
     lives: relation_mass, distinguishing_mass, the exact report and the
-    ratio check of one family share one build."""
+    ratio check of one family share one build, and build no instance."""
 
-    instances: tuple[StaircaseInstance, ...]
+    walks: np.ndarray
+    bits: np.ndarray
     params: StaircaseParams
     chain: TransitionMatrix
     exhaustive: bool = False
 
     def __post_init__(self):
-        seen = set()
-        for inst in self.instances:
-            if inst.params != self.params:
-                raise InputError("family instances must share parameters")
-            if inst.chain is not self.chain:
-                raise InputError("family instances must share the chain")
-            key = (inst.walk.vertices, inst.bit)
-            if key in seen:
-                raise InputError(f"duplicate instance {key}")
-            seen.add(key)
+        walks, bits = np.asarray(self.walks, dtype=np.int64), np.asarray(self.bits)
+        if walks.ndim != 2 or walks.shape[1] != self.params.L + 1:
+            raise InputError(f"walks must have shape (size, {self.params.L + 1}), "
+                             f"got {walks.shape}")
+        if bits.shape != (len(walks),) or np.any((bits != 0) & (bits != 1)):
+            raise InputError(f"need a hidden bit, 0 or 1, per walk; got {bits}")
+        if np.any(walks[:, 0] != 1) or np.any((walks < 1) | (walks > self.chain.n)):
+            raise InputError(f"instance walks must start at vertex 1 and stay in "
+                             f"1..{self.chain.n}")
+        bits = bits.astype(np.int8, copy=False)
+        keys = _row_keys(walks, bits)
+        twice = np.flatnonzero(np.bincount(keys)[keys] > 1)
+        if twice.size:
+            i = twice[0]
+            raise InputError(f"duplicate instance {(tuple(walks[i].tolist()), int(bits[i]))}")
+        for name, a in (("walks", walks), ("bits", bits)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     def __len__(self) -> int:
-        return len(self.instances)
+        return len(self.bits)
+
+    @functools.cached_property
+    def instances(self) -> tuple[StaircaseInstance, ...]:
+        """The rows as StaircaseInstance objects, in family order, built
+        the first time they are read; the exact path reads the arrays."""
+        return tuple(make_instance(Walk(vertices=tuple(verts), chain=self.chain), bit,
+                                   self.params)
+                     for verts, bit in zip(self.walks.tolist(), self.bits.tolist()))
 
     @functools.cached_property
     def _relation(self) -> _Relation:
-        return _relation_arrays(self.instances)
+        return _relation_arrays(self.chain, self.params, self.walks, self.bits)
 
     @functools.cached_property
     def _table(self) -> _PairTable:
@@ -116,7 +136,7 @@ _UNDERFLOW = ("a head probability underflows to 0.0: the relation weight "
 
 
 class _Relation(NamedTuple):
-    """What the relation reads of a list of instances, one row each."""
+    """What the relation reads of a family's rows, one row per instance."""
 
     walks: np.ndarray  # (size, L + 1) walk vertices
     bits: np.ndarray  # hidden bits
@@ -129,22 +149,47 @@ class _Relation(NamedTuple):
         return _Relation(*(a[index] for a in self))
 
 
-def _relation_arrays(instances) -> _Relation:
-    """The relation's arrays for instances of one chain and one parameter
-    set. The heads come from one _milestone_heads call on the 2-D walks,
-    so heads[i, j] equals the probability of row i's head through
-    milestone j bit for bit, and heads[i, m] its walk's probability."""
-    first = instances[0]
-    T, m, L = first.params.T, first.params.m, first.params.L
-    walks = np.array([inst.walk.vertices for inst in instances],
-                     dtype=np.int64).reshape(len(instances), L + 1)
-    bits = np.array([inst.bit for inst in instances], dtype=np.int8)
-    ids = np.empty((len(instances), m), dtype=np.min_scalar_type(len(instances)))
-    for j in range(1, m + 1):
-        # this form of np.unique does not import numpy.ma
-        ids[:, j - 1] = np.unique(walks[:, :j * T + 1], axis=0, return_inverse=True)[1].reshape(-1)
-    rel = _Relation(walks, bits, _good_rows(walks, T),
-                    _milestone_heads(first.chain, walks, T), ids)
+def _prefix_ids(rows: np.ndarray, ends) -> np.ndarray:
+    """ids[:, k]: the rank of each row's prefix rows[:, :ends[k]] among
+    the distinct ones (np.unique's inverse), for increasing ends. In one
+    lexsort of the rows, a row starts a new prefix through ends[k] where
+    it started one through ends[k - 1] or differs from the row before in
+    the columns between; the ids count those starts."""
+    ids = np.empty((len(rows), len(ends)), dtype=np.min_scalar_type(len(rows)))
+    order = np.lexsort(rows.T[::-1])
+    starts = np.zeros(len(rows), dtype=bool)
+    for k, (begin, end) in enumerate(zip([0, *ends], ends)):
+        for c in range(begin, end):  # a column at a time, so no rows-sized copy
+            column = rows[order, c]
+            starts[1:] |= column[1:] != column[:-1]
+        ids[order, k] = np.cumsum(starts, dtype=ids.dtype)
+    return ids
+
+
+def _row_keys(walks: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """One integer per row, equal iff the (walk, bit) rows are."""
+    return _prefix_ids(walks, [walks.shape[1]])[:, 0] * np.int64(2) + bits
+
+
+# Step-probability cells (a float and a bool each) per block of heads.
+_HEAD_BLOCK_CELLS = 1 << 18
+
+
+def _relation_arrays(chain: TransitionMatrix, params: StaircaseParams,
+                     walks: np.ndarray, bits: np.ndarray) -> _Relation:
+    """The relation's arrays for a family's walks and bits, or for
+    relation_weight's two rows. heads[i, j] multiplies row i's steps in
+    order, as walk_probability does, so it is the probability of the head
+    through milestone j bit for bit; the steps are read a block of rows
+    at a time, so no (size, L, in-degree) temporary is held."""
+    T, L = params.T, params.L
+    heads = np.ones((len(walks), params.m + 1))
+    step = max(1, _HEAD_BLOCK_CELLS // max(L * chain.in_neighbours[0].shape[1], 1))
+    for s in range(0, len(walks), step):
+        steps = np.cumprod(_step_probabilities(chain, walks[s:s + step]), axis=-1)
+        heads[s:s + step, 1:] = steps[:, T - 1::T]
+    rel = _Relation(walks, bits, _good_rows(walks, T), heads,
+                    _prefix_ids(walks, range(T + 1, L + 2, T)))
     for a in rel:
         a.setflags(write=False)
     return rel
@@ -187,14 +232,15 @@ def relation_weight(a: StaircaseInstance, b: StaircaseInstance) -> float:
     _relation_block; exactly symmetric because the shared head is the same
     sequence in both walks. A shared head whose probability underflowed to
     0.0 raises CapabilityError. Each call builds the relation arrays of
-    its two instances, 320-400 us per call on K4 (a 2-vCPU VM), so a
+    its two instances, 200-240 us per call on K4 (a 2-vCPU VM), so a
     caller looping over the pairs of a family reads family._relation once
     and passes blocks of its rows to _relation_block instead."""
-    if a.params is not b.params and a.params != b.params:
+    if a.params != b.params:
         raise InputError("instances come from different parameter sets")
     if a.walk.chain is not b.walk.chain:
         raise InputError("instances come from different chains")
-    rel = _relation_arrays((a, b))
+    rel = _relation_arrays(a.chain, a.params, np.array([a.walk.vertices, b.walk.vertices]),
+                           np.array([a.bit, b.bit]))
     return float(_relation_block(rel.take([0]), rel.take([1]))[1][0, 0])
 
 
@@ -205,8 +251,9 @@ def relation_weight(a: StaircaseInstance, b: StaircaseInstance) -> float:
 def enumerate_family(P: TransitionMatrix, params: StaircaseParams,
                      cap: int = DEFAULT_CAPS["enumeration"]) -> FunctionFamily:
     """All walks of length L from vertex 1 with positive step probabilities,
-    crossed with both hidden bits. Aborts once the walk count passes the
-    cap; use the Monte Carlo estimator beyond that."""
+    crossed with both hidden bits: the walks in increasing lexicographic
+    order, each once with bit 0 and then with bit 1. Aborts once the walk
+    count passes the cap; use the Monte Carlo estimator beyond that."""
     successors = [tuple(dict.fromkeys(row)) for row in (P.sampling_table[0] + 1).tolist()]
     # Walks ending at each vertex, counted level by level before any walk
     # is built. Every row has a successor, so the total never falls and
@@ -224,23 +271,20 @@ def enumerate_family(P: TransitionMatrix, params: StaircaseParams,
         raise CapabilityError(
             f"family exceeds enumeration cap {cap}; "
             "use the Monte Carlo estimator instead")
-    walks: list[tuple[int, ...]] = []
-    stack: list[tuple[int, ...]] = [(1,)]
-    while stack:
-        prefix = stack.pop()
-        if len(prefix) == params.L + 1:
-            walks.append(prefix)
-            continue
-        for nxt in reversed(successors[prefix[-1] - 1]):
-            stack.append(prefix + (nxt,))
-    walks.sort()
-    instances = []
-    for verts in walks:
-        w = Walk(vertices=verts, chain=P)
-        for bit in (0, 1):
-            instances.append(make_instance(w, bit, params))
-    return FunctionFamily(instances=tuple(instances), params=params, chain=P,
-                          exhaustive=True)
+    # Level by level: each walk, in order, is followed by each successor
+    # of its end, in increasing order (as the sampling table lists them),
+    # so the walks of every level stay in lexicographic order.
+    table = np.zeros((P.n, max(map(len, successors))), dtype=np.int64)  # 0 pads a list
+    for u, row in enumerate(successors):
+        table[u, :len(row)] = row
+    walks = np.ones((1, 1), dtype=np.int64)
+    for _ in range(params.L):
+        nxt = table[walks[:, -1] - 1]
+        keep = nxt > 0
+        walks = np.column_stack((np.repeat(walks, keep.sum(axis=1), axis=0), nxt[keep]))
+    return FunctionFamily(walks=np.repeat(walks, 2, axis=0),
+                          bits=np.tile(np.array([0, 1], dtype=np.int8), len(walks)),
+                          params=params, chain=P, exhaustive=True)
 
 
 @dataclass(frozen=True)
@@ -327,16 +371,24 @@ def _pair_table(family: FunctionFamily) -> _PairTable:
                       mass=tuple(mass.tolist()))
 
 
-def _indices_in(family: FunctionFamily, subset) -> list[int]:
-    index = {(inst.walk.vertices, inst.bit): i
-             for i, inst in enumerate(family.instances)}
-    instances = subset.instances if isinstance(subset, FunctionFamily) else subset
-    out = []
-    for inst in instances:
-        idx = index.get((inst.walk.vertices, inst.bit))
-        if idx is None:
-            raise InputError("subset instance is not part of the family")
-        out.append(idx)
+def _indices_in(family: FunctionFamily, subset) -> np.ndarray:
+    """The family positions of subset's members (a FunctionFamily or
+    StaircaseInstances of the family's chain and parameters), in order."""
+    members = [subset] if isinstance(subset, FunctionFamily) else list(subset)
+    if any(s.chain is not family.chain or s.params != family.params for s in members):
+        raise InputError("subset comes from another chain or parameter set than the family")
+    if isinstance(subset, FunctionFamily):
+        walks, bits = subset.walks, subset.bits
+    else:
+        walks = np.array([inst.walk.vertices for inst in members],
+                         dtype=np.int64).reshape(len(members), family.params.L + 1)
+        bits = np.array([inst.bit for inst in members], dtype=np.int8)
+    keys = _row_keys(np.concatenate((family.walks, walks)), np.concatenate((family.bits, bits)))
+    position = np.full(keys.max(initial=0) + 1, -1)
+    position[keys[:len(family)]] = np.arange(len(family))
+    out = position[keys[len(family):]]
+    if np.any(out < 0):
+        raise InputError("subset instance is not part of the family")
     return out
 
 
@@ -352,7 +404,7 @@ def relation_mass(Z, X: FunctionFamily) -> MassResult:
     if not X.exhaustive:
         raise InputError("the reference family must be exhaustive")
     mass = X._table.mass
-    picked = [mass[i] for i in _indices_in(X, Z)]
+    picked = [mass[i] for i in _indices_in(X, Z).tolist()]
     return MassResult(total=math.fsum(picked), per_instance=tuple(picked))
 
 
@@ -798,10 +850,8 @@ def witness_pair(P: TransitionMatrix, params: StaircaseParams) -> FunctionFamily
     y_walk = make_walk(P, y_verts)
     if not (is_good_walk(x_walk, T) and is_good_walk(y_walk, T)):
         raise AssertionError("witness walks must be good by construction")
-    pair = FunctionFamily(
-        instances=(make_instance(x_walk, 0, params), make_instance(y_walk, 1, params)),
-        params=params, chain=P)
-    return pair
+    return FunctionFamily(walks=np.array([x_walk.vertices, y_walk.vertices]),
+                          bits=np.array([0, 1]), params=params, chain=P)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ import numpy as np
 from .chains import (
     TransitionMatrix,
     Walk,
-    _step_probabilities,
     chain_from_spec,
     make_walk,
     mixing_time,
@@ -165,14 +164,6 @@ def tail_segment(w, j1: int, j2: int, T: int) -> tuple[int, ...]:
     if not 0 <= j1 <= j2 <= m:
         raise InputError(f"need 0 <= j1 <= j2 <= {m}, got j1={j1}, j2={j2}")
     return verts[j1 * T + 1: j2 * T + 1]
-
-
-def _milestone_heads(P: TransitionMatrix, walks: np.ndarray, T: int) -> np.ndarray:
-    """heads[..., j]: the probability of the head through milestone j of
-    each walk along the last axis of walks, multiplied one step at a time
-    from the start as by walk_probability, so the last head equals it."""
-    heads = np.cumprod(_step_probabilities(P, walks), axis=-1)[..., T - 1::T]
-    return np.concatenate((np.ones(heads.shape[:-1] + (1,)), heads), axis=-1)
 
 
 def shared_head_index(x, y, T: int) -> int:

@@ -586,16 +586,14 @@ def check_adversary_symmetry(ctx: _Context) -> Outcome:
     each micro family. The weights come from the library's relation path,
     _relation_block, for a block of rows against the whole family at a
     time: R from (rows, all) and its mirror from (all, rows), transposed,
-    so no size-squared float array is held. The bits and goodness are read
-    from the instances. The condition masks are built one at a time per
+    so no size-squared float array is held. The goodness is is_good_walk's
+    on each walk. The condition masks are built one at a time per
     block, each ORed into one failing mask; the first failing cell in
     row-major order is reported, with the first message that holds there."""
     pairs = 0
     for family in ctx.micro_families:
-        insts, rel = family.instances, family._relation
-        size = len(insts)
-        bits = np.array([inst.bit for inst in insts])
-        good = np.array([st.is_good_walk(inst.walk, family.params.T) for inst in insts])
+        rel, size, bits = family._relation, len(family), family.bits
+        good = np.array([st.is_good_walk(w, family.params.T) for w in family.walks.tolist()])
         step = max(1, adv._SUM_BLOCK_CELLS // size)
         for s in range(0, size, step):
             block = rel.take(slice(s, s + step))
@@ -619,9 +617,8 @@ def check_adversary_symmetry(ctx: _Context) -> Outcome:
                 failing |= mask()
             if failing.any():
                 i, k = np.unravel_index(int(np.argmax(failing)), failing.shape)
-                a, b = insts[s + i], insts[k]
                 message = next(message for message, mask in conditions if mask()[i, k])
-                pair = {"x": list(a.walk.vertices), "y": list(b.walk.vertices)}
+                pair = {"x": family.walks[s + i].tolist(), "y": family.walks[k].tolist()}
                 if message == "relation nonzero on the diagonal":
                     pair = {"x": pair["x"]}
                 return _fail(message, pair)

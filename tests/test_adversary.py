@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import math
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -16,10 +17,10 @@ from mixbound.adversary import (RatioCheckResult, _credited_mean, _difference_co
                                 _last_occurrence, _pair_table, _ratio_check, _redraw,
                                 _relation_arrays, _relation_block, _SUM_BLOCK_CELLS,
                                 ratio_floor)
-from mixbound.chains import _sample_tails
+from mixbound.chains import Walk, _sample_tails
 from mixbound.graphs import _bfs
 from mixbound.errors import CapabilityError, InputError
-from mixbound.staircase import StaircaseParams
+from mixbound.staircase import StaircaseInstance, StaircaseParams
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +181,78 @@ def test_enumerate_cap_boundary(k3_chain, L, cap):
         assert len(mb.enumerate_family(k3_chain, params, cap=cap)) == 2 * 3 ** L
 
 
+def _reference_rows(P, L) -> np.ndarray:
+    """The rows enumerate_family once built: the walks found by a
+    depth-first search over each vertex's distinct sampling-table
+    successors, sorted, each walk once per hidden bit."""
+    successors = [tuple(dict.fromkeys(row)) for row in (P.sampling_table[0] + 1).tolist()]
+    walks, stack = [], [(1,)]
+    while stack:
+        prefix = stack.pop()
+        if len(prefix) == L + 1:
+            walks.append(prefix)
+            continue
+        for nxt in reversed(successors[prefix[-1] - 1]):
+            stack.append(prefix + (nxt,))
+    walks.sort()
+    return np.array([verts for verts in walks for _ in (0, 1)],
+                    dtype=np.int64).reshape(2 * len(walks), L + 1)
+
+
+def _metropolis6():
+    target = np.arange(1, 7, dtype=float)
+    return mb.metropolis_walk(mb.complete_graph(6), target / target.sum())
+
+
+ENUMERATION_SYSTEMS = {
+    **{f"K{k}": (f"complete:{k}", 2, 4) for k in range(3, 9)},
+    **{f"{spec}-L{L}": (spec, 1, L) for spec in ("cycle:7", "path:3") for L in (0, 1)},
+    "hypercube3": ("hypercube:3", 2, 6),
+    "barbell10": ("barbell:10", 1, 3),
+    "metropolis6": (_metropolis6, 1, 3),
+}
+
+
+@pytest.mark.parametrize("name", list(ENUMERATION_SYSTEMS))
+def test_enumeration_equals_the_depth_first_reference(name):
+    graph, T, L = ENUMERATION_SYSTEMS[name]
+    P = graph() if callable(graph) else mb.lazy_simple_walk(mb.graph_from_spec(graph))
+    if name == "barbell10":  # padded rows: a successor list must drop the repeats
+        index = P.sampling_table[0]
+        assert any(len(set(row)) < len(row) for row in index.tolist())
+    family = mb.enumerate_family(P, mb.custom_params(P, T=T, L=L))
+    want = _reference_rows(P, L)
+    assert family.walks.dtype == want.dtype
+    assert np.array_equal(family.walks, want)
+    assert family.bits.dtype == np.int8
+    assert family.bits.tolist() == [0, 1] * (len(want) // 2)
+
+
+def test_a_family_checks_its_rows(k3_chain, k3_params):
+    def family(walks, bits):
+        return mb.FunctionFamily(walks=np.array(walks), bits=np.array(bits),
+                                 params=k3_params, chain=k3_chain)
+
+    for walks, bits, message in [
+            ([(2, 1, 3)], [0], "must start at vertex 1"),
+            ([(1, 2)], [0], r"shape \(size, 3\)"),
+            ([(1, 2, 3)], [0, 1], r"need a hidden bit, 0 or 1, per walk; got \[0 1\]"),
+            ([(1, 2, 3)], [2], r"0 or 1, per walk; got \[2\]"),
+            ([], [], r"shape \(size, 3\), got \(0,\)"),
+            ([(1, 2, 4)], [0], r"stay in 1\.\.3"),
+            ([(1, 2, 3), (1, 3, 2), (1, 2, 3)], [1, 0, 1],
+             r"duplicate instance \(\(1, 2, 3\), 1\)")]:
+        with pytest.raises(InputError, match=message):
+            family(walks, bits)
+    walks = np.array([(1, 2, 3), (1, 2, 3)])
+    pair = mb.FunctionFamily(walks=walks, bits=[0, 1], params=k3_params, chain=k3_chain)
+    assert pair.walks is walks and not walks.flags.writeable  # held, made read-only
+    assert pair.walks.dtype == np.int64 and pair.bits.dtype == np.int8
+    assert not pair.bits.flags.writeable
+    assert [(inst.walk.vertices, inst.bit) for inst in pair.instances] == [
+        ((1, 2, 3), 0), ((1, 2, 3), 1)]
+
+
 # ---------------------------------------------------------------------------
 # M and q
 # ---------------------------------------------------------------------------
@@ -209,6 +282,46 @@ def test_mass_of_bad_walk_subset(k3_family):
 def test_q_single_instance(k3_family):
     single = [k3_family.instances[0]]
     assert mb.distinguishing_mass(single, k3_family).q == 0.0
+
+
+def test_a_subset_of_another_chain_or_parameter_set_is_refused(k3_chain, k3_family):
+    # the walks of a Metropolis K3 family, or of lazy K3 at T=2, are rows of
+    # the lazy K3 family at T=1, L=2, but not its instances
+    P = mb.metropolis_walk(mb.complete_graph(3), np.array([0.2, 0.3, 0.5]))
+    for other in (mb.enumerate_family(P, mb.custom_params(P, T=1, L=2)),
+                  mb.enumerate_family(k3_chain, mb.custom_params(k3_chain, T=2, L=2))):
+        for Z in (other, other.instances, other.instances[:1]):
+            with pytest.raises(InputError, match="another chain or parameter set"):
+                mb.relation_mass(Z, k3_family)
+            with pytest.raises(InputError, match="another chain or parameter set"):
+                mb.distinguishing_mass(Z, k3_family)
+
+
+def test_a_subset_is_found_by_row_in_its_own_order(k3_family):
+    picked = [k3_family.instances[i] for i in (5, 0, 17)]
+    mass = k3_family._table.mass
+    assert mb.relation_mass(picked, k3_family).per_instance == (mass[5], mass[0], mass[17])
+    assert mb.relation_mass([], k3_family).per_instance == ()
+    foreign = mb.make_instance(mb.make_walk(k3_family.chain, (1, 2, 3)), 0,
+                               k3_family.params)
+    lone = mb.FunctionFamily(walks=np.array([(1, 2, 3)]), bits=np.array([1]),
+                             params=k3_family.params, chain=k3_family.chain)
+    with pytest.raises(InputError, match="not part of the family"):
+        mb.distinguishing_mass([foreign], lone)
+
+
+def test_an_empty_family_has_zero_q_at_every_vertex(k3_chain, k3_params, k3_family):
+    # q reads 0.0 at every vertex, with no pair to count, as for one walk
+    empty = mb.FunctionFamily(walks=np.zeros((0, 3), dtype=np.int64), bits=np.zeros(0),
+                              params=k3_params, chain=k3_chain)
+    one_walk = mb.FunctionFamily(walks=k3_family.walks[:2], bits=k3_family.bits[:2],
+                                 params=k3_params, chain=k3_chain)
+    for family in (empty, one_walk):
+        dm = mb.distinguishing_mass(family)
+        assert (dm.q, dm.argmax_vertex, dm.per_vertex) == (0.0, 1, (0.0, 0.0, 0.0))
+        with pytest.raises(CapabilityError, match="^degenerate family"):
+            _exact_report(family)
+    assert len(empty) == 0 and empty.instances == ()
 
 
 def test_q_linear_in_relation(k3_family):
@@ -281,19 +394,34 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 @pytest.mark.parametrize("name", EXACT_FAMILIES)
 def test_relation_block_equals_a_plain_python_reference(name):
     P, params = _exact_system(name)
-    insts = mb.enumerate_family(P, params).instances
-    rel = _relation_arrays(insts)
-    assert _same_bits(_relation_block(rel, rel)[1], _reference_relation(P, insts))
+    family = mb.enumerate_family(P, params)
+    rel = family._relation
+    assert _same_bits(_relation_block(rel, rel)[1], _reference_relation(P, family.instances))
 
 
-@pytest.mark.parametrize("name", EXACT_FAMILIES)
+def _witness_system():
+    P = mb.lazy_simple_walk(mb.complete_graph(4))
+    pair = mb.witness_pair(P, mb.default_params(P))
+    return P, pair.params, pair.walks, pair.bits
+
+
+@pytest.mark.parametrize("name", EXACT_FAMILIES + ["K4-shuffled", "cycle7-shuffled", "witness"])
 def test_head_ids_give_the_shared_head_index(name):
-    # every pair of distinct walks, each walk once (bit 0)
-    P, params = _exact_system(name)
-    insts = [inst for inst in mb.enumerate_family(P, params).instances if inst.bit == 0]
-    rel = _relation_arrays(insts)
-    want = np.array([[mb.shared_head_index(a.walk, b.walk, params.T) if a is not b
-                      else params.m for b in insts] for a in insts])
+    # every pair of distinct walks, each walk once (bit 0), in family order,
+    # in a random order, or the two walks of a witness pair
+    if name == "witness":
+        P, params, walks, bits = _witness_system()
+    else:
+        P, params = _exact_system(name.split("-")[0])
+        family = mb.enumerate_family(P, params)
+        walks, bits = family.walks[family.bits == 0], family.bits[family.bits == 0]
+        if name.endswith("shuffled"):
+            order = np.random.default_rng(0).permutation(len(walks))
+            walks, bits = walks[order], bits[order]
+    rel = _relation_arrays(P, params, walks, bits)
+    rows = list(map(tuple, walks.tolist()))
+    want = np.array([[mb.shared_head_index(a, b, params.T) if a != b else params.m
+                      for b in rows] for a in rows])
     assert np.array_equal(_relation_block(rel, rel)[0], want)
 
 
@@ -320,8 +448,8 @@ def test_relation_data_matches_walk_probabilities(name):
     # bit, and its goodness is is_good_walk's
     P, params = _exact_system(name)
     T, m = params.T, params.m
-    insts = mb.enumerate_family(P, params).instances
-    rel = _relation_arrays(insts)
+    family = mb.enumerate_family(P, params)
+    insts, rel = family.instances, family._relation
     assert rel.walks.tolist() == [list(inst.walk.vertices) for inst in insts]
     assert rel.bits.tolist() == [inst.bit for inst in insts]
     for inst, good, heads in zip(insts, rel.good.tolist(), rel.heads.tolist()):
@@ -329,6 +457,17 @@ def test_relation_data_matches_walk_probabilities(name):
         assert good == mb.is_good_walk(inst.walk, T)
         assert heads == [mb.walk_probability(P, verts[:j * T + 1]) for j in range(m + 1)]
         assert heads[-1] == inst.walk.probability()
+
+
+def test_heads_are_the_same_in_blocks_of_any_size(monkeypatch):
+    # blocks of 7 rows against the family's one block, bit for bit
+    P, params = _exact_system("cycle7")
+    family = mb.enumerate_family(P, params)
+    whole = family._relation.heads
+    width = P.in_neighbours[0].shape[1]
+    monkeypatch.setattr("mixbound.adversary._HEAD_BLOCK_CELLS", 7 * params.L * width)
+    blocked = _relation_arrays(P, params, family.walks, family.bits)
+    assert len(family) > 7 and _same_bits(blocked.heads, whole)
 
 
 _positive_doubles = hst.one_of(
@@ -581,7 +720,8 @@ def test_cores_on_a_prebuilt_table_equal_the_public_calls(name, monkeypatch):
     built = []
     for build in (_relation_arrays, _pair_table):
         monkeypatch.setattr(f"mixbound.adversary.{build.__name__}",
-                            lambda arg, build=build: built.append((build, arg)) or build(arg))
+                            lambda *args, build=build: built.append((build, args))
+                            or build(*args))
     other = mb.enumerate_family(P, params)
     assert repr(mb.relation_mass(family, family)) == repr(mb.relation_mass(other, other))
     assert repr(mb.distinguishing_mass(family)) == repr(mb.distinguishing_mass(other))
@@ -590,8 +730,30 @@ def test_cores_on_a_prebuilt_table_equal_the_public_calls(name, monkeypatch):
         assert repr(_ratio_check(family, subsets, seed)) == repr(
             mb.ratio_property_check(P, params, subsets, seed))
     assert repr(_exact_report(family)) == repr(mb.exact_lower_bound(P, params))
-    ours = [build for build, arg in built if arg is family or arg is family.instances]
+    ours = [build for build, args in built
+            if any(arg is family or arg is family.walks for arg in args)]
     assert sorted(b.__name__ for b in ours) == ["_pair_table", "_relation_arrays"]
+
+
+def test_the_exact_path_builds_no_instance_objects(monkeypatch):
+    # the exact readers read a family's arrays; its instances are built
+    # only when family.instances is read
+    built = Counter()
+    for cls in (StaircaseInstance, Walk):
+        def counted(self, *args, init=cls.__init__, name=cls.__name__, **kwargs):
+            built[name] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    P, params = _exact_system("K4")
+    family = mb.enumerate_family(P, params)
+    mb.exact_lower_bound(P, params)
+    mb.relation_mass(family, family)
+    mb.distinguishing_mass(family)
+    _ratio_check(family, 20, 0)
+    assert built == Counter()
+    assert len(family.instances) == len(family)
+    assert built == Counter(StaircaseInstance=len(family), Walk=len(family))
 
 
 def test_a_family_holds_read_only_relation_arrays_and_table(k3_family):
@@ -693,7 +855,7 @@ def test_underflowed_head_refuses_the_relation_weight():
     P = mb.lazy_simple_walk(mb.hypercube_graph(10))
     pair = mb.witness_pair(P, mb.default_params(P))
     x, y = pair.instances
-    assert _relation_arrays(pair.instances).heads[1, -2] == 0.0
+    assert pair._relation.heads[1, -2] == 0.0
     with pytest.raises(CapabilityError, match="underflows to 0.0"):
         mb.relation_weight(x, y)
     with pytest.raises(CapabilityError, match="underflows to 0.0"):

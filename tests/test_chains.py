@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import mixbound as mb
-from mixbound.adversary import _relation_arrays
 from mixbound.chains import (
     MAX_DENSE_N,
     _guide,
@@ -1506,13 +1505,14 @@ def test_walk_readers_run_above_the_dense_cap():
     P = mb.lazy_simple_walk(mb.hypercube_graph(15))
     assert P.n > MAX_DENSE_N
     params = mb.custom_params(P, T=4, L=16)
-    x, y = mb.witness_pair(P, params).instances
+    pair = mb.witness_pair(P, params)
+    x, y = pair.instances
     walk = mb.make_walk(P, x.walk.vertices)
     loops = sum(a == b for a, b in zip(walk.vertices, walk.vertices[1:]))
     assert walk.probability() == mb.walk_probability(P, walk.vertices)
     assert walk.probability() == pytest.approx(0.5 ** loops * (0.5 / 15) ** (16 - loops),
                                                rel=1e-12)
-    heads = _relation_arrays((x, y)).heads
+    heads = pair._relation.heads
     assert heads[0, -1] == walk.probability()
     shared = heads[1, params.m - 1]  # the witness shares all but one segment
     assert mb.relation_weight(x, y) == walk.probability() * y.walk.probability() / shared > 0.0

@@ -5,6 +5,10 @@ import ast
 import importlib
 from pathlib import Path
 
+import mixbound as mb
+from mixbound import adversary as adv
+from mixbound import staircase as st
+
 WORKLOAD = Path(__file__).resolve().parent.parent / "perfbench" / "workload.py"
 MODULE_ALIASES = {"adv", "ch", "gr", "sv", "st", "vf"}
 
@@ -39,3 +43,18 @@ def test_perfbench_workload_reads_only_existing_library_names():
                 missing.append(f"{node.value.id}.{node.attr}")
     assert len(read) >= 10
     assert not missing, missing
+
+
+def test_perfbench_workload_reads_an_enumerated_family_as_it_does():
+    # the traced breakdown counts the good pairs from the family's
+    # instances: len(family), family.instances, inst.walk and inst.bit
+    P = mb.lazy_simple_walk(mb.complete_graph(4))
+    params = mb.default_params(P)
+    family = adv.enumerate_family(P, params)
+    good_bits = [0, 0]
+    for inst in family.instances:
+        if st.is_good_walk(inst.walk, params.T):
+            good_bits[inst.bit] += 1
+    table = family._table
+    assert len(family) == len(family.instances) == 512
+    assert good_bits == [table.rows.size, table.cols.size]

@@ -331,7 +331,7 @@ def test_run_verify_builds_each_fixture_once(monkeypatch):
         monkeypatch.setattr(module, name, counted)
 
     count(adv, "enumerate_family", lambda P, *_: P)
-    count(adv, "_relation_arrays", lambda instances: instances[0].chain)
+    count(adv, "_relation_arrays", lambda chain, *_: chain)
     count(adv, "_pair_table", lambda family: family.chain)
     count(gr, "bfs_distances", lambda g, source: (g, source))
     count(ch, "spectral_gap", lambda P: P)
