@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import islice
 
@@ -38,6 +38,7 @@ _PIVMIN = 1e-300  # stands in for a zero pivot of a tridiagonal factorization
 # Largest n for which a chain forms its dense n x n matrix (2 GiB at the cap).
 MAX_DENSE_N = 1 << 14
 _FSUM_ROWS = 1 << 12  # rows whose entries _row_fsums converts to Python floats at once
+_TV_BLOCK_CELLS = 1 << 15  # cells of _tv_from_pi's buffer (256 KiB)
 
 
 @dataclass(frozen=True)
@@ -89,9 +90,11 @@ class TransitionMatrix:
 
     ``vertex_transitive`` marks a chain that every automorphism of a
     vertex-transitive graph preserves, so the distance to stationarity
-    after t steps is the same from every start. Only `lazy_simple_walk`
-    and `max_degree_walk` set it, from the graph's own flag; `make_chain`
-    cannot know what a caller's matrix is and leaves it unset.
+    after t steps is the same from every start. `lazy_simple_walk` and
+    `max_degree_walk` set it from the graph's own flag, and
+    `chain_from_json` when the file stores their entries bit for bit on
+    such a graph; `make_chain` cannot know what a caller's matrix is and
+    leaves it unset.
     """
 
     n: int
@@ -147,27 +150,33 @@ def _stored_entries(in_neighbours) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _tables_from(n: int, src: np.ndarray, dst: np.ndarray, value: np.ndarray):
-    """(sampling_table, in_neighbours) of the n-state chain whose positive
-    entries are value at (src, dst), listed in row-major order."""
+    """(sampling_table, in_neighbours, reverse) of the n-state chain whose
+    positive entries are value at (src, dst), listed in row-major order.
+    reverse is the column-major order of the entries when the support is
+    symmetric, so that entry reverse[k] is entry k's reverse, and None
+    otherwise."""
     slot, counts = _slots(src, n)
     last = np.cumsum(counts) - 1
     out_index = np.repeat(dst[last][:, None], counts.max(), axis=1)
     out_index[src, slot] = dst
     cumulative = np.zeros(out_index.shape)
     cumulative[src, slot] = value
+    del slot  # each del frees an entry-sized array before the next is allocated
     np.cumsum(cumulative, axis=1, out=cumulative)
     cumulative[np.arange(out_index.shape[1])[None, :] >= counts[:, None] - 1] = 1.0
 
     order = np.lexsort((src, dst))
     col, row = src[order], dst[order]
+    symmetric = np.array_equal(col, dst) and np.array_equal(row, src)
     slot, counts = _slots(row, n)
     in_index = np.zeros((n, counts.max()), dtype=np.intp)
-    weight = np.zeros(in_index.shape)
     in_index[row, slot] = col
+    del col
+    weight = np.zeros(in_index.shape)
     weight[row, slot] = value[order]
     for table in (out_index, cumulative, in_index, weight):
         table.setflags(write=False)
-    return (out_index, cumulative), (in_index, weight)
+    return (out_index, cumulative), (in_index, weight), order if symmetric else None
 
 
 def _guide(index: np.ndarray, cum: np.ndarray) -> tuple[np.ndarray, np.ndarray, int,
@@ -304,7 +313,9 @@ def _chain(graph: Graph, src: np.ndarray, dst: np.ndarray, value: np.ndarray,
     1 within an ulp, and dividing by that sum would move its last bits.
     Entries left at zero are dropped, the support is checked against the
     graph's edges, and the tables, stationary vector and flags are built
-    from the entries. No n x n array is formed unless pi must be solved for."""
+    from the entries. No n x n array is formed unless pi must be solved for.
+    value is divided in place, and no entry array is copied unless some
+    entry is to be dropped, so a caller passes arrays it does not keep."""
     n = graph.n
     try:
         row_sums = _row_fsums(n, src, value)
@@ -315,16 +326,13 @@ def _chain(graph: Graph, src: np.ndarray, dst: np.ndarray, value: np.ndarray,
         raise InputError(
             f"row {bad + 1} sums to {row_sums[bad]:.15g}, not 1 within {ROW_SUM_TOL}")
     if not stored:
-        value = value / row_sums[src]
-    real = value > 0.0  # a Metropolis move can underflow to 0
-    src, dst, value = src[real], dst[real], value[real]
-    edge_src, edge_dst = _edge_entries(graph)[:2]
-    off_edge = np.flatnonzero((src != dst) & ~_find(edge_src * n + edge_dst, src * n + dst)[1])
-    if off_edge.size:
-        u, v = src[off_edge[0]], dst[off_edge[0]]
-        raise InputError(f"positive entry ({u + 1},{v + 1}) is not on a graph edge")
+        value /= row_sums[src]
+    if value.min() <= 0.0:  # a Metropolis move can underflow to 0
+        real = value > 0.0
+        src, dst, value = src[real], dst[real], value[real]
+    _check_support(graph, src, dst)
 
-    tables = _tables_from(n, src, dst, value)
+    *tables, reverse = _tables_from(n, src, dst, value)
     irreducible = _irreducible(tables)
 
     if pi is not None:
@@ -344,7 +352,7 @@ def _chain(graph: Graph, src: np.ndarray, dst: np.ndarray, value: np.ndarray,
     if p is not None:
         p.setflags(write=False)
     return TransitionMatrix(n=n, graph=graph, pi=p,
-                            flags=_flags(n, src, dst, value, p, irreducible),
+                            flags=_flags(n, src, dst, value, p, irreducible, reverse),
                             sampling_table=tables[0], in_neighbours=tables[1],
                             kind=kind, vertex_transitive=vertex_transitive)
 
@@ -363,22 +371,43 @@ def _row_fsums(n: int, src: np.ndarray, value: np.ndarray) -> np.ndarray:
 
 
 def _flags(n: int, src: np.ndarray, dst: np.ndarray, value: np.ndarray,
-           pi: np.ndarray | None, irreducible: bool) -> ChainFlags:
+           pi: np.ndarray | None, irreducible: bool,
+           reverse: np.ndarray | None = None) -> ChainFlags:
     """(lazy, irreducible, reversible) of the n-state chain whose positive
     entries are value at (src, dst), listed in row-major order, with
     stationary vector pi, None for a reducible chain. Irreducibility is
     passed in because construction needs it before it has pi. Detailed
     balance is checked at the positive entries, each against its reverse
-    entry, found by binary search and 0 when absent: a cell zero both ways
+    entry: entry reverse[k] of `_tables_from`'s symmetric support, or else
+    one found by binary search and 0 when absent, as a cell zero both ways
     balances."""
     lazy = bool(np.count_nonzero(value[src == dst] >= 0.5 - ROW_SUM_TOL) == n)
     reversible = False
     if pi is not None:
-        at, found = _find(src * n + dst, dst * n + src)
-        back = np.where(found, value[at], 0.0)
+        if reverse is None:
+            at, found = _find(src * n + dst, dst * n + src)
+            back = np.where(found, value[at], 0.0)
+        else:
+            back = value[reverse]
         reversible = bool(np.max(np.abs(pi[src] * value - pi[dst] * back))
                           <= DETAILED_BALANCE_TOL)
     return ChainFlags(lazy=lazy, irreducible=irreducible, reversible=reversible)
+
+
+def _check_support(graph: Graph, src: np.ndarray, dst: np.ndarray) -> None:
+    """Refuse the first off-diagonal entry at (src, dst), listed in
+    row-major order, that is not an edge of graph. Entries whose
+    off-diagonal part is the edges in row-major order pass unsearched."""
+    n = graph.n
+    off = src != dst
+    if np.array_equal(dst[off], graph.indices) and np.array_equal(
+            np.bincount(src[off], minlength=n), np.diff(graph.indptr)):
+        return
+    edge_src, edge_dst = _edge_entries(graph)[:2]
+    off_edge = np.flatnonzero(off & ~_find(edge_src * n + edge_dst, src * n + dst)[1])
+    if off_edge.size:
+        u, v = src[off_edge[0]], dst[off_edge[0]]
+        raise InputError(f"positive entry ({u + 1},{v + 1}) is not on a graph edge")
 
 
 def _find(keys: np.ndarray, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -442,6 +471,7 @@ def lazy_simple_walk(g: Graph) -> TransitionMatrix:
     """Self-loop 1/2, each neighbor 1/(2 deg); stationary mass deg/(2|E|)."""
     src, dst, degrees = _edge_entries(g)
     entries = _with_loops(g, src, dst, 0.5 / degrees[src], np.full(g.n, 0.5))
+    del src  # _chain holds no other copy of the entries
     return _chain(g, *entries, degrees / g.indices.size, "lazy-simple", g.vertex_transitive)
 
 
@@ -452,6 +482,7 @@ def max_degree_walk(g: Graph) -> TransitionMatrix:
     d_max = degrees.max()
     entries = _with_loops(g, src, dst, np.full(src.size, 0.5 / d_max),
                           1.0 - degrees / (2 * d_max))
+    del src
     return _chain(g, *entries, np.full(g.n, 1.0 / g.n), "max-degree", g.vertex_transitive)
 
 
@@ -473,6 +504,7 @@ def metropolis_walk(g: Graph, target) -> TransitionMatrix:
     accept = np.minimum(1.0, t[dst] * degrees[src] / (t[src] * degrees[dst]))
     move = accept / (2 * degrees[src])
     entries = _with_loops(g, src, dst, move, 1.0 - _row_fsums(n, src, move))
+    del src, accept, move
     return _chain(g, *entries, t, "metropolis", vertex_transitive=False)
 
 
@@ -508,8 +540,18 @@ def stationary_ratio(P: TransitionMatrix) -> float:
 
 def _tv_from_pi(power: np.ndarray, pi: np.ndarray) -> float:
     """Largest TV distance to pi over the rows of power, a 2-D block of
-    start rows or one 1-D row."""
-    return float(0.5 * np.abs(power - pi).sum(axis=-1).max())
+    start rows or one 1-D row, reduced a block of rows at a time in one
+    buffer; each row is summed alone either way, so its sum is the same."""
+    rows = max(1, _TV_BLOCK_CELLS // power.shape[-1])
+    if power.ndim == 1 or len(power) <= rows:
+        gap = power - pi
+        return float(0.5 * np.abs(gap, out=gap).sum(axis=-1).max())
+    buffer = np.empty((rows, power.shape[1]))
+    worst = 0.0
+    for lo in range(0, len(power), rows):
+        gap = np.subtract(power[lo:lo + rows], pi, out=buffer[:len(power) - lo])
+        worst = max(worst, np.abs(gap, out=gap).sum(axis=-1).max())
+    return float(0.5 * worst)
 
 
 def mixing_time(P: TransitionMatrix, eps: float,
@@ -521,7 +563,9 @@ def mixing_time(P: TransitionMatrix, eps: float,
     dense matrix until P^(2^K) is within eps, then lifts: for k = K-1 down
     to 0 it multiplies the running power by P^(2^k) and keeps the product
     while its TV stays above eps. The running exponent ends one step short
-    of the threshold.
+    of the threshold. Each product is written into the buffer of the
+    discarded P^(2^K), or of the running power it replaces, so beside the
+    dense view the search holds at most K n x n arrays.
 
     For a chain marked `vertex_transitive` (the lazy simple and max-degree
     walks on cycle, complete, hypercube and torus graphs) it instead scans
@@ -553,14 +597,14 @@ def mixing_time(P: TransitionMatrix, eps: float,
         if 1 << (len(squares) - 1) >= cap:
             raise over_cap
         squares.append(squares[-1] @ squares[-1])
-    squares.pop()  # P^(2^K), the first square within eps
+    spare = squares.pop()  # P^(2^K), the first square within eps
     # Lift t from 2^(K-1), or 0, to the largest exponent still above eps.
     t = (1 << len(squares)) >> 1
     power = squares.pop() if squares else None
     for k in reversed(range(len(squares))):
-        lifted = power @ squares.pop()
+        lifted = np.matmul(power, squares.pop(), out=spare)
         if _tv_from_pi(lifted, pi) > eps:
-            t, power = t + (1 << k), lifted
+            t, power, spare = t + (1 << k), lifted, power
     if t + 1 > cap:
         raise over_cap
     return t + 1
@@ -935,7 +979,10 @@ def chain_from_json(doc: dict, graph: Graph | None = None) -> TransitionMatrix:
     JSON number, no (u, v) twice, each p kept as given. As in `make_chain`,
     a p below -1e-15 is refused and one at or below 0 dropped. Without a
     graph, the edges are the positive off-diagonal pairs. It takes
-    O(entries), and forms an n x n array only to solve for an absent pi."""
+    O(entries), and forms an n x n array only to solve for an absent pi.
+    On a vertex-transitive graph, a chain whose stored entries are those of
+    `lazy_simple_walk(graph)` bit for bit is marked `vertex_transitive`;
+    such a graph is regular, so `max_degree_walk` stores the same ones."""
     try:
         n = json_integer(doc["n"])
         pi = doc.get("pi")
@@ -968,7 +1015,12 @@ def chain_from_json(doc: dict, graph: Graph | None = None) -> TransitionMatrix:
         off = src != dst
         pairs = _distinct(np.minimum(src, dst)[off] * n + np.maximum(src, dst)[off])
         graph = make_graph(n, np.stack((pairs // n, pairs % n), axis=1) + 1)
-    return _chain(graph, src, dst, value, pi, "custom", vertex_transitive=False, stored=True)
+    P = _chain(graph, src, dst, value, pi, "custom", vertex_transitive=False, stored=True)
+    if graph.vertex_transitive and all(
+            np.array_equal(a, b) for a, b in zip(P.in_neighbours,
+                                                 lazy_simple_walk(graph).in_neighbours)):
+        return replace(P, vertex_transitive=True)
+    return P
 
 
 def chain_from_spec(text: str, g: Graph | None = None) -> TransitionMatrix:

@@ -25,16 +25,20 @@ from .solvers import SOLVER_NAMES
 from .verify import SUITES, VerifyCaps, run_verify
 
 
-def _dump(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+def _dump(doc: dict, fh) -> None:
+    """Write doc as indented, key-sorted JSON and a newline, chunk by
+    chunk: the whole string of a chain file (60 MB at hypercube:16) would
+    double the command's peak memory."""
+    json.dump(doc, fh, indent=2, sort_keys=True)
+    fh.write("\n")
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(doc: dict, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            _dump(doc, fh)
     else:
-        sys.stdout.write(text)
+        _dump(doc, sys.stdout)
 
 
 def analyze_report(P: ch.TransitionMatrix, eps: float | None = None,
@@ -99,14 +103,14 @@ def analyze_report(P: ch.TransitionMatrix, eps: float | None = None,
 
 def _cmd_graph_gen(args) -> int:
     g = gr.graph_from_spec(args.graph, seed=args.seed)
-    _emit(_dump(gr.graph_to_json(g)), args.out)
+    _emit(gr.graph_to_json(g), args.out)
     return 0
 
 
 def _cmd_chain_build(args) -> int:
     g = gr.graph_from_spec(args.graph, seed=args.seed)
     P = ch.chain_from_spec(args.chain, g)
-    _emit(_dump(ch.chain_to_json(P)), args.out)
+    _emit(ch.chain_to_json(P), args.out)
     return 0
 
 
@@ -114,7 +118,7 @@ def _cmd_chain_analyze(args) -> int:
     g = gr.graph_from_spec(args.graph, seed=args.seed)
     P = ch.chain_from_spec(args.chain, g)
     doc = analyze_report(P, eps=args.eps, expansion_cap=args.expansion_cap)
-    _emit(_dump(doc), args.out)
+    _emit(doc, args.out)
     return 0
 
 
@@ -125,7 +129,7 @@ def _cmd_instance_sample(args) -> int:
     inst = st.sample_instance(P, params, args.seed)
     doc = st.instance_to_json(inst, graph_ref=args.graph, chain_ref=args.chain,
                               reveal=args.reveal)
-    _emit(_dump(doc), args.out)
+    _emit(doc, args.out)
     return 0
 
 
@@ -145,15 +149,16 @@ def _cmd_bench(args) -> int:
     rows, summary = run_bench(config)
     if config.format == "json":
         doc = {"trials": [asdict(r) for r in rows], "summary": summary}
-        _emit(_dump(doc), config.out)
+        _emit(doc, config.out)
     else:
         csv_text = "\n".join([CSV_HEADER] + [r.to_csv() for r in rows]) + "\n"
         if config.out:
-            _emit(csv_text, config.out)
-            sys.stdout.write(_dump(summary))
+            with open(config.out, "w", encoding="utf-8") as fh:
+                fh.write(csv_text)
+            _dump(summary, sys.stdout)
         else:
             sys.stdout.write(csv_text)
-            sys.stderr.write(_dump(summary))
+            _dump(summary, sys.stderr)
     if any(r.error for r in rows) or not summary["all_correct"]:
         return 3
     return 0
@@ -180,8 +185,8 @@ def _cmd_bound(args) -> int:
                               d_max=args.d_max)
         inputs = {"n": args.n, "t_mix": args.t_mix, "sigma": args.sigma,
                   "lambda2": args.lambda2, "beta": args.beta, "d_max": args.d_max}
-    _emit(_dump({"inputs": inputs, "values": values,
-                 "note": "shape values without Omega constants"}), args.out)
+    _emit({"inputs": inputs, "values": values,
+           "note": "shape values without Omega constants"}, args.out)
     return 0
 
 
@@ -198,7 +203,7 @@ def _cmd_verify(args) -> int:
         "passed": all(r.passed for r in results),
         "checks": [r.to_json() for r in results],
     }
-    _emit(_dump(doc), args.out)
+    _emit(doc, args.out)
     return 0 if doc["passed"] else 3
 
 

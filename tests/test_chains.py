@@ -313,8 +313,12 @@ def test_chain_flag_only_from_invariant_constructions():
     assert mb.lazy_simple_walk(g).vertex_transitive
     assert mb.max_degree_walk(g).vertex_transitive
     assert not mb.metropolis_walk(g, np.full(6, 1 / 6)).vertex_transitive
-    assert not mb.chain_from_json(mb.chain_to_json(mb.lazy_simple_walk(g)),
-                                  graph=g).vertex_transitive
+    # a file holding the lazy walk's entries is that chain, and only given the graph
+    for P in (mb.lazy_simple_walk(g), mb.max_degree_walk(g)):
+        assert _round_trip(P, g).vertex_transitive
+        assert not _round_trip(P).vertex_transitive
+    skewed = mb.metropolis_walk(g, np.arange(1, 7) / 21)
+    assert not _round_trip(skewed, g).vertex_transitive
     assert not mb.lazy_simple_walk(mb.path_graph(6)).vertex_transitive
 
 
@@ -1410,9 +1414,120 @@ def test_named_chain_build_allocates_no_dense_matrix():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # O(entries), with no n-column scratch: 139 bytes per entry here, and
-    # 191 when each row was summed in a zeroed dense block of 2^20 cells
-    assert peak < 160 * np.count_nonzero(P.in_neighbours[1])
+    # O(entries), with no n-column scratch and no copy of the entries: 91
+    # bytes per entry here, 139 while the support and the reverse entries
+    # were searched for and the entries copied, and 191 when each row was
+    # summed in a zeroed dense block of 2^20 cells
+    assert peak < 110 * np.count_nonzero(P.in_neighbours[1])
+
+
+@pytest.mark.parametrize("spec,case", [
+    *itertools.product(["hypercube:5", "barbell:10", "random-regular:64,3"],
+                       ["lazy-simple", "max-degree", "metropolis", "json"]),
+    ("cycle:4", "underflowed"), ("cycle:4", "one-way")])
+def test_support_and_reverse_shortcuts_match_the_search(spec, case, monkeypatch):
+    # Named entries pass the support check by equality with the edges, and
+    # a symmetric support reads each reverse entry through the column-major
+    # order; the binary search (_find) runs only for the other chains.
+    g = mb.graph_from_spec(spec, seed=0)
+    skewed = np.random.default_rng(g.n).uniform(1.0, 4.0, g.n)
+    target = skewed / skewed.sum() if case == "metropolis" else None
+    if case == "underflowed":
+        # the move from vertex 3 to vertex 0, 5e-324 / 0.5 / 4, is below the
+        # smallest subnormal (its reverse's acceptance ratio overflows to inf)
+        target = np.array([5e-324, 1e-310, 0.5, 0.5])
+    searches = []
+    find = mb.chains._find
+    monkeypatch.setattr("mixbound.chains._find", lambda *a: searches.append(a) or find(*a))
+    if case == "one-way":
+        # the lazy walk on cycle:4 without its move from vertex 3 to vertex 2
+        m = np.array([[0.5, 0.25, 0.0, 0.25], [0.25, 0.5, 0.25, 0.0],
+                      [0.0, 0.25, 0.5, 0.25], [0.25, 0.0, 0.0, 0.75]])
+        P = mb.make_chain(g, m)
+        assert P.flags == mb.ChainFlags(lazy=True, irreducible=True, reversible=False)
+    else:
+        kind = {"underflowed": "metropolis", "json": "lazy-simple"}.get(case, case)
+        with np.errstate(over="ignore"):
+            P = mb.build_chain(g, kind, target)
+            m, pi = _dense_reference(g, kind, target)
+        assert P.pi.tobytes() == pi.tobytes()
+        if case == "json":
+            P = _round_trip(P, g)
+    shortcut = case not in ("underflowed", "one-way")
+    assert len(searches) == (0 if shortcut else 2)
+    assert P.matrix.tobytes() == m.tobytes()
+    # the search: every off-diagonal entry lies on an edge, and the flags
+    # recomputed with reverse entries found by binary search agree
+    src, dst, _ = mb.chains._row_major_entries(P)
+    edge_src, edge_dst, _ = mb.chains._edge_entries(g)
+    off = src != dst
+    assert find(edge_src * g.n + edge_dst, src[off] * g.n + dst[off])[1].all()
+    assert mb.check_properties(P) == P.flags
+    assert (np.count_nonzero(m) < 2 * g.edges.shape[0] + g.n) == (not shortcut)
+
+
+def test_support_shortcut_reads_the_rows_too():
+    # On the path 1-3-4-2 the off-diagonal columns below, read in order,
+    # are the edges' (3 | 4 | 1 4 | 2 3), but split 3 4 | - | 1 4 | 2 3:
+    # entry (1,4) is off the edges, and vertex 2 holds only its loop.
+    g = mb.make_graph(4, [(1, 3), (2, 4), (3, 4)])
+    m = np.array([[0.5, 0.0, 0.25, 0.25], [0.0, 1.0, 0.0, 0.0],
+                  [0.25, 0.0, 0.5, 0.25], [0.0, 0.25, 0.25, 0.5]])
+    with pytest.raises(InputError, match=r"^positive entry \(1,4\) is not on a graph edge$"):
+        mb.make_chain(g, m)
+
+
+@settings(max_examples=80, deadline=None)
+@given(hst.data())
+def test_random_supports_match_the_search_and_the_dense_matrix(data):
+    # a random subset of a random graph's directed edges with random
+    # weights, and a self-loop on every row
+    n = data.draw(hst.integers(min_value=2, max_value=9), label="n")
+    seed = data.draw(hst.integers(min_value=0, max_value=10_000), label="seed")
+    keep = data.draw(hst.floats(min_value=0.0, max_value=1.0), label="keep")
+    rng = np.random.default_rng(seed)
+    tree = {(int(rng.integers(1, v)), v) for v in range(2, n + 1)}
+    extra = {(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)
+             if rng.random() < 0.4}
+    g = mb.make_graph(n, tree | extra)
+    m = np.zeros((n, n))
+    src, dst, _ = mb.chains._edge_entries(g)
+    chosen = rng.random(src.size) < keep
+    m[src[chosen], dst[chosen]] = rng.uniform(0.1, 1.0, chosen.sum())
+    if data.draw(hst.booleans(), label="symmetric"):
+        m = m + m.T
+    m += np.diag(rng.uniform(0.1, 1.0, n))
+    m /= m.sum(axis=1, keepdims=True)
+    P = mb.make_chain(g, m)
+    assert P.matrix.tobytes() == (m / _fsum_rows(m)[:, None]).tobytes()
+    assert mb.check_properties(P) == P.flags
+    assert P.flags.reversible == (P.flags.irreducible and np.allclose(
+        P.pi[:, None] * P.matrix, (P.pi[:, None] * P.matrix).T, rtol=0, atol=1e-10))
+    _assert_same_chain(P, _round_trip(P, g))
+
+
+@pytest.mark.parametrize("shape", [(300, 500), (1, 70_000), (500,)])
+def test_tv_from_pi_reduces_in_blocks_to_the_same_float(shape):
+    # 300 x 500 is five blocks of 65 rows, the last short
+    rng = np.random.default_rng(0)
+    power, pi = rng.random(shape), rng.random(shape[-1])
+    assert _tv_from_pi(power, pi) == 0.5 * np.abs(power - pi).sum(axis=-1).max()
+
+
+def test_doubling_search_holds_k_plus_one_dense_arrays():
+    # T = 84 needs K = 7 squarings; the lift writes into their buffers
+    P = mb.lazy_simple_walk(mb.graph_from_spec("random-regular:256,4", seed=0))
+    P.matrix
+    tracemalloc.start()
+    try:
+        params = mb.default_params(P)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert params.T == 84
+    # 7.6 arrays: the seven squares and half an array of TV buffer; 9.0
+    # with two n x n temporaries per TV check and a new array per product
+    assert peak <= 8 * P.matrix.nbytes
 
 
 def _automorphisms(spec, n, rng):

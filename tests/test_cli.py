@@ -139,6 +139,28 @@ def test_chain_build_roundtrip(tmp_path):
     assert json.loads(out)["sigma"] == pytest.approx(1.0)
 
 
+def test_analyze_chain_file_above_the_dense_cap_keeps_t_mix(tmp_path, monkeypatch):
+    # a file of the named walk is that walk, so its t_mix needs no dense
+    # matrix; one of another chain on the same graph still does
+    monkeypatch.setattr(chains, "MAX_DENSE_N", 8)
+    analyze = ("chain", "analyze", "--graph", "hypercube:4", "--expansion-cap", "8")
+    assert run_cli("chain", "build", "--graph", "hypercube:4",
+                   "--out", str(tmp_path / "lazy.json"))[0] == 0
+    named = json.loads(run_cli(*analyze)[1])
+    code, out, _ = run_cli(*analyze, "--chain", str(tmp_path / "lazy.json"))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["t_mix"] == named["t_mix"] == 12
+    for key in ("sigma", "lambda2", "t_mix_bracket", "omitted"):
+        assert doc[key] == named[key]
+    P = mb.metropolis_walk(mb.hypercube_graph(4), np.arange(17, 33) / 392)
+    (tmp_path / "skewed.json").write_text(json.dumps(mb.chain_to_json(P)))
+    code, out, _ = run_cli(*analyze, "--chain", str(tmp_path / "skewed.json"))
+    assert code == 0
+    assert json.loads(out)["omitted"]["t_mix"] == (
+        "a dense 16 x 16 matrix is above the cap of n=8")
+
+
 def test_analyze_k2_values_and_schema():
     code, out, _ = run_cli("chain", "analyze", "--graph", "complete:2")
     assert code == 0

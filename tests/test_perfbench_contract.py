@@ -58,3 +58,28 @@ def test_perfbench_workload_reads_an_enumerated_family_as_it_does():
     table = family._table
     assert len(family) == len(family.instances) == 512
     assert good_bits == [table.rows.size, table.cols.size]
+
+
+def _workload_constants(*names):
+    """The literal values the workload file assigns to names."""
+    tree = ast.parse(WORKLOAD.read_text(), filename=str(WORKLOAD))
+    values = {target.id: ast.literal_eval(node.value) for node in tree.body
+              if isinstance(node, ast.Assign) for target in node.targets
+              if isinstance(target, ast.Name) and target.id in names}
+    assert set(values) == set(names)
+    return [values[name] for name in names]
+
+
+def test_library_reproduces_the_benchmark_references():
+    # a change that would make a benchmark run report wrong outputs fails here
+    t_reference, exact_reference, tol = _workload_constants(
+        "T_REFERENCE", "EXACT_REFERENCE", "EXACT_TOL")
+    assert t_reference == {"hypercube:11": 91, "hypercube:4": 12}
+    for spec, T in t_reference.items():
+        P = mb.lazy_simple_walk(mb.graph_from_spec(spec))
+        assert mb.default_params(P).T == T
+    assert set(exact_reference) == {("complete:6", 2, 4), ("complete:4", 2, 4)}
+    for (spec, T, L), (M, q) in exact_reference.items():
+        P = mb.lazy_simple_walk(mb.graph_from_spec(spec))
+        report = adv.exact_lower_bound(P, st.custom_params(P, T=T, L=L))
+        assert abs(report.M - M) <= tol and abs(report.q - q) <= tol
