@@ -541,15 +541,14 @@ def stationary_ratio(P: TransitionMatrix) -> float:
 def _tv_from_pi(power: np.ndarray, pi: np.ndarray) -> float:
     """Largest TV distance to pi over the rows of power, a 2-D block of
     start rows or one 1-D row, reduced a block of rows at a time in one
-    buffer; each row is summed alone either way, so its sum is the same."""
-    rows = max(1, _TV_BLOCK_CELLS // power.shape[-1])
-    if power.ndim == 1 or len(power) <= rows:
-        gap = power - pi
-        return float(0.5 * np.abs(gap, out=gap).sum(axis=-1).max())
-    buffer = np.empty((rows, power.shape[1]))
+    buffer; each row is summed alone, so its sum is the same float as in
+    one pass over the whole of power."""
+    power = np.atleast_2d(power)
+    buffer = np.empty((min(max(1, _TV_BLOCK_CELLS // power.shape[1]), len(power)),
+                       power.shape[1]))
     worst = 0.0
-    for lo in range(0, len(power), rows):
-        gap = np.subtract(power[lo:lo + rows], pi, out=buffer[:len(power) - lo])
+    for lo in range(0, len(power), len(buffer)):
+        gap = np.subtract(power[lo:lo + len(buffer)], pi, out=buffer[:len(power) - lo])
         worst = max(worst, np.abs(gap, out=gap).sum(axis=-1).max())
     return float(0.5 * worst)
 
@@ -1016,9 +1015,12 @@ def chain_from_json(doc: dict, graph: Graph | None = None) -> TransitionMatrix:
         pairs = _distinct(np.minimum(src, dst)[off] * n + np.maximum(src, dst)[off])
         graph = make_graph(n, np.stack((pairs // n, pairs % n), axis=1) + 1)
     P = _chain(graph, src, dst, value, pi, "custom", vertex_transitive=False, stored=True)
-    if graph.vertex_transitive and all(
-            np.array_equal(a, b) for a, b in zip(P.in_neighbours,
-                                                 lazy_simple_walk(graph).in_neighbours)):
+    # The lazy walk on a regular graph is lazy, has degree + 1 entries a row
+    # and a uniform pi; only a chain that is so too is compared with it.
+    if (graph.vertex_transitive and P.in_neighbours[0].shape[1] == graph.indptr[1] + 1
+            and P.flags.lazy and P.pi is not None and P.pi.min() == P.pi.max()
+            and all(np.array_equal(a, b) for a, b in zip(
+                P.in_neighbours, lazy_simple_walk(graph).in_neighbours))):
         return replace(P, vertex_transitive=True)
     return P
 

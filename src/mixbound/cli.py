@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict, fields, replace
 
@@ -28,17 +29,26 @@ from .verify import SUITES, VerifyCaps, run_verify
 def _dump(doc: dict, fh) -> None:
     """Write doc as indented, key-sorted JSON and a newline, chunk by
     chunk: the whole string of a chain file (60 MB at hypercube:16) would
-    double the command's peak memory."""
+    double the command's peak memory. A value that cannot be encoded is
+    found only once the chunks before it are written."""
     json.dump(doc, fh, indent=2, sort_keys=True)
     fh.write("\n")
 
 
 def _emit(doc: dict, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            _dump(doc, fh)
-    else:
+    """Write doc to the file out, or to stdout. A file whose writing
+    fails is removed rather than left half written; stdout keeps what
+    was written."""
+    if not out:
         _dump(doc, sys.stdout)
+        return
+    with open(out, "w", encoding="utf-8") as fh:
+        try:
+            _dump(doc, fh)
+        except BaseException:
+            fh.close()
+            os.remove(out)
+            raise
 
 
 def analyze_report(P: ch.TransitionMatrix, eps: float | None = None,

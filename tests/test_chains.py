@@ -322,6 +322,24 @@ def test_chain_flag_only_from_invariant_constructions():
     assert not mb.lazy_simple_walk(mb.path_graph(6)).vertex_transitive
 
 
+def test_chain_file_is_compared_with_the_lazy_walk_only_when_it_can_match(monkeypatch):
+    g = mb.cycle_graph(6)
+    built = []
+    lazy = mb.chains.lazy_simple_walk
+    monkeypatch.setattr(mb.chains, "lazy_simple_walk", lambda g: built.append(g) or lazy(g))
+    ring = np.roll(np.eye(6), 1, axis=1) + np.roll(np.eye(6), -1, axis=1)
+    absorbing = 0.5 * np.eye(6) + 0.25 * ring
+    absorbing[0] = [1, 0, 0, 0, 0, 0]
+    for P in (mb.metropolis_walk(g, np.arange(1, 7) / 21),  # pi not uniform
+              mb.make_chain(g, 0.2 * np.eye(6) + 0.4 * ring),  # not lazy
+              mb.make_chain(g, absorbing),  # reducible: no pi
+              mb.make_chain(g, np.eye(6))):  # one entry a row
+        assert not _round_trip(P, g).vertex_transitive
+    assert built == []
+    assert _round_trip(lazy(g), g).vertex_transitive
+    assert built == [g]
+
+
 def test_mixing_time_cap():
     P = mb.lazy_simple_walk(mb.cycle_graph(12))
     with pytest.raises(CapabilityError, match="cap"):

@@ -489,6 +489,16 @@ def test_unwritable_out_path_is_an_input_error(tmp_path):
     assert "Traceback" not in err
 
 
+def test_out_file_that_fails_to_encode_is_removed(tmp_path, monkeypatch):
+    # the document is streamed, so "a" is written before "z" fails
+    monkeypatch.setattr(mb.graphs, "graph_to_json", lambda g: {"a": 1, "z": object()})
+    path = tmp_path / "graph.json"
+    path.write_text("old")
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        run_cli("graph", "gen", "--graph", "cycle:4", "--out", str(path))
+    assert not path.exists()
+
+
 def test_missing_input_file_message(tmp_path):
     path = tmp_path / "absent.json"
     code, _, err = run_cli("bench", "--config", str(path))
