@@ -207,13 +207,13 @@ def _head_index(A: _Relation, B: _Relation) -> np.ndarray:
     return J
 
 
-def _relation_block(A: _Relation, B: _Relation) -> tuple[np.ndarray, np.ndarray]:
-    """(J, r) for every row a of A against every row b of B: J from
-    _head_index and r the relation weight p(a) p(b) / p(shared head),
-    computed in that order. r is 0.0 where the bits are equal, where
-    J = m (the same walk) or where either walk is bad; elsewhere the pair
-    is related, and a related pair whose shared head underflowed to 0.0
-    raises CapabilityError. The library's only relation path."""
+def _relation_block(A: _Relation, B: _Relation) -> np.ndarray:
+    """r for every row a of A against every row b of B: the relation
+    weight p(a) p(b) / p(shared head), computed in that order, the shared
+    head's index J from _head_index. r is 0.0 where the bits are equal,
+    where J = m (the same walk) or where either walk is bad; elsewhere the
+    pair is related, and a related pair whose shared head underflowed to
+    0.0 raises CapabilityError. The library's only relation path."""
     J = _head_index(A, B)
     related = A.bits[:, None] != B.bits
     related &= J < A.ids.shape[1]
@@ -224,7 +224,7 @@ def _relation_block(A: _Relation, B: _Relation) -> tuple[np.ndarray, np.ndarray]
         raise CapabilityError(_UNDERFLOW)
     r = A.heads[:, -1, None] * B.heads[:, -1]
     r /= shared
-    return J, r
+    return r
 
 
 def relation_weight(a: StaircaseInstance, b: StaircaseInstance) -> float:
@@ -241,7 +241,7 @@ def relation_weight(a: StaircaseInstance, b: StaircaseInstance) -> float:
         raise InputError("instances come from different chains")
     rel = _relation_arrays(a.chain, a.params, np.array([a.walk.vertices, b.walk.vertices]),
                            np.array([a.bit, b.bit]))
-    return float(_relation_block(rel.take([0]), rel.take([1]))[1][0, 0])
+    return float(_relation_block(rel.take([0]), rel.take([1]))[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -292,17 +292,17 @@ class _PairTable:
     """The pairs of good opposite-bit instances of a family as read-only
     arrays: rows are the good bit-0 instances, columns the good bit-1
     ones. The weight and the difference set are symmetric in the pair, so
-    this half stands for both orders. Every pair-shaped array takes O(1)
-    bytes per pair: J and ids a byte or two, and diff n bits, packed eight
-    columns to a byte (read it with np.unpackbits(diff, axis=-1,
-    count=cols.size)). The walks are the family's relation arrays'."""
+    this half stands for both orders. The one pair-shaped array is ids, a
+    byte or two per pair; which pairs a vertex tells apart is read by told
+    from the rows' and columns' last occurrences, a byte or two per
+    instance and vertex."""
 
     rows: np.ndarray  # family positions of the good bit-0 instances
     cols: np.ndarray  # family positions of the good bit-1 instances
-    J: np.ndarray  # (rows, cols) shared head index, narrowest unsigned dtype
     values: np.ndarray  # the distinct relation weights, ascending
     ids: np.ndarray  # (rows, cols) index of each pair's weight in values
-    diff: np.ndarray  # (n, rows, ceil(cols / 8)) packed bits: the decision functions differ at v
+    row_last: np.ndarray  # (n, rows) last position of vertex v + 1 in each row's walk, see told
+    col_last: np.ndarray  # (n, cols) the same for the columns
     mass: tuple[float, ...]  # relation mass of each instance, family order
 
     @property
@@ -310,14 +310,21 @@ class _PairTable:
         """(rows, cols) relation weight."""
         return self.values[self.ids]
 
+    def told(self, v: int, rows=slice(None)) -> np.ndarray:
+        """(rows, cols) bool: the pairs told apart at vertex v + 1, for the
+        rows at index rows: where v + 1's last occurrence differs, and at a
+        row's end, which row_last holds as L + 1, a position no column has
+        (a column that ends there too carries the other bit as its tag)."""
+        return self.row_last[v, rows, None] != self.col_last[v]
+
 
 def _pair_table(family: FunctionFamily) -> _PairTable:
     """Build the pair table of a family from its relation arrays; an exact
     reader takes it from family._table, which calls this once per family.
     Refuses before allocating any pair array when the good instances
     squared pass EXACT_PAIR_CAP, and before any weight is divided when a
-    head of a good instance underflowed to 0.0. J and the weights come
-    from _relation_block, a block of rows against all columns at a time."""
+    head of a good instance underflowed to 0.0. The weights come from
+    _relation_block, a block of rows against all columns at a time."""
     size, rel = len(family), family._relation
     pairs = int(rel.good.sum()) ** 2
     if pairs > EXACT_PAIR_CAP:
@@ -329,12 +336,6 @@ def _pair_table(family: FunctionFamily) -> _PairTable:
     if np.any(rel.heads[rel.good] == 0.0):
         raise CapabilityError(_UNDERFLOW)
     row_rel, col_rel = rel.take(rows), rel.take(cols)
-    J = np.empty((rows.size, cols.size), dtype=np.min_scalar_type(family.params.m))
-
-    def weights(b: slice) -> np.ndarray:
-        J[b], r = _relation_block(row_rel.take(b), col_rel)
-        return r
-
     # A family's weights take few distinct values, so the table keeps each
     # pair's as a small index, and a sum over pairs is a count per index
     # (see _grouped_fsums). Both passes build the weights of a block of
@@ -343,32 +344,28 @@ def _pair_table(family: FunctionFamily) -> _PairTable:
     blocks = [slice(i, i + step) for i in range(0, rows.size, step)]
     values = np.zeros(0)
     for b in blocks:
-        values = _distinct(np.concatenate((values, weights(b).ravel())))
+        r = _relation_block(row_rel.take(b), col_rel)
+        values = _distinct(np.concatenate((values, r.ravel())))
     width = values.size
-    ids = np.empty(J.shape, dtype=np.min_scalar_type(max(width - 1, 0)))
+    ids = np.empty((rows.size, cols.size), dtype=np.min_scalar_type(max(width - 1, 0)))
     for b in blocks:
-        ids[b] = np.searchsorted(values, weights(b))
-    del weights, row_rel, col_rel  # freed before the flags below, which set the peak
+        ids[b] = np.searchsorted(values, _relation_block(row_rel.take(b), col_rel))
     # the mass of an instance sums its row or its column of weights
     mass = np.zeros(size)
     for members, cells in ((rows, ids), (cols, ids.T)):
         counts = np.array([np.bincount(c, minlength=width) for c in cells], dtype=np.int64)
         mass[members] = _grouped_fsums(values, counts.reshape(members.size, width))
-    n = family.chain.n
-    last = _last_occurrence(rel.walks, n)
-    ends = rel.walks[rows, -1] - 1
-    # One vertex at a time, so that only one (rows, cols) bool array exists.
-    diff = np.empty((n, rows.size, -(-cols.size // 8)), dtype=np.uint8)
-    told = np.empty((rows.size, cols.size), dtype=bool)
-    for v in range(n):
-        np.not_equal(last[rows, v, None], last[cols, v], out=told)
-        # A shared end is told apart by its tag; distinct ends already differ.
-        told[ends == v] = True
-        diff[v] = np.packbits(told, axis=-1)
-    for a in (rows, cols, J, values, ids, diff):
+    # vertex-major, so that told reads whole runs, in the narrowest dtype
+    # that holds -1..L + 1
+    n, L = family.chain.n, family.params.L
+    row_last, col_last = (np.ascontiguousarray(_last_occurrence(r.walks, n).T,
+                                               dtype=np.min_scalar_type(-L - 2))
+                          for r in (row_rel, col_rel))
+    row_last[row_rel.walks[:, -1] - 1, np.arange(rows.size)] = L + 1
+    for a in (rows, cols, values, ids, row_last, col_last):
         a.setflags(write=False)
-    return _PairTable(rows=rows, cols=cols, J=J, values=values, ids=ids, diff=diff,
-                      mass=tuple(mass.tolist()))
+    return _PairTable(rows=rows, cols=cols, values=values, ids=ids, row_last=row_last,
+                      col_last=col_last, mass=tuple(mass.tolist()))
 
 
 def _indices_in(family: FunctionFamily, subset) -> np.ndarray:
@@ -408,8 +405,7 @@ def relation_mass(Z, X: FunctionFamily) -> MassResult:
     return MassResult(total=math.fsum(picked), per_instance=tuple(picked))
 
 
-# Pair cells in one block, when the weights are indexed and when q is
-# counted; a block's unpacked flags take n bytes per cell.
+# Pair cells in one block, when the weights are indexed and when q is counted
 _SUM_BLOCK_CELLS = 1 << 14
 
 
@@ -443,11 +439,11 @@ def _distinguishing(table: _PairTable, inside: np.ndarray) -> DistinguishingMass
     (a mask over the family) that are told apart at the vertex. Each sum
     is counted per distinct weight and rounded once by _grouped_fsums, so
     it is exactly rounded, and doubling the half-table sum counts both
-    orders bit for bit. A zero weight adds nothing to a sum. The flags
-    are unpacked a block of whole rows at a time, one byte per cell and
-    vertex, so memory beyond the table stays O(_SUM_BLOCK_CELLS * n)
-    bytes."""
-    n, width, cols = len(table.diff), table.values.size, table.cols.size
+    orders bit for bit. A zero weight adds nothing to a sum. The pairs
+    told apart are read from table.told a block of whole rows and one
+    vertex at a time, so memory beyond the table stays
+    O(_SUM_BLOCK_CELLS) bytes."""
+    n, width, cols = len(table.row_last), table.values.size, table.cols.size
     keep_rows, keep_cols = inside[table.rows], inside[table.cols]
     # counts[v, k]: kept cells told apart at vertex v + 1 whose weight is
     # values[k]; counts add exactly across blocks
@@ -455,11 +451,10 @@ def _distinguishing(table: _PairTable, inside: np.ndarray) -> DistinguishingMass
     step = max(1, _SUM_BLOCK_CELLS // max(cols, 1))
     for s in range(0, table.rows.size, step):
         b = slice(s, s + step)
-        told = np.unpackbits(table.diff[:, b], axis=-1, count=cols).view(bool)
-        told &= keep_rows[b, None] & keep_cols
+        keep = keep_rows[b, None] & keep_cols
         ids = table.ids[b]
         for v in range(n):
-            counts[v] += np.bincount(ids[told[v]], minlength=width)
+            counts[v] += np.bincount(ids[table.told(v, b) & keep], minlength=width)
     per_vertex = tuple(2.0 * total for total in _grouped_fsums(table.values, counts))
     best = max(per_vertex)
     return DistinguishingMass(q=best, argmax_vertex=per_vertex.index(best) + 1,
@@ -548,8 +543,8 @@ def ratio_property_check(P: TransitionMatrix, params: StaircaseParams,
     holding an enumerated family calls directly.
 
     q is counted for a chunk of at most max(1, _SUM_BLOCK_CELLS // size)
-    draws at once. The packed flags are unpacked once, into the cells told
-    apart at each vertex, sorted by weight id; a chunk's counts[s, v, k],
+    draws at once. The pair table's told is read once per vertex, into
+    the cells told apart there, sorted by weight id; a chunk's counts[s, v, k],
     the cells inside draw s told apart at vertex v + 1 with weight
     values[k], are integer sums (np.add.reduceat) over each id's run of
     the chunk's (cells, draws) inside mask. Each q is then rounded once by
@@ -568,18 +563,16 @@ def _ratio_check(family: FunctionFamily, subsets: int, seed) -> RatioCheckResult
     rng = np.random.default_rng(seed)
     size = len(family)
     mass = np.array(table.mass)
-    n, width = len(table.diff), table.values.size
+    n, width = family.chain.n, table.values.size
     # groups[v]: the flat (row, col) cells told apart at vertex v + 1 in
     # order of weight id, where each id's run starts, and that id
     flat_ids = table.ids.ravel()
     by_id = np.argsort(flat_ids, kind="stable")
-    told = np.unpackbits(table.diff, axis=-1, count=table.cols.size).view(bool)
     groups = []
-    for flags in told.reshape(n, -1):
-        cells = by_id[flags[by_id]]
+    for v in range(n):
+        cells = by_id[table.told(v).ravel()[by_id]]
         starts = np.flatnonzero(np.diff(flat_ids[cells], prepend=-1))
         groups.append((cells, starts, flat_ids[cells[starts]]))
-    del told
     step = max(1, _SUM_BLOCK_CELLS // size)
     checked = attempts = worst_size = 0
     min_ratio = math.inf

@@ -991,6 +991,7 @@ def chain_from_json(doc: dict, graph: Graph | None = None) -> TransitionMatrix:
                             for u, v, p in doc["entries"]], dtype=float).reshape(-1, 3)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed chain document: {exc}") from exc
+    del doc  # the last reference when the caller passed read_json's result
     if graph is not None and n != graph.n:
         raise InputError(f"chain document has n={n}, but the graph has n={graph.n}")
     if n > len(entries):  # so nothing n-sized is built for a short document

@@ -145,6 +145,10 @@ def _cmd_instance_sample(args) -> int:
 
 def _cmd_bench(args) -> int:
     if args.config:
+        given = [f"--{name}" for name in ("graph", "chain", "seed", "trials", "solver", "T", "L",
+                                          "format") if getattr(args, name) is not None]
+        if given:
+            raise InputError(f"--config sets the experiment; drop {', '.join(given)}")
         config = ExperimentConfig.from_dict(read_json(args.config))
         if args.out:
             config = replace(config, out=args.out)
@@ -152,10 +156,11 @@ def _cmd_bench(args) -> int:
         if args.graph is None or args.seed is None:
             raise InputError("bench needs --config or --graph plus --seed")
         config = ExperimentConfig(
-            graph=args.graph, chain=args.chain, seed=args.seed,
-            trials=args.trials,
+            graph=args.graph, chain="lazy-simple" if args.chain is None else args.chain,
+            seed=args.seed, trials=10 if args.trials is None else args.trials,
             solvers=tuple(args.solver) if args.solver else SOLVER_NAMES,
-            T=args.T, L=args.L, out=args.out, format=args.format)
+            T=args.T, L=args.L, out=args.out,
+            format="csv" if args.format is None else args.format)
     rows, summary = run_bench(config)
     if config.format == "json":
         doc = {"trials": [asdict(r) for r in rows], "summary": summary}
@@ -176,8 +181,6 @@ def _cmd_bench(args) -> int:
 
 def _cmd_bound(args) -> int:
     if args.graph:
-        if args.chain is None:
-            raise InputError("--graph needs --chain to define the walk")
         config = ExperimentConfig(graph=args.graph, chain=args.chain,
                                   seed=args.seed if args.seed is not None else 0,
                                   T=args.T, L=args.L)
@@ -292,15 +295,15 @@ def build_parser() -> argparse.ArgumentParser:
     sample.set_defaults(func=_cmd_instance_sample)
 
     bench = sub.add_parser("bench", help="benchmark solvers against instances")
-    bench.add_argument("--config", help="JSON experiment config")
+    bench.add_argument("--config", help="JSON experiment config; only --out may join it")
     bench.add_argument("--graph")
-    bench.add_argument("--chain", default="lazy-simple")
+    bench.add_argument("--chain", help="defaults to lazy-simple")
     bench.add_argument("--solver", action="append", choices=SOLVER_NAMES,
                        help="repeatable; defaults to all three")
-    bench.add_argument("--trials", type=int, default=10)
+    bench.add_argument("--trials", type=int, help="defaults to 10")
     bench.add_argument("--T", type=int)
     bench.add_argument("--L", type=int)
-    bench.add_argument("--format", choices=["csv", "json"], default="csv")
+    bench.add_argument("--format", choices=["csv", "json"], help="defaults to csv")
     _add_common(bench)
     bench.set_defaults(func=_cmd_bench)
 

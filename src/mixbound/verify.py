@@ -353,7 +353,7 @@ def check_a5_difference_localization(ctx: _Context) -> Outcome:
         # adds its weight to the vertices of k's tail after the shared head
         table = family._table
         last = adv._last_occurrence(rel.walks, P.n)
-        head_end = table.J.astype(np.int64) * T
+        head_end = adv._head_index(rel.take(table.rows), rel.take(table.cols)).astype(np.int64) * T
         r = table.r
         rhs = np.zeros(P.n)
         for v in range(P.n):
@@ -597,8 +597,8 @@ def check_adversary_symmetry(ctx: _Context) -> Outcome:
         step = max(1, adv._SUM_BLOCK_CELLS // size)
         for s in range(0, size, step):
             block = rel.take(slice(s, s + step))
-            R = adv._relation_block(block, rel)[1]
-            mirror = adv._relation_block(rel, block)[1].T
+            R = adv._relation_block(block, rel)
+            mirror = adv._relation_block(rel, block).T
             pairs += R.size
             rows = np.arange(s, s + len(R))
             nonzero = R != 0.0

@@ -1,9 +1,20 @@
+import tracemalloc
 import warnings
 
 import pytest
 
 import mixbound as mb
 from mixbound.errors import VacuousRegimeWarning
+
+
+def traced_peak(fn):
+    """(fn(), the tracemalloc peak in bytes of what the call allocated)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(autouse=True)

@@ -2,7 +2,6 @@ import functools
 import hashlib
 import itertools
 import math
-import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -14,13 +13,15 @@ from hypothesis import strategies as hst
 import mixbound as mb
 from mixbound.adversary import (RatioCheckResult, _credited_mean, _difference_counts,
                                 _distinguishing, _exact_report, _grouped_fsums,
-                                _last_occurrence, _pair_table, _ratio_check, _redraw,
+                                _head_index, _last_occurrence, _pair_table, _ratio_check, _redraw,
                                 _relation_arrays, _relation_block, _SUM_BLOCK_CELLS,
                                 ratio_floor)
 from mixbound.chains import Walk, _sample_tails
 from mixbound.graphs import _bfs
 from mixbound.errors import CapabilityError, InputError
 from mixbound.staircase import StaircaseInstance, StaircaseParams
+
+from conftest import traced_peak
 
 
 # ---------------------------------------------------------------------------
@@ -160,14 +161,12 @@ def test_enumerate_cap_refuses_before_building_walks():
     # cap walk tuples first, about 11 MB at cap=10**5
     P = mb.lazy_simple_walk(mb.complete_graph(12))
     params = mb.custom_params(P, T=1, L=7)
-    tracemalloc.start()
-    try:
+
+    def refuse():
         with pytest.raises(CapabilityError, match="exceeds enumeration cap 100000"):
             mb.enumerate_family(P, params, cap=10 ** 5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
+
+    assert traced_peak(refuse)[1] < 1 << 20
 
 
 @pytest.mark.parametrize("L,cap", [(0, 0), (0, 1), (2, 8), (2, 9), (3, 26), (3, 27)])
@@ -329,10 +328,10 @@ def test_q_linear_in_relation(k3_family):
     table = _pair_table(k3_family)
     dm = mb.distinguishing_mass(k3_family)
     doubled = {}
-    diff = np.unpackbits(table.diff, axis=-1, count=table.cols.size)
-    for (v, a, b), told_apart in np.ndenumerate(diff):
-        if told_apart:  # a table entry stands for both orders of its pair
-            doubled[v + 1] = doubled.get(v + 1, 0.0) + 2 * 2.0 * table.r[a, b]
+    for v in range(k3_family.chain.n):
+        for (a, b), told_apart in np.ndenumerate(table.told(v)):
+            if told_apart:  # a table entry stands for both orders of its pair
+                doubled[v + 1] = doubled.get(v + 1, 0.0) + 2 * 2.0 * table.r[a, b]
     assert max(doubled.values()) == pytest.approx(2 * dm.q, abs=1e-15)
     m_doubled = 2 * mb.relation_mass(k3_family, k3_family).total
     assert m_doubled / max(doubled.values()) == pytest.approx(
@@ -396,7 +395,7 @@ def test_relation_block_equals_a_plain_python_reference(name):
     P, params = _exact_system(name)
     family = mb.enumerate_family(P, params)
     rel = family._relation
-    assert _same_bits(_relation_block(rel, rel)[1], _reference_relation(P, family.instances))
+    assert _same_bits(_relation_block(rel, rel), _reference_relation(P, family.instances))
 
 
 def _witness_system():
@@ -422,7 +421,7 @@ def test_head_ids_give_the_shared_head_index(name):
     rows = list(map(tuple, walks.tolist()))
     want = np.array([[mb.shared_head_index(a, b, params.T) if a != b else params.m
                       for b in rows] for a in rows])
-    assert np.array_equal(_relation_block(rel, rel)[0], want)
+    assert np.array_equal(_head_index(rel, rel), want)
 
 
 @pytest.mark.parametrize("name", EXACT_FAMILIES)
@@ -503,41 +502,29 @@ def test_grouped_fsums_of_nothing_is_zero():
 
 
 def test_exact_lower_bound_memory():
-    # a loose bound; the test below holds the peak to pairs * (ceil(n / 8) + 8)
+    # a loose bound; the test below holds the peak to 3.5 bytes per pair
     P = mb.lazy_simple_walk(mb.complete_graph(6))
     params = mb.custom_params(P, T=2, L=4)
     table = _pair_table(mb.enumerate_family(P, params))
     pairs = table.rows.size * table.cols.size
     del table
-    tracemalloc.start()
-    try:
-        mb.exact_lower_bound(P, params)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= pairs * (P.n + 32)
+    assert traced_peak(lambda: mb.exact_lower_bound(P, params))[1] <= pairs * (P.n + 32)
 
 
 def test_exact_lower_bound_holds_no_pairs_sized_weights():
-    # the head index and the weight ids take a byte per pair and the
-    # difference flags n bits; the weights are built a block of rows at a
-    # time and the flags filled one vertex at a time. With a byte of flags
-    # per vertex, K6 peaked at 13.1 bytes per pair and K12 at 18.5.
+    # the weight ids take a byte per pair, the table's only pair-shaped
+    # array; the weights are built and the pairs told apart read a block of
+    # rows at a time. With a stored head index and n packed flag bits per
+    # pair, K6 peaked at 4.9 bytes per pair and K12 at 5.4; with a byte of
+    # flags per vertex, at 13.1 and 18.5.
     for n, T, L in ((6, 2, 4), (12, 1, 3)):
         P = mb.lazy_simple_walk(mb.complete_graph(n))
         params = mb.custom_params(P, T=T, L=L)
         table = _pair_table(mb.enumerate_family(P, params))
         pairs = table.rows.size * table.cols.size
-        assert table.J.dtype == table.ids.dtype == table.diff.dtype == np.uint8
-        assert table.diff.shape == (n, table.rows.size, math.ceil(table.cols.size / 8))
+        assert table.ids.dtype == np.uint8
         del table
-        tracemalloc.start()
-        try:
-            mb.exact_lower_bound(P, params)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= pairs * (math.ceil(n / 8) + 8)
+        assert traced_peak(lambda: mb.exact_lower_bound(P, params))[1] <= 3.5 * pairs
 
 
 def test_exact_pair_cap_refuses(monkeypatch):
@@ -609,11 +596,17 @@ def _told_apart_by_loops(table, walks, n: int) -> dict:
 
 @pytest.mark.parametrize("name", ["K3", "K4", "cycle7", "metropolis6"])
 def test_packed_flags_equal_a_loop_over_cells(name, monkeypatch):
-    # column counts 2, 96, 26 and 60: three leave padding bits in the last byte
+    # the table's told, and q summed from it, against the plain loops for
+    # every vertex and pair
     P, params = _exact_system(name)
     family = mb.enumerate_family(P, params)
     table = _pair_table(family)
     told = _told_apart_by_loops(table, family._relation.walks, P.n)
+    for v in range(P.n):
+        want = [[v + 1 in told[a, b] for b in range(table.cols.size)]
+                for a in range(table.rows.size)]
+        assert table.told(v).tolist() == want
+        assert table.told(v, slice(1, 3)).tolist() == want[1:3]
     rng = np.random.default_rng(0)
     masks = [np.ones(len(family), dtype=bool)] + [
         rng.random(len(family)) < p for p in (0.3, 0.6, 0.9)]
@@ -759,8 +752,8 @@ def test_the_exact_path_builds_no_instance_objects(monkeypatch):
 def test_a_family_holds_read_only_relation_arrays_and_table(k3_family):
     # both outlive the call that builds them, so no reader may write into them
     table = k3_family._table
-    for a in (*k3_family._relation, table.rows, table.cols, table.J, table.values,
-              table.ids, table.diff):
+    for a in (*k3_family._relation, table.rows, table.cols, table.values, table.ids,
+              table.row_last, table.col_last):
         with pytest.raises(ValueError, match="read-only"):
             a[(0,) * a.ndim] = a[(0,) * a.ndim]
 
@@ -1236,12 +1229,7 @@ def test_milestone_escape_redraws_from_a_view_of_the_one_walk():
     # of x with int64 redraws peaks at 21 bytes per walk cell here
     P = mb.lazy_simple_walk(mb.hypercube_graph(8))
     params = mb.default_params(P)
-    tracemalloc.start()
-    try:
-        mb.milestone_escape_estimates(P, params, samples=500, seed=0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: mb.milestone_escape_estimates(P, params, samples=500, seed=0))
     assert peak <= 12 * 500 * (params.L + 1)
 
 

@@ -2,7 +2,6 @@ import dataclasses
 import itertools
 import json
 import math
-import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -30,6 +29,8 @@ from mixbound.verify import (
     _linear_mixing_times,
     _visit_probabilities,
 )
+
+from conftest import traced_peak
 
 
 def solve_stationary_oracle(matrix):
@@ -338,6 +339,21 @@ def test_chain_file_is_compared_with_the_lazy_walk_only_when_it_can_match(monkey
     assert built == []
     assert _round_trip(lazy(g), g).vertex_transitive
     assert built == [g]
+
+
+def test_a_chain_file_is_built_with_its_parsed_document_released(tmp_path):
+    # the parsed document goes once the entries are arrays, so the peak is
+    # the parse: 294 bytes per entry, against 376 while the document lived
+    # through the build and the lazy-walk comparison (read_json alone
+    # peaks at 185)
+    g = mb.hypercube_graph(10)
+    named = mb.lazy_simple_walk(g)
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(mb.chain_to_json(named)))
+    P, peak = traced_peak(lambda: mb.chains.chain_from_spec(str(path), g))
+    assert P.vertex_transitive
+    assert all(np.array_equal(a, b) for a, b in zip(P.in_neighbours, named.in_neighbours))
+    assert peak <= 330 * np.count_nonzero(named.in_neighbours[1])
 
 
 def test_mixing_time_cap():
@@ -1426,12 +1442,7 @@ def test_row_sums_do_not_depend_on_the_block_size(spec, monkeypatch):
 
 def test_named_chain_build_allocates_no_dense_matrix():
     g = mb.hypercube_graph(12)
-    tracemalloc.start()
-    try:
-        P = mb.lazy_simple_walk(g)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    P, peak = traced_peak(lambda: mb.lazy_simple_walk(g))
     # O(entries), with no n-column scratch and no copy of the entries: 91
     # bytes per entry here, 139 while the support and the reverse entries
     # were searched for and the entries copied, and 191 when each row was
@@ -1536,12 +1547,7 @@ def test_doubling_search_holds_k_plus_one_dense_arrays():
     # T = 84 needs K = 7 squarings; the lift writes into their buffers
     P = mb.lazy_simple_walk(mb.graph_from_spec("random-regular:256,4", seed=0))
     P.matrix
-    tracemalloc.start()
-    try:
-        params = mb.default_params(P)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    params, peak = traced_peak(lambda: mb.default_params(P))
     assert params.T == 84
     # 7.6 arrays: the seven squares and half an array of TV buffer; 9.0
     # with two n x n temporaries per TV check and a new array per product

@@ -322,6 +322,35 @@ def test_bench_config_roundtrip(tmp_path):
     assert out.splitlines()[0].startswith("seed,solver")
 
 
+_CONFIG = {"graph": "complete:9", "chain": "lazy-simple", "seed": 1, "trials": 1}
+
+
+@pytest.mark.parametrize("flags", [
+    ("--graph", "complete:9"), ("--chain", "lazy-simple"), ("--seed", "5"),
+    ("--trials", "5"), ("--solver", "steepest"), ("--T", "1"), ("--L", "2"),
+    ("--format", "json"), ("--format", "json", "--trials", "5", "--solver", "steepest")],
+    ids=lambda flags: "".join(f for f in flags if f.startswith("--")))
+def test_bench_config_refuses_the_flags_its_file_sets(tmp_path, flags):
+    # once, --format json --trials 5 --solver steepest printed the CSV of
+    # the file's 2 trials x 3 solvers
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({**_CONFIG, "trials": 2}))
+    code, out, err = run_cli("bench", "--config", str(cfg_path), *flags)
+    assert (code, out) == (1, "")
+    assert err.startswith("input error: ") and err.count("\n") == 1
+    assert all(flag in err for flag in flags if flag.startswith("--"))
+
+
+def test_bench_config_takes_out_from_the_command_line(tmp_path):
+    cfg_path, csv_path = tmp_path / "config.json", tmp_path / "trials.csv"
+    cfg_path.write_text(json.dumps({**_CONFIG, "out": str(tmp_path / "unused.csv")}))
+    code, out, _ = run_cli("bench", "--config", str(cfg_path), "--out", str(csv_path))
+    assert code == 0
+    assert json.loads(out)["all_correct"] is True
+    assert csv_path.read_text().startswith("seed,solver")
+    assert not (tmp_path / "unused.csv").exists()
+
+
 def test_bench_json_format():
     code, out, _ = run_cli("bench", "--graph", "complete:9", "--chain",
                            "lazy-simple", "--trials", "2", "--seed", "1",
@@ -359,9 +388,6 @@ def test_bench_config_bad_cap_value(tmp_path, caps):
     assert out == ""
     assert err.startswith("input error: ")
     assert repr(name) in err
-
-
-_CONFIG = {"graph": "complete:9", "chain": "lazy-simple", "seed": 1, "trials": 1}
 
 
 @pytest.mark.parametrize("command,content", [
@@ -544,6 +570,11 @@ def test_bound_from_graph():
     doc = strict_json(out)
     assert doc["inputs"]["n"] == 16
     assert set(doc["values"]) >= {"mixing", "spectral", "expansion"}
+
+
+def test_bound_from_graph_defaults_to_the_lazy_walk():
+    assert run_cli("bound", "--graph", "cycle:8") == run_cli(
+        "bound", "--graph", "cycle:8", "--chain", "lazy-simple")
 
 
 # sigma = 180, so eps = sigma/(2n) = 30 leaves no default mixing time

@@ -10,7 +10,6 @@ from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 import subprocess
 import sys
-import tracemalloc
 import weakref
 
 import numpy as np
@@ -24,6 +23,8 @@ from mixbound import staircase as st
 from mixbound.cli import main
 from mixbound.errors import InputError, VacuousRegimeWarning
 from mixbound.verify import CHECKS, VerifyCaps, _Context, _good_walks, run_verify
+
+from conftest import traced_peak
 
 LEMMA_NAMES = [
     "A1_validity", "A2_mixing_concentration", "A3_visit_sum",
@@ -154,13 +155,13 @@ def test_symmetry_catches_faulty_relation(monkeypatch, faulty_pairs, shift,
     original = adv._relation_block
 
     def faulty(A, B):
-        J, r = original(A, B)
+        r = original(A, B)
         keys = [[(tuple(w), int(b)) for w, b in zip(rel.walks.tolist(), rel.bits)]
                 for rel in (A, B)]
         for (i, a), (k, b) in itertools.product(enumerate(keys[0]), enumerate(keys[1])):
             if (a, b) in faulty_pairs:
                 r[i, k] += shift
-        return J, r
+        return r
 
     monkeypatch.setattr(adv, "_relation_block", faulty)
     [result] = run_verify(checks=["adversary_symmetry"], seed=0)
@@ -181,12 +182,8 @@ def test_pair_checks_hold_no_vertex_sized_pair_arrays(check, multiple):
     size = len(ctx.micro_families[0])
     run = CHECKS[check][1]
     assert run(ctx)[0]  # caches warm, so only the check is measured
-    tracemalloc.start()
-    try:
-        assert run(ctx)[0]
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    outcome, peak = traced_peak(lambda: run(ctx))
+    assert outcome[0]
     assert peak <= multiple * size ** 2
 
 
