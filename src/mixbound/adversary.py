@@ -8,9 +8,10 @@ family gives the mass M; the largest per-vertex mass of distinguishable
 pairs gives q; and 0.01 * M/q lower-bounds the randomized query
 complexity of the decision problem.
 
-Exact evaluation enumerates the full family and is quadratic in its
-size, so it only runs on micro-systems; the Monte Carlo estimator
-samples the chain law and scales to anything the sampler can reach.
+Exact evaluation enumerates the full family and sums over its head
+classes, linear in its size, so it runs wherever the family can be
+enumerated; the Monte Carlo estimator samples the chain law and scales
+to anything the sampler can reach.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chains import (TransitionMatrix, Walk, _distinct, _sample_tails, _step_probabilities,
-                     make_walk)
+from .chains import (MAX_DENSE_N, TransitionMatrix, Walk, _distinct, _sample_tails,
+                     _step_probabilities, make_walk)
 from .errors import DEFAULT_CAPS, CapabilityError, InputError
 from .graphs import _bfs
 from .staircase import (
@@ -46,10 +47,12 @@ class FunctionFamily:
     bit, int64 and int8 arrays that the family marks read-only (an array
     of another dtype, or a list, is copied first). ``exhaustive`` marks
     families produced by full enumeration. Families compare by identity.
-    A family builds its relation arrays and its pair table the first time
-    an exact reader asks for them and holds them, read-only, while it
+    A family builds its relation arrays and its head classes the first
+    time an exact reader asks for them and holds them, read-only, while it
     lives: relation_mass, distinguishing_mass, the exact report and the
-    ratio check of one family share one build, and build no instance."""
+    ratio check of one family share one build, and build no instance.
+    Its pair table, built the same way, is read only by verify and the
+    tests, as the classes' reference."""
 
     walks: np.ndarray
     bits: np.ndarray
@@ -91,6 +94,10 @@ class FunctionFamily:
     @functools.cached_property
     def _relation(self) -> _Relation:
         return _relation_arrays(self.chain, self.params, self.walks, self.bits)
+
+    @functools.cached_property
+    def _classes(self) -> _Classes:
+        return _class_arrays(self)
 
     @functools.cached_property
     def _table(self) -> _PairTable:
@@ -248,12 +255,26 @@ def relation_weight(a: StaircaseInstance, b: StaircaseInstance) -> float:
 # Exact enumeration
 # ---------------------------------------------------------------------------
 
+def _family_bytes(walks: int, params: StaircaseParams) -> int:
+    """The bytes an enumerated family of this many walks holds once the
+    exact path has read it: per row, two per walk, its walk, bit and
+    goodness, heads, head ids (4 bytes each at most), class weights, mass
+    and walk index; per walk and level, up to L events of two 4-byte
+    indexes in the head classes."""
+    L, m = params.L, params.m
+    per_row = 8 * (L + 1) + 2 + 8 * (m + 1) + 4 * m + 8 * 3 + 4
+    return walks * (2 * per_row + 8 * L * m)
+
+
 def enumerate_family(P: TransitionMatrix, params: StaircaseParams,
                      cap: int = DEFAULT_CAPS["enumeration"]) -> FunctionFamily:
     """All walks of length L from vertex 1 with positive step probabilities,
     crossed with both hidden bits: the walks in increasing lexicographic
     order, each once with bit 0 and then with bit 1. Aborts once the walk
-    count passes the cap; use the Monte Carlo estimator beyond that."""
+    count passes the cap, or once the arrays the exact path would hold for
+    that many walks (_family_bytes) pass MAX_DENSE_N^2 * 8 bytes (2 GiB,
+    the largest dense matrix the library admits), both before any walk
+    is built; use the Monte Carlo estimator beyond that."""
     successors = [tuple(dict.fromkeys(row)) for row in (P.sampling_table[0] + 1).tolist()]
     # Walks ending at each vertex, counted level by level before any walk
     # is built. Every row has a successor, so the total never falls and
@@ -267,9 +288,16 @@ def enumerate_family(P: TransitionMatrix, params: StaircaseParams,
             for v in successors[u - 1]:
                 level[v] = level.get(v, 0) + count
         ends = level
-    if sum(ends.values()) > cap:
+    count = sum(ends.values())
+    if count > cap:
         raise CapabilityError(
             f"family exceeds enumeration cap {cap}; "
+            "use the Monte Carlo estimator instead")
+    held = _family_bytes(count, params)
+    if held > MAX_DENSE_N ** 2 * 8:
+        raise CapabilityError(
+            f"family of {count} walks would hold about {held / 2 ** 30:.1f} GiB, over the "
+            f"{MAX_DENSE_N ** 2 * 8 / 2 ** 30:.0f} GiB of the largest dense matrix; "
             "use the Monte Carlo estimator instead")
     # Level by level: each walk, in order, is followed by each successor
     # of its end, in increasing order (as the sampling table lists them),
@@ -287,6 +315,174 @@ def enumerate_family(P: TransitionMatrix, params: StaircaseParams,
                           params=params, chain=P, exhaustive=True)
 
 
+# ---------------------------------------------------------------------------
+# Head classes: the exact sums, linear in the family
+# ---------------------------------------------------------------------------
+
+class _Level(NamedTuple):
+    """Level j < m of a family's head classes, over its distinct walks. A
+    class is a head through milestone j; two walks of a class whose next
+    segments differ share exactly that head. An event is a walk's last
+    occurrence pos of a vertex v after position j*T, in its tail; the
+    events of one (v, class, pos) form a bucket, and the buckets of one
+    (v, class) a cell. A walk of the class with no event at v has v's
+    last occurrence in the shared head, or none: one key for all of them."""
+
+    cls: np.ndarray  # (walks,) each walk's class
+    heads: np.ndarray  # (classes,) h_C, inf where it underflowed (no good walk there)
+    walk: np.ndarray  # (events,) each event's walk, the events in bucket order
+    bucket: np.ndarray  # (events,) each event's bucket
+    cell: np.ndarray  # (buckets,) each bucket's cell
+    end: np.ndarray  # (buckets,) the bucket's walks end at v: pos = L
+    cell_cls: np.ndarray  # (cells,) each cell's class
+    cell_vertex: np.ndarray  # (cells,) each cell's v - 1
+    parent: np.ndarray  # (cells,) the cell of the same v and the parent class (level j - 1)
+
+
+class _Classes(NamedTuple):
+    """What the exact sums read of a family, built once per family; no
+    part depends on the subset being summed."""
+
+    walk: np.ndarray  # (size,) each row's distinct walk
+    weights: np.ndarray  # (2, size) p(x) of the good bit-0 rows, and of the good bit-1 rows
+    levels: tuple[_Level, ...]  # levels 0..m - 1
+    mass: np.ndarray  # relation mass of each instance, family order
+
+
+def _narrow(a: np.ndarray) -> np.ndarray:
+    """An index array in the narrowest unsigned dtype that holds it; other
+    arrays as they are."""
+    if a.dtype != np.int64:
+        return a
+    return a.astype(np.min_scalar_type(int(a.max(initial=0))))
+
+
+def _runs(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For a sorted key: each element's run index, and each run's key."""
+    starts = np.ones(len(key), dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=starts[1:])
+    return np.cumsum(starts) - 1, key[starts]
+
+
+def _bin_sums(ids: np.ndarray, weights: np.ndarray, count: int) -> np.ndarray:
+    """(draws, count): each row of weights (draws, len(ids)) summed by ids.
+    np.bincount adds each bin's terms in order, so a row's sums are the
+    same bits whatever the batch around it."""
+    draws = len(weights)
+    if draws > 1:
+        ids = ids + count * np.arange(draws)[:, None]
+    return np.bincount(ids.ravel(), weights.ravel(),
+                       minlength=draws * count).reshape(draws, count)
+
+
+def _parting(within: np.ndarray, children: np.ndarray, heads: np.ndarray) -> np.ndarray:
+    """The weight of the pairs of a class that part at its level: the
+    class's pairs less those inside one child class, over its head."""
+    return (within - children) / heads
+
+
+def _class_arrays(family: FunctionFamily) -> _Classes:
+    """Build the head classes of a family from its relation arrays; an
+    exact reader takes them from family._classes, which calls this once
+    per family. Refuses, as the pair table does, when a head of a good
+    instance underflowed to 0.0. A walk's events come from comparing each
+    position with the later ones, O(size·L^2) time with no factor of n;
+    the levels hold each event at most m times, O(size·L·m) bytes."""
+    rel, params = family._relation, family.params
+    T, L, m = params.T, params.L, params.m
+    if np.any(rel.heads[rel.good] == 0.0):
+        raise CapabilityError(_UNDERFLOW)
+    walk = rel.ids[:, -1].astype(np.int64) if m else np.zeros(len(family), dtype=np.int64)
+    first = np.zeros(int(walk.max(initial=-1)) + 1, dtype=np.int64)
+    first[walk] = np.arange(len(walk))  # a row of each walk, any one
+    walks, heads = rel.walks[first], rel.heads[first]
+    last = np.ones(walks.shape, dtype=bool)
+    for t in range(L):
+        last[:, t] = ~np.any(walks[:, t + 1:] == walks[:, t, None], axis=1)
+    event_walk, pos = np.nonzero(last[:, 1:])
+    pos += 1
+    vertex = walks[event_walk, pos] - 1
+    del walks, last
+    levels: list[_Level] = []
+    cls = np.zeros(len(first), dtype=np.int64)
+    above, above_count = np.zeros(0, dtype=np.int64), 1  # level 0 has no parent
+    for j in range(m):
+        up, cls = cls, rel.ids[first, j - 1].astype(np.int64) if j else cls
+        count = int(cls.max(initial=-1)) + 1
+        h = np.empty(count)
+        h[cls] = heads[:, j]
+        h[h == 0.0] = np.inf
+        tail = pos > j * T
+        key = (vertex[tail] * count + cls[event_walk[tail]]) * (L + 1) + pos[tail]
+        order = np.argsort(key, kind="stable")  # walk order within a bucket
+        bucket, key = _runs(key[order])
+        cell, cell_key = _runs(key // (L + 1))
+        cell_vertex, cell_cls = np.divmod(cell_key, count)
+        # the cell of the same vertex and the parent class, among the
+        # sorted cell keys of the level above
+        parent_cls = np.zeros(count, dtype=np.int64)
+        parent_cls[cls] = up
+        parent = np.searchsorted(above, cell_vertex * above_count + parent_cls[cell_cls])
+        above, above_count = cell_key, count
+        levels.append(_Level(*map(_narrow, (cls, h, event_walk[tail][order], bucket, cell,
+                                            key % (L + 1) == L, cell_cls, cell_vertex,
+                                            parent))))
+    weights = np.stack((rel.bits == 0, rel.bits == 1)) * (rel.heads[:, -1] * rel.good)
+    # an instance's mass: p(x) times, at each level, the opposite-bit weight
+    # of its class less its child's, over the class's head
+    sums = _bin_sums(walk, weights, len(first))
+    below, per_walk = sums, np.zeros(sums.shape)
+    for lv in reversed(levels):
+        here = _bin_sums(lv.cls, sums, len(lv.heads))[:, lv.cls]
+        per_walk += _parting(here, below, lv.heads[lv.cls])
+        below = here
+    mass = weights[0] * per_walk[1, walk] + weights[1] * per_walk[0, walk]
+    walk = _narrow(walk)
+    for a in (walk, weights, mass, *(a for lv in levels for a in lv)):
+        a.setflags(write=False)
+    return _Classes(walk, weights, tuple(levels), mass)
+
+
+def _told_sums(classes: _Classes, inside: np.ndarray, n: int) -> np.ndarray:
+    """(draws, n): for each row of inside, a (draws, size) mask of a subset
+    Z, half of each q_v(Z): the weight of the pairs of a good bit-0 and a
+    good bit-1 row of Z told apart at vertex v + 1, summed per level and
+    cell from the bucket sums of the rows with an event there. A row is
+    told apart from every row of its class with another key (v's last
+    occurrence), and a row that ends at v from every row; the class's rows
+    with no event share one key. So a cell sums A_b·(B_C - B_b) over its
+    buckets, plus A_rest·B_events, where a bucket or the rest that holds
+    all of the class's weight gives a factor of 0.0 exactly. The pairs
+    inside one child class are subtracted level by level, the twin rows
+    of a walk that ends at v at the last level, so a vertex that tells no
+    related pair apart gets 0.0 exactly: q_v is never computed as M less
+    the pairs not told apart."""
+    draws, levels = len(inside), classes.levels
+    q = np.zeros((draws, n))
+    if not levels:
+        return q
+    A, B = (_bin_sums(classes.walk, inside * w, len(levels[0].cls))
+            for w in classes.weights)
+    below = None
+    for j in reversed(range(len(levels))):
+        lv = levels[j]
+        cells = len(lv.cell_cls)
+        AC, BC = (_bin_sums(lv.cls, X, len(lv.heads)) for X in (A, B))
+        Ab, Bb = (_bin_sums(lv.bucket, X[:, lv.walk], len(lv.cell)) for X in (A, B))
+        told = _bin_sums(lv.cell, Ab * (BC[:, lv.cell_cls[lv.cell]] - Bb * ~lv.end), cells)
+        told += (AC[:, lv.cell_cls] - _bin_sums(lv.cell, Ab, cells)) * _bin_sums(
+            lv.cell, Bb, cells)
+        if below is None:
+            ends = lv.end[lv.bucket]
+            twins = lv.walk[ends]
+            children = _bin_sums(lv.cell[lv.bucket[ends]], A[:, twins] * B[:, twins], cells)
+        else:
+            children = _bin_sums(levels[j + 1].parent, below, cells)
+        q += _bin_sums(lv.cell_vertex, _parting(told, children, lv.heads[lv.cell_cls]), n)
+        below = told
+    return q
+
+
 @dataclass(frozen=True)
 class _PairTable:
     """The pairs of good opposite-bit instances of a family as read-only
@@ -295,7 +491,8 @@ class _PairTable:
     this half stands for both orders. The one pair-shaped array is ids, a
     byte or two per pair; which pairs a vertex tells apart is read by told
     from the rows' and columns' last occurrences, a byte or two per
-    instance and vertex."""
+    instance and vertex. Private, and read only by verify and the tests,
+    as the reference the head classes are checked against."""
 
     rows: np.ndarray  # family positions of the good bit-0 instances
     cols: np.ndarray  # family positions of the good bit-1 instances
@@ -400,8 +597,7 @@ def relation_mass(Z, X: FunctionFamily) -> MassResult:
     family, plus the per-instance contributions."""
     if not X.exhaustive:
         raise InputError("the reference family must be exhaustive")
-    mass = X._table.mass
-    picked = [mass[i] for i in _indices_in(X, Z).tolist()]
+    picked = X._classes.mass[_indices_in(X, Z)].tolist()
     return MassResult(total=math.fsum(picked), per_instance=tuple(picked))
 
 
@@ -434,9 +630,25 @@ class DistinguishingMass:
     per_vertex: tuple[float, ...]  # indexed by vertex - 1
 
 
+# q_v within this relative distance of the largest counts as a tie
+_TIE = 1e-12
+
+
+def _largest(per_vertex: np.ndarray) -> DistinguishingMass:
+    """q, the largest per-vertex mass, and its vertex: the smallest vertex
+    whose mass is within _TIE relative of q, so that vertices tied in exact
+    arithmetic (K6's 2-6) do not part on rounding."""
+    per_vertex = tuple(per_vertex.tolist())
+    best = max(per_vertex)
+    argmax = next(v for v, q in enumerate(per_vertex, 1) if q >= best * (1.0 - _TIE))
+    return DistinguishingMass(q=best, argmax_vertex=argmax, per_vertex=per_vertex)
+
+
 def _distinguishing(table: _PairTable, inside: np.ndarray) -> DistinguishingMass:
-    """Per-vertex weight of the ordered pairs with both instances inside
-    (a mask over the family) that are told apart at the vertex. Each sum
+    """The pair table's reference for distinguishing_mass, read only by
+    verify and the tests: per-vertex weight of the ordered pairs with both
+    instances inside (a mask over the family) that are told apart at the
+    vertex, with distinguishing_mass's tie rule (_largest). Each sum
     is counted per distinct weight and rounded once by _grouped_fsums, so
     it is exactly rounded, and doubling the half-table sum counts both
     orders bit for bit. A zero weight adds nothing to a sum. The pairs
@@ -455,22 +667,21 @@ def _distinguishing(table: _PairTable, inside: np.ndarray) -> DistinguishingMass
         ids = table.ids[b]
         for v in range(n):
             counts[v] += np.bincount(ids[table.told(v, b) & keep], minlength=width)
-    per_vertex = tuple(2.0 * total for total in _grouped_fsums(table.values, counts))
-    best = max(per_vertex)
-    return DistinguishingMass(q=best, argmax_vertex=per_vertex.index(best) + 1,
-                              per_vertex=per_vertex)
+    return _largest(2.0 * np.array(_grouped_fsums(table.values, counts)))
 
 
 def distinguishing_mass(Z, X: FunctionFamily | None = None) -> DistinguishingMass:
     """q(Z): the largest, over vertices, total weight of pairs in Z whose
-    decision functions disagree there. Ties pick the smallest vertex."""
+    decision functions disagree there, summed over the head classes of
+    the parent family (_told_sums). argmax_vertex is the smallest vertex
+    whose mass is within 1e-12 relative of q."""
     if X is None:
         if not isinstance(Z, FunctionFamily):
             raise InputError("pass a FunctionFamily or supply the parent family")
         X = Z
-    inside = np.zeros(len(X), dtype=bool)
-    inside[_indices_in(X, Z)] = True
-    return _distinguishing(X._table, inside)
+    inside = np.zeros((1, len(X)), dtype=bool)
+    inside[0, _indices_in(X, Z)] = True
+    return _largest(2.0 * _told_sums(X._classes, inside, X.chain.n)[0])
 
 
 def exact_lower_bound(P: TransitionMatrix, params: StaircaseParams,
@@ -478,22 +689,25 @@ def exact_lower_bound(P: TransitionMatrix, params: StaircaseParams,
     """Evaluate M, q, and the 0.01 * M/q bound on the full enumerated
     family. This reports one witness value of the adversary minimand (the
     whole family), not the minimum over subsets. Enumerates the family
-    and reads its pair table with _exact_report, which a caller holding
-    an enumerated family calls directly."""
+    and reads its head classes with _exact_report, which a caller holding
+    an enumerated family calls directly. The enumeration is the only
+    limit: M and q cost O(size·L·m) time, with no pair-shaped array."""
     return _exact_report(enumerate_family(P, params, cap=cap))
 
 
 def _exact_report(family: FunctionFamily) -> AdversaryReport:
-    """exact_lower_bound's report on an enumerated family."""
-    P, params, table = family.chain, family.params, family._table
-    M = math.fsum(table.mass)
-    dmass = _distinguishing(table, np.ones(len(family), dtype=bool))
+    """exact_lower_bound's report on an enumerated family: M is the fsum
+    of the per-instance masses, as relation_mass(X, X) sums them, and q is
+    distinguishing_mass(X)'s, bit for bit."""
+    P, params, classes = family.chain, family.params, family._classes
+    M = math.fsum(classes.mass.tolist())
+    dmass = _largest(2.0 * _told_sums(classes, np.ones((1, len(family)), dtype=bool), P.n)[0])
     if dmass.q <= 0.0:
         raise CapabilityError(
             "degenerate family: no vertex distinguishes any related pair "
             "(all walks bad or family too small)")
     ratio = M / dmass.q
-    good = table.rows.size + table.cols.size
+    good = int(family._relation.good.sum())
     return AdversaryReport(
         M=M, q=dmass.q, ratio=ratio, bound=LOWER_BOUND_CONSTANT * ratio,
         method="exact", argmax_vertex=dmass.argmax_vertex,
@@ -539,18 +753,16 @@ def ratio_property_check(P: TransitionMatrix, params: StaircaseParams,
     size with rng.integers, then its members with rng.choice; a draw with
     q(Z) = 0 is rejected, and the check gives up after max(20 * subsets,
     100) attempts. The count is checked before the family is enumerated;
-    the family's pair table is then read by _ratio_check, which a caller
-    holding an enumerated family calls directly.
+    the family's head classes are then read by _ratio_check, which a
+    caller holding an enumerated family calls directly.
 
-    q is counted for a chunk of at most max(1, _SUM_BLOCK_CELLS // size)
-    draws at once. The pair table's told is read once per vertex, into
-    the cells told apart there, sorted by weight id; a chunk's counts[s, v, k],
-    the cells inside draw s told apart at vertex v + 1 with weight
-    values[k], are integer sums (np.add.reduceat) over each id's run of
-    the chunk's (cells, draws) inside mask. Each q is then rounded once by
-    _grouped_fsums, as _distinguishing rounds it, so the result equals one
-    _distinguishing call per draw bit for bit. Beyond the table, memory is
-    O(n * pairs) for the sorted cells and O(chunk * pairs) bytes per chunk."""
+    q is summed for a chunk of at most max(1, _SUM_BLOCK_CELLS // size)
+    draws at once: the classes do not depend on the subset, which only
+    re-weights the rows, so a chunk is a few np.bincount calls over
+    (chunk, walks) and (chunk, events) weights (_told_sums), and each
+    draw's sums are the bits one distinguishing_mass call gives. M(Z) is
+    the fsum of the members' masses. Beyond the classes, memory is
+    O(chunk * size * L) bytes per chunk."""
     subsets = _check_count("subsets", subsets)
     return _ratio_check(enumerate_family(P, params, cap=cap), subsets, seed)
 
@@ -558,21 +770,11 @@ def ratio_property_check(P: TransitionMatrix, params: StaircaseParams,
 def _ratio_check(family: FunctionFamily, subsets: int, seed) -> RatioCheckResult:
     """ratio_property_check on an enumerated family."""
     subsets = _check_count("subsets", subsets)
-    table = family._table
+    classes = family._classes
     threshold = ratio_floor(family.params)
     rng = np.random.default_rng(seed)
     size = len(family)
-    mass = np.array(table.mass)
-    n, width = family.chain.n, table.values.size
-    # groups[v]: the flat (row, col) cells told apart at vertex v + 1 in
-    # order of weight id, where each id's run starts, and that id
-    flat_ids = table.ids.ravel()
-    by_id = np.argsort(flat_ids, kind="stable")
-    groups = []
-    for v in range(n):
-        cells = by_id[table.told(v).ravel()[by_id]]
-        starts = np.flatnonzero(np.diff(flat_ids[cells], prepend=-1))
-        groups.append((cells, starts, flat_ids[cells[starts]]))
+    mass = classes.mass
     step = max(1, _SUM_BLOCK_CELLS // size)
     checked = attempts = worst_size = 0
     min_ratio = math.inf
@@ -592,15 +794,9 @@ def _ratio_check(family: FunctionFamily, subsets: int, seed) -> RatioCheckResult
         inside = np.zeros((chunk, size), dtype=bool)
         for s, members in enumerate(draws):
             inside[s, members] = True
-        # pairs[c, s]: cell c has both instances inside draw s
-        pairs = inside[:, table.rows].T[:, None] & inside[:, table.cols].T
-        pairs = pairs.reshape(-1, chunk)
-        counts = np.zeros((chunk, n, width), dtype=np.int64)
-        for v, (cells, starts, ks) in enumerate(groups):
-            counts[:, v, ks] = np.add.reduceat(pairs[cells], starts, axis=0, dtype=np.int64).T
-        sums = _grouped_fsums(table.values, counts.reshape(chunk * n, width))
+        largest = 2.0 * _told_sums(classes, inside, family.chain.n).max(axis=1)
         for s, members in enumerate(draws):
-            q = 2.0 * max(sums[s * n:(s + 1) * n])  # both orders of each cell
+            q = float(largest[s])
             if q <= 0.0:
                 continue
             ratio = math.fsum(mass[members].tolist()) / q

@@ -987,8 +987,9 @@ def chain_from_json(doc: dict, graph: Graph | None = None) -> TransitionMatrix:
         pi = doc.get("pi")
         if pi is not None:
             pi = [json_number(p) for p in pi]
-        entries = np.array([(json_integer(u), json_integer(v), json_number(p))
-                            for u, v, p in doc["entries"]], dtype=float).reshape(-1, 3)
+        # row by row into the array, with no list of tuples beside the document
+        entries = np.fromiter(((json_integer(u), json_integer(v), json_number(p))
+                               for u, v, p in doc["entries"]), dtype=np.dtype((float, 3)))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed chain document: {exc}") from exc
     del doc  # the last reference when the caller passed read_json's result

@@ -638,10 +638,25 @@ def check_adversary_ratio_floor(ctx: _Context) -> Outcome:
 
 def check_adversary_exact_mc(ctx: _Context) -> Outcome:
     """Monte Carlo estimates agree with exact enumeration within three
-    standard errors on every enumerable configuration."""
+    standard errors on every enumerable configuration. First, the exact
+    path's head-class sums agree with the pair table, the sums over every
+    pair: each instance's mass within 1e-12 of the largest, and each
+    vertex's q within 1e-12 of the largest q."""
     details = []
     for idx, family in enumerate(ctx.micro_families):
         P, params = family.chain, family.params
+        table = family._table
+        sums = (("instance", 0, family._classes.mass, np.array(table.mass)),
+                ("vertex", 1, np.array(adv.distinguishing_mass(family).per_vertex),
+                 np.array(adv._distinguishing(table, np.ones(len(family), dtype=bool))
+                          .per_vertex)))
+        for what, base, got, want in sums:
+            gap = np.abs(got - want)
+            if np.any(gap > 1e-12 * want.max(initial=0.0)):
+                k = int(np.argmax(gap))
+                return _fail("head-class sums disagree with the pair table",
+                             {"n": P.n, what: k + base, "classes": float(got[k]),
+                              "table": float(want[k])})
         exact = adv._exact_report(family)
         est = adv.estimate_lower_bound(P, params, samples=ctx.caps.mc_samples,
                                        seed=(ctx.seed, idx))

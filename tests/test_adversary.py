@@ -1,9 +1,14 @@
+import dataclasses
 import functools
 import hashlib
+import importlib.util
 import itertools
+import json
 import math
+import time
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,14 +16,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
 import mixbound as mb
-from mixbound.adversary import (RatioCheckResult, _credited_mean, _difference_counts,
-                                _distinguishing, _exact_report, _grouped_fsums,
-                                _head_index, _last_occurrence, _pair_table, _ratio_check, _redraw,
-                                _relation_arrays, _relation_block, _SUM_BLOCK_CELLS,
-                                ratio_floor)
+from mixbound import adversary as adv
+from mixbound.adversary import (EXACT_PAIR_CAP, RatioCheckResult, _class_arrays,
+                                _credited_mean, _difference_counts, _distinguishing,
+                                _exact_report, _grouped_fsums, _head_index, _last_occurrence,
+                                _pair_table, _ratio_check, _redraw, _relation_arrays,
+                                _relation_block, _SUM_BLOCK_CELLS, _told_sums, ratio_floor)
 from mixbound.chains import Walk, _sample_tails
 from mixbound.graphs import _bfs
-from mixbound.errors import CapabilityError, InputError
+from mixbound.errors import DEFAULT_CAPS, CapabilityError, InputError
 from mixbound.staircase import StaircaseInstance, StaircaseParams
 
 from conftest import traced_peak
@@ -169,6 +175,23 @@ def test_enumerate_cap_refuses_before_building_walks():
     assert traced_peak(refuse)[1] < 1 << 20
 
 
+def test_enumeration_refuses_a_family_past_two_gib_before_building_walks():
+    # lazy hypercube:4 at T=2, L=10 has 5^10 walks, under the walk cap, but
+    # its arrays would take about 7 GiB; at L=8 they take about 0.2 GiB
+    P = mb.lazy_simple_walk(mb.hypercube_graph(4))
+
+    def refuse():
+        with pytest.raises(CapabilityError, match=r"^family of 9765625 walks would hold "
+                                                  r"about 7\.0 GiB, over the 2 GiB"):
+            mb.enumerate_family(P, mb.custom_params(P, T=2, L=10))
+
+    start = time.perf_counter()
+    peak = traced_peak(refuse)[1]
+    assert time.perf_counter() - start < 1.0 and peak < 10 << 20
+    assert 5 ** 10 <= DEFAULT_CAPS["enumeration"]
+    assert adv._family_bytes(5 ** 8, mb.custom_params(P, T=2, L=8)) < 1 << 28
+
+
 @pytest.mark.parametrize("L,cap", [(0, 0), (0, 1), (2, 8), (2, 9), (3, 26), (3, 27)])
 def test_enumerate_cap_boundary(k3_chain, L, cap):
     # lazy K3 has 3^L walks from vertex 1: exactly the cap is admitted
@@ -298,7 +321,7 @@ def test_a_subset_of_another_chain_or_parameter_set_is_refused(k3_chain, k3_fami
 
 def test_a_subset_is_found_by_row_in_its_own_order(k3_family):
     picked = [k3_family.instances[i] for i in (5, 0, 17)]
-    mass = k3_family._table.mass
+    mass = k3_family._classes.mass.tolist()
     assert mb.relation_mass(picked, k3_family).per_instance == (mass[5], mass[0], mass[17])
     assert mb.relation_mass([], k3_family).per_instance == ()
     foreign = mb.make_instance(mb.make_walk(k3_family.chain, (1, 2, 3)), 0,
@@ -502,16 +525,17 @@ def test_grouped_fsums_of_nothing_is_zero():
 
 
 def test_exact_lower_bound_memory():
-    # a loose bound; the test below holds the peak to 3.5 bytes per pair
-    P = mb.lazy_simple_walk(mb.complete_graph(6))
+    # head-class sums hold no pair-shaped array: complete:16 at T=2, L=4
+    # (131 072 instances, 2.9e9 pairs, past the pair table's cap) peaks at
+    # about 250 bytes per instance, enumeration and relation arrays included
+    P = mb.lazy_simple_walk(mb.complete_graph(16))
     params = mb.custom_params(P, T=2, L=4)
-    table = _pair_table(mb.enumerate_family(P, params))
-    pairs = table.rows.size * table.cols.size
-    del table
-    assert traced_peak(lambda: mb.exact_lower_bound(P, params))[1] <= pairs * (P.n + 32)
+    report, peak = traced_peak(lambda: mb.exact_lower_bound(P, params))
+    assert report.context["good_instances"] ** 2 // 4 > EXACT_PAIR_CAP
+    assert peak <= 400 * report.context["family_size"]
 
 
-def test_exact_lower_bound_holds_no_pairs_sized_weights():
+def test_pair_table_holds_no_pairs_sized_weights():
     # the weight ids take a byte per pair, the table's only pair-shaped
     # array; the weights are built and the pairs told apart read a block of
     # rows at a time. With a stored head index and n packed flag bits per
@@ -524,32 +548,38 @@ def test_exact_lower_bound_holds_no_pairs_sized_weights():
         pairs = table.rows.size * table.cols.size
         assert table.ids.dtype == np.uint8
         del table
-        assert traced_peak(lambda: mb.exact_lower_bound(P, params))[1] <= 3.5 * pairs
+        assert traced_peak(lambda: _distinguishing(
+            _pair_table(family := mb.enumerate_family(P, params)),
+            np.ones(len(family), dtype=bool)))[1] <= 3.5 * pairs
 
 
 def test_exact_pair_cap_refuses(monkeypatch):
+    # the pair table, verify's reference, refuses past the cap; the exact
+    # path sums over head classes and never builds it
     P, params = _exact_system("K4")
     family = mb.enumerate_family(P, params)
     good = sum(mb.is_good_walk(inst.walk, params.T) for inst in family.instances)
     monkeypatch.setattr("mixbound.adversary.EXACT_PAIR_CAP", good ** 2 - 1)
     with pytest.raises(CapabilityError, match="cap"):
-        mb.exact_lower_bound(P, params)
-    with pytest.raises(CapabilityError, match="cap"):
-        mb.ratio_property_check(P, params, subsets=1, seed=0)
-    monkeypatch.setattr("mixbound.adversary.EXACT_PAIR_CAP", good ** 2)
+        _pair_table(family)
     assert mb.exact_lower_bound(P, params).context["good_instances"] == good
+    assert mb.ratio_property_check(P, params, subsets=1, seed=0).subsets_checked == 1
+    monkeypatch.setattr("mixbound.adversary.EXACT_PAIR_CAP", good ** 2)
+    assert _pair_table(family).rows.size + _pair_table(family).cols.size == good
 
 
 # Exact outputs pinned to the repr: (M, q, argmax_vertex, per_vertex) and
 # the ratio check over 200 subsets with seed 0. K4 and metropolis6 moved in
 # their last bits when rows came to be divided by the exactly rounded sum
-# of their entries instead of numpy's dense-order sum.
+# of their entries instead of numpy's dense-order sum, and again, within
+# 6e-16 relative, when M and q came to be summed over head classes instead
+# of over the pairs, each sum rounded once.
 EXACT_GOLDEN = {
     "K4": (
-        "(0.37951531778692266, 0.3074702789208962, 2, (0.15503543667123912, "
-        "0.3074702789208962, 0.3074702789208962, 0.3074702789208962))",
+        "(0.3795153177869229, 0.30747027892089646, 2, (0.1550354366712393, "
+        "0.30747027892089646, 0.30747027892089646, 0.30747027892089646))",
         "RatioCheckResult(passed=True, threshold=0.010416666666666666, "
-        "min_ratio=1.2343154568268426, subsets_checked=200, worst_subset_size=510)"),
+        "min_ratio=1.2343154568268422, subsets_checked=200, worst_subset_size=510)"),
     "cycle7": (
         "(0.27447509765625, 0.16265869140625, 2, (0.10888671875, "
         "0.16265869140625, 0.14923095703125, 0.08673095703125, 0.08673095703125, "
@@ -557,11 +587,11 @@ EXACT_GOLDEN = {
         "RatioCheckResult(passed=True, threshold=0.010416666666666666, "
         "min_ratio=1.6790334855403348, subsets_checked=200, worst_subset_size=160)"),
     "metropolis6": (
-        "(0.018300560000000007, 0.011005170000000005, 6, (0.0, "
-        "0.006752235555555558, 0.008309257777777782, 0.00949126666666667, "
-        "0.01037555666666667, 0.011005170000000005))",
+        "(0.018300560000000007, 0.011005170000000003, 6, (0.0, "
+        "0.006752235555555559, 0.00830925777777778, 0.00949126666666667, "
+        "0.01037555666666667, 0.011005170000000003))",
         "RatioCheckResult(passed=True, threshold=3.311369154188368e-09, "
-        "min_ratio=1.6629057070449615, subsets_checked=200, worst_subset_size=430)"),
+        "min_ratio=1.6629057070449618, subsets_checked=200, worst_subset_size=430)"),
 }
 
 
@@ -569,7 +599,8 @@ EXACT_GOLDEN = {
     *(pytest.param(name, None, id=name) for name in EXACT_GOLDEN),
     *(pytest.param(name, 7, id=f"{name}-block7") for name in EXACT_GOLDEN)])
 def test_exact_golden_outputs(name, block_cells, monkeypatch):
-    # q sums are the same whether a block holds many rows or one
+    # the ratio check's sums are the same whether a chunk holds many draws
+    # or one
     if block_cells is not None:
         monkeypatch.setattr("mixbound.adversary._SUM_BLOCK_CELLS", block_cells)
     P, params = _exact_system(name)
@@ -578,6 +609,106 @@ def test_exact_golden_outputs(name, block_cells, monkeypatch):
     want_exact, want_ratio = EXACT_GOLDEN[name]
     assert repr((report.M, report.q, report.argmax_vertex, per_vertex)) == want_exact
     assert repr(mb.ratio_property_check(P, params, subsets=200, seed=0)) == want_ratio
+
+
+# ---------------------------------------------------------------------------
+# Head classes against the pair table
+# ---------------------------------------------------------------------------
+
+def _class_system(name):
+    """The exact systems, plus lazy complete graphs at T=2, L=4 ("K5"-"K8"),
+    complete:16 at T=1, L=3, and lazy cycle:7, hypercube:3 and barbell:10."""
+    if name in EXACT_FAMILIES:
+        return _exact_system(name)
+    spec, T, L = {"K5": ("complete:5", 2, 4), "K6": ("complete:6", 2, 4),
+                  "K7": ("complete:7", 2, 4), "K8": ("complete:8", 2, 4),
+                  "complete16": ("complete:16", 1, 3), "cycle7-lazy": ("cycle:7", 2, 6),
+                  "hypercube3": ("hypercube:3", 2, 6), "barbell10": ("barbell:10", 2, 4)}[name]
+    P = mb.lazy_simple_walk(mb.graph_from_spec(spec))
+    return P, mb.custom_params(P, T=T, L=L)
+
+
+def _assert_classes_equal_the_table(family):
+    """M, each instance's mass and each vertex's q from the head classes
+    against the pair table: within 1e-12 relative of M, the largest mass
+    and the largest q; a vertex at 0.0 in the table is 0.0 exactly."""
+    table = family._table
+    want_mass = np.array(table.mass)
+    want = _distinguishing(table, np.ones(len(family), dtype=bool))
+    got_mass = family._classes.mass
+    got = mb.distinguishing_mass(family)
+    M = math.fsum(want_mass.tolist())
+    assert math.fsum(got_mass.tolist()) == pytest.approx(M, rel=1e-12, abs=0)
+    assert np.abs(got_mass - want_mass).max(initial=0.0) <= 1e-12 * want_mass.max(initial=0.0)
+    per_vertex, reference = np.array(got.per_vertex), np.array(want.per_vertex)
+    assert np.abs(per_vertex - reference).max() <= 1e-12 * reference.max()
+    assert np.all(per_vertex[reference == 0.0] == 0.0)
+    assert got.argmax_vertex == want.argmax_vertex
+
+
+@pytest.mark.parametrize("name", [*EXACT_FAMILIES, "K5", "K6", "K7", "K8", "complete16",
+                                  "cycle7-lazy", "hypercube3", "barbell10"])
+def test_head_classes_equal_the_pair_table(name):
+    _assert_classes_equal_the_table(mb.enumerate_family(*_class_system(name)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(hst.data())
+def test_head_classes_equal_the_pair_table_on_random_reversible_chains(data):
+    # a lazy Metropolis chain to a random target on a random connected graph
+    n = data.draw(hst.integers(min_value=2, max_value=6), label="n")
+    seed = data.draw(hst.integers(min_value=0, max_value=10 ** 6), label="seed")
+    T = data.draw(hst.integers(min_value=1, max_value=2), label="T")
+    m = data.draw(hst.integers(min_value=1, max_value=3 if T == 1 else 2), label="m")
+    rng = np.random.default_rng(seed)
+    tree = {(int(rng.integers(1, v)), v) for v in range(2, n + 1)}
+    extra = {(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)
+             if rng.random() < 0.5}
+    target = 10.0 ** rng.uniform(-3.0, 0.0, n)
+    P = mb.metropolis_walk(mb.make_graph(n, tree | extra), target / target.sum())
+    _assert_classes_equal_the_table(mb.enumerate_family(P, mb.custom_params(P, T=T, L=m * T)))
+
+
+@pytest.mark.parametrize("name", [*EXACT_FAMILIES, "K6", "hypercube3"])
+def test_the_exact_report_is_relation_mass_and_distinguishing_mass(name):
+    # bit for bit, as perfbench's traced breakdown asserts
+    P, params = _class_system(name)
+    report = mb.exact_lower_bound(P, params)
+    family = mb.enumerate_family(P, params)
+    assert mb.relation_mass(family, family).total == report.M
+    assert mb.distinguishing_mass(family).q == report.q
+    assert report.ratio == report.M / report.q
+
+
+def test_ties_pick_the_smallest_vertex_within_rounding():
+    # on K6 vertices 2-6 tie in exact arithmetic, and the sums may part in
+    # their last bits; Metropolis K6's vertex 1 tells no pair apart
+    per_vertex = mb.distinguishing_mass(mb.enumerate_family(*_class_system("K6"))).per_vertex
+    report = mb.exact_lower_bound(*_class_system("K6"))
+    assert report.argmax_vertex == 2
+    assert max(per_vertex) == report.q
+    assert all(q == pytest.approx(report.q, rel=1e-12, abs=0) for q in per_vertex[1:])
+    assert mb.distinguishing_mass(mb.enumerate_family(*_exact_system("metropolis6"))
+                                  ).per_vertex[0] == 0.0
+    for per_vertex, argmax in (([0.5, 1.0, 1.0 + 2.0 ** -42], 2),  # 2.3e-13 apart
+                               ([0.5, 1.0, 1.0 + 2.0 ** -38], 3),  # 3.6e-12 apart
+                               ([1.0 - 2.0 ** -50, 1.0, 0.0], 1)):
+        largest = adv._largest(np.array(per_vertex))
+        assert (largest.q, largest.argmax_vertex) == (max(per_vertex), argmax)
+
+
+def test_the_exact_defaults_ledger_regenerates():
+    # every row but complete:24 (0.9 s), to the last bit
+    path = Path(__file__).resolve().parent.parent / "results" / "exact_defaults.py"
+    spec = importlib.util.spec_from_file_location("exact_defaults", path)
+    ledger = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ledger)
+    rows = json.loads(ledger.OUT.read_text())["rows"]
+    assert [row["graph"] for row in rows] == [graph for graph, _ in ledger.SYSTEMS]
+    for (graph, sizes), want in zip(ledger.SYSTEMS, rows):
+        if graph != "complete:24":
+            assert repr(ledger.row(graph, sizes)) == repr(want)
+    assert {row["graph"]: row["argmax_vertex"] for row in rows}["complete:24"] == 1
 
 
 def _told_apart_by_loops(table, walks, n: int) -> dict:
@@ -655,12 +786,23 @@ def test_ratio_property_check_refuses_no_subsets(k3_chain, k3_params, subsets):
         mb.ratio_property_check(k3_chain, k3_params, subsets=subsets, seed=0)
 
 
-def _ratio_by_loop(P, params, subsets: int, seed):
-    """ratio_property_check as a loop of one _distinguishing call per
-    draw, as it ran before its draws were counted in chunks; also returns
-    how many draws were rejected for q = 0."""
+def _ratio_by_loop(P, params, subsets: int, seed, reference: bool = True):
+    """ratio_property_check as a loop of one q per draw, as it ran before
+    its draws were counted in chunks: from the pair table (reference), or
+    from the head classes, one _told_sums call per draw; also returns how
+    many draws were rejected for q = 0."""
     family = mb.enumerate_family(P, params)
-    table = _pair_table(family)
+    if reference:
+        table = _pair_table(family)
+        mass = table.mass
+
+        def q_of(inside):
+            return _distinguishing(table, inside).q
+    else:
+        mass = family._classes.mass.tolist()
+
+        def q_of(inside):
+            return 2.0 * float(_told_sums(family._classes, inside[None], P.n).max())
     rng = np.random.default_rng(seed)
     size = len(family)
     checked = attempts = rejected = worst_size = 0
@@ -677,11 +819,11 @@ def _ratio_by_loop(P, params, subsets: int, seed):
         members = rng.choice(size, size=k, replace=False)
         inside = np.zeros(size, dtype=bool)
         inside[members] = True
-        q = _distinguishing(table, inside).q
+        q = q_of(inside)
         if q <= 0.0:
             rejected += 1
             continue
-        ratio = math.fsum(table.mass[i] for i in members.tolist()) / q
+        ratio = math.fsum(mass[i] for i in members.tolist()) / q
         checked += 1
         if ratio < min_ratio:
             min_ratio = ratio
@@ -694,11 +836,17 @@ def _ratio_by_loop(P, params, subsets: int, seed):
 
 @pytest.mark.parametrize("name", EXACT_FAMILIES)
 def test_batched_ratio_check_equals_the_loop(name):
+    # a chunk of draws gives the bits of one head-class sum per draw, and
+    # the pair table's values within 1e-12 relative, with the same subsets
     P, params = _exact_system(name)
     rejected = 0
     for seed, subsets in itertools.product(range(5), (1, 7, 200)):
+        got = mb.ratio_property_check(P, params, subsets, seed)
+        same, _ = _ratio_by_loop(P, params, subsets, seed, reference=False)
+        assert repr(got) == repr(same)
         want, missed = _ratio_by_loop(P, params, subsets, seed)
-        assert repr(mb.ratio_property_check(P, params, subsets, seed)) == repr(want)
+        assert got.min_ratio == pytest.approx(want.min_ratio, rel=1e-12, abs=0)
+        assert dataclasses.replace(got, min_ratio=want.min_ratio) == want
         rejected += missed
     if name == "K3":
         assert rejected > 0  # some draws have q = 0 and are drawn past
@@ -706,12 +854,12 @@ def test_batched_ratio_check_equals_the_loop(name):
 
 @pytest.mark.parametrize("name", EXACT_FAMILIES)
 def test_cores_on_a_prebuilt_table_equal_the_public_calls(name, monkeypatch):
-    # one family builds its relation arrays and its pair table once, and
+    # one family builds its relation arrays and its head classes once, and
     # every exact reader of it reads those; each reads as on a fresh family
     P, params = _exact_system(name)
     family = mb.enumerate_family(P, params)
     built = []
-    for build in (_relation_arrays, _pair_table):
+    for build in (_relation_arrays, _class_arrays, _pair_table):
         monkeypatch.setattr(f"mixbound.adversary.{build.__name__}",
                             lambda *args, build=build: built.append((build, args))
                             or build(*args))
@@ -725,7 +873,7 @@ def test_cores_on_a_prebuilt_table_equal_the_public_calls(name, monkeypatch):
     assert repr(_exact_report(family)) == repr(mb.exact_lower_bound(P, params))
     ours = [build for build, args in built
             if any(arg is family or arg is family.walks for arg in args)]
-    assert sorted(b.__name__ for b in ours) == ["_pair_table", "_relation_arrays"]
+    assert sorted(b.__name__ for b in ours) == ["_class_arrays", "_relation_arrays"]
 
 
 def test_the_exact_path_builds_no_instance_objects(monkeypatch):
@@ -750,12 +898,23 @@ def test_the_exact_path_builds_no_instance_objects(monkeypatch):
 
 
 def test_a_family_holds_read_only_relation_arrays_and_table(k3_family):
-    # both outlive the call that builds them, so no reader may write into them
-    table = k3_family._table
+    # all outlive the call that builds them, so no reader may write into them
+    table, classes = k3_family._table, k3_family._classes
     for a in (*k3_family._relation, table.rows, table.cols, table.values, table.ids,
-              table.row_last, table.col_last):
+              table.row_last, table.col_last, classes.walk, classes.weights, classes.mass,
+              *(a for level in classes.levels for a in level if a.size)):
         with pytest.raises(ValueError, match="read-only"):
             a[(0,) * a.ndim] = a[(0,) * a.ndim]
+
+
+def test_ratio_check_holds_no_pair_shaped_array():
+    # a chunk of draws re-weights the head classes: on K4 (512 instances,
+    # 200 subsets) it peaks at about 0.9 MiB with the classes built, against
+    # 2.9 MiB when it counted the pair table's cells per draw
+    np.random.default_rng(0)  # the first generator's import is not the check's
+    family = mb.enumerate_family(*_exact_system("K4"))
+    result, peak = traced_peak(lambda: _ratio_check(family, 200, 0))
+    assert result.subsets_checked == 200 and peak <= 1.2 * (1 << 20)
 
 
 def test_ratio_check_refuses_a_family_without_positive_q():
@@ -853,6 +1012,8 @@ def test_underflowed_head_refuses_the_relation_weight():
         mb.relation_weight(x, y)
     with pytest.raises(CapabilityError, match="underflows to 0.0"):
         mb.distinguishing_mass(pair)
+    with pytest.raises(CapabilityError, match="underflows to 0.0"):
+        _exact_report(pair)
 
 
 def test_witness_pair_requires_room():

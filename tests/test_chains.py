@@ -20,7 +20,7 @@ from mixbound.chains import (
 )
 from mixbound.errors import CapabilityError, InputError
 from mixbound.graphs import _bfs
-from mixbound.errors import DEFAULT_CAPS
+from mixbound.errors import DEFAULT_CAPS, read_json
 from mixbound.verify import (
     VISIT_SUM_LEN,
     VISIT_SUM_N,
@@ -1784,6 +1784,20 @@ def test_chain_json_round_trip_above_the_dense_cap():
         Q = _round_trip(P, graph)
         _assert_same_chain(P, Q)
         assert "matrix" not in P.__dict__ and "matrix" not in Q.__dict__
+
+
+def test_chain_file_is_read_without_a_list_of_entry_tuples(tmp_path):
+    # read_json's document alone peaks at about 185 bytes per entry on the
+    # hypercube:10 lazy walk's file; reading the chain from it peaks at
+    # about 191, and at 294 when the entries passed through a list of
+    # (u, v, p) tuples beside the document
+    P = mb.lazy_simple_walk(mb.hypercube_graph(10))
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(mb.chain_to_json(P)))
+    entries = P.n * 11
+    Q, peak = traced_peak(lambda: mb.chain_from_json(read_json(str(path))))
+    _assert_same_chain(P, Q)
+    assert peak <= 230 * entries
 
 
 def test_chain_json_drops_entries_at_zero():

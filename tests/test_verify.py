@@ -170,6 +170,33 @@ def test_symmetry_catches_faulty_relation(monkeypatch, faulty_pairs, shift,
     assert result.counterexample == expected
 
 
+def test_exact_check_catches_class_sums_without_the_child_subtraction(monkeypatch):
+    # pairs inside one child class share a longer head; counted at their
+    # parent's level too, they inflate every mass, so the head-class sums
+    # part from the pair table on the first micro family
+    monkeypatch.setattr(adv, "_parting", lambda within, children, heads: within / heads)
+    [result] = run_verify(checks=["adversary_exact_mc"], seed=0)
+    assert not result.passed
+    assert result.details == "head-class sums disagree with the pair table"
+    assert result.counterexample["n"] == 3 and "instance" in result.counterexample
+
+
+def test_exact_check_compares_the_head_class_sums_with_the_pair_table(monkeypatch):
+    # a one-ulp shift of one vertex's q passes; a 1e-9 relative one fails
+    original = adv._told_sums
+    for shift, passed in ((1.0 + 2.0 ** -52, True), (1.0 + 1e-9, False)):
+        def shifted(classes, inside, n, shift=shift):
+            q = original(classes, inside, n)
+            q[:, -1] *= shift
+            return q
+
+        monkeypatch.setattr(adv, "_told_sums", shifted)
+        [result] = run_verify(checks=["adversary_exact_mc"], seed=0)
+        assert result.passed is passed
+        if not passed:
+            assert result.counterexample["vertex"] == 3
+
+
 @pytest.mark.parametrize("check, multiple", [
     ("A5_difference_localization", 8), ("adversary_symmetry", 4)])
 def test_pair_checks_hold_no_vertex_sized_pair_arrays(check, multiple):
@@ -330,6 +357,7 @@ def test_run_verify_builds_each_fixture_once(monkeypatch):
     count(adv, "enumerate_family", lambda P, *_: P)
     count(adv, "_relation_arrays", lambda chain, *_: chain)
     count(adv, "_pair_table", lambda family: family.chain)
+    count(adv, "_class_arrays", lambda family: family.chain)
     count(gr, "bfs_distances", lambda g, source: (g, source))
     count(ch, "spectral_gap", lambda P: P)
     count(ch, "bottleneck_ratio", lambda P: P)
@@ -340,8 +368,8 @@ def test_run_verify_builds_each_fixture_once(monkeypatch):
 
     micro = [P for what, P in calls if what == "enumerate_family"]
     assert counts("enumerate_family") == [1, 1]
-    # A6's witness pairs build tables of their own
-    for name in ("_relation_arrays", "_pair_table"):
+    # A6's witness pairs build relation arrays and head classes of their own
+    for name in ("_relation_arrays", "_pair_table", "_class_arrays"):
         assert [calls[name, P] for P in micro] == [1, 1]
     # once per family graph and source, so once per graph from vertex 1
     assert set(counts("bfs_distances")) == {1}
