@@ -256,14 +256,23 @@ def relation_weight(a: StaircaseInstance, b: StaircaseInstance) -> float:
 # ---------------------------------------------------------------------------
 
 def _family_bytes(walks: int, params: StaircaseParams) -> int:
-    """The bytes an enumerated family of this many walks holds once the
-    exact path has read it: per row, two per walk, its walk, bit and
-    goodness, heads, head ids (4 bytes each at most), class weights, mass
-    and walk index; per walk and level, up to L events of two 4-byte
-    indexes in the head classes."""
-    L, m = params.L, params.m
-    per_row = 8 * (L + 1) + 2 + 8 * (m + 1) + 4 * m + 8 * 3 + 4
-    return walks * (2 * per_row + 8 * L * m)
+    """A bound on the bytes the exact path holds at its peak, in
+    _class_arrays, on an enumerated family of this many walks, two rows
+    each. Held throughout: per row its walk, bit, goodness, heads and head
+    ids (4 bytes each at most). The classes: at level j, per walk its
+    class and head (12 bytes), and per event (up to L - j*T per walk) its
+    walk and bucket and its bucket's and cell's indexes, 23 bytes at most.
+    While they are built: per walk five 8-byte indexes, and the larger of
+    two transients. One is a level's events at 40 bytes each (the narrow
+    event arrays beside either the int64 positions and vertices they come
+    from, or the int64 sort key, its argsort order, the sorted key and the
+    run indexes), with level 0's copy of the walks and their flags; the
+    other is the per-walk sums of the masses, 176 bytes."""
+    L, m, T = params.L, params.m, params.T
+    per_row = 8 * (L + 1) + 2 + 8 * (m + 1) + 4 * m
+    levels = 12 * m + 23 * (m * L - T * m * (m - 1) // 2)
+    build = 40 + max(9 * (L + 1) + 40 * L, 176)
+    return walks * (2 * per_row + levels + build)
 
 
 def enumerate_family(P: TransitionMatrix, params: StaircaseParams,
@@ -395,13 +404,14 @@ def _class_arrays(family: FunctionFamily) -> _Classes:
     walk = rel.ids[:, -1].astype(np.int64) if m else np.zeros(len(family), dtype=np.int64)
     first = np.zeros(int(walk.max(initial=-1)) + 1, dtype=np.int64)
     first[walk] = np.arange(len(walk))  # a row of each walk, any one
-    walks, heads = rel.walks[first], rel.heads[first]
+    walks = rel.walks[first]
     last = np.ones(walks.shape, dtype=bool)
     for t in range(L):
         last[:, t] = ~np.any(walks[:, t + 1:] == walks[:, t, None], axis=1)
     event_walk, pos = np.nonzero(last[:, 1:])
     pos += 1
-    vertex = walks[event_walk, pos] - 1
+    vertex = _narrow(walks[event_walk, pos] - 1)
+    event_walk, pos = _narrow(event_walk), _narrow(pos)
     del walks, last
     levels: list[_Level] = []
     cls = np.zeros(len(first), dtype=np.int64)
@@ -410,12 +420,17 @@ def _class_arrays(family: FunctionFamily) -> _Classes:
         up, cls = cls, rel.ids[first, j - 1].astype(np.int64) if j else cls
         count = int(cls.max(initial=-1)) + 1
         h = np.empty(count)
-        h[cls] = heads[:, j]
+        h[cls] = rel.heads[first, j]
         h[h == 0.0] = np.inf
         tail = pos > j * T
-        key = (vertex[tail] * count + cls[event_walk[tail]]) * (L + 1) + pos[tail]
+        key = vertex[tail].astype(np.int64)  # each step in place, so one key is held
+        key *= count
+        key += cls[event_walk[tail]]
+        key *= L + 1
+        key += pos[tail]
         order = np.argsort(key, kind="stable")  # walk order within a bucket
-        bucket, key = _runs(key[order])
+        key = key[order]
+        bucket, key = _runs(key)
         cell, cell_key = _runs(key // (L + 1))
         cell_vertex, cell_cls = np.divmod(cell_key, count)
         # the cell of the same vertex and the parent class, among the

@@ -39,6 +39,7 @@ _PIVMIN = 1e-300  # stands in for a zero pivot of a tridiagonal factorization
 MAX_DENSE_N = 1 << 14
 _FSUM_ROWS = 1 << 12  # rows whose entries _row_fsums converts to Python floats at once
 _TV_BLOCK_CELLS = 1 << 15  # cells of _tv_from_pi's buffer (256 KiB)
+_WALK_TABLE_CELLS = 1 << 10  # cells of the sampling table _walk_table converts at once
 
 
 @dataclass(frozen=True)
@@ -81,6 +82,12 @@ class TransitionMatrix:
     the first time a batch of walks is sampled and kept, so every later
     batch on the chain reuses it; see `_guide` and `_sample_tails`.
 
+    ``walk_table`` is (cum_rows, next_rows), the sampling table as Python
+    tuples for single walks: entry u of each, for a 1-based vertex u,
+    holds row u - 1's running sums and its next vertices, 1-based, and
+    entry 0 is empty. It is built the first time a single walk is sampled
+    and kept; see `_walk_table` and `_walk_tail`.
+
     ``matrix`` is the dense n x n view, scattered from ``in_neighbours``
     the first time it is read and kept; it is read-only. In the library
     only the doubling `mixing_time`, `bottleneck_ratio` and the stationary
@@ -115,6 +122,10 @@ class TransitionMatrix:
     @cached_property
     def sampling_guide(self) -> tuple[np.ndarray, np.ndarray, int, np.ndarray | None]:
         return _guide(*self.sampling_table)
+
+    @cached_property
+    def walk_table(self) -> tuple[tuple[tuple[float, ...], ...], tuple[tuple[int, ...], ...]]:
+        return _walk_table(*self.sampling_table)
 
     def prob(self, u: int, v: int) -> float:
         return walk_probability(self, (u, v))
@@ -235,6 +246,29 @@ def _guide(index: np.ndarray, cum: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     jump = step.ravel()[guide]
     jump.setflags(write=False)
     return guide, step, passes, jump
+
+
+def _walk_table(index: np.ndarray, cum: np.ndarray) -> tuple[tuple, tuple]:
+    """(cum_rows, next_rows) of the sampling table (index, cum), n x width:
+    cum_rows[u] is row u - 1 of cum and next_rows[u] row u - 1 of index
+    plus 1, each a tuple, for u = 1..n; entry 0 of both is (). The floats
+    are cum's bit for bit. Rows with equal sums share one tuple, so the
+    lazy walk on hypercube:d holds at most d + 1 rows of sums, one per
+    place of the self-loop among the neighbours; and every next vertex v
+    is the one int object of v, taken from a list of 1..n. The table is
+    read _WALK_TABLE_CELLS cells at a time, so no Python list of the whole
+    table is formed beside it."""
+    n, width = cum.shape
+    vertex = list(range(1, n + 1))
+    shared: dict[tuple[float, ...], tuple[float, ...]] = {}
+    cum_rows, next_rows = [()], [()]
+    rows = max(1, _WALK_TABLE_CELLS // width)
+    for lo in range(0, n, rows):
+        for row in map(tuple, cum[lo:lo + rows].tolist()):
+            cum_rows.append(shared.setdefault(row, row))
+        next_rows += [tuple(map(vertex.__getitem__, row))
+                      for row in index[lo:lo + rows].tolist()]
+    return tuple(cum_rows), tuple(next_rows)
 
 
 def _slots(row: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -822,9 +856,9 @@ def sample_walk(P: TransitionMatrix, start: int, length: int, seed) -> Walk:
     _check_vertex(P.graph, start)
     if length < 0:
         raise InputError("walk length must be nonnegative")
-    verts = np.full(length + 1, start, dtype=np.int64)
-    _sample_tails(P, verts, 0, np.random.default_rng(seed))
-    return Walk(vertices=tuple(verts.tolist()), chain=P)
+    start = int(start)
+    tail = _walk_tail(P, start, length, np.random.default_rng(seed))
+    return Walk(vertices=(start, *tail), chain=P)
 
 
 # Uniforms that _sample_tails draws in one call, rounded to whole steps.
@@ -860,29 +894,25 @@ def _sample_tails(P: TransitionMatrix, walks: np.ndarray, start: int,
     2 000 through the jump table (random-regular:256,4, torus2d:16x16,
     hypercube:16), and 32-61 and 21-34 ns with forward passes
     (hypercube:11 and :12); 1 344 steps, medians of 7 runs, two series.
-    A single walk steps in plain Python, since a numpy call per step costs several times the
-    step itself: it bisects the current row of the table through
-    memoryviews, which read single entries without converting the whole
-    table on every call. It keeps bisection, at 370-750 ns per step,
-    because a guide step in plain Python took 470-930 ns (hypercube:11
-    and random-regular:256,4, 200 000 steps, three runs each); so a chain
-    that only walks single walks never builds the guide.
+    A single walk steps in plain Python, since a numpy call per step
+    costs several times the step itself: `_walk_tail` bisects the current
+    vertex's row of the chain's `walk_table`, tuples of the running sums
+    and of the next vertices built on the chain's first single walk.
+    Bisecting a tuple compares the float objects it holds, so no float
+    is made per comparison, as bisecting a memoryview of the table did:
+    250-415 ns per step against 390-740 at hypercube:14, :16 and :18
+    (walks of the default L, medians of 7), 130 against 285 at
+    hypercube:11. A guide
+    step in plain Python took 470-930 ns (hypercube:11 and
+    random-regular:256,4), so a chain that only walks single walks never
+    builds the guide.
     """
-    index, cum = P.sampling_table
     if walks.ndim == 1:
-        width = cum.shape[1]
-        flat_cum, flat_index = memoryview(cum.ravel()), memoryview(index.ravel())
-        cur, tail = int(walks[start]) - 1, []
-        for lo in range(start + 1, walks.size, _WALK_BLOCK_CELLS):
-            for u in rng.random(min(_WALK_BLOCK_CELLS, walks.size - lo)).tolist():
-                base = cur * width
-                cur = flat_index[bisect_right(flat_cum, u, base, base + width)]
-                tail.append(cur + 1)
-        walks[start + 1:] = tail
+        walks[start + 1:] = _walk_tail(P, int(walks[start]), walks.size - start - 1, rng)
         return
     guide, step, passes, jump = P.sampling_guide
     buckets = guide.shape[1]
-    flat_cum = cum.ravel()
+    flat_cum = P.sampling_table[1].ravel()
     state = ((walks[:, start] - 1) * buckets).astype(step.dtype)
     # a block's uniforms and their cells take _WALK_BLOCK_CELLS together
     per_block = max(1, _WALK_BLOCK_CELLS // 2 // max(1, state.size))
@@ -908,6 +938,19 @@ def _sample_tails(P: TransitionMatrix, walks: np.ndarray, start: int,
         vertices = cells // buckets  # a new array: the next block starts from state, a row of cells
         vertices += 1
         walks[:, lo:lo + len(cells)] = vertices.T
+
+
+def _walk_tail(P: TransitionMatrix, cur: int, steps: int,
+               rng: np.random.Generator) -> list[int]:
+    """The next steps vertices of a single walk from vertex cur, 1-based:
+    `_sample_tails`' step and block rules, bisecting the rows of the
+    chain's `walk_table`."""
+    cum_rows, next_rows = P.walk_table
+    tail: list[int] = []
+    for lo in range(0, steps, _WALK_BLOCK_CELLS):
+        draws = rng.random(min(_WALK_BLOCK_CELLS, steps - lo)).tolist()
+        tail += [cur := next_rows[cur][bisect_right(cum_rows[cur], u)] for u in draws]
+    return tail
 
 
 def _walk_vertices(P: TransitionMatrix, vertices) -> tuple[int, ...]:

@@ -63,9 +63,10 @@ class CountingOracle:
 
 
 def search_oracle(inst: StaircaseInstance) -> CountingOracle:
-    """Oracle over the value table (the search problem); the oracle has checked v."""
-    values = inst.values
-    return CountingOracle(lambda v: values[v - 1], inst.graph.n)
+    """Oracle over the value table (the search problem), read by the
+    table's own __getitem__ from slot v of a copy with a slot 0 before
+    vertex 1: the oracle has checked v, so slot 0 is never read."""
+    return CountingOracle((0, *inst.values).__getitem__, inst.graph.n)
 
 
 def decision_oracle(inst: StaircaseInstance) -> CountingOracle:

@@ -177,19 +177,31 @@ def test_enumerate_cap_refuses_before_building_walks():
 
 def test_enumeration_refuses_a_family_past_two_gib_before_building_walks():
     # lazy hypercube:4 at T=2, L=10 has 5^10 walks, under the walk cap, but
-    # its arrays would take about 7 GiB; at L=8 they take about 0.2 GiB
+    # the exact path would peak at about 14.6 GiB; at L=8 under 0.5 GiB
     P = mb.lazy_simple_walk(mb.hypercube_graph(4))
 
     def refuse():
         with pytest.raises(CapabilityError, match=r"^family of 9765625 walks would hold "
-                                                  r"about 7\.0 GiB, over the 2 GiB"):
+                                                  r"about 14\.6 GiB, over the 2 GiB"):
             mb.enumerate_family(P, mb.custom_params(P, T=2, L=10))
 
     start = time.perf_counter()
     peak = traced_peak(refuse)[1]
     assert time.perf_counter() - start < 1.0 and peak < 10 << 20
     assert 5 ** 10 <= DEFAULT_CAPS["enumeration"]
-    assert adv._family_bytes(5 ** 8, mb.custom_params(P, T=2, L=8)) < 1 << 28
+    assert adv._family_bytes(5 ** 8, mb.custom_params(P, T=2, L=8)) < 1 << 29
+
+
+def test_family_bytes_bound_the_exact_peak():
+    # the refusal's estimate counts the head-class build's transients, so
+    # it bounds what exact_lower_bound allocates; complete:18 at T=2, L=4
+    # (104 976 walks) peaks at about 0.75 of it
+    P = mb.lazy_simple_walk(mb.complete_graph(18))
+    params = mb.custom_params(P, T=2, L=4)
+    report, peak = traced_peak(lambda: mb.exact_lower_bound(P, params))
+    walks = report.context["family_size"] // 2
+    assert walks >= 10 ** 5
+    assert peak <= adv._family_bytes(walks, params)
 
 
 @pytest.mark.parametrize("L,cap", [(0, 0), (0, 1), (2, 8), (2, 9), (3, 26), (3, 27)])

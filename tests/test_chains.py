@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import math
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -17,6 +18,7 @@ from mixbound.chains import (
     _step_probabilities,
     _top_ritz,
     _tv_from_pi,
+    _walk_table,
 )
 from mixbound.errors import CapabilityError, InputError
 from mixbound.graphs import _bfs
@@ -977,11 +979,55 @@ def test_guide_is_built_only_for_batches():
     params = mb.default_params(P)
     mb.sample_walk(P, 1, 50, seed=0)
     mb.sample_instance(P, params, seed=0)
-    # no cached table at all, so none of the guide's
-    assert set(P.__dict__) == {f.name for f in dataclasses.fields(P)}
+    # single walks cache their own table and none of the guide's
+    assert set(P.__dict__) == {f.name for f in dataclasses.fields(P)} | {"walk_table"}
     mb.estimate_lower_bound(P, params, samples=4, seed=0)
     assert "sampling_guide" in P.__dict__
     _assert_guide_tables_are_small_and_frozen(P)
+
+
+# ---------------------------------------------------------------------------
+# The single-walk loop's table
+# ---------------------------------------------------------------------------
+
+def test_walk_table_equals_the_sampling_table():
+    for P in _guide_chains() + [_skewed_metropolis(),
+                                mb.max_degree_walk(mb.graph_from_spec("barbell:6"))]:
+        index, cum = P.sampling_table
+        cum_rows, next_rows = P.walk_table
+        assert cum_rows[0] == next_rows[0] == ()
+        assert np.array(cum_rows[1:]).tobytes() == cum.tobytes()
+        assert np.array_equal(np.array(next_rows[1:]), index + 1)
+        assert all(type(v) is int for row in next_rows for v in row)
+        assert P.walk_table is P.walk_table
+
+
+def test_walk_table_shares_rows_and_vertices():
+    # the lazy walk on hypercube:6 has d + 1 places for its self-loop, so
+    # at most d + 1 distinct rows of sums; every next vertex is one object
+    P = mb.lazy_simple_walk(mb.graph_from_spec("hypercube:6"))
+    cum_rows, next_rows = P.walk_table
+    assert len({id(row) for row in cum_rows[1:]}) == len(set(cum_rows[1:])) <= 7
+    P = mb.lazy_simple_walk(mb.graph_from_spec("hypercube:10"))
+    objects = {}
+    for row in P.walk_table[1][1:]:
+        for v in row:
+            assert objects.setdefault(v, v) is v
+
+
+def test_walk_table_holds_about_the_sampling_tables_bytes():
+    # read a block of rows at a time: one tolist() of the whole table
+    # would peak at about 3.4 times what the table keeps
+    P = mb.lazy_simple_walk(mb.graph_from_spec("hypercube:10"))
+    table = sum(a.nbytes for a in P.sampling_table)
+
+    def build():
+        walk_table = _walk_table(*P.sampling_table)
+        return walk_table, tracemalloc.get_traced_memory()[0]
+
+    (walk_table, held), peak = traced_peak(build)
+    assert held <= 1.5 * table
+    assert peak <= 2 * held
 
 
 def _skewed_metropolis():
