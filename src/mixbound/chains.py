@@ -39,7 +39,6 @@ _PIVMIN = 1e-300  # stands in for a zero pivot of a tridiagonal factorization
 MAX_DENSE_N = 1 << 14
 _FSUM_ROWS = 1 << 12  # rows whose entries _row_fsums converts to Python floats at once
 _TV_BLOCK_CELLS = 1 << 15  # cells of _tv_from_pi's buffer (256 KiB)
-_WALK_TABLE_CELLS = 1 << 10  # cells of the sampling table _walk_table converts at once
 
 
 @dataclass(frozen=True)
@@ -82,11 +81,11 @@ class TransitionMatrix:
     the first time a batch of walks is sampled and kept, so every later
     batch on the chain reuses it; see `_guide` and `_sample_tails`.
 
-    ``walk_table`` is (cum_rows, next_rows), the sampling table as Python
-    tuples for single walks: entry u of each, for a 1-based vertex u,
-    holds row u - 1's running sums and its next vertices, 1-based, and
-    entry 0 is empty. It is built the first time a single walk is sampled
-    and kept; see `_walk_table` and `_walk_tail`.
+    ``walk_table`` is the sampling table as Python tuples for single
+    walks, made the first time a single walk is sampled and kept. It
+    converts a vertex's row only when a walk first steps from it, so its
+    cost follows the rows that walks visit, not n x width; see
+    `_WalkTable` and `_walk_tail`.
 
     ``matrix`` is the dense n x n view, scattered from ``in_neighbours``
     the first time it is read and kept; it is read-only. In the library
@@ -124,8 +123,8 @@ class TransitionMatrix:
         return _guide(*self.sampling_table)
 
     @cached_property
-    def walk_table(self) -> tuple[tuple[tuple[float, ...], ...], tuple[tuple[int, ...], ...]]:
-        return _walk_table(*self.sampling_table)
+    def walk_table(self) -> _WalkTable:
+        return _WalkTable(*self.sampling_table)
 
     def prob(self, u: int, v: int) -> float:
         return walk_probability(self, (u, v))
@@ -248,27 +247,36 @@ def _guide(index: np.ndarray, cum: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     return guide, step, passes, jump
 
 
-def _walk_table(index: np.ndarray, cum: np.ndarray) -> tuple[tuple, tuple]:
-    """(cum_rows, next_rows) of the sampling table (index, cum), n x width:
-    cum_rows[u] is row u - 1 of cum and next_rows[u] row u - 1 of index
-    plus 1, each a tuple, for u = 1..n; entry 0 of both is (). The floats
-    are cum's bit for bit. Rows with equal sums share one tuple, so the
-    lazy walk on hypercube:d holds at most d + 1 rows of sums, one per
-    place of the self-loop among the neighbours; and every next vertex v
-    is the one int object of v, taken from a list of 1..n. The table is
-    read _WALK_TABLE_CELLS cells at a time, so no Python list of the whole
-    table is formed beside it."""
-    n, width = cum.shape
-    vertex = list(range(1, n + 1))
-    shared: dict[tuple[float, ...], tuple[float, ...]] = {}
-    cum_rows, next_rows = [()], [()]
-    rows = max(1, _WALK_TABLE_CELLS // width)
-    for lo in range(0, n, rows):
-        for row in map(tuple, cum[lo:lo + rows].tolist()):
-            cum_rows.append(shared.setdefault(row, row))
-        next_rows += [tuple(map(vertex.__getitem__, row))
-                      for row in index[lo:lo + rows].tolist()]
-    return tuple(cum_rows), tuple(next_rows)
+class _WalkTable:
+    """The sampling table (index, cum), n x width, as Python tuples, one
+    row at a time: cum_rows[u] is row u - 1 of cum and next_rows[u] row
+    u - 1 of index plus 1, for u = 1..n, once `fill(u)` has converted
+    them; until then, and for u = 0, both are (). The floats are cum's bit
+    for bit. Rows with equal sums share one tuple, so the lazy walk on
+    hypercube:d holds at most d + 1 rows of sums, one per place of the
+    self-loop among the neighbours; and every next vertex v is the one
+    int object of v, taken from an object array of 1..n. The two lists
+    and that array cost 52 bytes per vertex; each converted row adds its
+    tuples, and its sums only if no row before had them."""
+
+    __slots__ = ("cum_rows", "next_rows", "_table", "_sums", "_vertex")
+
+    def __init__(self, index: np.ndarray, cum: np.ndarray):
+        self.cum_rows: list[tuple[float, ...]] = [()] * (len(cum) + 1)
+        self.next_rows: list[tuple[int, ...]] = [()] * (len(cum) + 1)
+        self._table = index, cum
+        self._sums: dict[tuple[float, ...], tuple[float, ...]] = {}
+        self._vertex = np.arange(1, len(cum) + 1).astype(object)  # Python ints
+
+    def fill(self, u: int) -> None:
+        """Convert vertex u's row; IndexError if u has no row or its row
+        is converted already."""
+        if not 0 < u < len(self.next_rows) or self.next_rows[u]:
+            raise IndexError(f"vertex {u} has no row to convert")
+        index, cum = self._table
+        row = tuple(cum[u - 1].tolist())
+        self.cum_rows[u] = self._sums.setdefault(row, row)
+        self.next_rows[u] = tuple(self._vertex[index[u - 1]].tolist())
 
 
 def _slots(row: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -867,8 +875,7 @@ _WALK_BLOCK_CELLS = 1 << 16
 
 def _sample_tails(P: TransitionMatrix, walks: np.ndarray, start: int,
                   rng: np.random.Generator) -> None:
-    """Continue one walk (1-D) or one walk per row (2-D) in place from
-    column `start`.
+    """Continue one walk per row of walks in place from column `start`.
 
     One step rule: a step takes the first `sampling_table` slot whose sum
     exceeds a uniform. One block rule: uniforms are drawn step by step,
@@ -878,7 +885,7 @@ def _sample_tails(P: TransitionMatrix, walks: np.ndarray, start: int,
     decrease except where one rounded above 1.0 drops to the pinned 1.0
     after it. So any search that finds the first True finds the same slot.
 
-    Two loops apply them. A 2-D batch steps all rows at once in numpy
+    Two loops apply them. This one steps all rows at once in numpy
     through the chain's guide tables (`sampling_guide`, Chen & Asau 1974):
     a walker carries its vertex's guide row offset, v*B, so its uniform u
     selects cell v*B + floor(u*B), the first slot whose sum exceeds
@@ -894,22 +901,8 @@ def _sample_tails(P: TransitionMatrix, walks: np.ndarray, start: int,
     2 000 through the jump table (random-regular:256,4, torus2d:16x16,
     hypercube:16), and 32-61 and 21-34 ns with forward passes
     (hypercube:11 and :12); 1 344 steps, medians of 7 runs, two series.
-    A single walk steps in plain Python, since a numpy call per step
-    costs several times the step itself: `_walk_tail` bisects the current
-    vertex's row of the chain's `walk_table`, tuples of the running sums
-    and of the next vertices built on the chain's first single walk.
-    Bisecting a tuple compares the float objects it holds, so no float
-    is made per comparison, as bisecting a memoryview of the table did:
-    250-415 ns per step against 390-740 at hypercube:14, :16 and :18
-    (walks of the default L, medians of 7), 130 against 285 at
-    hypercube:11. A guide
-    step in plain Python took 470-930 ns (hypercube:11 and
-    random-regular:256,4), so a chain that only walks single walks never
-    builds the guide.
+    A single walk steps in plain Python instead, in `_walk_tail`.
     """
-    if walks.ndim == 1:
-        walks[start + 1:] = _walk_tail(P, int(walks[start]), walks.size - start - 1, rng)
-        return
     guide, step, passes, jump = P.sampling_guide
     buckets = guide.shape[1]
     flat_cum = P.sampling_table[1].ravel()
@@ -942,14 +935,37 @@ def _sample_tails(P: TransitionMatrix, walks: np.ndarray, start: int,
 
 def _walk_tail(P: TransitionMatrix, cur: int, steps: int,
                rng: np.random.Generator) -> list[int]:
-    """The next steps vertices of a single walk from vertex cur, 1-based:
-    `_sample_tails`' step and block rules, bisecting the rows of the
-    chain's `walk_table`."""
-    cum_rows, next_rows = P.walk_table
+    """The next steps vertices of a single walk from vertex cur, 1-based,
+    by `_sample_tails`' step and block rules.
+
+    A single walk steps in plain Python, since a numpy call per step
+    costs several times the step itself. It bisects the current vertex's
+    row of the chain's `walk_table`; bisecting a tuple compares the float
+    objects it holds, so no float is made per comparison, as bisecting a
+    memoryview of the sampling table did. Once the rows a walk visits
+    are converted, a step costs about 130 ns against 270 through the
+    memoryviews at hypercube:11, and 240 against 400 and 360 against
+    520 at :14 and :16 (walks of the default L, medians of 15 after 21
+    walks); at :18, where both read memory far apart, within noise.
+    The first step from a vertex finds its row empty, converts it and
+    takes that step again: about 3.5 us at width 12-19, and 0.3-0.5 ms
+    for a row of complete:4096, 4 096 wide. A guide step in plain
+    Python took 470-930 ns (hypercube:11 and random-regular:256,4), so a
+    chain that only walks single walks never builds the guide.
+    """
+    table = P.walk_table
+    cum_rows, next_rows = table.cum_rows, table.next_rows
     tail: list[int] = []
     for lo in range(0, steps, _WALK_BLOCK_CELLS):
         draws = rng.random(min(_WALK_BLOCK_CELLS, steps - lo)).tolist()
-        tail += [cur := next_rows[cur][bisect_right(cum_rows[cur], u)] for u in draws]
+        done, it = len(tail), iter(draws)
+        while len(tail) - done < len(draws):
+            # extend keeps the vertices appended before an error
+            try:
+                tail.extend(cur := next_rows[cur][bisect_right(cum_rows[cur], u)] for u in it)
+            except IndexError:  # cur's row is still ()
+                table.fill(cur)
+                it.__setstate__(len(tail) - done)  # back to that step's uniform
     return tail
 
 

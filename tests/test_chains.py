@@ -18,7 +18,7 @@ from mixbound.chains import (
     _step_probabilities,
     _top_ritz,
     _tv_from_pi,
-    _walk_table,
+    _walk_tail,
 )
 from mixbound.errors import CapabilityError, InputError
 from mixbound.graphs import _bfs
@@ -748,9 +748,7 @@ def test_samplers_match_dense_inverse_cdf(data):
     single = [int(starts[0])]
     for u in np.random.default_rng(seed).random(steps):
         single.append(_dense_inverse_cdf(P.matrix[single[-1] - 1], u) + 1)
-    one = np.full(steps + 1, starts[0])
-    _sample_tails(P, one, 0, np.random.default_rng(seed))
-    assert one.tolist() == single
+    assert _walk_tail(P, single[0], steps, np.random.default_rng(seed)) == single[1:]
     walk = mb.sample_walk(P, int(starts[0]), steps, seed=seed)
     assert walk.vertices == tuple(single)
     assert walk.probability() > 0.0
@@ -790,9 +788,7 @@ def test_sampler_tie_takes_the_next_slot(k2_chain):
     _sample_tails(k2_chain, walks, 0, Halves())
     assert walks.tolist() == [[1, 2, 2, 2], [2, 2, 2, 2]]
     for start in (1, 2):  # a single walk steps in its own loop
-        one = np.full(4, start)
-        _sample_tails(k2_chain, one, 0, Halves())
-        assert one.tolist() == [start, 2, 2, 2]
+        assert _walk_tail(k2_chain, start, 3, Halves()) == [2, 2, 2]
     assert _dense_inverse_cdf(k2_chain.matrix[0], 0.5) == 1
 
 
@@ -832,14 +828,13 @@ def test_rows_summing_past_one_step_alike_in_both_loops():
     uniforms = [u for other in ties + rng.random(200 - len(ties)).tolist()
                 for u in (top, other)]
     for start in range(1, 6):
-        one = np.full(len(uniforms) + 1, start)
-        _sample_tails(P, one, 0, _Scripted(uniforms))
+        one = [start, *_walk_tail(P, start, len(uniforms), _Scripted(uniforms))]
         batch = np.full((1, len(uniforms) + 1), start)
         _sample_tails(P, batch, 0, _Scripted(uniforms))
         want = [start]
         for u in uniforms:
             want.append(_dense_inverse_cdf(P.matrix[want[-1] - 1], u) + 1)
-        assert one.tolist() == batch[0].tolist() == want
+        assert one == batch[0].tolist() == want
         assert any(u == top and v <= 3 for v, u in zip(want, uniforms))
 
 
@@ -894,14 +889,13 @@ def _bucket_edges(P):
 
 def _assert_loops_match_dense(P, uniforms):
     for start in range(1, P.n + 1):
-        one = np.full(len(uniforms) + 1, start)
-        _sample_tails(P, one, 0, _Scripted(uniforms))
+        one = [start, *_walk_tail(P, start, len(uniforms), _Scripted(uniforms))]
         batch = np.full((1, len(uniforms) + 1), start)
         _sample_tails(P, batch, 0, _Scripted(uniforms))
         want = [start]
         for u in uniforms:
             want.append(_dense_inverse_cdf(P.matrix[want[-1] - 1], u) + 1)
-        assert one.tolist() == batch[0].tolist() == want
+        assert one == batch[0].tolist() == want
 
 
 def _guide_chains():
@@ -990,44 +984,86 @@ def test_guide_is_built_only_for_batches():
 # The single-walk loop's table
 # ---------------------------------------------------------------------------
 
+def _filled(P):
+    """The chain's walk table with every row converted."""
+    table = P.walk_table
+    for u in range(1, P.n + 1):
+        if not table.next_rows[u]:
+            table.fill(u)
+    return table
+
+
 def test_walk_table_equals_the_sampling_table():
     for P in _guide_chains() + [_skewed_metropolis(),
                                 mb.max_degree_walk(mb.graph_from_spec("barbell:6"))]:
         index, cum = P.sampling_table
-        cum_rows, next_rows = P.walk_table
-        assert cum_rows[0] == next_rows[0] == ()
-        assert np.array(cum_rows[1:]).tobytes() == cum.tobytes()
-        assert np.array_equal(np.array(next_rows[1:]), index + 1)
-        assert all(type(v) is int for row in next_rows for v in row)
-        assert P.walk_table is P.walk_table
+        table = _filled(P)
+        assert table.cum_rows[0] == table.next_rows[0] == ()
+        assert np.array(table.cum_rows[1:]).tobytes() == cum.tobytes()
+        assert np.array_equal(np.array(table.next_rows[1:]), index + 1)
+        assert all(type(v) is int for row in table.next_rows for v in row)
+        assert P.walk_table is table
+        for u in (0, 1, P.n + 1):  # no row, or one converted already
+            with pytest.raises(IndexError):
+                table.fill(u)
 
 
 def test_walk_table_shares_rows_and_vertices():
     # the lazy walk on hypercube:6 has d + 1 places for its self-loop, so
     # at most d + 1 distinct rows of sums; every next vertex is one object
-    P = mb.lazy_simple_walk(mb.graph_from_spec("hypercube:6"))
-    cum_rows, next_rows = P.walk_table
+    cum_rows = _filled(mb.lazy_simple_walk(mb.graph_from_spec("hypercube:6"))).cum_rows
     assert len({id(row) for row in cum_rows[1:]}) == len(set(cum_rows[1:])) <= 7
-    P = mb.lazy_simple_walk(mb.graph_from_spec("hypercube:10"))
     objects = {}
-    for row in P.walk_table[1][1:]:
+    for row in _filled(mb.lazy_simple_walk(mb.graph_from_spec("hypercube:10"))).next_rows:
         for v in row:
             assert objects.setdefault(v, v) is v
 
 
 def test_walk_table_holds_about_the_sampling_tables_bytes():
-    # read a block of rows at a time: one tolist() of the whole table
-    # would peak at about 3.4 times what the table keeps
+    # every row of hypercube:10 converted, one at a time
     P = mb.lazy_simple_walk(mb.graph_from_spec("hypercube:10"))
     table = sum(a.nbytes for a in P.sampling_table)
 
-    def build():
-        walk_table = _walk_table(*P.sampling_table)
-        return walk_table, tracemalloc.get_traced_memory()[0]
+    def fill():
+        return _filled(P), tracemalloc.get_traced_memory()[0]
 
-    (walk_table, held), peak = traced_peak(build)
+    (_, held), peak = traced_peak(fill)
     assert held <= 1.5 * table
     assert peak <= 2 * held
+
+
+def test_a_single_walk_converts_only_the_rows_it_steps_from():
+    # every row of the lazy walk on complete:512 is distinct, and 512
+    # wide: a short walk must not pay for the whole table
+    P = mb.lazy_simple_walk(mb.complete_graph(512))
+    table = sum(a.nbytes for a in P.sampling_table)
+    mb.sample_walk(mb.lazy_simple_walk(mb.complete_graph(3)), 1, 20, seed=0)  # warm numpy up
+
+    def walk():
+        return mb.sample_walk(P, 1, 20, seed=0), tracemalloc.get_traced_memory()[0]
+
+    (w, held), _ = traced_peak(walk)
+    rows = P.walk_table.next_rows
+    assert {u for u in range(P.n + 1) if rows[u]} == set(w.vertices[:-1])
+    assert held <= 0.15 * table
+
+
+@pytest.mark.parametrize("block_cells", [1, 3, 1 << 16])
+def test_first_walks_equal_walks_on_a_converted_table(block_cells, monkeypatch):
+    # a walk that converts rows as it goes retakes each step that found
+    # its row empty; it must equal the same walk on a converted table and
+    # the dense reference, however the steps are cut into blocks
+    monkeypatch.setattr("mixbound.chains._WALK_BLOCK_CELLS", block_cells)
+    for make in (_skewed_metropolis, _random_regular_256):
+        fresh, full = make(), make()
+        _filled(full)
+        uniforms = np.random.default_rng(2).random(3000).tolist()
+        got = _walk_tail(fresh, 5, len(uniforms), _Scripted(uniforms))
+        assert got == _walk_tail(full, 5, len(uniforms), _Scripted(uniforms))
+        want = [5]
+        for u in uniforms:
+            want.append(_dense_inverse_cdf(fresh.matrix[want[-1] - 1], u) + 1)
+        assert got == want[1:]
 
 
 def _skewed_metropolis():
