@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chains import (MAX_DENSE_N, TransitionMatrix, Walk, _distinct, _sample_tails,
+from .chains import (MAX_DENSE_N, TransitionMatrix, Walk, _sample_tails,
                      _step_probabilities, make_walk)
 from .errors import DEFAULT_CAPS, CapabilityError, InputError
 from .graphs import _bfs
@@ -35,7 +35,6 @@ from .staircase import (
     sample_good_walk,
 )
 
-EXACT_PAIR_CAP = 4 * 10 ** 7
 WITNESS_EXPANSION_CAP = 10 ** 5
 LOWER_BOUND_CONSTANT = 0.01
 
@@ -50,9 +49,7 @@ class FunctionFamily:
     A family builds its relation arrays and its head classes the first
     time an exact reader asks for them and holds them, read-only, while it
     lives: relation_mass, distinguishing_mass, the exact report and the
-    ratio check of one family share one build, and build no instance.
-    Its pair table, built the same way, is read only by verify and the
-    tests, as the classes' reference."""
+    ratio check of one family share one build, and build no instance."""
 
     walks: np.ndarray
     bits: np.ndarray
@@ -98,10 +95,6 @@ class FunctionFamily:
     @functools.cached_property
     def _classes(self) -> _Classes:
         return _class_arrays(self)
-
-    @functools.cached_property
-    def _table(self) -> _PairTable:
-        return _pair_table(self)
 
 
 @dataclass(frozen=True)
@@ -393,10 +386,10 @@ def _parting(within: np.ndarray, children: np.ndarray, heads: np.ndarray) -> np.
 def _class_arrays(family: FunctionFamily) -> _Classes:
     """Build the head classes of a family from its relation arrays; an
     exact reader takes them from family._classes, which calls this once
-    per family. Refuses, as the pair table does, when a head of a good
-    instance underflowed to 0.0. A walk's events come from comparing each
-    position with the later ones, O(size·L^2) time with no factor of n;
-    the levels hold each event at most m times, O(size·L·m) bytes."""
+    per family. Refuses when a head of a good instance underflowed to
+    0.0. A walk's events come from comparing each position with the later
+    ones, O(size·L^2) time with no factor of n; the levels hold each event
+    at most m times, O(size·L·m) bytes."""
     rel, params = family._relation, family.params
     T, L, m = params.T, params.L, params.m
     if np.any(rel.heads[rel.good] == 0.0):
@@ -498,88 +491,6 @@ def _told_sums(classes: _Classes, inside: np.ndarray, n: int) -> np.ndarray:
     return q
 
 
-@dataclass(frozen=True)
-class _PairTable:
-    """The pairs of good opposite-bit instances of a family as read-only
-    arrays: rows are the good bit-0 instances, columns the good bit-1
-    ones. The weight and the difference set are symmetric in the pair, so
-    this half stands for both orders. The one pair-shaped array is ids, a
-    byte or two per pair; which pairs a vertex tells apart is read by told
-    from the rows' and columns' last occurrences, a byte or two per
-    instance and vertex. Private, and read only by verify and the tests,
-    as the reference the head classes are checked against."""
-
-    rows: np.ndarray  # family positions of the good bit-0 instances
-    cols: np.ndarray  # family positions of the good bit-1 instances
-    values: np.ndarray  # the distinct relation weights, ascending
-    ids: np.ndarray  # (rows, cols) index of each pair's weight in values
-    row_last: np.ndarray  # (n, rows) last position of vertex v + 1 in each row's walk, see told
-    col_last: np.ndarray  # (n, cols) the same for the columns
-    mass: tuple[float, ...]  # relation mass of each instance, family order
-
-    @property
-    def r(self) -> np.ndarray:
-        """(rows, cols) relation weight."""
-        return self.values[self.ids]
-
-    def told(self, v: int, rows=slice(None)) -> np.ndarray:
-        """(rows, cols) bool: the pairs told apart at vertex v + 1, for the
-        rows at index rows: where v + 1's last occurrence differs, and at a
-        row's end, which row_last holds as L + 1, a position no column has
-        (a column that ends there too carries the other bit as its tag)."""
-        return self.row_last[v, rows, None] != self.col_last[v]
-
-
-def _pair_table(family: FunctionFamily) -> _PairTable:
-    """Build the pair table of a family from its relation arrays; an exact
-    reader takes it from family._table, which calls this once per family.
-    Refuses before allocating any pair array when the good instances
-    squared pass EXACT_PAIR_CAP, and before any weight is divided when a
-    head of a good instance underflowed to 0.0. The weights come from
-    _relation_block, a block of rows against all columns at a time."""
-    size, rel = len(family), family._relation
-    pairs = int(rel.good.sum()) ** 2
-    if pairs > EXACT_PAIR_CAP:
-        raise CapabilityError(
-            f"exact pair table needs {pairs} pair evaluations, over the cap "
-            f"{EXACT_PAIR_CAP}; use the Monte Carlo estimator")
-    rows = np.flatnonzero(rel.good & (rel.bits == 0))
-    cols = np.flatnonzero(rel.good & (rel.bits == 1))
-    if np.any(rel.heads[rel.good] == 0.0):
-        raise CapabilityError(_UNDERFLOW)
-    row_rel, col_rel = rel.take(rows), rel.take(cols)
-    # A family's weights take few distinct values, so the table keeps each
-    # pair's as a small index, and a sum over pairs is a count per index
-    # (see _grouped_fsums). Both passes build the weights of a block of
-    # rows at a time, so that no pairs-sized float array is ever held.
-    step = max(1, _SUM_BLOCK_CELLS // max(cols.size, 1))
-    blocks = [slice(i, i + step) for i in range(0, rows.size, step)]
-    values = np.zeros(0)
-    for b in blocks:
-        r = _relation_block(row_rel.take(b), col_rel)
-        values = _distinct(np.concatenate((values, r.ravel())))
-    width = values.size
-    ids = np.empty((rows.size, cols.size), dtype=np.min_scalar_type(max(width - 1, 0)))
-    for b in blocks:
-        ids[b] = np.searchsorted(values, _relation_block(row_rel.take(b), col_rel))
-    # the mass of an instance sums its row or its column of weights
-    mass = np.zeros(size)
-    for members, cells in ((rows, ids), (cols, ids.T)):
-        counts = np.array([np.bincount(c, minlength=width) for c in cells], dtype=np.int64)
-        mass[members] = _grouped_fsums(values, counts.reshape(members.size, width))
-    # vertex-major, so that told reads whole runs, in the narrowest dtype
-    # that holds -1..L + 1
-    n, L = family.chain.n, family.params.L
-    row_last, col_last = (np.ascontiguousarray(_last_occurrence(r.walks, n).T,
-                                               dtype=np.min_scalar_type(-L - 2))
-                          for r in (row_rel, col_rel))
-    row_last[row_rel.walks[:, -1] - 1, np.arange(rows.size)] = L + 1
-    for a in (rows, cols, values, ids, row_last, col_last):
-        a.setflags(write=False)
-    return _PairTable(rows=rows, cols=cols, values=values, ids=ids, row_last=row_last,
-                      col_last=col_last, mass=tuple(mass.tolist()))
-
-
 def _indices_in(family: FunctionFamily, subset) -> np.ndarray:
     """The family positions of subset's members (a FunctionFamily or
     StaircaseInstances of the family's chain and parameters), in order."""
@@ -616,28 +527,6 @@ def relation_mass(Z, X: FunctionFamily) -> MassResult:
     return MassResult(total=math.fsum(picked), per_instance=tuple(picked))
 
 
-# Pair cells in one block, when the weights are indexed and when q is counted
-_SUM_BLOCK_CELLS = 1 << 14
-
-
-def _grouped_fsums(values: np.ndarray, counts: np.ndarray) -> list[float]:
-    """For each row of counts, math.fsum of the multiset holding
-    counts[k] copies of values[k]. Each count is split into binary digits,
-    so every term values[k] * 2**d is exact and the terms add up to the
-    multiset's exact sum; fsum rounds that sum once, so each result equals
-    fsum of the expanded multiset bit for bit."""
-    counts = np.asarray(counts, dtype=np.int64)
-    digits = np.arange(int(counts.max(initial=0)).bit_length())
-    terms = np.ldexp(np.asarray(values, dtype=float)[:, None], digits)
-    # the digits of a block of rows at once, about _SUM_BLOCK_CELLS of them
-    step = max(1, _SUM_BLOCK_CELLS // max(terms.size, 1))
-    sums = []
-    for s in range(0, len(counts), step):
-        picked = (counts[s:s + step, :, None] >> digits) & 1 == 1
-        sums += [math.fsum(terms[row].tolist()) for row in picked]
-    return sums
-
-
 @dataclass(frozen=True)
 class DistinguishingMass:
     q: float
@@ -657,32 +546,6 @@ def _largest(per_vertex: np.ndarray) -> DistinguishingMass:
     best = max(per_vertex)
     argmax = next(v for v, q in enumerate(per_vertex, 1) if q >= best * (1.0 - _TIE))
     return DistinguishingMass(q=best, argmax_vertex=argmax, per_vertex=per_vertex)
-
-
-def _distinguishing(table: _PairTable, inside: np.ndarray) -> DistinguishingMass:
-    """The pair table's reference for distinguishing_mass, read only by
-    verify and the tests: per-vertex weight of the ordered pairs with both
-    instances inside (a mask over the family) that are told apart at the
-    vertex, with distinguishing_mass's tie rule (_largest). Each sum
-    is counted per distinct weight and rounded once by _grouped_fsums, so
-    it is exactly rounded, and doubling the half-table sum counts both
-    orders bit for bit. A zero weight adds nothing to a sum. The pairs
-    told apart are read from table.told a block of whole rows and one
-    vertex at a time, so memory beyond the table stays
-    O(_SUM_BLOCK_CELLS) bytes."""
-    n, width, cols = len(table.row_last), table.values.size, table.cols.size
-    keep_rows, keep_cols = inside[table.rows], inside[table.cols]
-    # counts[v, k]: kept cells told apart at vertex v + 1 whose weight is
-    # values[k]; counts add exactly across blocks
-    counts = np.zeros((n, width), dtype=np.int64)
-    step = max(1, _SUM_BLOCK_CELLS // max(cols, 1))
-    for s in range(0, table.rows.size, step):
-        b = slice(s, s + step)
-        keep = keep_rows[b, None] & keep_cols
-        ids = table.ids[b]
-        for v in range(n):
-            counts[v] += np.bincount(ids[table.told(v, b) & keep], minlength=width)
-    return _largest(2.0 * np.array(_grouped_fsums(table.values, counts)))
 
 
 def distinguishing_mass(Z, X: FunctionFamily | None = None) -> DistinguishingMass:
@@ -743,6 +606,11 @@ class RatioCheckResult:
     min_ratio: float
     subsets_checked: int
     worst_subset_size: int
+
+
+# Cells in one block: draws times instances in a chunk of the ratio check,
+# and pairs in a block of verify's symmetry check
+_SUM_BLOCK_CELLS = 1 << 14
 
 
 def _check_count(name: str, value) -> int:

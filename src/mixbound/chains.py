@@ -947,9 +947,10 @@ def _walk_tail(P: TransitionMatrix, cur: int, steps: int,
     memoryviews at hypercube:11, and 240 against 400 and 360 against
     520 at :14 and :16 (walks of the default L, medians of 15 after 21
     walks); at :18, where both read memory far apart, within noise.
-    The first step from a vertex finds its row empty, converts it and
-    takes that step again: about 3.5 us at width 12-19, and 0.3-0.5 ms
-    for a row of complete:4096, 4 096 wide. A guide step in plain
+    The first step from a vertex finds its row empty, converts it in
+    place and takes that step again: about 1.8-2.1 us per row at
+    hypercube:11 and 2.6-3.4 at :16 (width 12 and 17), and 0.3-0.5 ms for
+    a row of complete:4096, 4 096 wide. A guide step in plain
     Python took 470-930 ns (hypercube:11 and random-regular:256,4), so a
     chain that only walks single walks never builds the guide.
     """
@@ -957,15 +958,13 @@ def _walk_tail(P: TransitionMatrix, cur: int, steps: int,
     cum_rows, next_rows = table.cum_rows, table.next_rows
     tail: list[int] = []
     for lo in range(0, steps, _WALK_BLOCK_CELLS):
-        draws = rng.random(min(_WALK_BLOCK_CELLS, steps - lo)).tolist()
-        done, it = len(tail), iter(draws)
-        while len(tail) - done < len(draws):
-            # extend keeps the vertices appended before an error
+        for u in rng.random(min(_WALK_BLOCK_CELLS, steps - lo)).tolist():
             try:
-                tail.extend(cur := next_rows[cur][bisect_right(cum_rows[cur], u)] for u in it)
-            except IndexError:  # cur's row is still ()
+                cur = next_rows[cur][bisect_right(cum_rows[cur], u)]
+            except IndexError:  # cur's row is still (): convert it, take the step again
                 table.fill(cur)
-                it.__setstate__(len(tail) - done)  # back to that step's uniform
+                cur = next_rows[cur][bisect_right(cum_rows[cur], u)]
+            tail.append(cur)
     return tail
 
 

@@ -14,6 +14,7 @@ import math
 import warnings
 from dataclasses import asdict, dataclass, fields
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -87,11 +88,11 @@ class _Context:
     it and then read by every check that needs it: the family graphs and
     their test chains, each chain's default parameters, spectral gap and
     bottleneck ratio, each graph's edge expansion and BFS distances, the
-    seeded instances, and the micro families, which hold their own
-    relation arrays and pair tables. A value per graph or chain is keyed
-    by the object itself, which hashes by identity, and is computed
-    through the library's module function, so a patched function is the
-    one that runs."""
+    seeded instances, the micro families, which hold their own relation
+    arrays and head classes, and each micro family's pair reference. A
+    value per graph or chain is keyed by the object itself, which hashes
+    by identity, and is computed through the library's module function,
+    so a patched function is the one that runs."""
 
     def __init__(self, caps: VerifyCaps, seed: int):
         self.caps = caps
@@ -165,7 +166,7 @@ class _Context:
     def micro_families(self) -> list[adv.FunctionFamily]:
         """The enumerated families of two adversary systems, K3 with T=1,
         L=2 and K4 at its default parameters. Each family builds its
-        relation arrays and pair table once, for A5, the symmetry, ratio
+        relation arrays and head classes once, for A5, the symmetry, ratio
         and exact checks."""
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", VacuousRegimeWarning)
@@ -173,6 +174,44 @@ class _Context:
             P4 = ch.lazy_simple_walk(gr.complete_graph(4))
             systems = [(P3, st.custom_params(P3, T=1, L=2)), (P4, st.default_params(P4))]
         return [adv.enumerate_family(P, params) for P, params in systems]
+
+    @cached_property
+    def micro_references(self) -> list[_PairReference]:
+        """Each micro family's pair reference, for A5 and the exact check."""
+        return [_pair_reference(family) for family in self.micro_families]
+
+
+class _PairReference(NamedTuple):
+    """A family's sums over its pairs of good opposite-bit instances, the
+    reference the head classes are checked against. The weight and the
+    vertices telling a pair apart are symmetric in the pair, so the bit-0
+    rows against the bit-1 columns stand for both orders."""
+
+    rows: np.ndarray  # family positions of the good bit-0 instances
+    cols: np.ndarray  # family positions of the good bit-1 instances
+    r: np.ndarray  # (rows, cols) relation weights
+    mass: np.ndarray  # each instance's relation mass, family order
+    per_vertex: np.ndarray  # q_v, indexed by v - 1
+
+
+def _pair_reference(family: adv.FunctionFamily) -> _PairReference:
+    """The pair reference of a family, every sum an exactly rounded fsum.
+    A pair is told apart at v where v's last occurrence differs or v ends
+    either walk (the end vertex's decision value carries the bit)."""
+    rel, n = family._relation, family.chain.n
+    rows = np.flatnonzero(rel.good & (rel.bits == 0))
+    cols = np.flatnonzero(rel.good & (rel.bits == 1))
+    r = adv._relation_block(rel.take(rows), rel.take(cols))
+    mass = np.zeros(len(family))
+    mass[rows] = [math.fsum(row) for row in r.tolist()]
+    mass[cols] = [math.fsum(col) for col in r.T.tolist()]
+    last, end = adv._last_occurrence(rel.walks, n), rel.walks[:, -1] - 1
+    per_vertex = np.zeros(n)
+    for v in range(n):
+        told = last[rows, v, None] != last[cols, v]
+        told |= (end[rows, None] == v) | (end[cols] == v)
+        per_vertex[v] = 2.0 * math.fsum(r[told].tolist())
+    return _PairReference(rows, cols, r, mass, per_vertex)
 
 
 def _good_walks(P: ch.TransitionMatrix, params: st.StaircaseParams, count: int,
@@ -310,9 +349,10 @@ def check_a5_difference_localization(ctx: _Context) -> Outcome:
     vertex. Exhaustive over the micro-systems, one vertex at a time, so
     every pair-shaped array is 2-D: O(pairs) bytes with no factor of n.
     decision_value fills the decision array once per instance and vertex;
-    J comes from the relation's head ids over the distinct walks."""
+    J comes from the relation's head ids over the distinct walks. (ii)
+    reads the weights and q_v of each micro family's pair reference."""
     pair_count = 0
-    for family in ctx.micro_families:
+    for family, ref in zip(ctx.micro_families, ctx.micro_references):
         P, T, rel = family.chain, family.params.T, family._relation
         insts = family.instances
         # (i) over every ordered instance pair (a, b) with distinct walks and
@@ -351,18 +391,15 @@ def check_a5_difference_localization(ctx: _Context) -> Outcome:
                           "J": int(J[wid[i], wid[k]])})
         # factor-2 bound, on the full family: each ordered pair (i, k)
         # adds its weight to the vertices of k's tail after the shared head
-        table = family._table
         last = adv._last_occurrence(rel.walks, P.n)
-        head_end = adv._head_index(rel.take(table.rows), rel.take(table.cols)).astype(np.int64) * T
-        r = table.r
+        head_end = adv._head_index(rel.take(ref.rows), rel.take(ref.cols)).astype(np.int64) * T
+        r, per_vertex = ref.r, ref.per_vertex
         rhs = np.zeros(P.n)
         for v in range(P.n):
-            covered = ((last[table.cols, v] > head_end).astype(float)
-                       + (last[table.rows, v, None] > head_end))
+            covered = ((last[ref.cols, v] > head_end).astype(float)
+                       + (last[ref.rows, v, None] > head_end))
             if r.size:  # added one pair at a time in row-major order
                 rhs[v] = np.add.accumulate((r * covered).ravel())[-1]
-        per_vertex = np.array(
-            adv._distinguishing(table, np.ones(len(family), dtype=bool)).per_vertex)
         if np.any(per_vertex > 2.0 * rhs + 1e-12):
             v = int(np.argmax(per_vertex - 2.0 * rhs)) + 1
             return _fail("factor-2 bound violated",
@@ -639,17 +676,15 @@ def check_adversary_ratio_floor(ctx: _Context) -> Outcome:
 def check_adversary_exact_mc(ctx: _Context) -> Outcome:
     """Monte Carlo estimates agree with exact enumeration within three
     standard errors on every enumerable configuration. First, the exact
-    path's head-class sums agree with the pair table, the sums over every
-    pair: each instance's mass within 1e-12 of the largest, and each
-    vertex's q within 1e-12 of the largest q."""
+    path's head-class sums agree with each micro family's pair reference,
+    the sums over every pair: each instance's mass within 1e-12 of the
+    largest, and each vertex's q within 1e-12 of the largest q."""
     details = []
-    for idx, family in enumerate(ctx.micro_families):
+    for idx, (family, ref) in enumerate(zip(ctx.micro_families, ctx.micro_references)):
         P, params = family.chain, family.params
-        table = family._table
-        sums = (("instance", 0, family._classes.mass, np.array(table.mass)),
+        sums = (("instance", 0, family._classes.mass, ref.mass),
                 ("vertex", 1, np.array(adv.distinguishing_mass(family).per_vertex),
-                 np.array(adv._distinguishing(table, np.ones(len(family), dtype=bool))
-                          .per_vertex)))
+                 ref.per_vertex))
         for what, base, got, want in sums:
             gap = np.abs(got - want)
             if np.any(gap > 1e-12 * want.max(initial=0.0)):

@@ -17,15 +17,15 @@ from hypothesis import strategies as hst
 
 import mixbound as mb
 from mixbound import adversary as adv
-from mixbound.adversary import (EXACT_PAIR_CAP, RatioCheckResult, _class_arrays,
-                                _credited_mean, _difference_counts, _distinguishing,
-                                _exact_report, _grouped_fsums, _head_index, _last_occurrence,
-                                _pair_table, _ratio_check, _redraw, _relation_arrays,
-                                _relation_block, _SUM_BLOCK_CELLS, _told_sums, ratio_floor)
+from mixbound.adversary import (RatioCheckResult, _class_arrays, _credited_mean,
+                                _difference_counts, _exact_report, _head_index,
+                                _last_occurrence, _ratio_check, _redraw, _relation_arrays,
+                                _relation_block, _told_sums, ratio_floor)
 from mixbound.chains import Walk, _sample_tails
 from mixbound.graphs import _bfs
 from mixbound.errors import DEFAULT_CAPS, CapabilityError, InputError
 from mixbound.staircase import StaircaseInstance, StaircaseParams
+from mixbound.verify import _pair_reference
 
 from conftest import traced_peak
 
@@ -358,18 +358,18 @@ def test_an_empty_family_has_zero_q_at_every_vertex(k3_chain, k3_params, k3_fami
     assert len(empty) == 0 and empty.instances == ()
 
 
-def test_q_linear_in_relation(k3_family):
+def test_q_linear_in_relation(k3_family, monkeypatch):
     # doubling every weight doubles q and leaves M/q fixed
-    table = _pair_table(k3_family)
+    ref = _pair_reference(k3_family)
+    block = adv._relation_block
+    monkeypatch.setattr(adv, "_relation_block", lambda A, B: 2.0 * block(A, B))
+    doubled = _pair_reference(k3_family)
     dm = mb.distinguishing_mass(k3_family)
-    doubled = {}
-    for v in range(k3_family.chain.n):
-        for (a, b), told_apart in np.ndenumerate(table.told(v)):
-            if told_apart:  # a table entry stands for both orders of its pair
-                doubled[v + 1] = doubled.get(v + 1, 0.0) + 2 * 2.0 * table.r[a, b]
-    assert max(doubled.values()) == pytest.approx(2 * dm.q, abs=1e-15)
-    m_doubled = 2 * mb.relation_mass(k3_family, k3_family).total
-    assert m_doubled / max(doubled.values()) == pytest.approx(
+    assert np.array_equal(doubled.per_vertex, 2.0 * ref.per_vertex)
+    assert doubled.per_vertex.max() == pytest.approx(2 * dm.q, abs=1e-15)
+    m_doubled = math.fsum(doubled.mass.tolist())
+    assert m_doubled == 2 * mb.relation_mass(k3_family, k3_family).total
+    assert m_doubled / doubled.per_vertex.max() == pytest.approx(
         mb.relation_mass(k3_family, k3_family).total / dm.q, abs=1e-12)
 
 
@@ -461,14 +461,15 @@ def test_head_ids_give_the_shared_head_index(name):
 
 @pytest.mark.parametrize("name", EXACT_FAMILIES)
 def test_pair_table_matches_relation_weight(name):
-    # the half table, mirrored to both orders, is the whole relation
+    # the pair reference's half table, mirrored to both orders, is the
+    # whole relation
     P, params = _exact_system(name)
     family = mb.enumerate_family(P, params)
     insts = family.instances
-    table = _pair_table(family)
+    ref = _pair_reference(family)
     full = np.zeros((len(family), len(family)))
-    full[np.ix_(table.rows, table.cols)] = table.r
-    full[np.ix_(table.cols, table.rows)] = table.r.T
+    full[np.ix_(ref.rows, ref.cols)] = ref.r
+    full[np.ix_(ref.cols, ref.rows)] = ref.r.T
     want = _reference_relation(P, insts)
     assert _same_bits(full, want)
     rng = np.random.default_rng(0)
@@ -504,80 +505,16 @@ def test_heads_are_the_same_in_blocks_of_any_size(monkeypatch):
     assert len(family) > 7 and _same_bits(blocked.heads, whole)
 
 
-_positive_doubles = hst.one_of(
-    hst.floats(min_value=5e-324, max_value=2.0 ** 900),
-    hst.floats(min_value=5e-324, max_value=2.2250738585072014e-308))  # subnormals
-
-
-@settings(max_examples=200, deadline=None)
-@given(hst.lists(hst.tuples(_positive_doubles, hst.integers(0, 2 ** 40)), max_size=12))
-def test_grouped_fsums_is_the_exactly_rounded_sum(groups):
-    # math.fsum rounds the exact sum once, as float(Fraction) does; the
-    # multiset is too large to expand
-    values = np.array([v for v, _ in groups], dtype=float)
-    counts = np.array([[c for _, c in groups]], dtype=np.int64)
-    exact = sum((Fraction(v) * c for v, c in groups), Fraction(0))
-    assert _grouped_fsums(values, counts) == [float(exact)]
-
-
-@settings(max_examples=200, deadline=None)
-@given(hst.lists(hst.tuples(_positive_doubles, hst.integers(0, 40)), max_size=12))
-def test_grouped_fsums_equals_fsum_of_the_expanded_multiset(groups):
-    values = np.array([v for v, _ in groups], dtype=float)
-    counts = np.array([[c for _, c in groups], [c // 2 for _, c in groups]],
-                      dtype=np.int64)
-    expanded = [[v for v, c in groups for _ in range(c)],
-                [v for v, c in groups for _ in range(c // 2)]]
-    assert _grouped_fsums(values, counts) == [math.fsum(row) for row in expanded]
-
-
-def test_grouped_fsums_of_nothing_is_zero():
-    assert _grouped_fsums(np.zeros(0), np.zeros((1, 0), dtype=np.int64)) == [0.0]
-    assert _grouped_fsums(np.array([0.5, 3.0]), np.zeros((2, 2), dtype=np.int64)) == [0.0, 0.0]
-
-
 def test_exact_lower_bound_memory():
     # head-class sums hold no pair-shaped array: complete:16 at T=2, L=4
-    # (131 072 instances, 2.9e9 pairs, past the pair table's cap) peaks at
-    # about 250 bytes per instance, enumeration and relation arrays included
+    # (131 072 instances, 2.9e9 pairs of good opposite-bit instances) peaks
+    # at about 250 bytes per instance, enumeration and relation arrays
+    # included
     P = mb.lazy_simple_walk(mb.complete_graph(16))
     params = mb.custom_params(P, T=2, L=4)
     report, peak = traced_peak(lambda: mb.exact_lower_bound(P, params))
-    assert report.context["good_instances"] ** 2 // 4 > EXACT_PAIR_CAP
+    assert report.context["good_instances"] ** 2 // 4 > 2 * 10 ** 9
     assert peak <= 400 * report.context["family_size"]
-
-
-def test_pair_table_holds_no_pairs_sized_weights():
-    # the weight ids take a byte per pair, the table's only pair-shaped
-    # array; the weights are built and the pairs told apart read a block of
-    # rows at a time. With a stored head index and n packed flag bits per
-    # pair, K6 peaked at 4.9 bytes per pair and K12 at 5.4; with a byte of
-    # flags per vertex, at 13.1 and 18.5.
-    for n, T, L in ((6, 2, 4), (12, 1, 3)):
-        P = mb.lazy_simple_walk(mb.complete_graph(n))
-        params = mb.custom_params(P, T=T, L=L)
-        table = _pair_table(mb.enumerate_family(P, params))
-        pairs = table.rows.size * table.cols.size
-        assert table.ids.dtype == np.uint8
-        del table
-        assert traced_peak(lambda: _distinguishing(
-            _pair_table(family := mb.enumerate_family(P, params)),
-            np.ones(len(family), dtype=bool)))[1] <= 3.5 * pairs
-
-
-def test_exact_pair_cap_refuses(monkeypatch):
-    # the pair table, verify's reference, refuses past the cap; the exact
-    # path sums over head classes and never builds it
-    P, params = _exact_system("K4")
-    family = mb.enumerate_family(P, params)
-    good = sum(mb.is_good_walk(inst.walk, params.T) for inst in family.instances)
-    monkeypatch.setattr("mixbound.adversary.EXACT_PAIR_CAP", good ** 2 - 1)
-    with pytest.raises(CapabilityError, match="cap"):
-        _pair_table(family)
-    assert mb.exact_lower_bound(P, params).context["good_instances"] == good
-    assert mb.ratio_property_check(P, params, subsets=1, seed=0).subsets_checked == 1
-    monkeypatch.setattr("mixbound.adversary.EXACT_PAIR_CAP", good ** 2)
-    assert _pair_table(family).rows.size + _pair_table(family).cols.size == good
 
 
 # Exact outputs pinned to the repr: (M, q, argmax_vertex, per_vertex) and
@@ -642,20 +579,19 @@ def _class_system(name):
 
 def _assert_classes_equal_the_table(family):
     """M, each instance's mass and each vertex's q from the head classes
-    against the pair table: within 1e-12 relative of M, the largest mass
-    and the largest q; a vertex at 0.0 in the table is 0.0 exactly."""
-    table = family._table
-    want_mass = np.array(table.mass)
-    want = _distinguishing(table, np.ones(len(family), dtype=bool))
+    against verify's pair reference: within 1e-12 relative of M, the
+    largest mass and the largest q; a vertex at 0.0 in the reference is
+    0.0 exactly, and the argmax vertex is the same under the tie rule."""
+    ref = _pair_reference(family)
     got_mass = family._classes.mass
     got = mb.distinguishing_mass(family)
-    M = math.fsum(want_mass.tolist())
+    M = math.fsum(ref.mass.tolist())
     assert math.fsum(got_mass.tolist()) == pytest.approx(M, rel=1e-12, abs=0)
-    assert np.abs(got_mass - want_mass).max(initial=0.0) <= 1e-12 * want_mass.max(initial=0.0)
-    per_vertex, reference = np.array(got.per_vertex), np.array(want.per_vertex)
+    assert np.abs(got_mass - ref.mass).max(initial=0.0) <= 1e-12 * ref.mass.max(initial=0.0)
+    per_vertex, reference = np.array(got.per_vertex), ref.per_vertex
     assert np.abs(per_vertex - reference).max() <= 1e-12 * reference.max()
     assert np.all(per_vertex[reference == 0.0] == 0.0)
-    assert got.argmax_vertex == want.argmax_vertex
+    assert got.argmax_vertex == adv._largest(reference).argmax_vertex
 
 
 @pytest.mark.parametrize("name", [*EXACT_FAMILIES, "K5", "K6", "K7", "K8", "complete16",
@@ -723,48 +659,6 @@ def test_the_exact_defaults_ledger_regenerates():
     assert {row["graph"]: row["argmax_vertex"] for row in rows}["complete:24"] == 1
 
 
-def _told_apart_by_loops(table, walks, n: int) -> dict:
-    """{(a, b): vertices told apart}, cell by cell: v's last occurrence
-    differs, or both walks end at v and their tags (bits) differ."""
-    walks = walks.tolist()
-    last = [{x: t for t, x in enumerate(w)} for w in walks]
-    told = {}
-    for (a, i), (b, k) in itertools.product(enumerate(table.rows.tolist()),
-                                            enumerate(table.cols.tolist())):
-        told[a, b] = [v for v in range(1, n + 1)
-                      if last[i].get(v, -1) != last[k].get(v, -1)
-                      or walks[i][-1] == walks[k][-1] == v]
-    return told
-
-
-@pytest.mark.parametrize("name", ["K3", "K4", "cycle7", "metropolis6"])
-def test_packed_flags_equal_a_loop_over_cells(name, monkeypatch):
-    # the table's told, and q summed from it, against the plain loops for
-    # every vertex and pair
-    P, params = _exact_system(name)
-    family = mb.enumerate_family(P, params)
-    table = _pair_table(family)
-    told = _told_apart_by_loops(table, family._relation.walks, P.n)
-    for v in range(P.n):
-        want = [[v + 1 in told[a, b] for b in range(table.cols.size)]
-                for a in range(table.rows.size)]
-        assert table.told(v).tolist() == want
-        assert table.told(v, slice(1, 3)).tolist() == want[1:3]
-    rng = np.random.default_rng(0)
-    masks = [np.ones(len(family), dtype=bool)] + [
-        rng.random(len(family)) < p for p in (0.3, 0.6, 0.9)]
-    for inside in masks:
-        want = [[] for _ in range(P.n)]
-        for (a, b), vertices in told.items():
-            if inside[table.rows[a]] and inside[table.cols[b]]:
-                for v in vertices:
-                    want[v - 1].append(float(table.r[a, b]))
-        want = tuple(2.0 * math.fsum(terms) for terms in want)
-        for cells in (1, 7, _SUM_BLOCK_CELLS):
-            monkeypatch.setattr("mixbound.adversary._SUM_BLOCK_CELLS", cells)
-            assert _distinguishing(table, inside).per_vertex == want
-
-
 def test_exact_lower_bound_degenerate():
     P = mb.lazy_simple_walk(mb.complete_graph(2))
     params = mb.custom_params(P, T=1, L=2)  # every walk repeats a milestone
@@ -800,16 +694,18 @@ def test_ratio_property_check_refuses_no_subsets(k3_chain, k3_params, subsets):
 
 def _ratio_by_loop(P, params, subsets: int, seed, reference: bool = True):
     """ratio_property_check as a loop of one q per draw, as it ran before
-    its draws were counted in chunks: from the pair table (reference), or
-    from the head classes, one _told_sums call per draw; also returns how
-    many draws were rejected for q = 0."""
+    its draws were counted in chunks: from verify's pair reference
+    (reference), the subset's q from the subset as a family of its own,
+    or from the head classes, one _told_sums call per draw; also returns
+    how many draws were rejected for q = 0."""
     family = mb.enumerate_family(P, params)
     if reference:
-        table = _pair_table(family)
-        mass = table.mass
+        mass = _pair_reference(family).mass.tolist()
 
         def q_of(inside):
-            return _distinguishing(table, inside).q
+            subset = mb.FunctionFamily(walks=family.walks[inside], bits=family.bits[inside],
+                                       params=params, chain=P)
+            return float(_pair_reference(subset).per_vertex.max())
     else:
         mass = family._classes.mass.tolist()
 
@@ -871,7 +767,7 @@ def test_cores_on_a_prebuilt_table_equal_the_public_calls(name, monkeypatch):
     P, params = _exact_system(name)
     family = mb.enumerate_family(P, params)
     built = []
-    for build in (_relation_arrays, _class_arrays, _pair_table):
+    for build in (_relation_arrays, _class_arrays):
         monkeypatch.setattr(f"mixbound.adversary.{build.__name__}",
                             lambda *args, build=build: built.append((build, args))
                             or build(*args))
@@ -910,10 +806,10 @@ def test_the_exact_path_builds_no_instance_objects(monkeypatch):
 
 
 def test_a_family_holds_read_only_relation_arrays_and_table(k3_family):
-    # all outlive the call that builds them, so no reader may write into them
-    table, classes = k3_family._table, k3_family._classes
-    for a in (*k3_family._relation, table.rows, table.cols, table.values, table.ids,
-              table.row_last, table.col_last, classes.walk, classes.weights, classes.mass,
+    # the relation arrays and the head classes outlive the call that builds
+    # them, so no reader may write into them
+    classes = k3_family._classes
+    for a in (*k3_family._relation, classes.walk, classes.weights, classes.mass,
               *(a for level in classes.levels for a in level if a.size)):
         with pytest.raises(ValueError, match="read-only"):
             a[(0,) * a.ndim] = a[(0,) * a.ndim]

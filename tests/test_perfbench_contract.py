@@ -55,9 +55,9 @@ def test_perfbench_workload_reads_an_enumerated_family_as_it_does():
     for inst in family.instances:
         if st.is_good_walk(inst.walk, params.T):
             good_bits[inst.bit] += 1
-    table = family._table
+    rel = family._relation
     assert len(family) == len(family.instances) == 512
-    assert good_bits == [table.rows.size, table.cols.size]
+    assert good_bits == [int((rel.good & (rel.bits == bit)).sum()) for bit in (0, 1)]
 
 
 def _workload_constants(*names):

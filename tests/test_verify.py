@@ -20,9 +20,11 @@ from mixbound import adversary as adv
 from mixbound import chains as ch
 from mixbound import graphs as gr
 from mixbound import staircase as st
+from mixbound import verify
 from mixbound.cli import main
 from mixbound.errors import InputError, VacuousRegimeWarning
-from mixbound.verify import CHECKS, VerifyCaps, _Context, _good_walks, run_verify
+from mixbound.verify import (CHECKS, VerifyCaps, _Context, _good_walks, _pair_reference,
+                             run_verify)
 
 from conftest import traced_peak
 
@@ -197,6 +199,45 @@ def test_exact_check_compares_the_head_class_sums_with_the_pair_table(monkeypatc
             assert result.counterexample["vertex"] == 3
 
 
+def test_exact_check_catches_a_reference_without_the_end_vertex_term(monkeypatch):
+    # two walks of opposite bits that end at the same vertex v, last there
+    # at the same position, are told apart at v only by their tags; without
+    # that term the reference's q parts from the head classes on K4 (on K3
+    # every good pair ends at different vertices)
+    def no_end_term(family):
+        ref = original(family)
+        last = adv._last_occurrence(family.walks, family.chain.n)
+        told = [last[ref.rows, v, None] != last[ref.cols, v] for v in range(family.chain.n)]
+        per_vertex = [2.0 * math.fsum(ref.r[mask].tolist()) for mask in told]
+        return ref._replace(per_vertex=np.array(per_vertex))
+
+    original = verify._pair_reference
+    monkeypatch.setattr(verify, "_pair_reference", no_end_term)
+    [result] = run_verify(checks=["adversary_exact_mc"], seed=0)
+    assert not result.passed
+    assert result.details == "head-class sums disagree with the pair table"
+    assert result.counterexample["n"] == 4 and "vertex" in result.counterexample
+
+
+def test_pair_reference_equals_a_loop_over_k3s_pairs(k3_family):
+    # every ordered pair of instances from relation_weight, told apart at v
+    # where decision_value differs: weights, masses and q bit for bit
+    insts, n = k3_family.instances, k3_family.chain.n
+    r = [[adv.relation_weight(a, b) for b in insts] for a in insts]
+    told = [[[v for v in range(1, n + 1) if a.decision_value(v) != b.decision_value(v)]
+             for b in insts] for a in insts]
+    ref = _pair_reference(k3_family)
+    full = np.zeros((len(insts), len(insts)))
+    full[np.ix_(ref.rows, ref.cols)] = ref.r
+    full[np.ix_(ref.cols, ref.rows)] = ref.r.T
+    assert np.array_equal(full.view(np.int64), np.array(r).view(np.int64))
+    assert ref.mass.tolist() == [math.fsum(row) for row in r]
+    assert ref.per_vertex.tolist() == [
+        math.fsum(r[i][k] for i, k in itertools.product(range(len(insts)), repeat=2)
+                  if v in told[i][k]) for v in range(1, n + 1)]
+    assert ref.per_vertex.max() > 0.0
+
+
 @pytest.mark.parametrize("check, multiple", [
     ("A5_difference_localization", 8), ("adversary_symmetry", 4)])
 def test_pair_checks_hold_no_vertex_sized_pair_arrays(check, multiple):
@@ -356,7 +397,7 @@ def test_run_verify_builds_each_fixture_once(monkeypatch):
 
     count(adv, "enumerate_family", lambda P, *_: P)
     count(adv, "_relation_arrays", lambda chain, *_: chain)
-    count(adv, "_pair_table", lambda family: family.chain)
+    count(verify, "_pair_reference", lambda family: family.chain)
     count(adv, "_class_arrays", lambda family: family.chain)
     count(gr, "bfs_distances", lambda g, source: (g, source))
     count(ch, "spectral_gap", lambda P: P)
@@ -369,7 +410,7 @@ def test_run_verify_builds_each_fixture_once(monkeypatch):
     micro = [P for what, P in calls if what == "enumerate_family"]
     assert counts("enumerate_family") == [1, 1]
     # A6's witness pairs build relation arrays and head classes of their own
-    for name in ("_relation_arrays", "_pair_table", "_class_arrays"):
+    for name in ("_relation_arrays", "_pair_reference", "_class_arrays"):
         assert [calls[name, P] for P in micro] == [1, 1]
     # once per family graph and source, so once per graph from vertex 1
     assert set(counts("bfs_distances")) == {1}
