@@ -272,25 +272,30 @@ def enumerate_family(P: TransitionMatrix, params: StaircaseParams,
                      cap: int = DEFAULT_CAPS["enumeration"]) -> FunctionFamily:
     """All walks of length L from vertex 1 with positive step probabilities,
     crossed with both hidden bits: the walks in increasing lexicographic
-    order, each once with bit 0 and then with bit 1. Aborts once the walk
-    count passes the cap, or once the arrays the exact path would hold for
-    that many walks (_family_bytes) pass MAX_DENSE_N^2 * 8 bytes (2 GiB,
-    the largest dense matrix the library admits), both before any walk
-    is built; use the Monte Carlo estimator beyond that."""
-    successors = [tuple(dict.fromkeys(row)) for row in (P.sampling_table[0] + 1).tolist()]
+    order, each once with bit 0 and then with bit 1, read from the sampling
+    table through numpy. Aborts once the walk count passes the cap, or
+    once the arrays the exact path would hold for that many walks
+    (_family_bytes) pass MAX_DENSE_N^2 * 8 bytes (2 GiB, the largest dense
+    matrix the library admits), both before any walk is built; use the
+    Monte Carlo estimator beyond that."""
+    # The distinct successors of each vertex, 1-based, 0 padding a row:
+    # real slots increase and padding repeats a row's last real neighbour,
+    # so a slot equal to the one before it is padding.
+    table = P.sampling_table[0] + 1
+    table[:, 1:][table[:, 1:] == table[:, :-1]] = 0
     # Walks ending at each vertex, counted level by level before any walk
     # is built. Every row has a successor, so the total never falls and
-    # the count can stop at the first level that passes the cap.
-    ends = {1: 1}
+    # the count can stop at the first level that passes the cap; the float
+    # counts stay exact, far below 2^53.
+    ends = np.zeros(P.n)
+    ends[0] = 1.0
     for _ in range(params.L):
-        if sum(ends.values()) > cap:
+        if ends.sum() > cap:
             break
-        level: dict[int, int] = {}
-        for u, count in ends.items():
-            for v in successors[u - 1]:
-                level[v] = level.get(v, 0) + count
-        ends = level
-    count = sum(ends.values())
+        live = np.flatnonzero(ends)
+        ends = np.bincount(table[live].ravel(), np.repeat(ends[live], table.shape[1]),
+                           P.n + 1)[1:]
+    count = int(ends.sum())
     if count > cap:
         raise CapabilityError(
             f"family exceeds enumeration cap {cap}; "
@@ -304,9 +309,6 @@ def enumerate_family(P: TransitionMatrix, params: StaircaseParams,
     # Level by level: each walk, in order, is followed by each successor
     # of its end, in increasing order (as the sampling table lists them),
     # so the walks of every level stay in lexicographic order.
-    table = np.zeros((P.n, max(map(len, successors))), dtype=np.int64)  # 0 pads a list
-    for u, row in enumerate(successors):
-        table[u, :len(row)] = row
     walks = np.ones((1, 1), dtype=np.int64)
     for _ in range(params.L):
         nxt = table[walks[:, -1] - 1]
@@ -860,63 +862,61 @@ def milestone_escape_estimates(P: TransitionMatrix, params: StaircaseParams,
 # Constructive witness
 # ---------------------------------------------------------------------------
 
+def _padded_path(parent: np.ndarray, u: int, w: int, T: int) -> list[int]:
+    """The T vertices after u on a shortest path u -> w, read from the
+    parents of a BFS from u and padded with self-loops at u."""
+    path = [w]
+    while path[-1] != u:
+        path.append(int(parent[path[-1] - 1]) + 1)
+    return [u] * (T + 1 - len(path)) + path[-2::-1]
+
+
 def witness_pair(P: TransitionMatrix, params: StaircaseParams) -> FunctionFamily:
     """Two good walks that share their head through the next-to-last
     milestone, end at distinct vertices, and carry opposite bits: a
-    two-element family with positive distinguishing mass."""
+    two-element family with positive distinguishing mass.
+
+    A depth-first search over milestones that holds one depth-T BFS at a
+    time (on a lazy chain, within T hops is reachable in exactly T steps).
+    Each pass takes, from the last milestone, the smallest vertex in reach
+    above the cursor that is not yet a milestone, and extends x by the
+    shortest path to it, padded with self-loops; a dead end pops the
+    milestone into the cursor. At the last level x and y end at the two
+    smallest free vertices. Refuses L = 0, a search past
+    WITNESS_EXPANSION_CAP candidates, and too few vertices in reach."""
     if not P.flags.lazy:
         raise CapabilityError("witness construction requires a lazy chain")
     T, m = params.T, params.m
+    if m < 1:
+        raise CapabilityError(f"no milestone to part at: L={params.L} holds no segment of T={T}")
     index = P.sampling_table[0]
     indptr = index.shape[1] * np.arange(P.n + 1)
-
-    @functools.cache
-    def search(u: int) -> tuple[list[int], np.ndarray]:
-        # on a lazy chain, reachable in exactly T steps = within T hops
+    stones, x_verts = [1], [1]
+    after = expansions = 0
+    while True:
+        u, last = stones[-1], len(stones) == m
         dist, parent = _bfs(indptr, index.ravel(), u - 1, depth=T)
-        return (np.flatnonzero(dist >= 0) + 1).tolist(), parent
-
-    def segment(u: int, w: int) -> list[int]:
-        # a shortest path u -> w, padded to T steps with self-loops at u
-        parent = search(u)[1]
-        path = [w]
-        while path[-1] != u:
-            path.append(int(parent[path[-1] - 1]) + 1)
-        return [u] * (T + 1 - len(path)) + path[::-1]
-
-    expansions = 0
-
-    def extend(stones: list[int]) -> list[int] | None:
-        nonlocal expansions
-        if len(stones) == m + 1:
-            # need an alternate final milestone for the second walk
-            for cand in search(stones[-2])[0]:
-                if cand not in stones:
-                    return stones
-            return None
-        for cand in search(stones[-1])[0]:
-            if cand in stones:
-                continue
-            expansions += 1
-            if expansions > WITNESS_EXPANSION_CAP:
-                raise CapabilityError(
-                    f"witness search exceeded {WITNESS_EXPANSION_CAP} expansions")
-            result = extend(stones + [cand])
-            if result is not None:
-                return result
-        return None
-
-    stones = extend([1])
-    if stones is None:
-        raise CapabilityError(
-            "witness construction failed: not enough vertices reachable "
-            f"within T={T} steps to place {m + 1} distinct milestones")
-    alt_end = next(c for c in search(stones[-2])[0] if c not in stones)
-
-    x_verts: list[int] = [1]
-    for a, b in zip(stones, stones[1:]):
-        x_verts.extend(segment(a, b)[1:])
-    y_verts = x_verts[: (m - 1) * T + 1] + segment(stones[-2], alt_end)[1:]
+        reach = dist >= 0
+        reach[:after] = False  # vertices up to the cursor were tried
+        reach[np.array(stones) - 1] = False
+        free = (np.flatnonzero(reach)[:2] + 1).tolist()
+        expansions += bool(free)  # the candidate tried counts once
+        if expansions > WITNESS_EXPANSION_CAP:
+            raise CapabilityError(f"witness search exceeded {WITNESS_EXPANSION_CAP} expansions")
+        if len(free) > last:  # the last level needs a second end for y
+            x_verts += _padded_path(parent, u, free[0], T)
+            if last:
+                y_verts = x_verts[:-T] + _padded_path(parent, u, free[1], T)
+                break
+            stones.append(free[0])
+            after = 0
+        elif len(stones) > 1:
+            after = stones.pop()
+            del x_verts[-T:]
+        else:
+            raise CapabilityError(
+                "witness construction failed: not enough vertices reachable "
+                f"within T={T} steps to place {m + 1} distinct milestones")
 
     x_walk = make_walk(P, x_verts)
     y_walk = make_walk(P, y_verts)

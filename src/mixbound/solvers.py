@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InputError
 from .graphs import Graph, _check_vertex, degree_stats
-from .staircase import StaircaseInstance
+from .staircase import StaircaseInstance, _as_function
 
 
 class CountingOracle:
@@ -79,8 +79,7 @@ def decision_oracle(inst: StaircaseInstance) -> CountingOracle:
 
 def function_oracle(g: Graph, f) -> CountingOracle:
     """Oracle over an arbitrary vertex -> value mapping on g."""
-    fn = f if callable(f) else (lambda v: f[v])
-    return CountingOracle(fn, g.n)
+    return CountingOracle(_as_function(f), g.n)
 
 
 @dataclass(frozen=True)

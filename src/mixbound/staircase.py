@@ -276,7 +276,7 @@ def sample_instance(P: TransitionMatrix, params: StaircaseParams, seed,
 # Validity and local minima
 # ---------------------------------------------------------------------------
 
-def _as_function(f, n: int):
+def _as_function(f):
     if callable(f):
         return f
     return lambda v: f[v]
@@ -296,7 +296,7 @@ def _valid_for_distances(g: Graph, verts: tuple[int, ...], f, dist) -> bool:
     """is_valid_value_function with dist, the BFS distances from verts[0]
     as a list indexed by vertex - 1, passed in by a caller that checks
     many walks from one start; None runs the BFS."""
-    fn = _as_function(f, g.n)
+    fn = _as_function(f)
     vals = {v: fn(v) for v in range(1, g.n + 1)}
     last = dict.fromkeys(reversed(verts))  # latest last occurrence first
     by_last = list(last)[::-1]
@@ -316,7 +316,7 @@ def _valid_for_distances(g: Graph, verts: tuple[int, ...], f, dist) -> bool:
 
 def local_minima(g: Graph, f) -> list[int]:
     """All vertices whose value is <= every neighbor's value."""
-    fn = _as_function(f, g.n)
+    fn = _as_function(f)
     vals = np.array([fn(v) for v in range(1, g.n + 1)])
     # every row is nonempty: the graph is connected and n >= 2
     lowest = np.minimum.reduceat(vals[g.indices], g.indptr[:-1])

@@ -90,9 +90,9 @@ class _Context:
     bottleneck ratio, each graph's edge expansion and BFS distances, the
     seeded instances, the micro families, which hold their own relation
     arrays and head classes, and each micro family's pair reference. A
-    value per graph or chain is keyed by the object itself, which hashes
-    by identity, and is computed through the library's module function,
-    so a patched function is the one that runs."""
+    value per graph or chain is keyed by the object itself (a chain hashes
+    by identity, a graph by its CSR bytes) and is computed through the
+    library's module function, so a patched function is the one that runs."""
 
     def __init__(self, caps: VerifyCaps, seed: int):
         self.caps = caps
@@ -203,14 +203,14 @@ def _pair_reference(family: adv.FunctionFamily) -> _PairReference:
     cols = np.flatnonzero(rel.good & (rel.bits == 1))
     r = adv._relation_block(rel.take(rows), rel.take(cols))
     mass = np.zeros(len(family))
-    mass[rows] = [math.fsum(row) for row in r.tolist()]
-    mass[cols] = [math.fsum(col) for col in r.T.tolist()]
+    mass[rows] = [math.fsum(memoryview(row)) for row in r]
+    mass[cols] = [math.fsum(memoryview(col)) for col in r.T]
     last, end = adv._last_occurrence(rel.walks, n), rel.walks[:, -1] - 1
     per_vertex = np.zeros(n)
     for v in range(n):
         told = last[rows, v, None] != last[cols, v]
         told |= (end[rows, None] == v) | (end[cols] == v)
-        per_vertex[v] = 2.0 * math.fsum(r[told].tolist())
+        per_vertex[v] = 2.0 * math.fsum(memoryview(r[told]))
     return _PairReference(rows, cols, r, mass, per_vertex)
 
 

@@ -215,6 +215,20 @@ def test_enumerate_cap_boundary(k3_chain, L, cap):
         assert len(mb.enumerate_family(k3_chain, params, cap=cap)) == 2 * 3 ** L
 
 
+@pytest.mark.parametrize("name", ["barbell10", "metropolis6"])
+def test_enumerate_cap_boundary_on_padded_and_weighted_rows(name):
+    # barbell:10 pads its rows with repeats, and the Metropolis chain on
+    # K6 weighs its rows unevenly: the count that the cap reads is the
+    # reference's walk count, and exactly that many walks are admitted
+    graph, T, L = ENUMERATION_SYSTEMS[name]
+    P = graph() if callable(graph) else mb.lazy_simple_walk(mb.graph_from_spec(graph))
+    params = mb.custom_params(P, T=T, L=L)
+    walks = len(_reference_rows(P, L)) // 2
+    assert len(mb.enumerate_family(P, params, cap=walks)) == 2 * walks
+    with pytest.raises(CapabilityError, match=f"exceeds enumeration cap {walks - 1};"):
+        mb.enumerate_family(P, params, cap=walks - 1)
+
+
 def _reference_rows(P, L) -> np.ndarray:
     """The rows enumerate_family once built: the walks found by a
     depth-first search over each vertex's distinct sampling-table
@@ -922,6 +936,136 @@ def test_underflowed_head_refuses_the_relation_weight():
         mb.distinguishing_mass(pair)
     with pytest.raises(CapabilityError, match="underflows to 0.0"):
         _exact_report(pair)
+
+
+def _reference_witness(P, params):
+    """(x, y) vertex tuples of the witness search as it once ran: a
+    recursive depth-first search over milestone sequences with one cached
+    BFS per milestone, a second pass stitching the padded shortest paths
+    together, and the same expansion cap and refusals."""
+    T, m = params.T, params.m
+    index = P.sampling_table[0]
+    indptr = index.shape[1] * np.arange(P.n + 1)
+
+    @functools.cache
+    def search(u):
+        dist, parent = _bfs(indptr, index.ravel(), u - 1, depth=T)
+        return (np.flatnonzero(dist >= 0) + 1).tolist(), parent
+
+    def segment(u, w):
+        parent = search(u)[1]
+        path = [w]
+        while path[-1] != u:
+            path.append(int(parent[path[-1] - 1]) + 1)
+        return [u] * (T + 1 - len(path)) + path[::-1]
+
+    expansions = 0
+
+    def extend(stones):
+        nonlocal expansions
+        if len(stones) == m + 1:
+            return stones if any(c not in stones for c in search(stones[-2])[0]) else None
+        for cand in search(stones[-1])[0]:
+            if cand in stones:
+                continue
+            expansions += 1
+            if expansions > adv.WITNESS_EXPANSION_CAP:
+                raise CapabilityError(
+                    f"witness search exceeded {adv.WITNESS_EXPANSION_CAP} expansions")
+            result = extend(stones + [cand])
+            if result is not None:
+                return result
+        return None
+
+    stones = extend([1])
+    if stones is None:
+        raise CapabilityError(
+            "witness construction failed: not enough vertices reachable "
+            f"within T={T} steps to place {m + 1} distinct milestones")
+    alt_end = next(c for c in search(stones[-2])[0] if c not in stones)
+    x = [1]
+    for a, b in zip(stones, stones[1:]):
+        x.extend(segment(a, b)[1:])
+    return tuple(x), tuple(x[: (m - 1) * T + 1] + segment(stones[-2], alt_end)[1:])
+
+
+def _random_connected_graph(rng, n):
+    """A random spanning tree on 1..n plus up to n - 1 random extra edges."""
+    edges = {(int(rng.integers(1, v)), v) for v in range(2, n + 1)}
+    for _ in range(int(rng.integers(0, n))):
+        edges.add(tuple(sorted(rng.choice(np.arange(1, n + 1), 2, replace=False).tolist())))
+    return mb.make_graph(n, sorted(edges))
+
+
+def test_witness_pair_equals_the_recursive_reference(monkeypatch):
+    # a small cap, so that refusals at the cap are compared as well
+    monkeypatch.setattr(adv, "WITNESS_EXPANSION_CAP", 300)
+
+    def outcome(search, P, params):
+        try:
+            return search(P, params)
+        except CapabilityError as exc:
+            return str(exc)
+
+    def library(P, params):
+        x, y = mb.witness_pair(P, params).instances
+        return x.walk.vertices, y.walk.vertices
+
+    seen = Counter()
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        n, T = int(rng.integers(3, 10)), int(rng.integers(1, 3))
+        P = mb.lazy_simple_walk(_random_connected_graph(rng, n))
+        for m in range(1, n + 1):
+            params = mb.custom_params(P, T=T, L=m * T)
+            want = outcome(_reference_witness, P, params)
+            assert outcome(library, P, params) == want, (seed, n, T, m)
+            seen[want.split(":")[0] if isinstance(want, str) else "pair"] += 1
+    assert set(seen) == {"pair", "witness construction failed",
+                         "witness search exceeded 300 expansions"}
+
+
+def test_witness_pair_backtracks_past_a_dead_end():
+    # from vertex 1 the first candidate is the leaf 2, whose only
+    # neighbour is already a milestone; the search returns to 1 and takes 3
+    P = mb.lazy_simple_walk(mb.make_graph(5, [(1, 2), (1, 3), (3, 4), (3, 5)]))
+    x, y = mb.witness_pair(P, mb.custom_params(P, T=1, L=2)).instances
+    assert (x.walk.vertices, y.walk.vertices) == ((1, 3, 4), (1, 3, 5))
+
+
+def test_witness_pair_runs_one_bfs_per_milestone_level(monkeypatch):
+    # complete:16 at its defaults never backtracks: m searches in all
+    P = mb.lazy_simple_walk(mb.complete_graph(16))
+    params = mb.default_params(P)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return _bfs(*args, **kwargs)
+
+    monkeypatch.setattr(adv, "_bfs", counted)
+    x, y = mb.witness_pair(P, params).instances
+    assert (x.walk.vertices, y.walk.vertices) == WITNESS_GOLDEN["complete16"]
+    assert calls == list(range(params.m))
+
+
+def test_witness_search_holds_one_bfs_at_a_time(monkeypatch):
+    # hypercube:10 at its defaults places 32 milestones over n = 1 024; a
+    # cache of every milestone's BFS and reachable list peaked at 1.8 MiB,
+    # the search with one BFS at a time at about 0.6 MiB
+    P = mb.lazy_simple_walk(mb.hypercube_graph(10))
+    params = mb.default_params(P)
+    built = []
+    monkeypatch.setattr(adv, "FunctionFamily", lambda **kwargs: built.append(kwargs))
+    peak = traced_peak(lambda: adv.witness_pair(P, params))[1]
+    assert built[0]["walks"].shape == (2, params.L + 1)
+    assert peak < 1 << 20
+
+
+def test_witness_pair_refuses_length_zero():
+    P = mb.lazy_simple_walk(mb.complete_graph(4))
+    with pytest.raises(CapabilityError, match="L=0 holds no segment of T=2"):
+        mb.witness_pair(P, mb.custom_params(P, T=2, L=0))
 
 
 def test_witness_pair_requires_room():
